@@ -96,6 +96,8 @@ func run(args []string, stdout io.Writer) error {
 			GOARCH:     runtime.GOARCH,
 			CPUs:       runtime.NumCPU(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GoVersion:  runtime.Version(),
+			Seed:       scale.Seed,
 			Full:       *full,
 			Results:    all,
 		}
@@ -111,14 +113,17 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// jsonDoc is the machine-readable record -json writes: the host that
-// produced the numbers plus every result panel of the run, so later PRs can
-// diff throughput against a committed baseline.
+// jsonDoc is the machine-readable record -json writes: the host and Go
+// version that produced the numbers, the workload seed, and every result
+// panel of the run, so later changes can diff throughput against a
+// committed baseline.
 type jsonDoc struct {
 	GOOS       string          `json:"goos"`
 	GOARCH     string          `json:"goarch"`
 	CPUs       int             `json:"cpus"`
 	GOMAXPROCS int             `json:"gomaxprocs"`
+	GoVersion  string          `json:"go_version"`
+	Seed       uint64          `json:"seed"`
 	Full       bool            `json:"full"`
 	Results    []*bench.Result `json:"results"`
 }

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"sprofile/internal/bench"
 )
 
 func TestRunList(t *testing.T) {
@@ -26,17 +30,35 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 // TestRunSingleExperimentWithCSV exercises the full path (experiment run,
-// table rendering, speedup line, CSV output) on the smallest real experiment.
-// It uses the default scale, so keep the experiment cheap: the block-hint
-// ablation runs a single method.
+// table rendering, speedup line, CSV and JSON output) on the smallest real
+// experiment. It uses the default scale, so keep the experiment cheap: the
+// block-hint ablation runs a single method.
 func TestRunSingleExperimentWithCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real (small) measurement sweep")
 	}
 	dir := t.TempDir()
+	jsonPath := filepath.Join(t.TempDir(), "bench.json")
 	var out bytes.Buffer
-	if err := run([]string{"-experiment", "sliding-window", "-csv", dir}, &out); err != nil {
+	if err := run([]string{"-experiment", "sliding-window", "-csv", dir, "-json", jsonPath}, &out); err != nil {
 		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		GoVersion string  `json:"go_version"`
+		Seed      *uint64 `json:"seed"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.GoVersion != runtime.Version() {
+		t.Fatalf("go_version = %q, want %q", doc.GoVersion, runtime.Version())
+	}
+	if doc.Seed == nil || *doc.Seed != bench.DefaultScale().Seed {
+		t.Fatalf("seed = %v, want the scale's seed %d", doc.Seed, bench.DefaultScale().Seed)
 	}
 	text := out.String()
 	if !strings.Contains(text, "sliding-window") {

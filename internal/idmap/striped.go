@@ -21,11 +21,14 @@ import (
 // exhausted does Acquire borrow an id from another stripe's free range, so
 // the full capacity is always usable regardless of how keys hash.
 //
-// The *Func variants run a caller callback while the key's stripe lock is
-// held. They exist so a caller layering extra per-key state on top of the
-// mapping (a keyed profile pairing ids with frequencies, say) can mutate the
-// mapping and its own state as one atomic step; the callback must not call
-// back into the same Striped or it will self-deadlock.
+// BatchFunc runs a caller callback with one stripe's lock held and a
+// transaction view of that stripe (StripeTxn). It is how a caller layering
+// extra per-key state on top of the mapping (a keyed profile pairing ids with
+// frequencies, say) mutates the mapping and its own state as one atomic step,
+// for one key or for a whole group of keys sharing the stripe; Acquire and
+// DenseID are one-key transactions over it. The callback must not call back
+// into the same Striped except through the transaction, or it will
+// self-deadlock.
 type Striped[K comparable] struct {
 	seed       maphash.Seed
 	capacity   int
@@ -203,64 +206,11 @@ func (s *Striped[K]) reassign(id int, key K) {
 // not yet mapped. isNew reports whether the id was freshly assigned. When
 // every id across all stripes is taken, Acquire returns ErrFull.
 func (s *Striped[K]) Acquire(key K) (id int, isNew bool, err error) {
-	return s.AcquireFunc(key, nil, nil)
-}
-
-// AcquireFunc is Acquire with two extension points that run while the key's
-// stripe lock is held:
-//
-//   - evict, consulted only when every dense id is in use, may name a victim
-//     key in the same stripe (callers typically track idle keys per stripe);
-//     the victim's mapping is removed and its id handed to key atomically.
-//   - fn runs after the id is resolved, still under the stripe lock. If fn
-//     returns an error on a freshly assigned id, the assignment is rolled
-//     back before the error is returned; on an existing id the mapping is
-//     left untouched.
-//
-// Either callback may be nil.
-//
-// The body intentionally duplicates StripeTxn.Acquire/Rollback inline: this
-// is the per-event hot path, and routing it through BatchFunc's closure
-// costs a measurable ~7% per Add. Any change to the acquire/evict/rollback
-// protocol must be mirrored there.
-func (s *Striped[K]) AcquireFunc(key K, evict func(stripe int) (K, bool), fn func(id int, isNew bool) error) (int, bool, error) {
-	si := s.StripeOf(key)
-	ms := &s.stripes[si]
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if id, ok := ms.toDense[key]; ok {
-		if fn != nil {
-			if err := fn(id, false); err != nil {
-				return 0, false, err
-			}
-		}
-		return id, false, nil
-	}
-	id, ok := s.allocate(si, key)
-	if !ok && evict != nil {
-		if victim, vok := evict(si); vok {
-			if vid, mapped := ms.toDense[victim]; mapped {
-				delete(ms.toDense, victim)
-				s.length.Add(-1)
-				s.reassign(vid, key)
-				id, ok = vid, true
-			}
-		}
-	}
-	if !ok {
-		return 0, false, fmt.Errorf("%w: capacity %d", ErrFull, s.capacity)
-	}
-	ms.toDense[key] = id
-	s.length.Add(1)
-	if fn != nil {
-		if err := fn(id, true); err != nil {
-			delete(ms.toDense, key)
-			s.free(id)
-			s.length.Add(-1)
-			return 0, false, err
-		}
-	}
-	return id, true, nil
+	err = s.BatchFunc(s.StripeOf(key), func(t StripeTxn[K]) error {
+		id, isNew, err = t.Acquire(key, nil)
+		return err
+	})
+	return id, isNew, err
 }
 
 // StripeTxn is the view of one locked stripe handed to a BatchFunc callback.
@@ -272,12 +222,12 @@ type StripeTxn[K comparable] struct {
 }
 
 // BatchFunc locks stripe si once, runs fn with a transaction view of it, and
-// unlocks. It is the batched counterpart of AcquireFunc/DenseIDFunc: a batch
-// of keys grouped by stripe resolves them all — lookups, acquisitions,
-// evictions, rollbacks and any caller state guarded by the stripe — under a
-// single lock acquisition, amortising the striping overhead the per-key
-// paths pay once per event. fn must not call back into the Striped except
-// through the transaction, or it will self-deadlock.
+// unlocks, returning fn's error. Everything fn does through the transaction —
+// lookups, acquisitions, evictions, rollbacks — and any caller state guarded
+// by the stripe happens as one atomic step; a batch of keys grouped by
+// stripe resolves them all under a single lock acquisition. fn must not call
+// back into the Striped except through the transaction, or it will
+// self-deadlock.
 func (s *Striped[K]) BatchFunc(si int, fn func(t StripeTxn[K]) error) error {
 	ms := &s.stripes[si]
 	ms.mu.Lock()
@@ -292,10 +242,11 @@ func (t StripeTxn[K]) Get(key K) (int, bool) {
 }
 
 // Acquire returns the dense id for key, assigning a new one if the key is
-// not yet mapped, with the same eviction fallback AcquireFunc offers. isNew
-// reports a fresh assignment; use Rollback to undo it if the caller's own
-// state update fails. The acquire/evict protocol here is mirrored inline in
-// AcquireFunc (kept separate for hot-path speed); change both together.
+// not yet mapped. When every id is in use, evict (if not nil) may name a
+// victim key of the same stripe (callers typically track idle keys per
+// stripe); the victim's mapping is removed and its id handed to key
+// atomically. isNew reports a fresh assignment; use Rollback to undo it if
+// the caller's own state update fails.
 func (t StripeTxn[K]) Acquire(key K, evict func(stripe int) (K, bool)) (id int, isNew bool, err error) {
 	s, si := t.s, t.si
 	ms := &s.stripes[si]
@@ -331,26 +282,15 @@ func (t StripeTxn[K]) Rollback(key K, id int) {
 }
 
 // DenseID returns the dense id of key without assigning one.
-func (s *Striped[K]) DenseID(key K) (int, error) {
-	return s.DenseIDFunc(key, nil)
-}
-
-// DenseIDFunc is DenseID with a callback that runs while the key's stripe
-// lock is held, so the caller can read or mutate per-key state consistent
-// with the mapping. fn's error is returned alongside the id.
-func (s *Striped[K]) DenseIDFunc(key K, fn func(id int) error) (int, error) {
-	si := s.StripeOf(key)
-	ms := &s.stripes[si]
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	id, ok := ms.toDense[key]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrUnknownKey, key)
-	}
-	if fn != nil {
-		return id, fn(id)
-	}
-	return id, nil
+func (s *Striped[K]) DenseID(key K) (id int, err error) {
+	err = s.BatchFunc(s.StripeOf(key), func(t StripeTxn[K]) error {
+		var ok bool
+		if id, ok = t.Get(key); !ok {
+			return fmt.Errorf("%w: %v", ErrUnknownKey, key)
+		}
+		return nil
+	})
+	return id, err
 }
 
 // Contains reports whether key currently has a dense id.
@@ -432,8 +372,8 @@ func (s *Striped[K]) Reserve(n int) {
 
 // Quiesce acquires every map-stripe lock (in index order), runs fn, and
 // releases them. While fn runs, no Acquire, DenseID, Release, Contains,
-// Keys, Range or *Func call can make progress, so fn observes — and can let
-// a caller capture — a globally consistent mapping together with any
+// Keys, Range or BatchFunc call can make progress, so fn observes — and can
+// let a caller capture — a globally consistent mapping together with any
 // per-stripe state layered on top of it. fn must not call back into the
 // Striped except through RangeLocked, or it will self-deadlock.
 //

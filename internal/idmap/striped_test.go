@@ -122,57 +122,6 @@ func TestStripedHomeStripeAllocation(t *testing.T) {
 	}
 }
 
-func TestStripedAcquireFuncRollback(t *testing.T) {
-	s := MustNewStriped[string](4, 2)
-	boom := errors.New("boom")
-	_, _, err := s.AcquireFunc("k", nil, func(id int, isNew bool) error {
-		if !isNew {
-			t.Fatalf("expected fresh assignment")
-		}
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("AcquireFunc = %v, want boom", err)
-	}
-	if s.Contains("k") || s.Len() != 0 {
-		t.Fatalf("failed acquire left the mapping behind")
-	}
-	// The rolled-back id must be reusable.
-	for i := 0; i < 4; i++ {
-		if _, _, err := s.Acquire(fmt.Sprintf("k%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestStripedEvictCallback(t *testing.T) {
-	s := MustNewStriped[string](2, 1)
-	idA, _, _ := s.Acquire("a")
-	s.MustAcquire(t, "b")
-	// Evict "a" to make room for "c"; the victim's id must transfer.
-	id, isNew, err := s.AcquireFunc("c", func(stripe int) (string, bool) { return "a", true }, nil)
-	if err != nil || !isNew {
-		t.Fatalf("AcquireFunc with evict = (%d, %v, %v)", id, isNew, err)
-	}
-	if id != idA {
-		t.Fatalf("evicting acquire got id %d, want the victim's id %d", id, idA)
-	}
-	if s.Contains("a") {
-		t.Fatalf("victim still mapped after eviction")
-	}
-	if key, ok := s.Key(id); !ok || key != "c" {
-		t.Fatalf("Key(%d) = (%q, %v) after eviction", id, key, ok)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len after eviction = %d, want 2", s.Len())
-	}
-
-	// An evict callback that declines leaves ErrFull in place.
-	if _, _, err := s.AcquireFunc("d", func(stripe int) (string, bool) { return "", false }, nil); !errors.Is(err, ErrFull) {
-		t.Fatalf("declined eviction = %v, want ErrFull", err)
-	}
-}
-
 // MustAcquire is a test helper; it fails t on error.
 func (s *Striped[K]) MustAcquire(t *testing.T, key K) int {
 	t.Helper()

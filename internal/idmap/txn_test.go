@@ -2,6 +2,7 @@ package idmap
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -107,5 +108,78 @@ func TestBatchFuncEviction(t *testing.T) {
 	})
 	if !errors.Is(err, ErrFull) {
 		t.Fatalf("full stripe: %v", err)
+	}
+}
+
+// acquireFunc acquires key in a one-key stripe transaction and runs fn under
+// the stripe lock, rolling a fresh assignment back if fn fails: the way a
+// caller layering per-key state on the mapping uses StripeTxn.
+func acquireFunc[K comparable](s *Striped[K], key K, evict func(stripe int) (K, bool), fn func(id int, isNew bool) error) (id int, isNew bool, err error) {
+	err = s.BatchFunc(s.StripeOf(key), func(txn StripeTxn[K]) error {
+		if id, isNew, err = txn.Acquire(key, evict); err != nil {
+			return err
+		}
+		if fn == nil {
+			return nil
+		}
+		if err := fn(id, isNew); err != nil {
+			if isNew {
+				txn.Rollback(key, id)
+			}
+			return err
+		}
+		return nil
+	})
+	return id, isNew, err
+}
+
+func TestStripedAcquireFuncRollback(t *testing.T) {
+	s := MustNewStriped[string](4, 2)
+	boom := errors.New("boom")
+	_, _, err := acquireFunc(s, "k", nil, func(id int, isNew bool) error {
+		if !isNew {
+			t.Fatalf("expected fresh assignment")
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("acquire = %v, want boom", err)
+	}
+	if s.Contains("k") || s.Len() != 0 {
+		t.Fatalf("failed acquire left the mapping behind")
+	}
+	// The rolled-back id must be reusable.
+	for i := 0; i < 4; i++ {
+		if _, _, err := s.Acquire(fmt.Sprintf("k%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestStripedEvictCallback(t *testing.T) {
+	s := MustNewStriped[string](2, 1)
+	idA, _, _ := s.Acquire("a")
+	s.MustAcquire(t, "b")
+	// Evict "a" to make room for "c"; the victim's id must transfer.
+	id, isNew, err := acquireFunc(s, "c", func(stripe int) (string, bool) { return "a", true }, nil)
+	if err != nil || !isNew {
+		t.Fatalf("acquire with evict = (%d, %v, %v)", id, isNew, err)
+	}
+	if id != idA {
+		t.Fatalf("evicting acquire got id %d, want the victim's id %d", id, idA)
+	}
+	if s.Contains("a") {
+		t.Fatalf("victim still mapped after eviction")
+	}
+	if key, ok := s.Key(id); !ok || key != "c" {
+		t.Fatalf("Key(%d) = (%q, %v) after eviction", id, key, ok)
+	}
+	if s.Len() != 2 {
+		t.Fatalf("Len after eviction = %d, want 2", s.Len())
+	}
+
+	// An evict callback that declines leaves ErrFull in place.
+	if _, _, err := acquireFunc(s, "d", func(stripe int) (string, bool) { return "", false }, nil); !errors.Is(err, ErrFull) {
+		t.Fatalf("declined eviction = %v, want ErrFull", err)
 	}
 }

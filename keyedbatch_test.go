@@ -125,6 +125,11 @@ func testKeyedBatchEquivalence(t *testing.T, shards int, recycle bool) {
 		if batched.Tracked() != perEvent.Tracked() {
 			t.Fatalf("round %d: tracked %d vs %d", round, batched.Tracked(), perEvent.Tracked())
 		}
+		for name, k := range map[string]*sprofile.KeyedConcurrent[string]{"batched": batched, "per-event": perEvent} {
+			if err := k.CheckZeroSets(); err != nil {
+				t.Fatalf("round %d, %s: %v", round, name, err)
+			}
+		}
 	}
 	if !recycle && !negativeSeen {
 		t.Fatal("non-recycling workload never drove a frequency negative; weak test")
@@ -368,6 +373,9 @@ func TestKeyedApplyBatchConcurrentChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := snap.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.CheckZeroSets(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -29,11 +29,17 @@ var ErrWALAppend = errors.New("sprofile: event applied but not journaled")
 //     stripe assigns lands in the matching shard — one Add takes one stripe
 //     lock plus one shard lock, and updates on different stripes never
 //     contend;
-//   - frequency bookkeeping for recycling (which keys are idle) is kept per
-//     stripe and mutated only while that stripe's lock is held, which is what
-//     makes eviction sound under concurrency: a key's frequency cannot move
-//     while its stripe lock serialises both the eviction check and every
-//     update that could change it.
+//   - the idle keys (frequency zero, the recycling candidates) are kept per
+//     stripe and changed only while that stripe's lock is held, from the
+//     dense profile's own count of the key's id. That lock serialises both
+//     the eviction check and every update that could move the key's
+//     frequency, which is what makes eviction sound under concurrency; no
+//     second copy of the frequencies is kept.
+//
+// Every keyed write — Add, Remove, Apply, ApplyDelta, ApplyBatch, Track and
+// WAL replay — takes the same step: one entry (key, adds, removes) applied
+// inside the key's stripe transaction, then journaled before the stripe lock
+// is released.
 //
 // Recycling semantics under concurrency (the part that differs from Keyed):
 // when every dense id is in use, Add evicts an idle key — frequency zero —
@@ -56,16 +62,11 @@ type KeyedConcurrent[K comparable] struct {
 	keyedQueries[K]
 	ids     *idmap.Striped[K]
 	recycle bool
-	// deltas is the dense profile's DeltaUpdater capability (always present
-	// for the Sharded/Concurrent profiles BuildKeyed constructs); the batch
-	// paths use it to move a key by its net delta in one block walk.
-	deltas DeltaUpdater
+	// dense is the dense profile (keyedQueries.profile, with the capabilities
+	// the write path, Checkpoint and restore use).
+	dense denseProfile
 	// batches recycles the coalescing scratch of ApplyBatch.
 	batches sync.Pool
-	// freqs mirrors each id's frequency; entry i is guarded by the stripe
-	// lock of the key currently holding id i (free ids hold zero and are
-	// handed over through the mapper's alloc locks).
-	freqs []int64
 	// zeros tracks the idle (frequency-zero) keys of each stripe, the
 	// eviction candidates; zeros[i] is guarded by stripe i's lock.
 	zeros []zeroSet[K]
@@ -81,6 +82,16 @@ type KeyedConcurrent[K comparable] struct {
 	ckpt     *checkpoint.Checkpointer
 	replayed int
 	stats    RecoveryStats
+}
+
+// denseProfile is what KeyedConcurrent needs of its dense profile: the
+// profiler surface plus delta updates, snapshots and bulk loads. BuildKeyed's
+// *Sharded and *Concurrent both satisfy it.
+type denseProfile interface {
+	Profiler
+	DeltaUpdater
+	Snapshotter
+	FrequencyLoader
 }
 
 // zeroSet is an O(1) insert/delete/pop set of idle keys.
@@ -178,7 +189,7 @@ func BuildKeyed[K comparable](m int, opts ...BuildOption) (*KeyedConcurrent[K], 
 		shards = defaultShards()
 	}
 	var (
-		inner   Profiler
+		inner   denseProfile
 		stripes int
 		err     error
 	)
@@ -205,11 +216,8 @@ func BuildKeyed[K comparable](m int, opts ...BuildOption) (*KeyedConcurrent[K], 
 		keyedQueries: keyedQueries[K]{profile: inner, resolver: ids},
 		ids:          ids,
 		recycle:      recycle,
+		dense:        inner,
 		zeros:        make([]zeroSet[K], ids.NumStripes()),
-	}
-	kc.deltas, _ = inner.(DeltaUpdater)
-	if recycle {
-		kc.freqs = make([]int64, m)
 	}
 	if cfg.walPath != "" {
 		store, err := checkpoint.Open(cfg.walPath, checkpoint.Options{SyncEvery: cfg.walSyncEvery})
@@ -269,32 +277,24 @@ func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) error {
 	if !st.Keyed {
 		return fmt.Errorf("this WAL holds a dense-id snapshot; open it with Build, not BuildKeyed: %w", ErrBadSnapshot)
 	}
-	m := k.profile.Cap()
+	m := k.dense.Cap()
 	if len(st.Keys) > m {
 		return fmt.Errorf("snapshot tracks %d keys but the profile has capacity %d: %w", len(st.Keys), m, ErrBadSnapshot)
 	}
-	loader, ok := k.profile.(FrequencyLoader)
-	if !ok {
-		return fmt.Errorf("%T cannot restore a snapshot (no FrequencyLoader capability): %w", k.profile, errors.ErrUnsupported)
-	}
 	k.ids.Reserve(len(st.Keys))
-	freqs := make([]int64, m)
+	counts := make([]int64, m)
 	for i, sk := range st.Keys {
 		key := any(sk).(K) // BuildKeyed only opens a WAL for K = string
 		id, _, err := k.ids.Acquire(key)
 		if err != nil {
 			return err
 		}
-		f := st.Freqs[i]
-		freqs[id] = f
-		if k.recycle {
-			k.freqs[id] = f
-			if f == 0 {
-				k.zeros[k.ids.StripeOf(key)].add(key)
-			}
+		counts[id] = st.Freqs[i]
+		if k.recycle && st.Freqs[i] == 0 {
+			k.zeros[k.ids.StripeOf(key)].add(key)
 		}
 	}
-	return loader.LoadFrequencies(freqs, st.Adds, st.Removes)
+	return k.dense.LoadFrequencies(counts, st.Adds, st.Removes)
 }
 
 // MustBuildKeyed is BuildKeyed for callers with a known-good configuration;
@@ -388,10 +388,6 @@ func (k *KeyedConcurrent[K]) Checkpoint() error {
 	if k.store == nil {
 		return errNoWAL
 	}
-	snapper, ok := k.profile.(Snapshotter)
-	if !ok {
-		return fmt.Errorf("sprofile: %T cannot be checkpointed (no Snapshotter capability): %w", k.profile, errors.ErrUnsupported)
-	}
 	return k.store.Checkpoint(func() (st *checkpoint.State, sealed uint64, err error) {
 		k.ids.Quiesce(func() {
 			sealed, err = k.store.Rotate()
@@ -399,14 +395,14 @@ func (k *KeyedConcurrent[K]) Checkpoint() error {
 				return
 			}
 			var snap *Profile
-			snap, err = snapper.Snapshot()
+			snap, err = k.dense.Snapshot()
 			if err != nil {
 				return
 			}
 			adds, removes := snap.Events()
 			n := k.ids.Len()
 			keys := make([]string, 0, n)
-			freqs := make([]int64, 0, n)
+			counts := make([]int64, 0, n)
 			k.ids.RangeLocked(func(key K, id int) bool {
 				f, cerr := snap.Count(id)
 				if cerr != nil {
@@ -414,7 +410,7 @@ func (k *KeyedConcurrent[K]) Checkpoint() error {
 					return false
 				}
 				keys = append(keys, any(key).(string))
-				freqs = append(freqs, f)
+				counts = append(counts, f)
 				return true
 			})
 			if err != nil {
@@ -422,11 +418,11 @@ func (k *KeyedConcurrent[K]) Checkpoint() error {
 			}
 			st = &checkpoint.State{
 				Keyed:    true,
-				Capacity: k.profile.Cap(),
+				Capacity: k.dense.Cap(),
 				Adds:     adds,
 				Removes:  removes,
 				Keys:     keys,
-				Freqs:    freqs,
+				Freqs:    counts,
 			}
 		})
 		return st, sealed, err
@@ -434,8 +430,9 @@ func (k *KeyedConcurrent[K]) Checkpoint() error {
 }
 
 // checkJournalableKey rejects keys the write-ahead log cannot record.
-// The batch paths validate before applying anything: a batch record is
-// appended (and validated) wholesale per stripe, so one bad key would
+// Every write path validates before applying anything: an event applied in
+// memory but refused by the log would be lost on restart, and a batch record
+// is appended (and validated) wholesale per stripe, so one bad key would
 // otherwise void journaling for every entry sharing its record.
 func checkJournalableKey(key string) error {
 	if key == "" {
@@ -447,15 +444,13 @@ func checkJournalableKey(key string) error {
 	return nil
 }
 
-// journal appends one applied event to the WAL; key is string by the
-// BuildKeyed construction check. syncDue asks the caller to run Sync once
-// the stripe lock is released.
-func (k *KeyedConcurrent[K]) journal(key K, a Action) (syncDue bool, err error) {
-	syncDue, err = k.store.Append(wal.Record{Key: any(key).(string), Action: a})
-	if err != nil {
-		return false, fmt.Errorf("%w: %v", ErrWALAppend, err)
+// checkKey is checkJournalableKey for a profile with a WAL (where K is
+// string by the BuildKeyed construction check); without one any key is fine.
+func (k *KeyedConcurrent[K]) checkKey(key K) error {
+	if k.store == nil {
+		return nil
 	}
-	return syncDue, nil
+	return checkJournalableKey(any(key).(string))
 }
 
 // evictFn returns the per-stripe eviction callback for the mapper: pop one
@@ -488,84 +483,33 @@ func (k *KeyedConcurrent[K]) evictIdleAny() bool {
 // Add increments the frequency of key, assigning it a dense id if needed.
 // When the profile is full, Add recycles the id of an idle key in the same
 // stripe; if the stripe has none it returns ErrKeyedFull.
-func (k *KeyedConcurrent[K]) Add(key K) error {
-	var journalErr error
-	var syncDue bool
-	_, _, err := k.ids.AcquireFunc(key, k.evictFn(), func(id int, isNew bool) error {
-		if err := k.profile.Add(id); err != nil {
-			return err
-		}
-		if k.recycle {
-			k.freqs[id]++
-			if k.freqs[id] == 1 && !isNew {
-				k.zeros[k.ids.StripeOf(key)].remove(key)
-			}
-		}
-		if k.store != nil {
-			// Journal failures must not roll back the applied update (the
-			// mapping and profile would then disagree), so the error is
-			// carried out-of-band and wrapped in ErrWALAppend.
-			syncDue, journalErr = k.journal(key, ActionAdd)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	mIngestEventsSingle.Inc()
-	return k.finishJournal(syncDue, journalErr)
-}
-
-// finishJournal runs a WithWALSyncEvery-due sync outside every profile lock
-// and folds its failure into the journal error contract.
-func (k *KeyedConcurrent[K]) finishJournal(syncDue bool, journalErr error) error {
-	if journalErr != nil || !syncDue {
-		return journalErr
-	}
-	if err := k.store.Sync(); err != nil {
-		return fmt.Errorf("%w: sync: %v", ErrWALAppend, err)
-	}
-	return nil
-}
+func (k *KeyedConcurrent[K]) Add(key K) error { return k.Apply(key, ActionAdd) }
 
 // Remove decrements the frequency of key. Removing an unknown key is an
 // error: with recycling enabled frequencies cannot go negative, and without
 // recycling the key must still be added first to receive an id.
-func (k *KeyedConcurrent[K]) Remove(key K) error {
-	var journalErr error
-	var syncDue bool
-	_, err := k.ids.DenseIDFunc(key, func(id int) error {
-		if err := k.profile.Remove(id); err != nil {
-			return err
-		}
-		if k.recycle {
-			k.freqs[id]--
-			if k.freqs[id] == 0 {
-				k.zeros[k.ids.StripeOf(key)].add(key)
-			}
-		}
-		if k.store != nil {
-			syncDue, journalErr = k.journal(key, ActionRemove)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	mIngestEventsSingle.Inc()
-	return k.finishJournal(syncDue, journalErr)
-}
+func (k *KeyedConcurrent[K]) Remove(key K) error { return k.Apply(key, ActionRemove) }
 
-// Apply applies one (key, action) event.
+// Apply applies one (key, action) event: a one-event entry through the
+// write step every keyed write shares, journaled as a single-event record.
 func (k *KeyedConcurrent[K]) Apply(key K, action Action) error {
-	switch action {
-	case ActionAdd:
-		return k.Add(key)
-	case ActionRemove:
-		return k.Remove(key)
-	default:
+	if !action.Valid() {
 		return errInvalidAction(action)
 	}
+	if err := k.checkKey(key); err != nil {
+		return err
+	}
+	var err error
+	if action == ActionAdd {
+		err = k.applyKey(key, 1, 0, true)
+	} else {
+		err = k.applyKey(key, 0, 1, false)
+	}
+	// ErrWALAppend means applied in memory but not journaled.
+	if err == nil || errors.Is(err, ErrWALAppend) {
+		mIngestEventsSingle.Inc()
+	}
+	return err
 }
 
 // QueryKeys answers a keyed composite query from ONE quiesced cut: every
@@ -678,16 +622,6 @@ func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 	if len(events) == 0 {
 		return 0, nil
 	}
-	if k.deltas == nil {
-		// The dense profile cannot apply deltas (impossible for BuildKeyed's
-		// own constructions); fall back to the per-event path.
-		for i, e := range events {
-			if err := k.Apply(e.Key, e.Action); err != nil {
-				return i, err
-			}
-		}
-		return len(events), nil
-	}
 
 	b, _ := k.batches.Get().(*keyedBatch[K])
 	if b == nil {
@@ -715,10 +649,8 @@ func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 		if !e.Action.Valid() {
 			return 0, errInvalidAction(e.Action)
 		}
-		if k.store != nil {
-			if err := checkJournalableKey(any(e.Key).(string)); err != nil {
-				return 0, err
-			}
+		if err := k.checkKey(e.Key); err != nil {
+			return 0, err
 		}
 		h := k.ids.Hash(e.Key)
 		first := e.Action == ActionAdd
@@ -828,55 +760,74 @@ func (k *KeyedConcurrent[K]) ApplyDelta(key K, adds, removes uint64) error {
 	if adds == 0 && removes == 0 {
 		return nil
 	}
-	if k.deltas == nil {
-		for i := uint64(0); i < adds; i++ {
-			if err := k.Add(key); err != nil {
-				return err
-			}
-		}
-		for i := uint64(0); i < removes; i++ {
-			if err := k.Remove(key); err != nil {
-				return err
-			}
-		}
-		return nil
+	if err := k.checkKey(key); err != nil {
+		return err
 	}
-	if k.store != nil {
-		if err := checkJournalableKey(any(key).(string)); err != nil {
-			return err
-		}
-	}
+	return k.applyKey(key, adds, removes, adds > 0)
+}
+
+// Track assigns key a dense id without counting anything, so a catalogue can
+// be registered ahead of its events. A tracked key sits at frequency zero
+// and is therefore an eviction candidate until its first Add.
+func (k *KeyedConcurrent[K]) Track(key K) error { return k.applyKey(key, 0, 0, true) }
+
+// applyKey writes one key's entry outside ApplyBatch: applyEntryLocked in
+// the key's stripe transaction, then one journal record appended before the
+// lock is released, so the key's log order is its apply order. An entry of
+// one event is journaled as a single-event record, a larger one as a
+// one-entry batch record, and an empty one (Track) not at all. The caller
+// has validated the key.
+func (k *KeyedConcurrent[K]) applyKey(key K, adds, removes uint64, acquire bool) error {
 	si := k.ids.StripeOf(key)
 	var syncDue bool
 	var journalErr error
 	err := k.ids.BatchFunc(si, func(t idmap.StripeTxn[K]) error {
-		if err := k.applyEntryLocked(t, si, key, adds, removes, adds > 0); err != nil {
+		if err := k.applyEntryLocked(t, si, key, adds, removes, acquire); err != nil {
 			return err
 		}
-		if k.store != nil {
-			rec := [1]wal.BatchEntry{{Key: any(key).(string), Adds: adds, Removes: removes}}
-			var jerr error
-			syncDue, jerr = k.store.AppendBatch(rec[:])
-			if jerr != nil {
-				journalErr = fmt.Errorf("%w: %v", ErrWALAppend, jerr)
+		if k.store == nil || adds+removes == 0 {
+			return nil
+		}
+		// A journal failure must not roll back the applied update (the
+		// mapping and profile would then disagree), so it is carried out of
+		// the transaction and wrapped in ErrWALAppend.
+		var jerr error
+		if adds+removes == 1 {
+			a := ActionRemove
+			if adds == 1 {
+				a = ActionAdd
 			}
+			syncDue, jerr = k.store.Append(wal.Record{Key: any(key).(string), Action: a})
+		} else {
+			rec := [1]wal.BatchEntry{{Key: any(key).(string), Adds: adds, Removes: removes}}
+			syncDue, jerr = k.store.AppendBatch(rec[:])
+		}
+		if jerr != nil {
+			journalErr = fmt.Errorf("%w: %v", ErrWALAppend, jerr)
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	return k.finishJournal(syncDue, journalErr)
+	if journalErr != nil || !syncDue {
+		return journalErr
+	}
+	// A WithWALSyncEvery-due sync runs outside every profile lock.
+	if err := k.store.Sync(); err != nil {
+		return fmt.Errorf("%w: sync: %v", ErrWALAppend, err)
+	}
+	return nil
 }
 
-// applyEntryLocked applies one coalesced (key, gross adds, gross removes)
-// delta while the key's stripe transaction is open: id resolution (with
-// in-stripe eviction for new keys), the dense-profile delta and the
-// recycling bookkeeping all happen as one atomic step under the stripe
-// lock. acquire says whether an unknown key may be assigned an id — true
-// exactly when the per-event path would have acquired it, i.e. when the
-// key's first event was an add; an unknown key without it fails like
-// Remove does.
+// applyEntryLocked is the one place a keyed write reaches the dense
+// profile. It applies one coalesced (key, gross adds, gross removes) entry
+// while the key's stripe transaction is open: id resolution (with in-stripe
+// eviction for new keys), the dense-profile delta and the idle-key
+// bookkeeping happen as one atomic step under the stripe lock. acquire says
+// whether an unknown key may be assigned an id — true exactly when the
+// key's first event is an add; an unknown key without it fails like Remove
+// does.
 func (k *KeyedConcurrent[K]) applyEntryLocked(t idmap.StripeTxn[K], si int, key K, adds, removes uint64, acquire bool) error {
 	net := int64(adds) - int64(removes)
 	var id int
@@ -894,39 +845,26 @@ func (k *KeyedConcurrent[K]) applyEntryLocked(t idmap.StripeTxn[K], si int, key 
 			return fmt.Errorf("%w: %v", idmap.ErrUnknownKey, key)
 		}
 	}
-	if err := k.deltas.ApplyDelta(Delta{Object: id, Delta: net, Adds: adds, Removes: removes}); err != nil {
+	if err := k.dense.ApplyDelta(Delta{Object: id, Delta: net, Adds: adds, Removes: removes}); err != nil {
 		if isNew {
 			t.Rollback(key, id)
 		}
 		return err
 	}
-	if k.recycle {
-		old := k.freqs[id]
-		now := old + net
-		k.freqs[id] = now
-		switch {
-		case isNew && now == 0:
-			k.zeros[si].add(key)
-		case !isNew && old == 0 && now != 0:
-			k.zeros[si].remove(key)
-		case old != 0 && now == 0:
-			k.zeros[si].add(key)
-		}
+	if !k.recycle {
+		return nil
+	}
+	// Every update of id runs under this stripe lock, so the count read here
+	// is the frequency this entry left behind (id is in range: the delta was
+	// just accepted). A fresh id starts at zero.
+	now, _ := k.dense.Count(id)
+	switch old := now - net; {
+	case now == 0 && (isNew || old != 0):
+		k.zeros[si].add(key)
+	case now != 0 && old == 0 && !isNew:
+		k.zeros[si].remove(key)
 	}
 	return nil
-}
-
-// Track assigns key a dense id without counting anything, so a catalogue can
-// be registered ahead of its events. A tracked key sits at frequency zero
-// and is therefore an eviction candidate until its first Add.
-func (k *KeyedConcurrent[K]) Track(key K) error {
-	_, _, err := k.ids.AcquireFunc(key, k.evictFn(), func(id int, isNew bool) error {
-		if k.recycle && isNew {
-			k.zeros[k.ids.StripeOf(key)].add(key)
-		}
-		return nil
-	})
-	return err
 }
 
 // Count returns the current frequency of key (zero for unknown keys). The
@@ -934,16 +872,14 @@ func (k *KeyedConcurrent[K]) Track(key K) error {
 // consistent with concurrent updates to the same key.
 func (k *KeyedConcurrent[K]) Count(key K) (int64, error) {
 	var count int64
-	_, err := k.ids.DenseIDFunc(key, func(id int) error {
-		c, err := k.profile.Count(id)
-		count = c
+	err := k.ids.BatchFunc(k.ids.StripeOf(key), func(t idmap.StripeTxn[K]) error {
+		id, ok := t.Get(key)
+		if !ok {
+			return nil
+		}
+		var err error
+		count, err = k.dense.Count(id)
 		return err
 	})
-	if err != nil {
-		if errors.Is(err, idmap.ErrUnknownKey) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	return count, nil
+	return count, err
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -114,6 +115,9 @@ func TestBuildKeyedRecycling(t *testing.T) {
 	if err := k.Add("d"); !errors.Is(err, sprofile.ErrKeyedFull) {
 		t.Fatalf("Add(d) after a's re-add = %v, want ErrKeyedFull (a is busy again)", err)
 	}
+	if err := k.CheckZeroSets(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBuildKeyedTrack(t *testing.T) {
@@ -196,6 +200,7 @@ func TestBuildKeyedWALRoundTrip(t *testing.T) {
 	if k1.Replayed() != 0 {
 		t.Fatalf("fresh WAL replayed %d records", k1.Replayed())
 	}
+	start, _ := k1.WALStats()
 	for i := 0; i < 3; i++ {
 		if err := k1.Add("x"); err != nil {
 			t.Fatal(err)
@@ -206,6 +211,14 @@ func TestBuildKeyedWALRoundTrip(t *testing.T) {
 	}
 	if err := k1.Remove("y"); err != nil {
 		t.Fatal(err)
+	}
+	if err := k1.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Each per-event write is one single-event record: a 2-byte header plus
+	// the key, never a batch record.
+	if end, _ := k1.WALStats(); end.Segment != start.Segment || end.Offset-start.Offset != 5*(2+1) {
+		t.Fatalf("5 per-event writes moved the log from %+v to %+v, want %d bytes in one segment", start, end, 5*(2+1))
 	}
 	if err := k1.Close(); err != nil {
 		t.Fatal(err)
@@ -225,6 +238,55 @@ func TestBuildKeyedWALRoundTrip(t *testing.T) {
 	if c, _ := k2.Count("y"); c != 0 {
 		t.Fatalf("Count(y) after replay = %d, want 0", c)
 	}
+}
+
+// TestBuildKeyedWALRejectsUnjournalableKeys: with a WAL, every keyed write
+// refuses a key the log cannot record before applying anything, so memory
+// and the log never disagree about it and a restart shows the same state.
+func TestBuildKeyedWALRejectsUnjournalableKeys(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	k, err := sprofile.BuildKeyed[string](8, sprofile.WithWAL(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Add("kept"); err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("k", wal.MaxKeyLen+1)
+	for _, w := range []struct {
+		name  string
+		write func() error
+	}{
+		{`Add("")`, func() error { return k.Add("") }},
+		{`Remove("")`, func() error { return k.Remove("") }},
+		{`Apply("", ActionAdd)`, func() error { return k.Apply("", sprofile.ActionAdd) }},
+		{"Add(MaxKeyLen+1)", func() error { return k.Add(long) }},
+	} {
+		if err := w.write(); !errors.Is(err, sprofile.ErrOutOfRange) || errors.Is(err, sprofile.ErrWALAppend) {
+			t.Errorf("%s = %v, want ErrOutOfRange before anything is applied", w.name, err)
+		}
+	}
+	check := func(k *sprofile.KeyedConcurrent[string], when string) {
+		t.Helper()
+		for key, want := range map[string]int64{"": 0, long: 0, "kept": 1} {
+			if got, _ := k.Count(key); got != want {
+				t.Errorf("%s: Count(%.8q) = %d, want %d", when, key, got, want)
+			}
+		}
+		if k.Tracked() != 1 || k.Total() != 1 {
+			t.Errorf("%s: tracked=%d total=%d, want 1 and 1", when, k.Tracked(), k.Total())
+		}
+	}
+	check(k, "before reopen")
+	if err := k.Close(); err != nil {
+		t.Fatal(err)
+	}
+	k2, err := sprofile.BuildKeyed[string](8, sprofile.WithWAL(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k2.Close()
+	check(k2, "after reopen")
 }
 
 // TestBuildKeyedWALReplayWithEviction pins down replay determinism: stripe
@@ -425,6 +487,9 @@ func TestKeyedConcurrentChurnStress(t *testing.T) {
 			if t.Failed() {
 				return
 			}
+			if err := k.CheckZeroSets(); err != nil {
+				t.Fatal(err)
+			}
 			if k.Total() != 0 {
 				t.Fatalf("Total after paired churn = %d, want 0", k.Total())
 			}
@@ -445,6 +510,9 @@ func TestKeyedConcurrentChurnStress(t *testing.T) {
 			}
 			if freed < capacity/2 {
 				t.Fatalf("only %d fresh keys fit after churn", freed)
+			}
+			if err := k.CheckZeroSets(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
