@@ -113,7 +113,7 @@ type DeltaUpdater interface {
 }
 
 // FrequencyLoader is the optional capability of replacing a profile's whole
-// state in one O(m log m) operation: object x ends at frequency freqs[x] and
+// state in one O(m) operation: object x ends at frequency freqs[x] and
 // the adds/removes counters at the given historical totals. It is the
 // restore half of checkpointing — Snapshotter captures an image, a
 // FrequencyLoader reinstates one — and is satisfied by *Profile, *Concurrent

@@ -250,6 +250,11 @@ func decodeState(data []byte) (*State, error) {
 		if count > capacity {
 			return nil, fmt.Errorf("%w: %d keys exceed capacity %d", ErrBadSnapshot, count, capacity)
 		}
+		// An entry takes at least two bytes (key length and frequency), so
+		// the input bounds the count before it sizes anything.
+		if count > uint64(len(rest))/2 {
+			return nil, fmt.Errorf("%w: %d keys cannot fit in %d bytes", ErrBadSnapshot, count, len(rest))
+		}
 		st.Keys = make([]string, 0, count)
 		st.Freqs = make([]int64, 0, count)
 		for i := uint64(0); i < count; i++ {

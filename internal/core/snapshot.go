@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 )
 
 // Snapshot format:
@@ -18,8 +17,9 @@ import (
 //	freqs   m × svarint (zigzag), in object-id order
 //
 // The block structure is not serialised; WriteSnapshot stores only the
-// frequencies and ReadSnapshot rebuilds the sorted profile, which costs
-// O(m log m) once rather than complicating the O(1) hot path.
+// frequencies and ReadSnapshot rebuilds the sorted profile in time linear in
+// m (a radix sort, see rankOrder) rather than complicating the O(1) hot
+// path.
 
 var snapshotMagic = [4]byte{'S', 'P', 'F', '1'}
 
@@ -94,13 +94,15 @@ func ReadSnapshot(r io.Reader) (*Profile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	freqs := make([]int64, mu)
-	for i := range freqs {
+	// The header alone may claim up to MaxCapacity slots; let the
+	// frequencies actually read, not the claim, size the slice.
+	freqs := make([]int64, 0, min(mu, 1<<12))
+	for i := uint64(0); i < mu; i++ {
 		f, err := binary.ReadVarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("%w: frequency %d: %v", ErrBadSnapshot, i, err)
 		}
-		freqs[i] = f
+		freqs = append(freqs, f)
 	}
 	var opts Options
 	if flags&1 != 0 {
@@ -115,7 +117,7 @@ func ReadSnapshot(r io.Reader) (*Profile, error) {
 
 // FromFrequencies builds a profile whose object x starts at frequency
 // freqs[x]. It is equivalent to applying |freqs[x]| add/remove events per
-// object but costs O(m log m) regardless of the magnitudes.
+// object but costs O(m) regardless of the magnitudes.
 func FromFrequencies(freqs []int64, opts ...Option) (*Profile, error) {
 	if len(freqs) > MaxCapacity {
 		return nil, fmt.Errorf("%w: %d", ErrCapacity, len(freqs))
@@ -153,7 +155,7 @@ func (p *Profile) StrictNonNegative() bool { return p.opts.StrictNonNegative }
 // historical totals (they must net out to the summed frequencies). It is the
 // restore half of checkpointing — unlike FromFrequencies it preserves the
 // original event bookkeeping instead of synthesising a minimal one — and
-// costs O(m log m). Validation happens before any mutation, so a failed load
+// costs O(m). Validation happens before any mutation, so a failed load
 // leaves the profile untouched.
 func (p *Profile) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 	if len(freqs) != int(p.m) {
@@ -177,43 +179,24 @@ func (p *Profile) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 }
 
 // loadFrequencies overwrites the profile's state so that object x has
-// frequency freqs[x]; len(freqs) must equal p.m.
+// frequency freqs[x]; len(freqs) must equal p.m. It runs in time linear in
+// m: rankOrder sorts the ids, and one walk over the ranks rebuilds the
+// blocks.
 func (p *Profile) loadFrequencies(freqs []int64) {
 	m := int(p.m)
-	// Sort packed (frequency, id) pairs rather than ids with an indirect
-	// comparator: restore sorts hundreds of thousands of entries, and the
-	// contiguous layout keeps the comparisons out of random memory.
-	type freqID struct {
-		f  int64
-		id int32
-	}
-	order := make([]freqID, m)
-	for i := range order {
-		order[i] = freqID{f: freqs[i], id: int32(i)}
-	}
-	slices.SortFunc(order, func(a, b freqID) int {
-		if a.f != b.f {
-			if a.f < b.f {
-				return -1
-			}
-			return 1
-		}
-		return int(a.id - b.id)
-	})
+	rankOrder(freqs, p.tToF)
 
 	p.arena.reset()
 	p.total = 0
 	p.active = 0
 	p.negative = 0
-	for r := 0; r < m; r++ {
-		x := order[r].id
-		p.tToF[r] = x
+	for r, x := range p.tToF {
 		p.fToT[x] = int32(r)
 	}
 	for r := 0; r < m; {
-		f := order[r].f
+		f := freqs[p.tToF[r]]
 		end := r
-		for end+1 < m && order[end+1].f == f {
+		for end+1 < m && freqs[p.tToF[end+1]] == f {
 			end++
 		}
 		h := p.arena.alloc(int32(r), int32(end), f)
@@ -229,6 +212,53 @@ func (p *Profile) loadFrequencies(freqs []int64) {
 			p.negative += int32(count)
 		}
 		r = end + 1
+	}
+}
+
+// rankOrder writes to order the ids 0..len(freqs)-1 sorted by frequency,
+// ties by id: the rank order of a profile holding freqs. It is a stable LSD
+// radix sort of the identity order on the sign-flipped frequency (which
+// orders as an unsigned integer exactly as the frequency does as a signed
+// one), so ties stay in id order. It makes one counting pass per 8-bit
+// digit and skips the digits every frequency shares: at most eight passes,
+// two when every frequency is in [0, 2^16), none when all are equal.
+func rankOrder(freqs []int64, order []int32) {
+	const flip = 1 << 63
+	var diff uint64 // the bits in which some frequency differs from the first
+	for _, f := range freqs {
+		diff |= uint64(f ^ freqs[0])
+	}
+	var shifts []uint
+	for s := uint(0); s < 64; s += 8 {
+		if diff>>s&0xff != 0 {
+			shifts = append(shifts, s)
+		}
+	}
+	// The passes alternate between order and one scratch slice, starting
+	// from whichever makes the last pass land in order.
+	src, dst := order, make([]int32, len(freqs))
+	if len(shifts)%2 == 1 {
+		src, dst = dst, src
+	}
+	for i := range src {
+		src[i] = int32(i)
+	}
+	for _, s := range shifts {
+		var offsets [256]int
+		for _, f := range freqs {
+			offsets[(uint64(f)^flip)>>s&0xff]++
+		}
+		sum := 0
+		for d, c := range offsets {
+			offsets[d] = sum
+			sum += c
+		}
+		for _, x := range src {
+			d := (uint64(freqs[x]) ^ flip) >> s & 0xff
+			dst[offsets[d]] = x
+			offsets[d]++
+		}
+		src, dst = dst, src
 	}
 }
 

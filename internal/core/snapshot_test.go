@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -223,5 +226,57 @@ func TestLoadFrequencies(t *testing.T) {
 	}
 	if !strict.StrictNonNegative() {
 		t.Fatal("StrictNonNegative accessor = false on a strict profile")
+	}
+}
+
+// TestLoadRankOrderMatchesComparisonSort pins the radix rank order of a load
+// to the order a comparison sort by (frequency, object id) gives, across
+// signs, the int64 extremes, all-equal and duplicate-heavy frequencies.
+func TestLoadRankOrderMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	random := func(m int, draw func() int64) []int64 {
+		freqs := make([]int64, m)
+		for i := range freqs {
+			freqs[i] = draw()
+		}
+		return freqs
+	}
+	cases := map[string][]int64{
+		"empty":          {},
+		"single":         {-7},
+		"all zero":       make([]int64, 40),
+		"all equal":      {-3, -3, -3, -3, -3},
+		"negative mix":   {3, -1, 0, -200, 5, -1, 70000, -70000, 2},
+		"extremes":       {math.MaxInt64, math.MinInt64, 0, -1, 1, math.MinInt64 + 1, math.MaxInt64 - 1, math.MinInt64, math.MaxInt64},
+		"duplicates":     random(500, func() int64 { return int64(rng.Intn(4)) - 1 }),
+		"small range":    random(1000, func() int64 { return int64(rng.Intn(300)) }),
+		"wide range":     random(1000, func() int64 { return rng.Int63n(1<<40) - 1<<39 }),
+		"full int64":     random(1000, func() int64 { return int64(rng.Uint64()) }),
+		"one high digit": random(300, func() int64 { return int64(rng.Intn(3)) << 56 }),
+	}
+	for name, freqs := range cases {
+		want := make([]int32, len(freqs))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortFunc(want, func(a, b int32) int {
+			if c := cmp.Compare(freqs[a], freqs[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		p := newProfile(int32(len(freqs)), Options{})
+		p.loadFrequencies(freqs)
+		if !slices.Equal(p.tToF, want) {
+			t.Fatalf("%s: rank order %v, want %v", name, p.tToF, want)
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("%s: invariants after load: %v", name, err)
+		}
+		for x, f := range freqs {
+			if got, _ := p.Count(x); got != f {
+				t.Fatalf("%s: Count(%d) = %d, want %d", name, x, got, f)
+			}
+		}
 	}
 }

@@ -21,6 +21,18 @@ import (
 // exhausted does Acquire borrow an id from another stripe's free range, so
 // the full capacity is always usable regardless of how keys hash.
 //
+// Each key is stored once, in the id-indexed toKey table. A stripe finds
+// its keys through a pointer-free open-addressing index: one []uint64 whose
+// slots hold the high 32 bits of the key's hash (Hash, the same hash that
+// picks the stripe) above id+1, with 0 marking an empty slot. Lookups probe
+// linearly from the slot the fingerprint selects and confirm a fingerprint
+// match against toKey; the table doubles before it passes 3/4 load, and a
+// deletion shifts the rest of its probe run back, so recycling ids leaves
+// no tombstones. Per tracked key that is 8 bytes of index per slot at 3/8 to
+// 3/4 load (11 to 21 bytes per key), plus its toKey entry (16 bytes for a
+// string header) and one inUse byte; the garbage collector never scans the
+// index.
+//
 // BatchFunc runs a caller callback with one stripe's lock held and a
 // transaction view of that stripe (StripeTxn). It is how a caller layering
 // extra per-key state on top of the mapping (a keyed profile pairing ids with
@@ -33,19 +45,102 @@ type Striped[K comparable] struct {
 	seed       maphash.Seed
 	capacity   int
 	stripeSize int
-	stripes    []mapStripe[K]
+	stripes    []mapStripe
 	allocs     []allocStripe
-	// toKey and inUse are indexed by dense id; entry i is guarded by the
-	// alloc-stripe lock owning id i's range.
+	// toKey and inUse are indexed by dense id. A mapped id's entries are
+	// written only under the stripe lock of the key that owns it, and always
+	// also under the alloc-stripe lock of id's range, so either lock makes
+	// a read safe: index lookups confirm fingerprints under the stripe lock,
+	// Key reads under the alloc lock.
 	toKey  []K
 	inUse  []bool
 	length atomic.Int64
 }
 
-// mapStripe holds the key→id entries of the keys hashing to one stripe.
-type mapStripe[K comparable] struct {
-	mu      sync.Mutex
-	toDense map[K]int
+// mapStripe indexes the keys hashing to one stripe. Each nonzero slot is
+// fingerprint<<32 | id+1, where the fingerprint is the high 32 bits of the
+// key's hash and also selects the slot its probe starts from; len(slots) is
+// zero or a power of two, and at most 3/4 of the slots are used.
+type mapStripe struct {
+	mu    sync.Mutex
+	slots []uint64
+	used  int
+}
+
+// slotIDMask extracts id+1 from an index slot.
+const slotIDMask = 1<<32 - 1
+
+// find returns the slot index and dense id of key (hash h) in ms, or slot
+// -1 when the key is not mapped there. The caller holds ms's lock.
+func (s *Striped[K]) find(ms *mapStripe, key K, h uint64) (slot, id int) {
+	if len(ms.slots) == 0 {
+		return -1, 0
+	}
+	mask := uint64(len(ms.slots) - 1)
+	fp := h >> 32
+	for i := fp & mask; ; i = (i + 1) & mask {
+		e := ms.slots[i]
+		if e == 0 {
+			return -1, 0
+		}
+		if e>>32 == fp {
+			if id := int(e&slotIDMask) - 1; s.toKey[id] == key {
+				return int(i), id
+			}
+		}
+	}
+}
+
+// insert indexes id under hash h; the key must not be mapped yet.
+func (ms *mapStripe) insert(h uint64, id int) {
+	ms.reserve(ms.used + 1)
+	ms.put(h>>32<<32 | uint64(id+1))
+	ms.used++
+}
+
+// put stores slot value e in the first free slot of its probe run.
+func (ms *mapStripe) put(e uint64) {
+	mask := uint64(len(ms.slots) - 1)
+	for i := e >> 32 & mask; ; i = (i + 1) & mask {
+		if ms.slots[i] == 0 {
+			ms.slots[i] = e
+			return
+		}
+	}
+}
+
+// reserve grows the table, if needed, so n keys fit within 3/4 load.
+func (ms *mapStripe) reserve(n int) {
+	size := 8
+	for size*3 < n*4 {
+		size *= 2
+	}
+	if size <= len(ms.slots) {
+		return
+	}
+	old := ms.slots
+	ms.slots = make([]uint64, size)
+	for _, e := range old {
+		if e != 0 {
+			ms.put(e)
+		}
+	}
+}
+
+// delete empties slot i, then walks the rest of its probe run and moves
+// back every entry whose probe start does not lie after the hole, so each
+// remaining key stays reachable from its start without tombstones.
+func (ms *mapStripe) delete(i int) {
+	mask := len(ms.slots) - 1
+	for j := (i + 1) & mask; ms.slots[j] != 0; j = (j + 1) & mask {
+		start := int(ms.slots[j]>>32) & mask
+		if (j-start)&mask >= (j-i)&mask {
+			ms.slots[i] = ms.slots[j]
+			i = j
+		}
+	}
+	ms.slots[i] = 0
+	ms.used--
 }
 
 // allocStripe hands out the dense ids of one contiguous range.
@@ -89,13 +184,12 @@ func NewStriped[K comparable](capacity, stripes int) (*Striped[K], error) {
 		seed:       maphash.MakeSeed(),
 		capacity:   capacity,
 		stripeSize: stripeSize,
-		stripes:    make([]mapStripe[K], stripes),
+		stripes:    make([]mapStripe, stripes),
 		allocs:     make([]allocStripe, stripes),
 		toKey:      make([]K, capacity),
 		inUse:      make([]bool, capacity),
 	}
-	for i := range s.stripes {
-		s.stripes[i].toDense = make(map[K]int)
+	for i := range s.allocs {
 		base := i * stripeSize
 		size := stripeSize
 		if base+size > capacity {
@@ -126,11 +220,16 @@ func (s *Striped[K]) Len() int { return int(s.length.Load()) }
 func (s *Striped[K]) NumStripes() int { return len(s.stripes) }
 
 // Hash returns the 64-bit hash of key under this mapper's per-process seed.
-// StripeOf is Hash modulo the stripe count, so a caller that already holds
-// the hash (a batch coalescer deduplicating keys, say) can derive the stripe
-// without hashing twice.
+// It selects the key's stripe (StripeOfHash) and its slots in that stripe's
+// index, so a caller that hashes a key once (a batch coalescer
+// deduplicating keys, say) passes the hash on instead of hashing again.
 func (s *Striped[K]) Hash(key K) uint64 {
 	return maphash.Comparable(s.seed, key)
+}
+
+// StripeOfHash returns the stripe of a key whose Hash is h.
+func (s *Striped[K]) StripeOfHash(h uint64) int {
+	return int(h % uint64(len(s.stripes)))
 }
 
 // StripeOf returns the stripe index key hashes to. All operations on key
@@ -139,7 +238,7 @@ func (s *Striped[K]) StripeOf(key K) int {
 	if len(s.stripes) == 1 {
 		return 0
 	}
-	return int(maphash.Comparable(s.seed, key) % uint64(len(s.stripes)))
+	return s.StripeOfHash(s.Hash(key))
 }
 
 // StripeRange returns the dense-id range [base, base+size) stripe i prefers
@@ -206,8 +305,9 @@ func (s *Striped[K]) reassign(id int, key K) {
 // not yet mapped. isNew reports whether the id was freshly assigned. When
 // every id across all stripes is taken, Acquire returns ErrFull.
 func (s *Striped[K]) Acquire(key K) (id int, isNew bool, err error) {
-	err = s.BatchFunc(s.StripeOf(key), func(t StripeTxn[K]) error {
-		id, isNew, err = t.Acquire(key, nil)
+	h := s.Hash(key)
+	err = s.BatchFunc(s.StripeOfHash(h), func(t StripeTxn[K]) error {
+		id, isNew, err = t.Acquire(key, h, nil)
 		return err
 	})
 	return id, isNew, err
@@ -215,7 +315,8 @@ func (s *Striped[K]) Acquire(key K) (id int, isNew bool, err error) {
 
 // StripeTxn is the view of one locked stripe handed to a BatchFunc callback.
 // Every method assumes the stripe's lock is held by the enclosing BatchFunc
-// and must only be used on keys hashing to that stripe (StripeOf).
+// and must only be used on keys hashing to that stripe (StripeOfHash); the
+// methods taking a key also take its Hash h.
 type StripeTxn[K comparable] struct {
 	s  *Striped[K]
 	si int
@@ -235,29 +336,29 @@ func (s *Striped[K]) BatchFunc(si int, fn func(t StripeTxn[K]) error) error {
 	return fn(StripeTxn[K]{s: s, si: si})
 }
 
-// Get returns the dense id of key without assigning one.
-func (t StripeTxn[K]) Get(key K) (int, bool) {
-	id, ok := t.s.stripes[t.si].toDense[key]
-	return id, ok
+// Get returns the dense id of key (hash h) without assigning one.
+func (t StripeTxn[K]) Get(key K, h uint64) (int, bool) {
+	slot, id := t.s.find(&t.s.stripes[t.si], key, h)
+	return id, slot >= 0
 }
 
-// Acquire returns the dense id for key, assigning a new one if the key is
-// not yet mapped. When every id is in use, evict (if not nil) may name a
-// victim key of the same stripe (callers typically track idle keys per
-// stripe); the victim's mapping is removed and its id handed to key
+// Acquire returns the dense id for key (hash h), assigning a new one if the
+// key is not yet mapped. When every id is in use, evict (if not nil) may
+// name a victim key of the same stripe (callers typically track idle keys
+// per stripe); the victim's mapping is removed and its id handed to key
 // atomically. isNew reports a fresh assignment; use Rollback to undo it if
 // the caller's own state update fails.
-func (t StripeTxn[K]) Acquire(key K, evict func(stripe int) (K, bool)) (id int, isNew bool, err error) {
+func (t StripeTxn[K]) Acquire(key K, h uint64, evict func(stripe int) (K, bool)) (id int, isNew bool, err error) {
 	s, si := t.s, t.si
 	ms := &s.stripes[si]
-	if id, ok := ms.toDense[key]; ok {
+	if slot, id := s.find(ms, key, h); slot >= 0 {
 		return id, false, nil
 	}
 	id, ok := s.allocate(si, key)
 	if !ok && evict != nil {
 		if victim, vok := evict(si); vok {
-			if vid, mapped := ms.toDense[victim]; mapped {
-				delete(ms.toDense, victim)
+			if vslot, vid := s.find(ms, victim, s.Hash(victim)); vslot >= 0 {
+				ms.delete(vslot)
 				s.length.Add(-1)
 				s.reassign(vid, key)
 				id, ok = vid, true
@@ -267,25 +368,35 @@ func (t StripeTxn[K]) Acquire(key K, evict func(stripe int) (K, bool)) (id int, 
 	if !ok {
 		return 0, false, fmt.Errorf("%w: capacity %d", ErrFull, s.capacity)
 	}
-	ms.toDense[key] = id
+	ms.insert(h, id)
 	s.length.Add(1)
 	return id, true, nil
 }
 
 // Rollback undoes a fresh Acquire: the mapping is removed and the id freed.
-// Only valid for the (key, id) pair of an Acquire that reported isNew within
+// Only valid for the (key, h, id) of an Acquire that reported isNew within
 // the same transaction.
-func (t StripeTxn[K]) Rollback(key K, id int) {
-	delete(t.s.stripes[t.si].toDense, key)
+func (t StripeTxn[K]) Rollback(key K, h uint64, id int) {
+	ms := &t.s.stripes[t.si]
+	slot, _ := t.s.find(ms, key, h)
+	ms.delete(slot)
 	t.s.free(id)
 	t.s.length.Add(-1)
 }
 
+// Reserve sizes the stripe's index so n more keys fit without growing it,
+// sparing a bulk load (snapshot restore) the repeated rehashing.
+func (t StripeTxn[K]) Reserve(n int) {
+	ms := &t.s.stripes[t.si]
+	ms.reserve(ms.used + n)
+}
+
 // DenseID returns the dense id of key without assigning one.
 func (s *Striped[K]) DenseID(key K) (id int, err error) {
-	err = s.BatchFunc(s.StripeOf(key), func(t StripeTxn[K]) error {
+	h := s.Hash(key)
+	err = s.BatchFunc(s.StripeOfHash(h), func(t StripeTxn[K]) error {
 		var ok bool
-		if id, ok = t.Get(key); !ok {
+		if id, ok = t.Get(key, h); !ok {
 			return fmt.Errorf("%w: %v", ErrUnknownKey, key)
 		}
 		return nil
@@ -294,12 +405,12 @@ func (s *Striped[K]) DenseID(key K) (id int, err error) {
 }
 
 // Contains reports whether key currently has a dense id.
-func (s *Striped[K]) Contains(key K) bool {
-	si := s.StripeOf(key)
-	ms := &s.stripes[si]
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	_, ok := ms.toDense[key]
+func (s *Striped[K]) Contains(key K) (ok bool) {
+	h := s.Hash(key)
+	_ = s.BatchFunc(s.StripeOfHash(h), func(t StripeTxn[K]) error {
+		_, ok = t.Get(key, h)
+		return nil
+	})
 	return ok
 }
 
@@ -324,15 +435,15 @@ func (s *Striped[K]) Key(id int) (K, bool) {
 // ensure any state keyed by the id (a profile frequency, say) is back to its
 // neutral value first, otherwise the recycled id inherits it.
 func (s *Striped[K]) Release(key K) (int, error) {
-	si := s.StripeOf(key)
-	ms := &s.stripes[si]
+	h := s.Hash(key)
+	ms := &s.stripes[s.StripeOfHash(h)]
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	id, ok := ms.toDense[key]
-	if !ok {
+	slot, id := s.find(ms, key, h)
+	if slot < 0 {
 		return 0, fmt.Errorf("%w: %v", ErrUnknownKey, key)
 	}
-	delete(ms.toDense, key)
+	ms.delete(slot)
 	s.length.Add(-1)
 	s.free(id)
 	return id, nil
@@ -344,30 +455,11 @@ func (s *Striped[K]) Release(key K) (int, error) {
 // snapshot.
 func (s *Striped[K]) Keys() []K {
 	out := make([]K, 0, s.Len())
-	for i := range s.stripes {
-		ms := &s.stripes[i]
-		ms.mu.Lock()
-		for k := range ms.toDense {
-			out = append(out, k)
-		}
-		ms.mu.Unlock()
-	}
+	s.Range(func(key K, _ int) bool {
+		out = append(out, key)
+		return true
+	})
 	return out
-}
-
-// Reserve pre-sizes each stripe's key table for about n upcoming keys, so a
-// bulk load (snapshot restore) does not pay repeated map growth. Stripes
-// already holding keys are left alone.
-func (s *Striped[K]) Reserve(n int) {
-	per := n/len(s.stripes) + 1
-	for i := range s.stripes {
-		ms := &s.stripes[i]
-		ms.mu.Lock()
-		if len(ms.toDense) == 0 {
-			ms.toDense = make(map[K]int, per)
-		}
-		ms.mu.Unlock()
-	}
 }
 
 // Quiesce acquires every map-stripe lock (in index order), runs fn, and
@@ -396,8 +488,9 @@ func (s *Striped[K]) Quiesce(fn func()) {
 // key without taking any map-stripe lock. Calling it anywhere else is a data
 // race.
 func (s *Striped[K]) LookupLocked(key K) (int, bool) {
-	id, ok := s.stripes[s.StripeOf(key)].toDense[key]
-	return id, ok
+	h := s.Hash(key)
+	slot, id := s.find(&s.stripes[s.StripeOfHash(h)], key, h)
+	return id, slot >= 0
 }
 
 // RangeLocked is Range for callers already inside Quiesce: it visits every
@@ -405,10 +498,8 @@ func (s *Striped[K]) LookupLocked(key K) (int, bool) {
 // a data race.
 func (s *Striped[K]) RangeLocked(fn func(key K, id int) bool) {
 	for i := range s.stripes {
-		for k, id := range s.stripes[i].toDense {
-			if !fn(k, id) {
-				return
-			}
+		if !s.rangeStripe(&s.stripes[i], fn) {
+			return
 		}
 	}
 }
@@ -420,12 +511,25 @@ func (s *Striped[K]) Range(fn func(key K, id int) bool) {
 	for i := range s.stripes {
 		ms := &s.stripes[i]
 		ms.mu.Lock()
-		for k, id := range ms.toDense {
-			if !fn(k, id) {
-				ms.mu.Unlock()
-				return
-			}
-		}
+		more := s.rangeStripe(ms, fn)
 		ms.mu.Unlock()
+		if !more {
+			return
+		}
 	}
+}
+
+// rangeStripe calls fn for the pairs of one stripe, whose lock the caller
+// holds, and reports whether fn asked for more.
+func (s *Striped[K]) rangeStripe(ms *mapStripe, fn func(key K, id int) bool) bool {
+	for _, e := range ms.slots {
+		if e == 0 {
+			continue
+		}
+		id := int(e&slotIDMask) - 1
+		if !fn(s.toKey[id], id) {
+			return false
+		}
+	}
+	return true
 }

@@ -174,8 +174,7 @@ func TestStripedKeysAndRange(t *testing.T) {
 // DenseIDUnlockedForTest reads the mapping without taking the stripe lock;
 // Range holds it already, so the normal DenseID would self-deadlock.
 func (s *Striped[K]) DenseIDUnlockedForTest(key K) (int, bool) {
-	id, ok := s.stripes[s.StripeOf(key)].toDense[key]
-	return id, ok
+	return s.LookupLocked(key)
 }
 
 func TestStripedConcurrentChurn(t *testing.T) {
@@ -272,4 +271,39 @@ func TestQuiesceSeesConsistentMapping(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestStripedFingerprintCollision: two keys whose hashes share the high 32
+// bits share an index fingerprint and a probe start, so only the comparison
+// against the stored key tells them apart.
+func TestStripedFingerprintCollision(t *testing.T) {
+	s := MustNewStriped[int](8, 1)
+	byFP := make(map[uint64]int)
+	a, b := -1, -1
+	for k := 0; a < 0; k++ {
+		fp := s.Hash(k) >> 32
+		if other, ok := byFP[fp]; ok {
+			a, b = other, k
+		}
+		byFP[fp] = k
+	}
+	idA := s.MustAcquire(t, a)
+	idB := s.MustAcquire(t, b)
+	if idA == idB {
+		t.Fatalf("colliding keys %d and %d share id %d", a, b, idA)
+	}
+	for key, want := range map[int]int{a: idA, b: idB} {
+		if got, err := s.DenseID(key); err != nil || got != want {
+			t.Fatalf("DenseID(%d) = (%d, %v), want %d", key, got, err, want)
+		}
+	}
+	if _, err := s.Release(a); err != nil {
+		t.Fatal(err)
+	}
+	if s.Contains(a) {
+		t.Fatalf("released key %d still mapped", a)
+	}
+	if got, err := s.DenseID(b); err != nil || got != idB {
+		t.Fatalf("DenseID(%d) after releasing its collider = (%d, %v), want %d", b, got, err, idB)
+	}
 }

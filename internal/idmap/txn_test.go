@@ -19,16 +19,16 @@ func TestBatchFuncResolvesUnderOneLock(t *testing.T) {
 	for si, group := range groups {
 		err := s.BatchFunc(si, func(txn StripeTxn[string]) error {
 			for _, key := range group {
-				if _, ok := txn.Get(key); ok {
+				if _, ok := txn.Get(key, s.Hash(key)); ok {
 					t.Errorf("key %s mapped before acquisition", key)
 				}
-				id, isNew, err := txn.Acquire(key, nil)
+				id, isNew, err := txn.Acquire(key, s.Hash(key), nil)
 				if err != nil || !isNew {
 					return err
 				}
 				ids[key] = id
 				// A second acquisition inside the same txn is a lookup.
-				again, isNew2, err := txn.Acquire(key, nil)
+				again, isNew2, err := txn.Acquire(key, s.Hash(key), nil)
 				if err != nil || isNew2 || again != id {
 					t.Errorf("re-acquire of %s: id %d->%d isNew=%v err=%v", key, id, again, isNew2, err)
 				}
@@ -53,11 +53,12 @@ func TestBatchFuncResolvesUnderOneLock(t *testing.T) {
 func TestBatchFuncRollback(t *testing.T) {
 	s := MustNewStriped[string](4, 1)
 	err := s.BatchFunc(0, func(txn StripeTxn[string]) error {
-		id, isNew, err := txn.Acquire("doomed", nil)
+		h := s.Hash("doomed")
+		id, isNew, err := txn.Acquire("doomed", h, nil)
 		if err != nil || !isNew {
 			t.Fatalf("acquire: id=%d isNew=%v err=%v", id, isNew, err)
 		}
-		txn.Rollback("doomed", id)
+		txn.Rollback("doomed", h, id)
 		return nil
 	})
 	if err != nil {
@@ -86,7 +87,7 @@ func TestBatchFuncEviction(t *testing.T) {
 	}
 	evict := func(stripe int) (string, bool) { return "idle", true }
 	err := s.BatchFunc(0, func(txn StripeTxn[string]) error {
-		id, isNew, err := txn.Acquire("fresh", evict)
+		id, isNew, err := txn.Acquire("fresh", s.Hash("fresh"), evict)
 		if err != nil || !isNew {
 			t.Fatalf("evicting acquire: id=%d isNew=%v err=%v", id, isNew, err)
 		}
@@ -103,7 +104,7 @@ func TestBatchFuncEviction(t *testing.T) {
 	}
 	// With no evictable key the stripe reports ErrFull.
 	err = s.BatchFunc(0, func(txn StripeTxn[string]) error {
-		_, _, err := txn.Acquire("overflow", nil)
+		_, _, err := txn.Acquire("overflow", s.Hash("overflow"), nil)
 		return err
 	})
 	if !errors.Is(err, ErrFull) {
@@ -115,8 +116,9 @@ func TestBatchFuncEviction(t *testing.T) {
 // the stripe lock, rolling a fresh assignment back if fn fails: the way a
 // caller layering per-key state on the mapping uses StripeTxn.
 func acquireFunc[K comparable](s *Striped[K], key K, evict func(stripe int) (K, bool), fn func(id int, isNew bool) error) (id int, isNew bool, err error) {
-	err = s.BatchFunc(s.StripeOf(key), func(txn StripeTxn[K]) error {
-		if id, isNew, err = txn.Acquire(key, evict); err != nil {
+	h := s.Hash(key)
+	err = s.BatchFunc(s.StripeOfHash(h), func(txn StripeTxn[K]) error {
+		if id, isNew, err = txn.Acquire(key, h, evict); err != nil {
 			return err
 		}
 		if fn == nil {
@@ -124,7 +126,7 @@ func acquireFunc[K comparable](s *Striped[K], key K, evict func(stripe int) (K, 
 		}
 		if err := fn(id, isNew); err != nil {
 			if isNew {
-				txn.Rollback(key, id)
+				txn.Rollback(key, h, id)
 			}
 			return err
 		}

@@ -100,6 +100,14 @@ type zeroSet[K comparable] struct {
 	pos  map[K]int
 }
 
+// reserve sizes an empty set for n keys.
+func (z *zeroSet[K]) reserve(n int) {
+	if z.pos == nil {
+		z.pos = make(map[K]int, n)
+		z.keys = make([]K, 0, n)
+	}
+}
+
 func (z *zeroSet[K]) add(key K) {
 	if z.pos == nil {
 		z.pos = make(map[K]int)
@@ -268,11 +276,14 @@ func (k *KeyedConcurrent[K]) applyWALRecord(rec wal.Record) error {
 	return err
 }
 
-// restore reinstates a checkpoint snapshot: every snapshotted key re-acquires
-// a dense id (ids are reassigned — stripe hashing is seeded per process, so
-// the original ids are meaningless here), the dense profile is loaded with
-// the frequencies in one O(m log m) step, and the recycling bookkeeping is
-// rebuilt. Runs before any concurrent access exists.
+// restore reinstates a checkpoint snapshot as one bulk load. The
+// snapshotted keys are grouped by stripe with the counting sort ApplyBatch
+// uses, and each group re-acquires dense ids in a single stripe transaction
+// with the stripe's index and zero set sized for it up front (ids are
+// reassigned — stripe hashing is seeded per process, so the original ids
+// are meaningless here). The dense profile is then loaded with the
+// frequencies in one linear-time LoadFrequencies. A key the snapshot lists
+// twice makes it invalid. Runs before any concurrent access exists.
 func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) error {
 	if !st.Keyed {
 		return fmt.Errorf("this WAL holds a dense-id snapshot; open it with Build, not BuildKeyed: %w", ErrBadSnapshot)
@@ -281,20 +292,46 @@ func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) error {
 	if len(st.Keys) > m {
 		return fmt.Errorf("snapshot tracks %d keys but the profile has capacity %d: %w", len(st.Keys), m, ErrBadSnapshot)
 	}
-	k.ids.Reserve(len(st.Keys))
-	counts := make([]int64, m)
-	for i, sk := range st.Keys {
-		key := any(sk).(K) // BuildKeyed only opens a WAL for K = string
-		id, _, err := k.ids.Acquire(key)
+	keys := any(st.Keys).([]K) // BuildKeyed only opens a WAL for K = string
+	ns := k.ids.NumStripes()
+	hashes := make([]uint64, len(keys))
+	idle := make([]int, ns)
+	for i, key := range keys {
+		hashes[i] = k.ids.Hash(key)
+		if st.Freqs[i] == 0 {
+			idle[k.ids.StripeOfHash(hashes[i])]++
+		}
+	}
+	var g stripeGroups
+	g.sort(ns, len(keys), func(i int) int32 { return int32(k.ids.StripeOfHash(hashes[i])) })
+	freqs := make([]int64, m)
+	for si := range ns {
+		group := g.group(si)
+		err := k.ids.BatchFunc(si, func(t idmap.StripeTxn[K]) error {
+			t.Reserve(len(group))
+			if k.recycle {
+				k.zeros[si].reserve(idle[si])
+			}
+			for _, i := range group {
+				id, isNew, err := t.Acquire(keys[i], hashes[i], nil)
+				if err != nil {
+					return err
+				}
+				if !isNew {
+					return fmt.Errorf("snapshot lists key %v twice: %w", keys[i], ErrBadSnapshot)
+				}
+				freqs[id] = st.Freqs[i]
+				if k.recycle && st.Freqs[i] == 0 {
+					k.zeros[si].add(keys[i])
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		counts[id] = st.Freqs[i]
-		if k.recycle && st.Freqs[i] == 0 {
-			k.zeros[k.ids.StripeOf(key)].add(key)
-		}
 	}
-	return k.dense.LoadFrequencies(counts, st.Adds, st.Removes)
+	return k.dense.LoadFrequencies(freqs, st.Adds, st.Removes)
 }
 
 // MustBuildKeyed is BuildKeyed for callers with a known-good configuration;
@@ -567,8 +604,8 @@ type KeyedTuple[K comparable] struct {
 // then, so the batch path preserves that decision.
 type keyedDelta[K comparable] struct {
 	key           K
+	hash          uint64
 	adds, removes uint64
-	stripe        int32
 	next          int32
 	firstIsAdd    bool
 }
@@ -577,15 +614,51 @@ type keyedDelta[K comparable] struct {
 // the per-stripe counting sort and the write-ahead-log record buffer. It is
 // pooled so steady-state batch ingestion allocates nothing beyond the keys
 // themselves. The index is keyed by the mapper's 64-bit key hash — computed
-// once per event and reused for stripe selection — because an integer-keyed
-// map is markedly cheaper than re-hashing arbitrary K inside a generic map.
+// once per event and reused for stripe selection and the mapper's own
+// lookup — because an integer-keyed map is markedly cheaper than re-hashing
+// arbitrary K inside a generic map.
 type keyedBatch[K comparable] struct {
 	index   map[uint64]int32
 	entries []keyedDelta[K]
+	stripeGroups
+	wrecs []wal.BatchEntry
+}
+
+// stripeGroups is a counting sort of items by mapper stripe: the grouping
+// by which ApplyBatch and restore resolve each stripe's items in one
+// stripe transaction. Its buffers are reused across sorts.
+type stripeGroups struct {
 	counts  []int32
 	offsets []int32
 	order   []int32
-	wrecs   []wal.BatchEntry
+}
+
+// sort groups the items 0..n-1 by stripe(i), one of ns stripes, keeping
+// their order within each stripe.
+func (g *stripeGroups) sort(ns, n int, stripe func(i int) int32) {
+	g.counts = growInt32(g.counts, ns)
+	clear(g.counts)
+	for i := 0; i < n; i++ {
+		g.counts[stripe(i)]++
+	}
+	g.offsets = growInt32(g.offsets, ns)
+	sum := int32(0)
+	for si, c := range g.counts {
+		g.offsets[si] = sum
+		sum += c
+	}
+	g.order = growInt32(g.order, n)
+	for i := 0; i < n; i++ {
+		si := stripe(i)
+		g.order[g.offsets[si]] = int32(i)
+		g.offsets[si]++
+	}
+}
+
+// group returns the items of stripe si; offsets[si] is the end of the
+// group once sort has run.
+func (g *stripeGroups) group(si int) []int32 {
+	return g.order[g.offsets[si]-g.counts[si] : g.offsets[si]]
 }
 
 // growInt32 returns s resized to n elements, reallocating only on growth.
@@ -659,7 +732,7 @@ func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 			for b.entries[j].key != e.Key {
 				if b.entries[j].next < 0 {
 					nj := int32(len(b.entries))
-					b.entries = append(b.entries, keyedDelta[K]{key: e.Key, stripe: int32(h % uint64(ns)), next: -1, firstIsAdd: first})
+					b.entries = append(b.entries, keyedDelta[K]{key: e.Key, hash: h, next: -1, firstIsAdd: first})
 					b.entries[j].next = nj
 					j = nj
 					break
@@ -669,7 +742,7 @@ func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 		} else {
 			j = int32(len(b.entries))
 			b.index[h] = j
-			b.entries = append(b.entries, keyedDelta[K]{key: e.Key, stripe: int32(h % uint64(ns)), next: -1, firstIsAdd: first})
+			b.entries = append(b.entries, keyedDelta[K]{key: e.Key, hash: h, next: -1, firstIsAdd: first})
 		}
 		if e.Action == ActionAdd {
 			b.entries[j].adds++
@@ -683,25 +756,7 @@ func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 	mIngestBatchKeys.Add(uint64(len(b.entries)))
 
 	// Group by stripe with a counting sort over the reusable buffers.
-	b.counts = growInt32(b.counts, ns)
-	for i := range b.counts {
-		b.counts[i] = 0
-	}
-	for i := range b.entries {
-		b.counts[b.entries[i].stripe]++
-	}
-	b.offsets = growInt32(b.offsets, ns)
-	sum := int32(0)
-	for i := 0; i < ns; i++ {
-		b.offsets[i] = sum
-		sum += b.counts[i]
-	}
-	b.order = growInt32(b.order, len(b.entries))
-	for i := range b.entries {
-		si := b.entries[i].stripe
-		b.order[b.offsets[si]] = int32(i)
-		b.offsets[si]++
-	}
+	b.sort(ns, len(b.entries), func(i int) int32 { return int32(k.ids.StripeOfHash(b.entries[i].hash)) })
 
 	// Apply stripe by stripe: one stripe-lock acquisition, one profile
 	// delta per distinct key, one log record per stripe group.
@@ -709,16 +764,15 @@ func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 	var journalErr error
 	var entryErr error
 	for si := 0; si < ns && entryErr == nil && journalErr == nil; si++ {
-		cnt := int(b.counts[si])
-		if cnt == 0 {
+		idxs := b.group(si)
+		if len(idxs) == 0 {
 			continue
 		}
-		idxs := b.order[int(b.offsets[si])-cnt : b.offsets[si]]
 		_ = k.ids.BatchFunc(si, func(t idmap.StripeTxn[K]) error {
 			b.wrecs = b.wrecs[:0]
 			for _, j := range idxs {
 				en := &b.entries[j]
-				if entryErr = k.applyEntryLocked(t, si, en.key, en.adds, en.removes, en.firstIsAdd); entryErr != nil {
+				if entryErr = k.applyEntryLocked(t, si, en.key, en.hash, en.adds, en.removes, en.firstIsAdd); entryErr != nil {
 					break
 				}
 				applied += int(en.adds + en.removes)
@@ -778,11 +832,12 @@ func (k *KeyedConcurrent[K]) Track(key K) error { return k.applyKey(key, 0, 0, t
 // one-entry batch record, and an empty one (Track) not at all. The caller
 // has validated the key.
 func (k *KeyedConcurrent[K]) applyKey(key K, adds, removes uint64, acquire bool) error {
-	si := k.ids.StripeOf(key)
+	h := k.ids.Hash(key)
+	si := k.ids.StripeOfHash(h)
 	var syncDue bool
 	var journalErr error
 	err := k.ids.BatchFunc(si, func(t idmap.StripeTxn[K]) error {
-		if err := k.applyEntryLocked(t, si, key, adds, removes, acquire); err != nil {
+		if err := k.applyEntryLocked(t, si, key, h, adds, removes, acquire); err != nil {
 			return err
 		}
 		if k.store == nil || adds+removes == 0 {
@@ -828,26 +883,26 @@ func (k *KeyedConcurrent[K]) applyKey(key K, adds, removes uint64, acquire bool)
 // whether an unknown key may be assigned an id — true exactly when the
 // key's first event is an add; an unknown key without it fails like Remove
 // does.
-func (k *KeyedConcurrent[K]) applyEntryLocked(t idmap.StripeTxn[K], si int, key K, adds, removes uint64, acquire bool) error {
+func (k *KeyedConcurrent[K]) applyEntryLocked(t idmap.StripeTxn[K], si int, key K, h uint64, adds, removes uint64, acquire bool) error {
 	net := int64(adds) - int64(removes)
 	var id int
 	var isNew bool
 	if acquire {
 		var err error
-		id, isNew, err = t.Acquire(key, k.evictFn())
+		id, isNew, err = t.Acquire(key, h, k.evictFn())
 		if err != nil {
 			return err
 		}
 	} else {
 		var ok bool
-		id, ok = t.Get(key)
+		id, ok = t.Get(key, h)
 		if !ok {
 			return fmt.Errorf("%w: %v", idmap.ErrUnknownKey, key)
 		}
 	}
 	if err := k.dense.ApplyDelta(Delta{Object: id, Delta: net, Adds: adds, Removes: removes}); err != nil {
 		if isNew {
-			t.Rollback(key, id)
+			t.Rollback(key, h, id)
 		}
 		return err
 	}
@@ -872,8 +927,9 @@ func (k *KeyedConcurrent[K]) applyEntryLocked(t idmap.StripeTxn[K], si int, key 
 // consistent with concurrent updates to the same key.
 func (k *KeyedConcurrent[K]) Count(key K) (int64, error) {
 	var count int64
-	err := k.ids.BatchFunc(k.ids.StripeOf(key), func(t idmap.StripeTxn[K]) error {
-		id, ok := t.Get(key)
+	h := k.ids.Hash(key)
+	err := k.ids.BatchFunc(k.ids.StripeOfHash(h), func(t idmap.StripeTxn[K]) error {
+		id, ok := t.Get(key, h)
 		if !ok {
 			return nil
 		}

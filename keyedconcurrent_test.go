@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sprofile"
+	"sprofile/internal/checkpoint"
 	"sprofile/internal/wal"
 )
 
@@ -523,6 +524,77 @@ func TestKeyedConcurrentChurnStress(t *testing.T) {
 // preserve every query and the key↔dense-id mapping even though dense ids are
 // reassigned on restore. WithSharding(1) makes eviction deterministic (one
 // stripe owns every key), so the recycled history is identical on every run.
+// TestBuildKeyedRejectsDuplicateSnapshotKeys: a checksum-valid keyed
+// snapshot that lists one key twice is not the image of any profile, so
+// recovery must refuse it rather than merge the entries.
+func TestBuildKeyedRejectsDuplicateSnapshotKeys(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	store, err := checkpoint.Open(dir, checkpoint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.ReplayTail(func(wal.Record) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Checkpoint(func() (*checkpoint.State, uint64, error) {
+		sealed, err := store.Rotate()
+		st := &checkpoint.State{Keyed: true, Capacity: 8, Adds: 1, Keys: []string{"a", "a"}, Freqs: []int64{1, 1}}
+		return st, sealed, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	k, err := sprofile.BuildKeyed[string](8, sprofile.WithSharding(2), sprofile.WithWAL(dir))
+	if err == nil {
+		n, _ := k.Count("a")
+		k.Close()
+		t.Fatalf("BuildKeyed restored a snapshot listing key a twice (Count(a) = %d)", n)
+	}
+	if !errors.Is(err, sprofile.ErrBadSnapshot) {
+		t.Fatalf("BuildKeyed = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// TestKeyedRestoreRebuildsIdleKeys: keys a snapshot holds at frequency
+// zero must come back as eviction candidates, so a restored profile at
+// capacity can still admit a new key.
+func TestKeyedRestoreRebuildsIdleKeys(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	opts := []sprofile.BuildOption{sprofile.WithSharding(1), sprofile.WithWAL(dir)}
+	k1, err := sprofile.BuildKeyed[string](3, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []func() error{
+		func() error { return k1.Add("a") },
+		func() error { return k1.Add("b") },
+		func() error { return k1.Remove("b") },
+		func() error { return k1.Track("c") },
+		k1.Checkpoint,
+		k1.Close,
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k2, err := sprofile.BuildKeyed[string](3, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k2.Close()
+	if err := k2.CheckZeroSets(); err != nil {
+		t.Fatalf("after restore: %v", err)
+	}
+	if err := k2.Add("d"); err != nil {
+		t.Fatalf("Add at capacity with idle keys restored: %v", err)
+	}
+	if n, _ := k2.Count("a"); n != 1 || k2.Tracked() != 3 {
+		t.Fatalf("after recycling: Count(a) = %d, tracked %d", n, k2.Tracked())
+	}
+}
+
 func TestKeyedCheckpointRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	opts := []sprofile.BuildOption{sprofile.WithSharding(1), sprofile.WithWAL(dir)}

@@ -776,7 +776,7 @@ func (s *Sharded) Query(q Query) (QueryResult, error) {
 }
 
 // Snapshot merges every shard into one consistent standalone Profile (cost
-// O(m log m)); use it when a burst of rank queries must see a single state.
+// O(m)); use it when a burst of rank queries must see a single state.
 // The snapshot preserves the true adds/removes counters and the strict-mode
 // flag, so it is also a faithful checkpoint image, not just a query view.
 func (s *Sharded) Snapshot() (*Profile, error) {
@@ -810,7 +810,7 @@ func (s *Sharded) Snapshot() (*Profile, error) {
 // cloneShard returns a deep copy of shard idx, taken under that shard's read
 // lock alone — the async ingest plane's per-shard snapshot primitive. Cost is
 // O(shard size) and blocks only writers of that one shard, unlike Snapshot's
-// global O(m log m) merge under all shard locks.
+// global O(m) merge under all shard locks.
 func (s *Sharded) cloneShard(idx int) *core.Profile {
 	sh := &s.shards[idx]
 	sh.mu.RLock()

@@ -116,7 +116,7 @@ func New(m int, opts ...Option) (*Profile, error) { return core.New(m, opts...) 
 func MustNew(m int, opts ...Option) *Profile { return core.MustNew(m, opts...) }
 
 // FromFrequencies builds a profile whose object x starts with frequency
-// freqs[x]; it costs O(m log m) once instead of replaying every event.
+// freqs[x]; it costs O(m) once instead of replaying every event.
 func FromFrequencies(freqs []int64, opts ...Option) (*Profile, error) {
 	return core.FromFrequencies(freqs, opts...)
 }
