@@ -32,11 +32,14 @@ var ErrUnknownKey = errors.New("idmap: key has no dense id")
 
 // Mapper assigns dense ids in [0, cap) to keys of type K. The zero value is
 // not usable; call New. A Mapper is not safe for concurrent use.
+//
+// Ids are handed out low-first (never-used ids first, then released ones),
+// so the id→key table holds chunks only for the most keys held at once; see
+// Striped for the per-key cost.
 type Mapper[K comparable] struct {
 	capacity int
 	toDense  map[K]int
-	toKey    []K
-	inUse    []bool
+	keys     keyTable[K]
 	freeIDs  []int
 	nextID   int
 }
@@ -49,8 +52,7 @@ func New[K comparable](capacity int) (*Mapper[K], error) {
 	return &Mapper[K]{
 		capacity: capacity,
 		toDense:  make(map[K]int),
-		toKey:    make([]K, capacity),
-		inUse:    make([]bool, capacity),
+		keys:     newKeyTable[K](capacity),
 	}, nil
 }
 
@@ -87,8 +89,7 @@ func (m *Mapper[K]) Acquire(key K) (id int, isNew bool, err error) {
 		return 0, false, fmt.Errorf("%w: capacity %d", ErrFull, m.capacity)
 	}
 	m.toDense[key] = id
-	m.toKey[id] = key
-	m.inUse[id] = true
+	m.keys.set(id, key)
 	return id, true, nil
 }
 
@@ -109,11 +110,11 @@ func (m *Mapper[K]) Contains(key K) bool {
 
 // Key returns the key mapped to the dense id.
 func (m *Mapper[K]) Key(id int) (K, bool) {
-	var zero K
-	if id < 0 || id >= m.capacity || !m.inUse[id] {
+	if id < 0 || id >= m.capacity {
+		var zero K
 		return zero, false
 	}
-	return m.toKey[id], true
+	return m.keys.get(id)
 }
 
 // Release frees the dense id held by key so it can be reused. Callers must
@@ -125,9 +126,7 @@ func (m *Mapper[K]) Release(key K) (int, error) {
 		return 0, fmt.Errorf("%w: %v", ErrUnknownKey, key)
 	}
 	delete(m.toDense, key)
-	var zero K
-	m.toKey[id] = zero
-	m.inUse[id] = false
+	m.keys.clear(id)
 	m.freeIDs = append(m.freeIDs, id)
 	return id, nil
 }

@@ -21,17 +21,27 @@ import (
 // exhausted does Acquire borrow an id from another stripe's free range, so
 // the full capacity is always usable regardless of how keys hash.
 //
-// Each key is stored once, in the id-indexed toKey table. A stripe finds
+// Each key is stored once, in the id-indexed key table. A stripe finds
 // its keys through a pointer-free open-addressing index: one []uint64 whose
 // slots hold the high 32 bits of the key's hash (Hash, the same hash that
 // picks the stripe) above id+1, with 0 marking an empty slot. Lookups probe
 // linearly from the slot the fingerprint selects and confirm a fingerprint
-// match against toKey; the table doubles before it passes 3/4 load, and a
-// deletion shifts the rest of its probe run back, so recycling ids leaves
-// no tombstones. Per tracked key that is 8 bytes of index per slot at 3/8 to
-// 3/4 load (11 to 21 bytes per key), plus its toKey entry (16 bytes for a
-// string header) and one inUse byte; the garbage collector never scans the
-// index.
+// match against the key table; the index doubles before it passes 3/4 load,
+// and a deletion shifts the rest of its probe run back, so recycling ids
+// leaves no tombstones. Per tracked key that is 8 bytes of index per slot at
+// 3/8 to 3/4 load (11 to 21 bytes per key), plus its key-table entry (16
+// bytes for a string header and one in-use byte); the garbage collector
+// never scans the index.
+//
+// The key table exists only for the chunks of 4096 ids that hold an id
+// handed out at some point. Each range hands out its ids as a prefix
+// (never-used ids first, then its free list), so the chunks follow the most
+// keys each range has held at once; up front, capacity costs 8 bytes of
+// chunk pointer per 4096 ids. Ranges need not align with chunks, so two
+// ranges can race to create one: a chunk pointer is set once, by
+// CompareAndSwap under the alloc-stripe lock of the range handing out the
+// id that needs it (the loser uses the winner's chunk), and read with
+// atomic loads.
 //
 // BatchFunc runs a caller callback with one stripe's lock held and a
 // transaction view of that stripe (StripeTxn). It is how a caller layering
@@ -47,13 +57,12 @@ type Striped[K comparable] struct {
 	stripeSize int
 	stripes    []mapStripe
 	allocs     []allocStripe
-	// toKey and inUse are indexed by dense id. A mapped id's entries are
-	// written only under the stripe lock of the key that owns it, and always
-	// also under the alloc-stripe lock of id's range, so either lock makes
-	// a read safe: index lookups confirm fingerprints under the stripe lock,
-	// Key reads under the alloc lock.
-	toKey  []K
-	inUse  []bool
+	// keys maps dense ids back to keys. A mapped id's entry is written only
+	// under the stripe lock of the key that owns it, and always also under
+	// the alloc-stripe lock of id's range, so either lock makes a read safe:
+	// index lookups confirm fingerprints under the stripe lock, Key reads
+	// under the alloc lock.
+	keys   keyTable[K]
 	length atomic.Int64
 }
 
@@ -84,7 +93,7 @@ func (s *Striped[K]) find(ms *mapStripe, key K, h uint64) (slot, id int) {
 			return -1, 0
 		}
 		if e>>32 == fp {
-			if id := int(e&slotIDMask) - 1; s.toKey[id] == key {
+			if id := int(e&slotIDMask) - 1; s.keys.key(id) == key {
 				return int(i), id
 			}
 		}
@@ -186,8 +195,7 @@ func NewStriped[K comparable](capacity, stripes int) (*Striped[K], error) {
 		stripeSize: stripeSize,
 		stripes:    make([]mapStripe, stripes),
 		allocs:     make([]allocStripe, stripes),
-		toKey:      make([]K, capacity),
-		inUse:      make([]bool, capacity),
+		keys:       newKeyTable[K](capacity),
 	}
 	for i := range s.allocs {
 		base := i * stripeSize
@@ -268,8 +276,7 @@ func (s *Striped[K]) allocate(home int, key K) (int, bool) {
 			a.mu.Unlock()
 			continue
 		}
-		s.toKey[id] = key
-		s.inUse[id] = true
+		s.keys.set(id, key)
 		a.mu.Unlock()
 		return id, true
 	}
@@ -285,9 +292,7 @@ func (s *Striped[K]) allocOf(id int) *allocStripe {
 func (s *Striped[K]) free(id int) {
 	a := s.allocOf(id)
 	a.mu.Lock()
-	var zero K
-	s.toKey[id] = zero
-	s.inUse[id] = false
+	s.keys.clear(id)
 	a.freeIDs = append(a.freeIDs, id)
 	a.mu.Unlock()
 }
@@ -297,7 +302,7 @@ func (s *Striped[K]) free(id int) {
 func (s *Striped[K]) reassign(id int, key K) {
 	a := s.allocOf(id)
 	a.mu.Lock()
-	s.toKey[id] = key
+	s.keys.set(id, key)
 	a.mu.Unlock()
 }
 
@@ -425,10 +430,7 @@ func (s *Striped[K]) Key(id int) (K, bool) {
 	a := s.allocOf(id)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !s.inUse[id] {
-		return zero, false
-	}
-	return s.toKey[id], true
+	return s.keys.get(id)
 }
 
 // Release frees the dense id held by key so it can be reused. Callers must
@@ -527,7 +529,7 @@ func (s *Striped[K]) rangeStripe(ms *mapStripe, fn func(key K, id int) bool) boo
 			continue
 		}
 		id := int(e&slotIDMask) - 1
-		if !fn(s.toKey[id], id) {
+		if !fn(s.keys.key(id), id) {
 			return false
 		}
 	}
