@@ -574,7 +574,7 @@ func BenchmarkKeyedDurableParallel(b *testing.B) {
 
 	b.Run("mutex-keyed-wal", func(b *testing.B) {
 		k := sprofile.MustNewKeyed[string](m)
-		log, err := wal.Open(filepath.Join(b.TempDir(), "bench.wal"), wal.Options{})
+		log, err := wal.OpenDir(b.TempDir(), wal.Options{}, nil, 1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -591,7 +591,7 @@ func BenchmarkKeyedDurableParallel(b *testing.B) {
 						b.Error(err)
 						return
 					}
-					if err := log.Append(wal.Record{Key: key, Action: sprofile.ActionAdd}); err != nil {
+					if _, err := log.Append(wal.Record{Key: key, Action: sprofile.ActionAdd}); err != nil {
 						mu.Unlock()
 						b.Error(err)
 						return

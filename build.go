@@ -71,10 +71,12 @@ func TimeWindowed(span time.Duration) BuildOption {
 // WithWAL makes ingestion durable: every applied update is appended to a
 // write-ahead log, and the log's existing contents are replayed into the
 // profile when Build runs. path names a directory of rotating log segments
-// (plus checkpoint snapshots, when WithCheckpoints is also given); a legacy
-// single-file log left by an earlier version at the same path is migrated
-// into the directory layout automatically. The built profiler is a *Durable;
-// close it (or call Sync) to flush buffered records to stable storage.
+// (plus checkpoint snapshots, when WithCheckpoints is also given). A
+// single-file log left at path by an older version, or a leftover of its
+// migration, makes Build fail with an error wrapping
+// errors.ErrUnsupported that names the last commit able to migrate it. The
+// built profiler is a *Durable; close it (or call Sync) to flush buffered
+// records to stable storage.
 func WithWAL(path string) BuildOption {
 	return func(c *buildConfig) { c.walPath = path }
 }
@@ -306,11 +308,13 @@ func MustBuild(m int, opts ...BuildOption) Profiler {
 // Durable wraps any Profiler with a write-ahead log: every successful update
 // is appended to the log, and construction replays the log's existing
 // contents into the profiler first, so the profile survives process
-// restarts. Queries pass straight through. The log is a directory of
-// rotating segments; with checkpointing (WithCheckpoints or explicit
-// Checkpoint calls) the directory also holds atomic snapshots, recovery
-// loads the latest snapshot and replays only the tail segments, and covered
-// segments are deleted — bounding both restart time and disk use.
+// restarts. Every statistic of the Reader contract (Count, Mode, TopK, ...,
+// Total) comes straight from the wrapped profile; Query delegates to it too.
+// The log is a directory of rotating segments; with checkpointing
+// (WithCheckpoints or explicit Checkpoint calls) the directory also holds
+// atomic snapshots, recovery loads the latest snapshot and replays only the
+// tail segments, and covered segments are deleted — bounding both restart
+// time and disk use.
 //
 // Records are buffered; they reach stable storage on Sync, Close, at the end
 // of every ApplyAll batch, and every n records when built with
@@ -319,8 +323,9 @@ func MustBuild(m int, opts ...BuildOption) Profiler {
 // Durable over a concurrency-safe inner profiler is itself safe for
 // concurrent updates; fsyncs run outside the mutex with group commit.
 type Durable struct {
-	inner Profiler
-	store *checkpoint.Store
+	reader // the wrapped profile, answering every statistic
+	inner  Profiler
+	store  *checkpoint.Store
 	// mu serialises updates with each other and with checkpoint capture, so
 	// a snapshot covers exactly the events journaled before its rotation.
 	mu sync.Mutex
@@ -396,7 +401,7 @@ func newDurable(p Profiler, path string, syncEvery int, policy CheckpointPolicy)
 	if err != nil {
 		return nil, fmt.Errorf("sprofile: replaying WAL %s: %w", path, err)
 	}
-	d := &Durable{inner: p, store: store, replayed: replayed, stats: recoveryStats(store.Stats())}
+	d := &Durable{reader: p, inner: p, store: store, replayed: replayed, stats: recoveryStats(store.Stats())}
 	if policy.Enabled() {
 		if _, ok := p.(Snapshotter); !ok {
 			return nil, fmt.Errorf("%w: WithCheckpoints needs a snapshottable profiler, got %T", ErrBuildConfig, p)
@@ -651,50 +656,8 @@ func (d *Durable) ApplyAll(tuples []Tuple) (int, error) {
 	return n, applyErr
 }
 
-// Count returns the current frequency of object x.
-func (d *Durable) Count(x int) (int64, error) { return d.inner.Count(x) }
-
-// Mode returns an object with maximum frequency, that frequency, and how
-// many objects share it.
-func (d *Durable) Mode() (Entry, int, error) { return d.inner.Mode() }
-
-// Min returns an object with minimum frequency, that frequency, and how many
-// objects share it.
-func (d *Durable) Min() (Entry, int, error) { return d.inner.Min() }
-
-// TopK returns the k most frequent entries.
-func (d *Durable) TopK(k int) []Entry { return d.inner.TopK(k) }
-
-// BottomK returns the k least frequent entries.
-func (d *Durable) BottomK(k int) []Entry { return d.inner.BottomK(k) }
-
-// KthLargest returns the entry holding the k-th largest frequency.
-func (d *Durable) KthLargest(k int) (Entry, error) { return d.inner.KthLargest(k) }
-
-// Median returns the lower-median entry of the frequency multiset.
-func (d *Durable) Median() (Entry, error) { return d.inner.Median() }
-
-// Quantile returns the entry at quantile q in [0, 1].
-func (d *Durable) Quantile(q float64) (Entry, error) { return d.inner.Quantile(q) }
-
-// Majority returns the object holding a strict majority of the total count,
-// if one exists.
-func (d *Durable) Majority() (Entry, bool, error) { return d.inner.Majority() }
-
-// Distribution returns the frequency histogram.
-func (d *Durable) Distribution() []FreqCount { return d.inner.Distribution() }
-
-// Summarize returns aggregate statistics of the profile.
-func (d *Durable) Summarize() Summary { return d.inner.Summarize() }
-
 // Query answers a composite query by delegating to the inner profiler's own
 // cut-pinning Querier capability (falling back to a snapshot-based cut for
 // inner profilers that lack it — see QueryProfiler). The write-ahead log is
 // not involved: queries read only in-memory state.
 func (d *Durable) Query(q Query) (QueryResult, error) { return QueryProfiler(d.inner, q) }
-
-// Cap returns the number of object slots.
-func (d *Durable) Cap() int { return d.inner.Cap() }
-
-// Total returns the sum of all frequencies.
-func (d *Durable) Total() int64 { return d.inner.Total() }

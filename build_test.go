@@ -2,6 +2,7 @@ package sprofile_test
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -288,53 +289,67 @@ func TestDurableCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDurableLegacyWALMigration: a single-file log written by the previous
-// layout must open, replay, and keep accepting appends under the new
-// directory layout.
-func TestDurableLegacyWALMigration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.wal")
-	log, err := wal.Open(path, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"1", "2", "1"} {
-		if err := log.Append(wal.Record{Key: key, Action: sprofile.ActionAdd}); err != nil {
+// legacyWALLeftovers plants, under a fresh WAL path, each leftover of the
+// retired single-file SWL1 log, keyed by name: the log itself at the path,
+// the staging file of an interrupted migration, and a migrated log whose
+// segment 1 still carries the SWL1 header. Each returns the WAL path.
+func legacyWALLeftovers(t *testing.T) map[string]func() string {
+	t.Helper()
+	swl1 := []byte{'S', 'W', 'L', '1', 1, '1', 0} // one add of key "1"
+	write := func(path string) {
+		if err := os.WriteFile(path, swl1, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
+	return map[string]func() string{
+		"file at path": func() string {
+			path := filepath.Join(t.TempDir(), "events.wal")
+			write(path)
+			return path
+		},
+		"staging file": func() string {
+			path := filepath.Join(t.TempDir(), "events.wal")
+			write(path + ".legacy")
+			return path
+		},
+		"segment header": func() string {
+			path := t.TempDir()
+			write(filepath.Join(path, wal.SegmentName(1)))
+			return path
+		},
 	}
+}
 
-	p, err := sprofile.Build(8, sprofile.WithWAL(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := p.(*sprofile.Durable)
-	if d.Replayed() != 3 {
-		t.Fatalf("migrated log replayed %d records, want 3", d.Replayed())
-	}
-	if got, _ := d.Count(1); got != 2 {
-		t.Fatalf("Count(1) = %d, want 2", got)
-	}
-	if err := d.Add(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	p2, err := sprofile.Build(8, sprofile.WithWAL(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := p2.(*sprofile.Durable)
-	defer d2.Close()
-	if d2.Replayed() != 0 || d2.Total() != 4 {
-		t.Fatalf("post-migration checkpoint recovery: replayed=%d total=%d, want 0/4", d2.Replayed(), d2.Total())
+// TestDurableLegacyWALMigration: the single-file SWL1 log is no longer
+// migrated. Every leftover of it refuses to open, under Build and
+// BuildKeyed alike, with errors.ErrUnsupported and the last commit that can
+// still migrate it.
+func TestDurableLegacyWALMigration(t *testing.T) {
+	for name, plant := range legacyWALLeftovers(t) {
+		for _, b := range []struct {
+			api   string
+			build func(path string) (io.Closer, error)
+		}{
+			{"Build", func(path string) (io.Closer, error) {
+				p, err := sprofile.Build(8, sprofile.WithWAL(path))
+				if err != nil {
+					return nil, err
+				}
+				return p.(*sprofile.Durable), nil
+			}},
+			{"BuildKeyed", func(path string) (io.Closer, error) {
+				return sprofile.BuildKeyed[string](8, sprofile.WithWAL(path))
+			}},
+		} {
+			c, err := b.build(plant())
+			if err == nil {
+				c.Close()
+				t.Fatalf("%s: %s opened an SWL1 leftover", name, b.api)
+			}
+			if !errors.Is(err, errors.ErrUnsupported) || !strings.Contains(err.Error(), "3727a8a") {
+				t.Fatalf("%s: %s = %v, want errors.ErrUnsupported naming commit 3727a8a", name, b.api, err)
+			}
+		}
 	}
 }
 

@@ -79,7 +79,7 @@ func main() {
 		capacity    = fs.Int("capacity", 1_000_000, "maximum number of concurrently tracked objects; costs 12 B per slot up front (dense profile) plus 8 B per 4096 slots (id map chunk pointers), and 28-38 B per tracked object plus its key's bytes")
 		shards      = fs.Int("shards", 0, "split the profile across this many lock shards (0 = one per CPU)")
 		maxBatch    = fs.Int("max-batch", 10_000, "maximum number of events per POST")
-		walPath     = fs.String("wal", "", "write-ahead log directory; state is recovered from it on startup (a legacy single-file log at this path is migrated automatically)")
+		walPath     = fs.String("wal", "", "write-ahead log directory; state is recovered from it on startup (a single-file log from an older version is refused: open it once with commit 3727a8a and checkpoint)")
 		walSync     = fs.Int("wal-sync-every", 0, "fsync the WAL after this many events (0 = once per batch)")
 		ckptEvery   = fs.Duration("checkpoint-every", 0, "snapshot the profile and truncate the WAL on this cadence (0 = disabled; requires -wal)")
 		ckptBytes   = fs.Int64("checkpoint-bytes", 0, "additionally checkpoint once the WAL tail exceeds this many bytes (0 = disabled; requires -wal)")

@@ -67,6 +67,12 @@ type Reader interface {
 	Total() int64
 }
 
+// reader is Reader under an unexported name, for embedding: a wrapper whose
+// statistics come straight from the profile it wraps (Durable,
+// ReadOnlyProfiler) embeds one and has all thirteen getters promoted
+// without exporting a field.
+type reader = Reader
+
 // Profiler is the full contract: ingestion plus queries. Every profile
 // variant in this package satisfies it — *Profile, *Concurrent, *Sharded,
 // *Window, *TimeWindow and *Durable — as does anything returned by Build.

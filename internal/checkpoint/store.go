@@ -122,14 +122,15 @@ type pinLease struct {
 	expires   time.Time
 }
 
-// Open scans (creating if needed) the checkpointed log directory at path,
-// migrating a legacy single-file WAL at the same path first. It decodes the
-// newest snapshot whose checksum verifies — an unreadable newer snapshot is
-// skipped, falling back to its predecessor — and plans the tail replay, but
-// replays nothing: the caller restores its profile from TakeState, then
-// calls ReplayTail.
+// Open scans (creating if needed) the checkpointed log directory at path. A
+// leftover of the retired single-file log at path, or in it, is refused
+// with an error wrapping errors.ErrUnsupported (see wal.RefuseLegacy) and
+// left untouched. Open decodes the newest snapshot whose checksum verifies
+// — an unreadable newer snapshot is skipped, falling back to its
+// predecessor — and plans the tail replay, but replays nothing: the caller
+// restores its profile from TakeState, then calls ReplayTail.
 func Open(path string, opts Options) (*Store, error) {
-	if err := wal.MigrateLegacy(path); err != nil {
+	if err := wal.RefuseLegacy(path); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(path, 0o755); err != nil {
@@ -180,8 +181,7 @@ func Open(path string, opts Options) (*Store, error) {
 	}
 	// The tail must be a contiguous run, starting right after the sealed
 	// segment when a snapshot exists; a gap means segments were lost.
-	// (Without a snapshot the log may legitimately start at any id — a
-	// migrated legacy file is always segment 1.)
+	// (Without a snapshot the log may legitimately start at any id.)
 	for i, sg := range s.tail {
 		want := sg.ID
 		if i > 0 {

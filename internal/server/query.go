@@ -8,10 +8,24 @@ import (
 	"sprofile"
 )
 
-// queryLimit bounds the per-request list arguments of a composite query so a
-// single POST cannot ask for an unbounded amount of work; it reuses the
-// server's batch bound.
+// queryLimit bounds the per-request list arguments of a composite query, and
+// the top_k/bottom_k sizes of its answer lists (also ?k= on GET top and
+// bottom), so a single request cannot ask for an unbounded amount of work;
+// it reuses the server's batch bound.
 func (s *Server) queryLimit() int { return s.maxBatch }
+
+// withinQueryLimit reports whether every size is within queryLimit, writing
+// a 400 when one is not.
+func (s *Server) withinQueryLimit(w http.ResponseWriter, sizes ...int) bool {
+	limit := s.queryLimit()
+	for _, n := range sizes {
+		if n > limit {
+			writeError(w, http.StatusBadRequest, "query lists and top/bottom k are bounded to %d entries each", limit)
+			return false
+		}
+	}
+	return true
+}
 
 // handleQuery answers POST /v1/query: ONE composite, atomic multi-statistic
 // query per request. The body is a sprofile.KeyedQuery in JSON — any subset
@@ -37,8 +51,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid query document: %v", err)
 		return
 	}
-	if limit := s.queryLimit(); len(q.Count) > limit || len(q.Quantiles) > limit || len(q.KthLargest) > limit {
-		writeError(w, http.StatusBadRequest, "query lists are bounded to %d entries each", limit)
+	if !s.withinQueryLimit(w, len(q.Count), len(q.Quantiles), len(q.KthLargest), q.TopK, q.BottomK) {
 		return
 	}
 	start := time.Now()

@@ -146,6 +146,30 @@ func TestQueryEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestQueryEndpointBoundsTopK: top_k and bottom_k size the answer and are
+// bounded by MaxBatch like the query lists, so one request cannot ask for an
+// unbounded amount of work under every stripe and shard lock.
+func TestQueryEndpointBoundsTopK(t *testing.T) {
+	s, err := New(Config{Capacity: 16, MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	postEvents(t, ts, `[{"object":"a","action":"add"},{"object":"b","action":"add"}]`)
+
+	for _, field := range []string{"top_k", "bottom_k"} {
+		resp, _, errRes := postQuery(t, ts, `{"`+field+`": 5}`)
+		if resp.StatusCode != http.StatusBadRequest || errRes.Code != "bad_request" {
+			t.Fatalf("%s = MaxBatch+1: %d %+v, want 400 bad_request", field, resp.StatusCode, errRes)
+		}
+		resp, res, _ := postQuery(t, ts, `{"`+field+`": 4}`)
+		if resp.StatusCode != http.StatusOK || len(res.TopK)+len(res.BottomK) != 4 {
+			t.Fatalf("%s = MaxBatch: %d %+v, want 200 with 4 entries", field, resp.StatusCode, res)
+		}
+	}
+}
+
 // TestQueryEndpointAtomicUnderIngest hammers the server with concurrent
 // ingest while issuing composite queries, and requires every answer to be
 // internally consistent — invariants that only hold when all statistics come

@@ -73,8 +73,9 @@ type Config struct {
 	MaxBatch int
 	// WALPath, when non-empty, makes ingested events durable: they are
 	// appended to a write-ahead log directory at this path and replayed
-	// into the profile when the server starts. A legacy single-file log at
-	// the same path is migrated into the directory layout automatically.
+	// into the profile when the server starts. A single-file log left at
+	// this path by an older version is refused, and so are its migration
+	// leftovers (see README "Persistence & recovery").
 	WALPath string
 	// WALSyncEvery fsyncs the log after this many events; zero syncs once
 	// per accepted batch.
@@ -1014,14 +1015,17 @@ func (s *Server) handleMin(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseK reads the ?k= parameter shared by the top and bottom handlers,
-// defaulting to 10. The bool reports whether the value was valid (an error
-// has been written otherwise).
-func parseK(w http.ResponseWriter, r *http.Request) (int, bool) {
+// defaulting to 10; a given value is bounded by queryLimit. The bool reports
+// whether the value was valid (an error has been written otherwise).
+func (s *Server) parseK(w http.ResponseWriter, r *http.Request) (int, bool) {
 	k := 10
 	if raw := r.URL.Query().Get("k"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v <= 0 {
 			writeError(w, http.StatusBadRequest, "k must be a positive integer, got %q", raw)
+			return 0, false
+		}
+		if !s.withinQueryLimit(w, v) {
 			return 0, false
 		}
 		k = v
@@ -1034,7 +1038,7 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	k, ok := parseK(w, r)
+	k, ok := s.parseK(w, r)
 	if !ok {
 		return
 	}
@@ -1051,7 +1055,7 @@ func (s *Server) handleBottom(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	k, ok := parseK(w, r)
+	k, ok := s.parseK(w, r)
 	if !ok {
 		return
 	}

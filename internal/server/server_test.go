@@ -399,6 +399,9 @@ func TestQueryParamValidation(t *testing.T) {
 		"/v1/stats/quantile?q=2",
 		"/v1/stats/quantile?q=abc",
 		"/v1/stats/quantile",
+		// k is bounded by MaxBatch (default 10 000), like the query lists.
+		"/v1/stats/top?k=10001",
+		"/v1/stats/bottom?k=10001",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -407,6 +410,13 @@ func TestQueryParamValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("GET %s = %d, want 400", path, resp.StatusCode)
+		}
+	}
+	// k = MaxBatch answers, clamped to the capacity of 10.
+	for _, path := range []string{"/v1/stats/top?k=10000", "/v1/stats/bottom?k=10000"} {
+		var entries []entryResponse
+		if resp := getJSON(t, ts, path, &entries); resp.StatusCode != http.StatusOK || len(entries) != 10 {
+			t.Fatalf("GET %s = %d with %d entries, want 200 with 10", path, resp.StatusCode, len(entries))
 		}
 	}
 }

@@ -1,12 +1,16 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"sprofile/internal/wal"
 )
 
 func TestServerWALRecovery(t *testing.T) {
@@ -120,6 +124,36 @@ func TestServerWALCorruptLogFailsStartup(t *testing.T) {
 	}
 	if _, err := New(Config{Capacity: 10, WALPath: walPath}); err == nil {
 		t.Fatalf("startup succeeded with a corrupt WAL")
+	}
+}
+
+// TestServerRefusesLegacyWAL: startup refuses every leftover of the retired
+// single-file SWL1 log — the log at the WAL path, the staging file of an
+// interrupted migration, and an SWL1-headered segment — with
+// errors.ErrUnsupported and the last commit that can still migrate it.
+func TestServerRefusesLegacyWAL(t *testing.T) {
+	swl1 := []byte{'S', 'W', 'L', '1', 1, 'a', 0} // one add of "a"
+	for name, leftover := range map[string]func(walPath string) string{
+		"file at path":   func(walPath string) string { return walPath },
+		"staging file":   func(walPath string) string { return walPath + ".legacy" },
+		"segment header": func(walPath string) string { return filepath.Join(walPath, wal.SegmentName(1)) },
+	} {
+		walPath := filepath.Join(t.TempDir(), "events.wal")
+		file := leftover(walPath)
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, swl1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Capacity: 10, WALPath: walPath})
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: startup succeeded on an SWL1 leftover", name)
+		}
+		if !errors.Is(err, errors.ErrUnsupported) || !strings.Contains(err.Error(), "3727a8a") {
+			t.Fatalf("%s: New = %v, want errors.ErrUnsupported naming commit 3727a8a", name, err)
+		}
 	}
 }
 

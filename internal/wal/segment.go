@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,10 +29,7 @@ import (
 //	id      uvarint  (must match the filename)
 //	snapSeq uvarint  (the snapshot sequence current when the segment opened)
 //
-// followed by the same record stream the legacy format uses. A migrated
-// legacy file keeps its "SWL1" header and is read as segment id 1 with
-// snapSeq 0; records append to it unchanged, since the record codec is
-// identical.
+// followed by the record stream described in the package comment.
 //
 // Only the highest-id segment is ever written, so a crash can tear at most
 // that segment's tail; sealed segments are fsynced before rotation completes
@@ -40,6 +38,20 @@ import (
 // use.
 
 var segmentMagic = [4]byte{'S', 'W', 'L', '2'}
+
+// legacyMagic opens the retired single-file log format, SWL1. Nothing reads
+// or writes that format any more; its magic is recognised only so that a
+// leftover is refused with directions instead of a bare "bad magic".
+var legacyMagic = [4]byte{'S', 'W', 'L', '1'}
+
+// errLegacy refuses every SWL1 leftover: a single-file log at the WAL path,
+// the path+".legacy" staging file of an interrupted migration, and a
+// segment that still carries the SWL1 header (a migrated log keeps it until
+// a checkpoint drops segment 1). It names the last commit that can read the
+// format and migrate it.
+var errLegacy = fmt.Errorf("single-file SWL1 write-ahead log, which this version cannot read; "+
+	"open it once with sprofile commit 3727a8a, the last that can, take a checkpoint, then restart: %w",
+	errors.ErrUnsupported)
 
 const (
 	segPrefix = "wal-"
@@ -53,8 +65,6 @@ type SegmentInfo struct {
 	// SnapSeq is the snapshot sequence recorded in the header: the id of the
 	// last checkpoint taken before this segment opened (0 = none).
 	SnapSeq uint64
-	// Legacy marks a migrated single-file log readable as a segment.
-	Legacy bool
 	// Torn marks a segment whose header could not be read — the result of a
 	// crash during segment creation. Only valid as the final segment; it
 	// holds no records and is recreated when the directory reopens.
@@ -86,38 +96,30 @@ func parseSegmentName(name string) (uint64, bool) {
 }
 
 // readSegmentHeader consumes the header from br, reporting the recorded id
-// and snapshot sequence (legacy headers carry neither). errTornTail marks a
-// header cut short by a crash during segment creation.
-func readSegmentHeader(br *bufio.Reader) (id, snapSeq uint64, legacy bool, err error) {
+// and snapshot sequence. errTornTail marks a header cut short by a crash
+// during segment creation; an SWL1 header is refused with errLegacy.
+func readSegmentHeader(br *bufio.Reader) (id, snapSeq uint64, err error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, 0, false, errTornTail
+			return 0, 0, errTornTail
 		}
-		return 0, 0, false, err
+		return 0, 0, err
 	}
 	switch magic {
-	case fileMagic:
-		return 0, 0, true, nil
 	case segmentMagic:
+	case legacyMagic:
+		return 0, 0, errLegacy
 	default:
-		return 0, 0, false, fmt.Errorf("%w: bad segment magic %q", ErrCorrupt, magic[:])
+		return 0, 0, fmt.Errorf("%w: bad segment magic %q", ErrCorrupt, magic[:])
 	}
-	id, err = binary.ReadUvarint(br)
-	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, 0, false, errTornTail
-		}
-		return 0, 0, false, fmt.Errorf("%w: segment header: %v", ErrCorrupt, err)
+	if id, err = readUvarintTorn(br); err != nil {
+		return 0, 0, err
 	}
-	snapSeq, err = binary.ReadUvarint(br)
-	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, 0, false, errTornTail
-		}
-		return 0, 0, false, fmt.Errorf("%w: segment header: %v", ErrCorrupt, err)
+	if snapSeq, err = readUvarintTorn(br); err != nil {
+		return 0, 0, err
 	}
-	return id, snapSeq, false, nil
+	return id, snapSeq, nil
 }
 
 // writeSegmentHeader emits the SWL2 header for segment id.
@@ -154,15 +156,13 @@ func ListSegments(dir string) ([]SegmentInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		hdrID, snapSeq, legacy, err := readSegmentHeader(bufio.NewReader(f))
+		hdrID, snapSeq, err := readSegmentHeader(bufio.NewReader(f))
 		f.Close()
 		switch {
 		case errors.Is(err, errTornTail):
 			info.Torn = true
 		case err != nil:
 			return nil, fmt.Errorf("%s: %w", info.Path, err)
-		case legacy:
-			info.Legacy = true
 		case hdrID != id:
 			return nil, fmt.Errorf("%w: segment %s header claims id %d", ErrCorrupt, info.Path, hdrID)
 		default:
@@ -179,46 +179,9 @@ func ListSegments(dir string) ([]SegmentInfo, error) {
 // tolerateTorn is set — correct only for the log's final segment, since
 // sealed segments are fsynced whole — and fails with ErrCorrupt otherwise.
 func ReplaySegment(path string, tolerateTorn bool, fn func(Record) error) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	if _, _, _, err := readSegmentHeader(br); err != nil {
-		if errors.Is(err, errTornTail) {
-			if tolerateTorn {
-				return 0, nil
-			}
-			return 0, fmt.Errorf("%w: %s: truncated segment header", ErrCorrupt, path)
-		}
-		return 0, err
-	}
-	replayed := 0
-	defer func() { mReplayed.Add(uint64(replayed)) }()
-	var scratch []Record
-	for {
-		recs, err := readPhysicalRecord(br, scratch, true)
-		if errors.Is(err, io.EOF) {
-			return replayed, nil
-		}
-		if errors.Is(err, errTornTail) {
-			if tolerateTorn {
-				return replayed, nil
-			}
-			return replayed, fmt.Errorf("%w: %s: torn record in sealed segment", ErrCorrupt, path)
-		}
-		if err != nil {
-			return replayed, fmt.Errorf("%s: %w", path, err)
-		}
-		scratch = recs
-		for _, rec := range recs {
-			if err := fn(rec); err != nil {
-				return replayed, err
-			}
-			replayed++
-		}
-	}
+	n, _, err := ReplaySegmentValid(path, tolerateTorn, fn)
+	mReplayed.Add(uint64(n))
+	return n, err
 }
 
 // ReplayDir replays every record of every segment in a log directory in id
@@ -248,51 +211,11 @@ func ReplayDir(dir string, fn func(Record) error) (int, error) {
 	return total, nil
 }
 
-// countingReader counts the bytes its wrapped reader hands out, so a bufio
-// consumer can compute how far into the file the decoded prefix reaches.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// scanValidEnd reads f from the start and returns the byte offset just past
-// the last complete record — the truncation point that removes a torn tail
-// before the segment is appended to again.
-func scanValidEnd(f failfs.File) (validEnd int64, err error) {
-	cr := &countingReader{r: f}
-	br := bufio.NewReader(cr)
-	if _, _, _, err := readSegmentHeader(br); err != nil {
-		if errors.Is(err, errTornTail) {
-			return 0, err // caller recreates the segment
-		}
-		return 0, err
-	}
-	validEnd = cr.n - int64(br.Buffered())
-	var scratch []Record
-	for {
-		recs, err := readPhysicalRecord(br, scratch, true)
-		if errors.Is(err, io.EOF) || errors.Is(err, errTornTail) {
-			return validEnd, nil
-		}
-		if err != nil {
-			return validEnd, err
-		}
-		scratch = recs
-		validEnd = cr.n - int64(br.Buffered())
-	}
-}
-
-// Dir is the append head of a segmented write-ahead log directory. Unlike
-// the legacy Log it is safe for concurrent use: appends serialise on an
-// internal mutex while Sync runs the fsync outside it with a group-commit
-// watermark, so concurrent producers' batches are persisted collectively by
-// whichever fsync lands after their records were flushed.
+// Dir is the append head of a segmented write-ahead log directory. It is
+// safe for concurrent use: appends serialise on an internal mutex while Sync
+// runs the fsync outside it with a group-commit watermark, so concurrent
+// producers' batches are persisted collectively by whichever fsync lands
+// after their records were flushed.
 type Dir struct {
 	dir  string
 	opts Options
@@ -386,10 +309,13 @@ func OpenDir(dir string, opts Options, tail *SegmentInfo, nextID, snapSeq uint64
 		if err != nil {
 			return nil, err
 		}
-		validEnd, err := scanValidEnd(f)
+		_, validEnd, err := decodeStream(f, tail.Path, true, true, func(Record) error { return nil })
+		if err == nil && validEnd == 0 {
+			err = fmt.Errorf("%w: %s: truncated segment header", ErrCorrupt, tail.Path)
+		}
 		if err != nil {
 			f.Close()
-			return nil, fmt.Errorf("%s: %w", tail.Path, err)
+			return nil, err
 		}
 		if validEnd < tail.Size {
 			if err := f.Truncate(validEnd); err != nil {
@@ -820,17 +746,11 @@ func (d *Dir) salvageTail() ([]byte, uint64) {
 	if _, err := io.ReadFull(io.NewSectionReader(readerAtOnly{d.f}, d.syncedEnd, int64(len(data))), data); err != nil {
 		return nil, 0
 	}
-	sd := &StreamDecoder{}
-	sd.MarkHeaderDone()
-	var recs uint64
-	if err := sd.Feed(data, func(Record) error { recs++; return nil }); err != nil {
+	recs, valid, err := decodeStream(bytes.NewReader(data), d.f.Name(), false, true, func(Record) error { return nil })
+	if err != nil || recs == 0 {
 		return nil, 0
 	}
-	valid := len(data) - sd.Buffered()
-	if valid == 0 || recs == 0 {
-		return nil, 0
-	}
-	return data[:valid], recs
+	return data[:valid], uint64(recs)
 }
 
 // readerAtOnly narrows a file to io.ReaderAt for SectionReader use.
@@ -900,59 +820,37 @@ func (d *Dir) Close() error {
 	return d.f.Close()
 }
 
-// MigrateLegacy converts a single-file SWL1 log at path, if one exists, into
-// the segmented directory layout: the file becomes segment 1 — byte for
-// byte, since the segment reader still understands the legacy header —
-// inside a new directory at the same path. Calling it on a path that is
-// already a directory, or does not exist, is a no-op. A migration
-// interrupted by a crash resumes on the next call.
-func MigrateLegacy(path string) error {
+// RefuseLegacy fails, wrapping errors.ErrUnsupported, when path holds a
+// leftover of the single-file SWL1 log: such a log at path itself, or the
+// path+".legacy" staging file an interrupted migration left behind. A file at
+// path that is no log at all fails with ErrCorrupt; a missing path or a
+// directory passes. It costs two stats on a directory. SWL1-headered
+// segments inside a directory are refused where ListSegments reads their
+// headers. Nothing is modified either way.
+func RefuseLegacy(path string) error {
 	staging := path + ".legacy"
 	if _, err := os.Stat(staging); err == nil {
-		// A previous migration moved the file aside and crashed; finish it.
-		return completeMigration(path, staging)
+		return fmt.Errorf("%s: %w", staging, errLegacy)
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
 	fi, err := os.Stat(path)
-	if errors.Is(err, os.ErrNotExist) {
+	switch {
+	case errors.Is(err, os.ErrNotExist):
 		return nil
-	}
-	if err != nil {
+	case err != nil:
 		return err
-	}
-	if fi.IsDir() {
+	case fi.IsDir():
 		return nil
-	}
-	if fi.Size() == 0 {
-		// An empty file (crash before the legacy header was written) holds
-		// nothing; replace it with a fresh directory.
-		return os.Remove(path)
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
+	defer f.Close()
 	var magic [4]byte
-	_, readErr := io.ReadFull(f, magic[:])
-	f.Close()
-	if readErr != nil || magic != fileMagic {
-		return fmt.Errorf("%w: %s is not a write-ahead log", ErrCorrupt, path)
+	if _, err := io.ReadFull(f, magic[:]); err == nil && magic == legacyMagic {
+		return fmt.Errorf("%s: %w", path, errLegacy)
 	}
-	if err := os.Rename(path, staging); err != nil {
-		return err
-	}
-	return completeMigration(path, staging)
-}
-
-// completeMigration turns the staged legacy file into segment 1 of a
-// directory at path.
-func completeMigration(path, staging string) error {
-	if err := os.MkdirAll(path, 0o755); err != nil {
-		return err
-	}
-	if err := os.Rename(staging, filepath.Join(path, SegmentName(1))); err != nil {
-		return err
-	}
-	return SyncDir(path)
+	return fmt.Errorf("%w: %s is not a write-ahead log directory", ErrCorrupt, path)
 }

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sprofile/internal/core"
@@ -243,80 +245,84 @@ func TestReplaySegmentSealedTornIsCorrupt(t *testing.T) {
 	}
 }
 
-func TestMigrateLegacy(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "events.wal")
-	log, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"a", "b", "c"} {
-		if err := log.Append(addRec(k)); err != nil {
-			t.Fatal(err)
+// legacyLog is a single-file SWL1 log holding one add of "a": the retired
+// format's magic followed by the record stream.
+var legacyLog = []byte{'S', 'W', 'L', '1', 1, 'a', 0}
+
+// TestRefuseLegacy covers every leftover of the retired single-file log: each
+// is refused with errors.ErrUnsupported, names the last commit that can
+// read it, and stays byte for byte as it was.
+func TestRefuseLegacy(t *testing.T) {
+	refused := func(t *testing.T, err error, leftover string) {
+		t.Helper()
+		if !errors.Is(err, errors.ErrUnsupported) {
+			t.Fatalf("got %v, want errors.ErrUnsupported", err)
+		}
+		if !strings.Contains(err.Error(), "3727a8a") || !strings.Contains(err.Error(), leftover) {
+			t.Fatalf("error %q must name the leftover %s and commit 3727a8a", err, leftover)
+		}
+		if data, rerr := os.ReadFile(leftover); rerr != nil || !bytes.Equal(data, legacyLog) {
+			t.Fatalf("leftover %s changed: %q, %v", leftover, data, rerr)
 		}
 	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	if err := MigrateLegacy(path); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		t.Fatalf("after migration, %s is not a directory (err=%v)", path, err)
-	}
-	segs, err := ListSegments(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 1 || segs[0].ID != 1 || !segs[0].Legacy {
-		t.Fatalf("segments = %+v, want one legacy segment id 1", segs)
-	}
-	if got := collectDir(t, path); len(got) != 3 || got[0] != "a" {
-		t.Fatalf("replayed %v, want [a b c]", got)
-	}
-	// Idempotent.
-	if err := MigrateLegacy(path); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("file_at_path", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "events.wal")
+		if err := os.WriteFile(path, legacyLog, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, RefuseLegacy(path), path)
+	})
 
-	// The legacy segment accepts appends (same record codec).
-	tail := segs[0]
-	d, err := OpenDir(path, Options{}, &tail, tail.ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Append(addRec("d")); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := collectDir(t, path); len(got) != 4 || got[3] != "d" {
-		t.Fatalf("replayed %v, want [a b c d]", got)
-	}
-}
+	// The staging file of a migration that crashed after moving the log
+	// aside, with or without the directory it was headed for.
+	t.Run("staging_file", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "events.wal")
+		if err := os.WriteFile(path+".legacy", legacyLog, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, RefuseLegacy(path), path+".legacy")
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, RefuseLegacy(path), path+".legacy")
+	})
 
-// TestMigrateLegacyResumes covers the crash window inside the migration:
-// the file was moved aside but the directory was never populated.
-func TestMigrateLegacyResumes(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "events.wal")
-	log, err := Open(path+".legacy", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Append(addRec("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := MigrateLegacy(path); err != nil {
-		t.Fatal(err)
-	}
-	if got := collectDir(t, path); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("replayed %v, want [a]", got)
-	}
+	// A migrated log: the file became segment 1 of a directory, header and
+	// all. Every reader of segment headers refuses it.
+	t.Run("segment_header", func(t *testing.T) {
+		dir := t.TempDir()
+		seg := filepath.Join(dir, SegmentName(1))
+		if err := os.WriteFile(seg, legacyLog, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := RefuseLegacy(dir); err != nil {
+			t.Fatalf("RefuseLegacy(dir) = %v; segment headers are checked by ListSegments", err)
+		}
+		_, err := ListSegments(dir)
+		refused(t, err, seg)
+		_, err = ReplaySegment(seg, true, func(Record) error { return nil })
+		refused(t, err, seg)
+		var dec StreamDecoder
+		if err := dec.Feed(legacyLog, func(Record) error { return nil }); !errors.Is(err, errors.ErrUnsupported) {
+			t.Fatalf("StreamDecoder.Feed = %v, want errors.ErrUnsupported", err)
+		}
+	})
+
+	t.Run("not_a_log", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := RefuseLegacy(filepath.Join(dir, "absent")); err != nil {
+			t.Fatalf("missing path: %v", err)
+		}
+		if err := RefuseLegacy(dir); err != nil {
+			t.Fatalf("directory: %v", err)
+		}
+		path := filepath.Join(dir, "notes.txt")
+		if err := os.WriteFile(path, []byte("not a wal file"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := RefuseLegacy(path); !errors.Is(err, ErrCorrupt) || errors.Is(err, errors.ErrUnsupported) {
+			t.Fatalf("non-WAL file: got %v, want ErrCorrupt only", err)
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -153,7 +152,6 @@ func ReadChunk(dir string, pos Position, currentSeg uint64, maxBytes int) (Chunk
 type StreamDecoder struct {
 	buf        []byte
 	headerDone bool
-	scratch    []Record
 }
 
 // Reset drops buffered bytes and re-arms header parsing for a new segment.
@@ -177,34 +175,13 @@ func (sd *StreamDecoder) Buffered() int { return len(sd.buf) }
 // Reset it before reuse.
 func (sd *StreamDecoder) Feed(data []byte, fn func(Record) error) error {
 	sd.buf = append(sd.buf, data...)
-	cr := &countingReader{r: bytes.NewReader(sd.buf)}
-	br := bufio.NewReader(cr)
-	var good int64
-	if !sd.headerDone {
-		if _, _, _, err := readSegmentHeader(br); err != nil {
-			if errors.Is(err, errTornTail) {
-				return nil // header still incomplete; keep buffering
-			}
-			return err
-		}
-		sd.headerDone = true
-		good = cr.n - int64(br.Buffered())
+	_, good, err := decodeStream(bytes.NewReader(sd.buf), "stream", !sd.headerDone, true, fn)
+	if err != nil {
+		return err
 	}
-	for {
-		recs, err := readPhysicalRecord(br, sd.scratch[:0], true)
-		if errors.Is(err, io.EOF) || errors.Is(err, errTornTail) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		sd.scratch = recs
-		for _, rec := range recs {
-			if err := fn(rec); err != nil {
-				return err
-			}
-		}
-		good = cr.n - int64(br.Buffered())
+	if good > 0 {
+		// Whatever decoded includes the header, if it was still pending.
+		sd.headerDone = true
 	}
 	sd.buf = sd.buf[:copy(sd.buf, sd.buf[good:])]
 	return nil
@@ -220,40 +197,5 @@ func ReplaySegmentValid(path string, tolerateTorn bool, fn func(Record) error) (
 		return 0, 0, err
 	}
 	defer f.Close()
-	cr := &countingReader{r: f}
-	br := bufio.NewReader(cr)
-	if _, _, _, err := readSegmentHeader(br); err != nil {
-		if errors.Is(err, errTornTail) {
-			if tolerateTorn {
-				return 0, 0, nil
-			}
-			return 0, 0, fmt.Errorf("%w: %s: truncated segment header", ErrCorrupt, path)
-		}
-		return 0, 0, err
-	}
-	validEnd = cr.n - int64(br.Buffered())
-	var scratch []Record
-	for {
-		recs, rerr := readPhysicalRecord(br, scratch[:0], true)
-		if errors.Is(rerr, io.EOF) {
-			return replayed, validEnd, nil
-		}
-		if errors.Is(rerr, errTornTail) {
-			if tolerateTorn {
-				return replayed, validEnd, nil
-			}
-			return replayed, validEnd, fmt.Errorf("%w: %s: torn record in sealed segment", ErrCorrupt, path)
-		}
-		if rerr != nil {
-			return replayed, validEnd, rerr
-		}
-		scratch = recs
-		for _, rec := range recs {
-			if err := fn(rec); err != nil {
-				return replayed, validEnd, err
-			}
-			replayed++
-		}
-		validEnd = cr.n - int64(br.Buffered())
-	}
+	return decodeStream(f, path, true, tolerateTorn, fn)
 }

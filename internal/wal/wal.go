@@ -24,21 +24,18 @@
 //	          adds    uvarint  gross add events coalesced for the key
 //	          removes uvarint  gross remove events coalesced for the key
 //
-// Two containers carry that record stream:
+// The stream lives in a directory of rotating "SWL2" segment files with
+// monotonic ids (Dir; see segment.go), which the checkpoint subsystem
+// (internal/checkpoint) combines with snapshots so recovery replays only the
+// tail written since the last checkpoint. Recovery, log tailing and
+// replication followers all decode it with one decoder (decodeStream). The
+// single-file log that preceded the segment directory is no longer read;
+// RefuseLegacy turns its leftovers away with directions.
 //
-//   - Log is the legacy layout: one unbounded file with an "SWL1" magic
-//     header. Its recovery time and disk footprint grow with the entire
-//     ingest history.
-//   - Dir is the segmented layout (see segment.go): a directory of rotating
-//     "SWL2" segment files with monotonic ids, which the checkpoint subsystem
-//     (internal/checkpoint) combines with snapshots so recovery replays only
-//     the tail written since the last checkpoint. A legacy single-file log is
-//     migrated into the directory layout automatically (MigrateLegacy).
-//
-// Records are buffered and flushed either explicitly (Sync) or every
-// SyncEvery appends. A torn final record — the normal result of a crash mid
-// write — is detected and ignored during replay; everything before it is
-// recovered.
+// Records are buffered until Sync makes them durable; Append and
+// AppendBatch report a Sync as due every SyncEvery records. A torn final
+// record — the normal result of a crash mid write — is detected and ignored
+// during replay; everything before it is recovered.
 package wal
 
 import (
@@ -47,19 +44,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"sprofile/internal/core"
 )
 
-// ErrCorrupt is returned by Replay when the log contains an undecodable
-// record that is not a clean truncation at the tail.
+// ErrCorrupt is returned by the replay paths when a segment contains an
+// undecodable record that is not a clean truncation at the tail.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// ErrClosed is returned by operations on a closed log.
+// ErrClosed is returned by operations on a closed Dir.
 var ErrClosed = errors.New("wal: log is closed")
-
-var fileMagic = [4]byte{'S', 'W', 'L', '1'}
 
 // Record is one durable event: a string object key and an action. Records
 // decoded from a batch frame instead carry the coalesced gross counts: Batch
@@ -80,59 +74,12 @@ type BatchEntry struct {
 	Adds, Removes uint64
 }
 
-// Options configures a Log.
+// Options configures a Dir.
 type Options struct {
-	// SyncEvery flushes and fsyncs after this many appends; zero means only
-	// explicit Sync/Close calls flush to stable storage.
+	// SyncEvery makes Append and AppendBatch report a sync as due after this
+	// many appended records; zero means only explicit Sync/Close calls flush
+	// to stable storage.
 	SyncEvery int
-}
-
-// Log is an append-only write-ahead log backed by a single file in the
-// legacy SWL1 layout. It is not safe for concurrent use; callers serialise
-// access themselves. The HTTP server's concurrent front end holds a small
-// append mutex around Append/Flush (each append runs under the event's
-// stripe lock, keeping per-key log order equal to apply order) and runs the
-// fsync outside all locks via SyncFile, so concurrent batches group-commit
-// on one fsync. Dir implements that append-mutex + group-commit-fsync
-// discipline internally and is what new code should use.
-type Log struct {
-	f        *os.File
-	w        *bufio.Writer
-	opts     Options
-	appended uint64
-	sinceSyn int
-	closed   bool
-}
-
-// Open opens (or creates) the log at path for appending. Existing contents
-// are preserved; call Replay first to rebuild state from them.
-func Open(path string, opts Options) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if info.Size() == 0 {
-		if _, err := f.Write(fileMagic[:]); err != nil {
-			f.Close()
-			return nil, err
-		}
-	} else {
-		var magic [4]byte
-		if _, err := io.ReadFull(f, magic[:]); err != nil || magic != fileMagic {
-			f.Close()
-			return nil, fmt.Errorf("%w: bad file header", ErrCorrupt)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Log{f: f, w: bufio.NewWriter(f), opts: opts}, nil
 }
 
 // MaxKeyLen bounds the key length a record may carry, enforced on BOTH
@@ -148,9 +95,9 @@ const MaxKeyLen = 1 << 20
 var errTornTail = errors.New("wal: torn record at tail")
 
 // validateRecord checks a record against the append-side limits without
-// touching the stream. The segmented Dir validates before writing so that
-// any later appendRecord failure is known to be a real I/O error (the
-// trigger for sticky poisoning), never a rejected input.
+// touching the stream. Dir validates before writing so that any later
+// appendRecord failure is known to be a real I/O error (the trigger for
+// sticky poisoning), never a rejected input.
 func validateRecord(rec Record) error {
 	if rec.Key == "" {
 		return errors.New("wal: empty key")
@@ -164,12 +111,9 @@ func validateRecord(rec Record) error {
 	return nil
 }
 
-// appendRecord encodes one record into w, returning the encoded byte count.
-// Shared by the legacy Log and the segmented Dir.
+// appendRecord encodes one record, already validated by validateRecord,
+// into w, returning the encoded byte count.
 func appendRecord(w *bufio.Writer, rec Record) (int, error) {
-	if err := validateRecord(rec); err != nil {
-		return 0, err
-	}
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], uint64(len(rec.Key)))
 	if _, err := w.Write(buf[:n]); err != nil {
@@ -226,14 +170,7 @@ func readKeyTorn(br *bufio.Reader, keyLen uint64) (string, error) {
 // errTornTail and no Records. io.EOF marks a clean end of the stream,
 // errTornTail a record cut short by a crash; any other failure wraps
 // ErrCorrupt.
-//
-// allowBatch says whether the stream may carry batch framing. It is false
-// only for a standalone legacy SWL1 file (Replay): no writer ever appends
-// batch records there, so a zero keyLen keeps its historical meaning of
-// corruption instead of decoding garbage as a phantom batch. A legacy file
-// migrated into a segment directory does accept batch appends, so the
-// segment paths always allow them.
-func readPhysicalRecord(br *bufio.Reader, scratch []Record, allowBatch bool) ([]Record, error) {
+func readPhysicalRecord(br *bufio.Reader, scratch []Record) ([]Record, error) {
 	first, err := binary.ReadUvarint(br)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
@@ -247,9 +184,6 @@ func readPhysicalRecord(br *bufio.Reader, scratch []Record, allowBatch bool) ([]
 	}
 	scratch = scratch[:0]
 	if first == 0 {
-		if !allowBatch {
-			return nil, fmt.Errorf("%w: key length 0", ErrCorrupt)
-		}
 		count, err := readUvarintTorn(br)
 		if err != nil {
 			return nil, err
@@ -304,9 +238,72 @@ func readPhysicalRecord(br *bufio.Reader, scratch []Record, allowBatch bool) ([]
 	return append(scratch, Record{Key: key, Action: action}), nil
 }
 
+// countingReader counts the bytes its wrapped reader hands out, so a bufio
+// consumer can compute how far into the stream the decoded prefix reaches.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// decodeStream is the one decoder of the log: replay, the append head's
+// tail scan, salvage and the replication StreamDecoder all run it. It reads
+// a segment header first when header is set, then every physical record of
+// r, calling fn for each decoded record. It returns how many records it
+// passed to fn and validEnd, the offset just past the last complete physical
+// record (or past the header when no record is complete; 0 when the header
+// itself is incomplete). A torn header or final record ends the stream
+// cleanly when tolerateTorn is set and fails with ErrCorrupt otherwise.
+// Decoding errors carry name; an error from fn is returned as is.
+func decodeStream(r io.Reader, name string, header, tolerateTorn bool, fn func(Record) error) (n int, validEnd int64, err error) {
+	cr := &countingReader{r: r}
+	br := bufio.NewReader(cr)
+	if header {
+		if _, _, err := readSegmentHeader(br); err != nil {
+			if !errors.Is(err, errTornTail) {
+				return 0, 0, fmt.Errorf("%s: %w", name, err)
+			}
+			if tolerateTorn {
+				return 0, 0, nil
+			}
+			return 0, 0, fmt.Errorf("%w: %s: truncated segment header", ErrCorrupt, name)
+		}
+		validEnd = cr.n - int64(br.Buffered())
+	}
+	var scratch []Record
+	for {
+		recs, err := readPhysicalRecord(br, scratch)
+		if errors.Is(err, io.EOF) {
+			return n, validEnd, nil
+		}
+		if errors.Is(err, errTornTail) {
+			if tolerateTorn {
+				return n, validEnd, nil
+			}
+			return n, validEnd, fmt.Errorf("%w: %s: torn record in sealed segment", ErrCorrupt, name)
+		}
+		if err != nil {
+			return n, validEnd, fmt.Errorf("%s: %w", name, err)
+		}
+		scratch = recs
+		for _, rec := range recs {
+			if err := fn(rec); err != nil {
+				return n, validEnd, err
+			}
+			n++
+		}
+		validEnd = cr.n - int64(br.Buffered())
+	}
+}
+
 // validateBatch checks every entry of a batch against the append-side
-// limits without touching the stream; see validateRecord for why the
-// segmented Dir runs it before encoding.
+// limits without touching the stream; see validateRecord for why Dir runs
+// it before encoding.
 func validateBatch(entries []BatchEntry) error {
 	for i := range entries {
 		if entries[i].Key == "" {
@@ -323,17 +320,10 @@ func validateBatch(entries []BatchEntry) error {
 }
 
 // appendBatchRecord encodes a whole coalesced batch as one physical record,
-// returning the encoded byte count. Entries are validated before the first
-// byte is written, so a rejected batch leaves the stream clean. The caller
-// (Dir.AppendBatch) splits batches over maxBatchEntries; the check here is
-// the write-side mirror of the read-side corruption bound.
+// returning the encoded byte count. The caller (Dir.AppendBatch) has
+// validated the entries and split batches over maxBatchEntries, so every
+// record written here is one the read side accepts.
 func appendBatchRecord(w *bufio.Writer, entries []BatchEntry) (int, error) {
-	if len(entries) > maxBatchEntries {
-		return 0, fmt.Errorf("wal: batch of %d entries exceeds the %d-entry record limit", len(entries), maxBatchEntries)
-	}
-	if err := validateBatch(entries); err != nil {
-		return 0, err
-	}
 	var buf [binary.MaxVarintLen64]byte
 	total := 0
 	writeUvarint := func(v uint64) error {
@@ -365,117 +355,4 @@ func appendBatchRecord(w *bufio.Writer, entries []BatchEntry) (int, error) {
 		}
 	}
 	return total, nil
-}
-
-// Append adds one record to the log.
-func (l *Log) Append(rec Record) error {
-	if l.closed {
-		return ErrClosed
-	}
-	if _, err := appendRecord(l.w, rec); err != nil {
-		return err
-	}
-	l.appended++
-	l.sinceSyn++
-	if l.opts.SyncEvery > 0 && l.sinceSyn >= l.opts.SyncEvery {
-		return l.Sync()
-	}
-	return nil
-}
-
-// Appended returns the number of records appended through this Log handle.
-func (l *Log) Appended() uint64 { return l.appended }
-
-// Sync flushes buffered records and fsyncs the file.
-func (l *Log) Sync() error {
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	l.sinceSyn = 0
-	return l.f.Sync()
-}
-
-// Flush hands buffered records to the operating system without forcing them
-// to stable storage. Pair with SyncFile to persist them.
-func (l *Log) Flush() error {
-	if l.closed {
-		return ErrClosed
-	}
-	return l.w.Flush()
-}
-
-// SyncFile fsyncs the underlying file without touching the record buffer: it
-// persists exactly what earlier Flush calls handed to the OS. Unlike the
-// other methods it may run concurrently with Append and Flush (the kernel
-// serialises the fd operations); callers must still serialise SyncFile with
-// Close. This split lets a concurrent front end keep appending under its own
-// lock while a completed batch fsyncs outside it.
-func (l *Log) SyncFile() error {
-	if l.closed {
-		return ErrClosed
-	}
-	return l.f.Sync()
-}
-
-// Close flushes, fsyncs and closes the log file.
-func (l *Log) Close() error {
-	if l.closed {
-		return nil
-	}
-	if err := l.Sync(); err != nil {
-		l.closed = true
-		l.f.Close()
-		return err
-	}
-	l.closed = true
-	return l.f.Close()
-}
-
-// Replay reads every record of the log at path, invoking fn for each. A
-// truncated final record (crash mid append) stops the replay cleanly; any
-// other malformed data returns ErrCorrupt. It returns the number of records
-// replayed. A missing file replays zero records.
-func Replay(path string, fn func(Record) error) (int, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-
-	br := bufio.NewReader(f)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, fmt.Errorf("%w: missing file header", ErrCorrupt)
-		}
-		return 0, err
-	}
-	if magic != fileMagic {
-		return 0, fmt.Errorf("%w: bad file header", ErrCorrupt)
-	}
-
-	replayed := 0
-	var scratch []Record
-	for {
-		recs, err := readPhysicalRecord(br, scratch, false)
-		if errors.Is(err, io.EOF) || errors.Is(err, errTornTail) {
-			return replayed, nil
-		}
-		if err != nil {
-			return replayed, err
-		}
-		scratch = recs
-		for _, rec := range recs {
-			if err := fn(rec); err != nil {
-				return replayed, err
-			}
-			replayed++
-		}
-	}
 }

@@ -9,45 +9,66 @@ import (
 	"sprofile/internal/core"
 )
 
-func tempLogPath(t *testing.T) string {
+// segmentPath returns the file of segment id in dir.
+func segmentPath(dir string, id uint64) string { return filepath.Join(dir, SegmentName(id)) }
+
+// replaySegmentRecords replays one segment, tolerating a torn tail, and
+// returns its records.
+func replaySegmentRecords(t *testing.T, path string) []Record {
 	t.Helper()
-	return filepath.Join(t.TempDir(), "events.wal")
+	var recs []Record
+	if _, err := ReplaySegment(path, true, func(r Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		t.Fatalf("ReplaySegment(%s): %v", path, err)
+	}
+	return recs
 }
 
-func TestAppendAndReplay(t *testing.T) {
-	path := tempLogPath(t)
-	l, err := Open(path, Options{})
+// mustAppend appends single-event records to d.
+func mustAppend(t testing.TB, d *Dir, recs ...Record) {
+	t.Helper()
+	for _, r := range recs {
+		if _, err := d.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// appendRaw appends bytes to a file behind the writer's back, the way a
+// crash mid write or a damaged disk leaves them.
+func appendRaw(t *testing.T, path string, data []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAppendAndReplay(t *testing.T) {
+	d, dir := openTestDir(t, Options{})
 	records := []Record{
 		{Key: "video-1", Action: core.ActionAdd},
 		{Key: "video-1", Action: core.ActionAdd},
 		{Key: "user:alice", Action: core.ActionRemove},
 		{Key: "video-2", Action: core.ActionAdd},
 	}
-	for _, r := range records {
-		if err := l.Append(r); err != nil {
-			t.Fatal(err)
-		}
+	mustAppend(t, d, records...)
+	if d.Appended() != uint64(len(records)) {
+		t.Fatalf("Appended() = %d", d.Appended())
 	}
-	if l.Appended() != uint64(len(records)) {
-		t.Fatalf("Appended() = %d", l.Appended())
-	}
-	if err := l.Close(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	var replayed []Record
-	n, err := Replay(path, func(r Record) error {
-		replayed = append(replayed, r)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(records) || len(replayed) != len(records) {
-		t.Fatalf("replayed %d records, want %d", n, len(records))
+	replayed := replaySegmentRecords(t, segmentPath(dir, 1))
+	if len(replayed) != len(records) {
+		t.Fatalf("replayed %d records, want %d", len(replayed), len(records))
 	}
 	for i := range records {
 		if replayed[i] != records[i] {
@@ -56,217 +77,166 @@ func TestAppendAndReplay(t *testing.T) {
 	}
 }
 
-func TestReplayMissingFile(t *testing.T) {
-	n, err := Replay(filepath.Join(t.TempDir(), "absent.wal"), func(Record) error { return nil })
-	if err != nil || n != 0 {
-		t.Fatalf("Replay of missing file = %d, %v", n, err)
-	}
-}
-
 func TestAppendValidation(t *testing.T) {
-	l, err := Open(tempLogPath(t), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.Append(Record{Key: "", Action: core.ActionAdd}); err == nil {
+	d, _ := openTestDir(t, Options{})
+	defer d.Close()
+	if _, err := d.Append(Record{Key: "", Action: core.ActionAdd}); err == nil {
 		t.Fatalf("accepted empty key")
 	}
-	if err := l.Append(Record{Key: "x", Action: 0}); err == nil {
+	if _, err := d.Append(Record{Key: "x", Action: 0}); err == nil {
 		t.Fatalf("accepted invalid action")
 	}
 }
 
 func TestClosedLogRejectsOperations(t *testing.T) {
-	l, err := Open(tempLogPath(t), Options{})
-	if err != nil {
+	d, _ := openTestDir(t, Options{})
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(Record{Key: "x", Action: core.ActionAdd}); !errors.Is(err, ErrClosed) {
+	if _, err := d.Append(Record{Key: "x", Action: core.ActionAdd}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append on closed log: %v", err)
 	}
-	if err := l.Sync(); !errors.Is(err, ErrClosed) {
+	if _, err := d.AppendBatch([]BatchEntry{{Key: "x", Adds: 1}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("AppendBatch on closed log: %v", err)
+	}
+	if err := d.Sync(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Sync on closed log: %v", err)
 	}
+	if _, err := d.Rotate(1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Rotate on closed log: %v", err)
+	}
 	// Closing twice is fine.
-	if err := l.Close(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
 }
 
-func TestReopenAppendsAfterExistingRecords(t *testing.T) {
-	path := tempLogPath(t)
-	l, _ := Open(path, Options{})
-	l.Append(Record{Key: "a", Action: core.ActionAdd})
-	l.Close()
-
-	l2, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2.Append(Record{Key: "b", Action: core.ActionRemove})
-	l2.Close()
-
-	var keys []string
-	n, err := Replay(path, func(r Record) error {
-		keys = append(keys, r.Key)
-		return nil
-	})
-	if err != nil || n != 2 {
-		t.Fatalf("replayed %d, %v", n, err)
-	}
-	if keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("keys = %v", keys)
-	}
-}
-
 func TestTornTailIsIgnored(t *testing.T) {
-	path := tempLogPath(t)
-	l, _ := Open(path, Options{})
-	l.Append(Record{Key: "complete-1", Action: core.ActionAdd})
-	l.Append(Record{Key: "complete-2", Action: core.ActionRemove})
-	l.Close()
-
-	// Simulate a crash mid write: append a record manually and cut it short.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
+	d, dir := openTestDir(t, Options{})
+	mustAppend(t, d, Record{Key: "complete-1", Action: core.ActionAdd}, Record{Key: "complete-2", Action: core.ActionRemove})
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// keyLen=10 but only 3 bytes of key follow, and no action byte.
-	if _, err := f.Write([]byte{10, 'c', 'u', 't'}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	// Simulate a crash mid write: keyLen=10 but only 3 bytes of key follow,
+	// and no action byte.
+	path := segmentPath(dir, 1)
+	appendRaw(t, path, []byte{10, 'c', 'u', 't'})
 
-	var keys []string
-	n, err := Replay(path, func(r Record) error {
-		keys = append(keys, r.Key)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("torn tail treated as corruption: %v", err)
-	}
-	if n != 2 || keys[0] != "complete-1" || keys[1] != "complete-2" {
-		t.Fatalf("replayed %d records %v", n, keys)
+	recs := replaySegmentRecords(t, path)
+	if len(recs) != 2 || recs[0].Key != "complete-1" || recs[1].Key != "complete-2" {
+		t.Fatalf("replayed %+v", recs)
 	}
 }
 
 func TestCorruptHeaderAndRecords(t *testing.T) {
 	dir := t.TempDir()
+	replay := func(path string) (int, error) {
+		return ReplaySegment(path, false, func(Record) error { return nil })
+	}
 
-	badHeader := filepath.Join(dir, "badheader.wal")
-	os.WriteFile(badHeader, []byte("NOPE"), 0o644)
-	if _, err := Replay(badHeader, func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	badHeader := filepath.Join(dir, "badheader.seg")
+	if err := os.WriteFile(badHeader, []byte("NOPE"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := replay(badHeader); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad header error %v", err)
 	}
 
-	truncatedHeader := filepath.Join(dir, "short.wal")
-	os.WriteFile(truncatedHeader, []byte("SW"), 0o644)
-	if _, err := Replay(truncatedHeader, func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	// A sealed segment whose header is cut short is corruption.
+	truncatedHeader := filepath.Join(dir, "short.seg")
+	if err := os.WriteFile(truncatedHeader, []byte("SW"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := replay(truncatedHeader); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short header error %v", err)
 	}
 
 	// A record with an absurd key length in the middle is corruption, not a
-	// clean truncation.
-	badRecord := filepath.Join(dir, "badrecord.wal")
-	l, _ := Open(badRecord, Options{})
-	l.Append(Record{Key: "fine", Action: core.ActionAdd})
-	l.Close()
-	f, _ := os.OpenFile(badRecord, os.O_APPEND|os.O_WRONLY, 0o644)
-	// keyLen uvarint far beyond maxKeyLen.
-	f.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
-	f.Close()
-	n, err := Replay(badRecord, func(Record) error { return nil })
+	// clean truncation — even in the tail segment, where a torn record is
+	// tolerated.
+	d, logDir := openTestDir(t, Options{})
+	mustAppend(t, d, Record{Key: "fine", Action: core.ActionAdd})
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	badRecord := segmentPath(logDir, 1)
+	// keyLen uvarint far beyond MaxKeyLen.
+	appendRaw(t, badRecord, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
+	n, err := ReplaySegment(badRecord, true, func(Record) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("absurd key length error %v", err)
 	}
 	if n != 1 {
 		t.Fatalf("replayed %d records before corruption, want 1", n)
 	}
-
-	// A standalone legacy file can never legitimately contain batch framing
-	// (no writer appends batches to one), so a zero keyLen keeps its
-	// historical meaning there: corruption, not a phantom batch — even when
-	// the following bytes would decode as a well-formed batch record.
-	legacyBatch := filepath.Join(dir, "legacybatch.wal")
-	l, _ = Open(legacyBatch, Options{})
-	l.Append(Record{Key: "fine", Action: core.ActionAdd})
-	l.Close()
-	f, _ = os.OpenFile(legacyBatch, os.O_APPEND|os.O_WRONLY, 0o644)
-	// batch marker, 1 entry: ("x", 3 adds, 0 removes).
-	f.Write([]byte{0, 1, 1, 'x', 3, 0})
-	f.Close()
-	n, err = Replay(legacyBatch, func(Record) error { return nil })
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("batch framing in a legacy file: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("replayed %d records before the corrupt marker, want 1", n)
-	}
 }
 
 func TestReplayCallbackErrorStops(t *testing.T) {
-	path := tempLogPath(t)
-	l, _ := Open(path, Options{})
-	l.Append(Record{Key: "a", Action: core.ActionAdd})
-	l.Append(Record{Key: "b", Action: core.ActionAdd})
-	l.Close()
+	d, dir := openTestDir(t, Options{})
+	mustAppend(t, d, Record{Key: "a", Action: core.ActionAdd}, Record{Key: "b", Action: core.ActionAdd})
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	sentinel := errors.New("stop")
-	n, err := Replay(path, func(r Record) error {
+	n, err := ReplaySegment(segmentPath(dir, 1), true, func(r Record) error {
 		if r.Key == "b" {
 			return sentinel
 		}
 		return nil
 	})
 	if !errors.Is(err, sentinel) || n != 1 {
-		t.Fatalf("Replay = %d, %v", n, err)
+		t.Fatalf("ReplaySegment = %d, %v", n, err)
 	}
 }
 
 func TestSyncEvery(t *testing.T) {
-	path := tempLogPath(t)
-	l, err := Open(path, Options{SyncEvery: 2})
-	if err != nil {
+	d, dir := openTestDir(t, Options{SyncEvery: 2})
+	// The second append crosses the threshold and asks its caller to Sync;
+	// after that Sync a crash (no Close) must still leave both records
+	// durable on disk.
+	due, err := d.Append(Record{Key: "a", Action: core.ActionAdd})
+	if err != nil || due {
+		t.Fatalf("first append: due=%v err=%v", due, err)
+	}
+	due, err = d.Append(Record{Key: "b", Action: core.ActionAdd})
+	if err != nil || !due {
+		t.Fatalf("second append: due=%v err=%v", due, err)
+	}
+	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Two appends trigger an automatic sync; a crash (no Close) must still
-	// leave both records durable on disk.
-	l.Append(Record{Key: "a", Action: core.ActionAdd})
-	l.Append(Record{Key: "b", Action: core.ActionAdd})
-	// Do not close; replay from the same path.
-	n, err := Replay(path, func(Record) error { return nil })
-	if err != nil || n != 2 {
-		t.Fatalf("replayed %d, %v after auto-sync", n, err)
+	// Do not close; replay from the same file.
+	if recs := replaySegmentRecords(t, segmentPath(dir, 1)); len(recs) != 2 {
+		t.Fatalf("replayed %d records after the due sync, want 2", len(recs))
 	}
-	l.Close()
+	d.Close()
 }
 
 func TestReplayRebuildsProfileState(t *testing.T) {
-	path := tempLogPath(t)
-	l, _ := Open(path, Options{})
-	events := []Record{
-		{Key: "x", Action: core.ActionAdd},
-		{Key: "x", Action: core.ActionAdd},
-		{Key: "y", Action: core.ActionAdd},
-		{Key: "x", Action: core.ActionRemove},
-	}
-	for _, e := range events {
-		l.Append(e)
-	}
-	l.Close()
-
-	counts := map[string]int{}
-	if _, err := Replay(path, func(r Record) error {
-		counts[r.Key] += int(r.Action)
-		return nil
-	}); err != nil {
+	d, dir := openTestDir(t, Options{})
+	mustAppend(t, d,
+		Record{Key: "x", Action: core.ActionAdd},
+		Record{Key: "x", Action: core.ActionAdd},
+		Record{Key: "y", Action: core.ActionAdd},
+		Record{Key: "x", Action: core.ActionRemove},
+	)
+	if _, err := d.AppendBatch([]BatchEntry{{Key: "y", Adds: 3, Removes: 1}, {Key: "z", Adds: 2, Removes: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if counts["x"] != 1 || counts["y"] != 1 {
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	counts := map[string]int64{}
+	for _, r := range replaySegmentRecords(t, segmentPath(dir, 1)) {
+		if r.Batch {
+			counts[r.Key] += int64(r.Adds) - int64(r.Removes)
+		} else {
+			counts[r.Key] += int64(r.Action)
+		}
+	}
+	if counts["x"] != 1 || counts["y"] != 3 || counts["z"] != 0 {
 		t.Fatalf("rebuilt counts = %v", counts)
 	}
 }

@@ -3,6 +3,7 @@ package sprofile_test
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -311,12 +312,15 @@ func TestBuildKeyedWALReplayWithEviction(t *testing.T) {
 	}
 	for round := 0; round < 20; round++ {
 		path := filepath.Join(dir, fmt.Sprintf("evict-%d.wal", round))
-		log, err := wal.Open(path, wal.Options{})
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		log, err := wal.OpenDir(path, wal.Options{}, nil, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, rec := range records {
-			if err := log.Append(rec); err != nil {
+			if _, err := log.Append(rec); err != nil {
 				t.Fatal(err)
 			}
 		}

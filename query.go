@@ -165,14 +165,16 @@ func QueryProfiler(p Profiler, q Query) (QueryResult, error) {
 // every update with ErrReadOnly. Keyed.Profile and KeyedConcurrent.Profile
 // return one, so the dense profile backing a keyed mapping can be inspected
 // (rank lookups, snapshots, composite queries) but not driven out of sync
-// with the key table. Snapshotter and Querier capabilities of the underlying
-// profiler pass through.
+// with the key table. Every statistic of the Reader contract (Count, Mode,
+// TopK, ..., Total) comes straight from the wrapped profile, and its
+// Snapshotter and Querier capabilities pass through.
 type ReadOnlyProfiler struct {
-	p Profiler
+	reader // the wrapped profile, answering every statistic
+	p      Profiler
 }
 
 // NewReadOnly wraps p in a read-only view.
-func NewReadOnly(p Profiler) *ReadOnlyProfiler { return &ReadOnlyProfiler{p: p} }
+func NewReadOnly(p Profiler) *ReadOnlyProfiler { return &ReadOnlyProfiler{reader: p, p: p} }
 
 // Unwrap returns the underlying writable profiler. It is the explicit escape
 // hatch for callers that genuinely need to mutate (and accept the
@@ -190,48 +192,6 @@ func (r *ReadOnlyProfiler) Apply(t Tuple) error { return ErrReadOnly }
 
 // ApplyAll refuses the update with ErrReadOnly.
 func (r *ReadOnlyProfiler) ApplyAll(tuples []Tuple) (int, error) { return 0, ErrReadOnly }
-
-// Count returns the current frequency of object x.
-func (r *ReadOnlyProfiler) Count(x int) (int64, error) { return r.p.Count(x) }
-
-// Mode returns an object with maximum frequency, that frequency, and how
-// many objects share it.
-func (r *ReadOnlyProfiler) Mode() (Entry, int, error) { return r.p.Mode() }
-
-// Min returns an object with minimum frequency, that frequency, and how many
-// objects share it.
-func (r *ReadOnlyProfiler) Min() (Entry, int, error) { return r.p.Min() }
-
-// TopK returns the k most frequent entries.
-func (r *ReadOnlyProfiler) TopK(k int) []Entry { return r.p.TopK(k) }
-
-// BottomK returns the k least frequent entries.
-func (r *ReadOnlyProfiler) BottomK(k int) []Entry { return r.p.BottomK(k) }
-
-// KthLargest returns the entry holding the k-th largest frequency.
-func (r *ReadOnlyProfiler) KthLargest(k int) (Entry, error) { return r.p.KthLargest(k) }
-
-// Median returns the lower-median entry of the frequency multiset.
-func (r *ReadOnlyProfiler) Median() (Entry, error) { return r.p.Median() }
-
-// Quantile returns the entry at quantile q in [0, 1].
-func (r *ReadOnlyProfiler) Quantile(q float64) (Entry, error) { return r.p.Quantile(q) }
-
-// Majority returns the object holding a strict majority of the total count,
-// if one exists.
-func (r *ReadOnlyProfiler) Majority() (Entry, bool, error) { return r.p.Majority() }
-
-// Distribution returns the frequency histogram.
-func (r *ReadOnlyProfiler) Distribution() []FreqCount { return r.p.Distribution() }
-
-// Summarize returns aggregate statistics of the profile.
-func (r *ReadOnlyProfiler) Summarize() Summary { return r.p.Summarize() }
-
-// Cap returns the number of object slots.
-func (r *ReadOnlyProfiler) Cap() int { return r.p.Cap() }
-
-// Total returns the sum of all frequencies.
-func (r *ReadOnlyProfiler) Total() int64 { return r.p.Total() }
 
 // Query answers a composite query through the underlying profiler's own
 // cut-pinning (see QueryProfiler).
