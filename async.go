@@ -9,24 +9,23 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sprofile/internal/core"
 	"sprofile/internal/mailbox"
 )
 
-// This file is the shared-nothing async ingest plane. The synchronous
-// variants make every producer pay a lock on the hot path (a stripe mutex, a
-// shard mutex, the Durable update mutex); the async plane removes all of
-// them from the producer's side of the fence:
+// This file is the shared-nothing async ingest plane behind AsyncKeyed. The
+// synchronous KeyedConcurrent makes every producer take a stripe mutex and
+// a shard mutex on the hot path; the async plane removes both from the
+// producer's side of the fence:
 //
-//	producer goroutines ──SPSC mailboxes──▶ per-shard appliers ──▶ shards
+//	producer goroutines ──SPSC mailboxes──▶ per-stripe appliers ──▶ shards
 //	                                              │
 //	                                              └─▶ epoch snapshots ◀── readers
 //
 //   - each producer handle owns one single-producer/single-consumer ring
-//     (internal/mailbox) per shard, so an enqueue is a bounds check plus a
+//     (internal/mailbox) per stripe, so an enqueue is a bounds check plus a
 //     lock-free ring push — no shared mutable state with other producers;
-//   - exactly one applier goroutine drains each shard's rings in batches and
-//     runs the existing Coalescer/ApplyDeltas path, so coalescing, the
+//   - exactly one applier goroutine drains each stripe's rings in batches and
+//     runs KeyedConcurrent.ApplyBatch, so coalescing, the
 //     one-WAL-record-per-batch layout and group-commit fsync of the
 //     synchronous bulk path are inherited, not reimplemented;
 //   - appliers publish immutable per-shard snapshots on a configurable
@@ -35,13 +34,9 @@ import (
 //     Reads load the current epoch view and never touch a writer lock.
 //
 // The read contract is bounded staleness, the same vocabulary as the
-// replication plane's staleness_ms watermark: a read observes some epoch
-// whose publish instant lags the ingest frontier by at most roughly
-// PublishInterval (plus in-flight mailbox residence). Read-your-write is NOT
-// guaranteed between an enqueue and the next publish; Flush() restores it by
-// draining every mailbox and forcing a publish before returning.
+// replication plane's staleness_ms watermark; AsyncKeyed states it in full.
 
-// BackpressureMode says what a producer does when a shard mailbox is full.
+// BackpressureMode says what a producer does when a stripe mailbox is full.
 type BackpressureMode int
 
 const (
@@ -73,11 +68,16 @@ const (
 	DefaultPublishInterval = 2 * time.Millisecond
 )
 
-// AsyncPolicy configures the async ingest plane a profile is wrapped with
-// through WithAsyncIngest, NewAsync or NewAsyncKeyed. The zero value means
-// "all defaults".
+// AsyncPolicy configures the async ingest plane NewAsyncKeyed and
+// BuildKeyedAsync wrap a keyed profile with. The zero value means "all
+// defaults". Its fields set the two halves of the AsyncKeyed contract:
+// PublishInterval (with PublishEvents) bounds how stale a read may be, and
+// MailboxDepth with Backpressure decide what an enqueue does when the
+// appliers fall behind. Neither changes what is applied: an accepted event
+// is applied as KeyedConcurrent.ApplyBatch applies it, its stream-dependent
+// error is deferred to the next Flush, and Flush and Close wait for it.
 type AsyncPolicy struct {
-	// MailboxDepth is the per-producer, per-shard ring capacity in events,
+	// MailboxDepth is the per-producer, per-stripe ring capacity in events,
 	// rounded up to a power of two. Deeper mailboxes absorb burstier
 	// producers before backpressure; shallower ones bound enqueue-to-apply
 	// latency. Default DefaultMailboxDepth.
@@ -145,13 +145,6 @@ type AsyncStats struct {
 	PerShard []AsyncShardStats `json:"per_shard,omitempty"`
 }
 
-// queryableProfiler is what an epoch view must answer: the full read surface
-// plus composite queries. Both *core.Profile and *Sharded satisfy it.
-type queryableProfiler interface {
-	Profiler
-	Querier
-}
-
 // asyncRing pairs one producer×shard mailbox with the applier-side applied
 // counter Flush compares against the ring's pushed counter.
 type asyncRing[T any] struct {
@@ -206,26 +199,21 @@ type ringFill[T any] struct {
 	n int
 }
 
-// asyncPlane is the generic machinery shared by the dense Async and the
-// keyed AsyncKeyed: rings, appliers, publish cadence, backpressure, flush
-// and deferred-error bookkeeping. T is the event type (Tuple, KeyedTuple).
+// asyncPlane is the machinery under AsyncKeyed: rings, appliers, publish
+// cadence, backpressure, flush and deferred-error bookkeeping. T is the
+// event type, a KeyedTuple.
 type asyncPlane[T any] struct {
 	policy AsyncPolicy
 
-	// apply ingests one drained batch, all routed to shard; it runs on that
-	// shard's applier goroutine.
-	apply func(shard int, items []T) error
+	// apply ingests one drained batch, all routed to one stripe; it runs on
+	// that stripe's applier goroutine.
+	apply func(items []T) error
 	// publishShard captures shard's snapshot and installs the new epoch
 	// view; always called under publishMu.
 	publishShard func(shard int)
-	// crossShard says an apply on shard i may mutate other shards too (the
-	// keyed plane: stripe-local id eviction can borrow a dense id from a
-	// neighbouring shard's range), so every applier's version advances on
-	// every batch and Flush's publish barrier republishes every shard.
-	crossShard bool
 	// clearScratch is set when T holds pointers: drained batches must then
 	// be zeroed after the apply so the scratch buffer does not pin key
-	// strings. Pointer-free event types (dense tuples) skip the pass.
+	// strings. Pointer-free event types (integer keys) skip the pass.
 	clearScratch bool
 
 	appliers []*asyncApplier[T]
@@ -259,12 +247,11 @@ type asyncPlane[T any] struct {
 }
 
 func newAsyncPlane[T any](nshards int, policy AsyncPolicy,
-	apply func(shard int, items []T) error, publishShard func(shard int), crossShard bool) *asyncPlane[T] {
+	apply func(items []T) error, publishShard func(shard int)) *asyncPlane[T] {
 	pl := &asyncPlane[T]{
 		policy:       policy.withDefaults(),
 		apply:        apply,
 		publishShard: publishShard,
-		crossShard:   crossShard,
 		clearScratch: mailbox.HoldsPointers[T](),
 		stop:         make(chan struct{}),
 	}
@@ -326,12 +313,12 @@ func (a *asyncApplier[T]) nudge() {
 	}
 }
 
-// bumpVersions marks the shards this batch may have dirtied.
+// bumpVersions marks every shard dirty after a batch. An apply on stripe i
+// may mutate other shards too: a stripe whose dense-id range is exhausted
+// borrows ids from a neighbouring shard's range. So every applier's version
+// advances on every batch, and Flush's publish barrier republishes every
+// shard.
 func (a *asyncApplier[T]) bumpVersions() {
-	if !a.plane.crossShard {
-		a.version.Add(1)
-		return
-	}
 	for _, other := range a.plane.appliers {
 		other.version.Add(1)
 	}
@@ -363,7 +350,7 @@ func (a *asyncApplier[T]) drain() int {
 		if fill == 0 {
 			break
 		}
-		if err := a.plane.apply(a.shard, a.scratch[:fill]); err != nil {
+		if err := a.plane.apply(a.scratch[:fill]); err != nil {
 			a.plane.recordErr(err)
 		}
 		if a.plane.clearScratch {
@@ -724,361 +711,4 @@ func (pl *asyncPlane[T]) stats() AsyncStats {
 		st.PerShard[i] = ss
 	}
 	return st
-}
-
-// Async wraps a dense-id profiler with the async ingest plane: updates are
-// enqueued to per-shard SPSC mailboxes and applied by one goroutine per
-// shard through the coalescing delta path; reads are answered from
-// epoch-published immutable snapshots and never block on (or behind) writer
-// locks. Build assembles one with WithAsyncIngest; NewAsync wraps an
-// existing profiler.
-//
-// Semantics vs the synchronous variants, all documented consequences of the
-// decoupling:
-//
-//   - Bounded staleness instead of read-your-write: a read reflects every
-//     event up to some publish epoch at most ~PublishInterval behind the
-//     applied frontier. Flush() drains and republishes, restoring
-//     read-your-write for code (and tests) that needs exactness.
-//   - Argument errors stay synchronous: Add/Remove/Apply/ApplyAll validate
-//     object range and action at enqueue, exactly like the synchronous
-//     path. Stream-dependent errors (a strict-mode violation) surface on
-//     the next Flush (or Close) instead of at the failing call; the failing
-//     event's drained batch is cut short at the error, mirroring the delta
-//     path's first-error semantics.
-//   - Concurrency: Async is safe for any number of producer and reader
-//     goroutines. Update calls on Async itself rent a producer handle from
-//     an internal pool; hot producers should hold their own handle
-//     (Producer) for strict per-producer ordering and zero pool traffic.
-type Async struct {
-	inner Profiler
-	// sharded is the routing/snapshot geometry when the (possibly
-	// Durable-wrapped) inner profile is sharded; nil means one shard.
-	sharded *Sharded
-	snapper Snapshotter
-	m       int
-
-	plane *asyncPlane[Tuple]
-	// snaps holds the newest per-shard snapshot; guarded by plane.publishMu.
-	snaps []*core.Profile
-	view  atomic.Pointer[queryableProfiler]
-
-	// coalescers is the per-applier coalescing scratch (index = shard).
-	coalescers []*Coalescer
-
-	// pool recycles producer handles for the direct Updater methods.
-	pool chan *AsyncProducer
-}
-
-// NewAsync wraps inner — any profiler with the DeltaUpdater and Snapshotter
-// capabilities, including a *Durable over one — with the async ingest plane
-// described on Async. The wrapped profiler must no longer be updated
-// directly; queries on it remain safe but see only applied (not yet
-// enqueued) state.
-func NewAsync(inner Profiler, policy AsyncPolicy) (*Async, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("%w: nil profiler", ErrBuildConfig)
-	}
-	if _, ok := inner.(DeltaUpdater); !ok {
-		return nil, fmt.Errorf("%w: async ingest needs the DeltaUpdater capability; %T (a window adapter?) cannot apply coalesced batches", ErrBuildConfig, inner)
-	}
-	base := inner
-	if d, ok := inner.(*Durable); ok {
-		base = d.Unwrap()
-	}
-	a := &Async{inner: inner, m: inner.Cap()}
-	nshards := 1
-	if sh, ok := base.(*Sharded); ok {
-		a.sharded = sh
-		nshards = sh.Shards()
-	} else if sn, ok := base.(Snapshotter); ok {
-		a.snapper = sn
-	} else {
-		return nil, fmt.Errorf("%w: async ingest needs a Snapshotter to publish read snapshots; %T has none", ErrBuildConfig, base)
-	}
-
-	a.plane = newAsyncPlane[Tuple](nshards, policy, a.applyBatch, a.publishShard, false)
-	a.coalescers = make([]*Coalescer, nshards)
-	for i := range a.coalescers {
-		c, err := NewCoalescer(a.m)
-		if err != nil {
-			return nil, err
-		}
-		a.coalescers[i] = c
-	}
-	a.snaps = make([]*core.Profile, nshards)
-	// Publish the initial epoch so reads work before the first event.
-	a.plane.publishMu.Lock()
-	for i := 0; i < nshards; i++ {
-		a.publishShard(i)
-	}
-	a.plane.publishMu.Unlock()
-	a.pool = make(chan *AsyncProducer, 4*runtime.GOMAXPROCS(0))
-	a.plane.start()
-	return a, nil
-}
-
-// applyBatch ingests one drained batch (all objects in shard) through the
-// adaptive coalescing path; ApplyCoalesced falls back to per-event ApplyAll
-// when the batch does not dedup. On a *Durable inner, the whole batch is one
-// WAL record and one group-commit fsync.
-func (a *Async) applyBatch(shard int, items []Tuple) error {
-	_, err := ApplyCoalesced(a.inner, a.coalescers[shard], items)
-	return err
-}
-
-// publishShard installs a new epoch view containing shard's fresh snapshot;
-// called under plane.publishMu.
-func (a *Async) publishShard(shard int) {
-	var v queryableProfiler
-	if a.sharded != nil {
-		a.snaps[shard] = a.sharded.cloneShard(shard)
-		v = newShardedView(a.sharded, a.snaps)
-	} else {
-		snap, err := a.snapper.Snapshot()
-		if err != nil {
-			a.plane.recordErr(err)
-			return
-		}
-		a.snaps[0] = snap
-		v = snap
-	}
-	a.view.Store(&v)
-}
-
-// curView returns the current epoch's read view.
-func (a *Async) curView() queryableProfiler {
-	return *a.view.Load()
-}
-
-// shardOf routes object x (already range-checked) to its applier.
-func (a *Async) shardOf(x int) int {
-	if a.sharded == nil {
-		return 0
-	}
-	return a.sharded.shardOf(x)
-}
-
-// checkRange validates an object id at enqueue time, keeping argument
-// errors synchronous.
-func (a *Async) checkRange(x int) error {
-	if x < 0 || x >= a.m {
-		return fmt.Errorf("%w: id %d, capacity %d", ErrObjectRange, x, a.m)
-	}
-	return nil
-}
-
-// Producer returns a dedicated producer handle: one lock-free mailbox per
-// shard, single-goroutine, ordered per producer. Close it when the producer
-// retires so its mailboxes can be reclaimed.
-func (a *Async) Producer() (*AsyncProducer, error) {
-	p, err := a.plane.newProducer()
-	if err != nil {
-		return nil, err
-	}
-	return &AsyncProducer{a: a, p: p}, nil
-}
-
-// withProducer rents a pooled handle for one call.
-func (a *Async) withProducer(f func(*AsyncProducer) error) error {
-	var p *AsyncProducer
-	select {
-	case p = <-a.pool:
-	default:
-		var err error
-		p, err = a.Producer()
-		if err != nil {
-			return err
-		}
-	}
-	err := f(p)
-	select {
-	case a.pool <- p:
-	default:
-		p.Close()
-	}
-	return err
-}
-
-// Add enqueues an "add" event for object x. Range errors are synchronous;
-// the effect reaches readers within the bounded-staleness contract.
-func (a *Async) Add(x int) error {
-	return a.withProducer(func(p *AsyncProducer) error { return p.Add(x) })
-}
-
-// Remove enqueues a "remove" event for object x.
-func (a *Async) Remove(x int) error {
-	return a.withProducer(func(p *AsyncProducer) error { return p.Remove(x) })
-}
-
-// Apply enqueues one log tuple.
-func (a *Async) Apply(t Tuple) error {
-	return a.withProducer(func(p *AsyncProducer) error { return p.Apply(t) })
-}
-
-// ApplyAll enqueues tuples in order, stopping at the first invalid one; it
-// returns the number of tuples enqueued. Like the synchronous batch paths,
-// argument validation is per tuple and exact; apply-time errors (strict
-// violations) surface on the next Flush.
-func (a *Async) ApplyAll(tuples []Tuple) (int, error) {
-	var n int
-	err := a.withProducer(func(p *AsyncProducer) error {
-		var err error
-		n, err = p.ApplyAll(tuples)
-		return err
-	})
-	return n, err
-}
-
-// Flush drains every producer mailbox, waits until every drained event is
-// applied, republishes every dirty shard's snapshot, and returns the first
-// deferred apply error since the last Flush. After Flush returns, reads see
-// every event enqueued before it — the read-your-write escape hatch of the
-// bounded-staleness contract, and what tests (and Checkpoint callers
-// wanting an inclusive cut) use.
-func (a *Async) Flush() error { return a.plane.flush() }
-
-// Close drains and stops the ingest plane, then closes the wrapped profiler
-// (flushing its WAL, for a *Durable). Further updates fail; reads keep
-// answering from the final published epoch.
-func (a *Async) Close() error {
-	err := a.plane.close()
-	if c, ok := a.inner.(interface{ Close() error }); ok {
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// Sync flushes the wrapped profiler's write-ahead log, if it has one. It
-// does NOT drain the mailboxes; call Flush first for an inclusive cut.
-func (a *Async) Sync() error {
-	if s, ok := a.inner.(interface{ Sync() error }); ok {
-		return s.Sync()
-	}
-	return nil
-}
-
-// Checkpoint forwards to the wrapped *Durable's Checkpoint. The appliers
-// mutate the profile under the Durable's update mutex, so the snapshot is
-// always an exact cut of the applied stream; call Flush first when the
-// checkpoint must also cover everything enqueued so far.
-func (a *Async) Checkpoint() error {
-	if d, ok := a.inner.(*Durable); ok {
-		return d.Checkpoint()
-	}
-	return fmt.Errorf("%w (wrapped profiler is %T)", errNoWAL, a.inner)
-}
-
-// Inner returns the wrapped profiler. Updating it directly bypasses the
-// mailboxes and must be avoided.
-func (a *Async) Inner() Profiler { return a.inner }
-
-// Stats returns the plane's observability snapshot.
-func (a *Async) Stats() AsyncStats { return a.plane.stats() }
-
-// Epoch returns the current publish epoch (total snapshot installs).
-func (a *Async) Epoch() uint64 { return a.plane.epoch.Load() }
-
-// The read surface: every query answers from the current epoch snapshot.
-
-// Count returns the frequency of object x in the current epoch.
-func (a *Async) Count(x int) (int64, error) {
-	if err := a.checkRange(x); err != nil {
-		return 0, err
-	}
-	return a.curView().Count(x)
-}
-
-// Mode returns a maximum-frequency object of the current epoch.
-func (a *Async) Mode() (Entry, int, error) { return a.curView().Mode() }
-
-// Min returns a minimum-frequency object of the current epoch.
-func (a *Async) Min() (Entry, int, error) { return a.curView().Min() }
-
-// TopK returns the k most frequent entries of the current epoch.
-func (a *Async) TopK(k int) []Entry { return a.curView().TopK(k) }
-
-// BottomK returns the k least frequent entries of the current epoch.
-func (a *Async) BottomK(k int) []Entry { return a.curView().BottomK(k) }
-
-// KthLargest returns the entry holding the k-th largest frequency.
-func (a *Async) KthLargest(k int) (Entry, error) { return a.curView().KthLargest(k) }
-
-// Median returns the lower-median entry.
-func (a *Async) Median() (Entry, error) { return a.curView().Median() }
-
-// Quantile returns the entry at quantile q in [0, 1].
-func (a *Async) Quantile(q float64) (Entry, error) { return a.curView().Quantile(q) }
-
-// Majority returns the strict-majority object, if one exists.
-func (a *Async) Majority() (Entry, bool, error) { return a.curView().Majority() }
-
-// Distribution returns the frequency histogram of the current epoch.
-func (a *Async) Distribution() []FreqCount { return a.curView().Distribution() }
-
-// Summarize returns aggregate statistics of the current epoch.
-func (a *Async) Summarize() Summary { return a.curView().Summarize() }
-
-// Query answers a composite query atomically against ONE epoch snapshot —
-// the one-cut invariants of the query plane hold, and the evaluation never
-// blocks ingestion (nor is blocked by it).
-func (a *Async) Query(q Query) (QueryResult, error) { return a.curView().Query(q) }
-
-// Cap returns the number of object slots.
-func (a *Async) Cap() int { return a.m }
-
-// Total returns the sum of all frequencies in the current epoch.
-func (a *Async) Total() int64 { return a.curView().Total() }
-
-// AsyncProducer is a dense producer handle: lock-free enqueues routed by
-// shard, strictly ordered per handle. Handles are single-goroutine.
-type AsyncProducer struct {
-	a *Async
-	p *asyncProducer[Tuple]
-}
-
-// Add enqueues an "add" event for object x.
-func (p *AsyncProducer) Add(x int) error {
-	if err := p.a.checkRange(x); err != nil {
-		return err
-	}
-	return p.p.push(p.a.shardOf(x), Tuple{Object: x, Action: ActionAdd})
-}
-
-// Remove enqueues a "remove" event for object x.
-func (p *AsyncProducer) Remove(x int) error {
-	if err := p.a.checkRange(x); err != nil {
-		return err
-	}
-	return p.p.push(p.a.shardOf(x), Tuple{Object: x, Action: ActionRemove})
-}
-
-// Apply enqueues one log tuple.
-func (p *AsyncProducer) Apply(t Tuple) error {
-	if !t.Action.Valid() {
-		return errInvalidAction(t.Action)
-	}
-	if err := p.a.checkRange(t.Object); err != nil {
-		return err
-	}
-	return p.p.push(p.a.shardOf(t.Object), t)
-}
-
-// ApplyAll enqueues tuples in order, stopping at the first invalid one (or
-// the first backpressure rejection); it returns how many were enqueued.
-func (p *AsyncProducer) ApplyAll(tuples []Tuple) (int, error) {
-	for i, t := range tuples {
-		if err := p.Apply(t); err != nil {
-			return i, err
-		}
-	}
-	return len(tuples), nil
-}
-
-// Close retires the handle; its mailboxes are drained, then reclaimed.
-func (p *AsyncProducer) Close() error {
-	p.p.close()
-	return nil
 }

@@ -12,37 +12,28 @@ import (
 	"sprofile"
 )
 
-// TestAsyncStress runs the full plane under the race detector: several
-// producers hammering tiny mailboxes (so the block-mode backpressure path
-// is exercised constantly), while readers verify one-cut invariants on
-// epoch snapshots and other goroutines interleave Flush and Checkpoint.
-// Add-only traffic makes the final totals exactly checkable.
-func TestAsyncStress(t *testing.T) {
-	const (
-		producers   = 4
-		perProducer = 5_000
-		m           = 64
-	)
-	path := filepath.Join(t.TempDir(), "stress.wal")
-	p, err := sprofile.Build(m,
-		sprofile.WithSharding(4),
-		sprofile.WithWAL(path),
-		sprofile.WithAsyncIngest(sprofile.AsyncPolicy{
-			MailboxDepth:    8, // tiny: forces the backpressure wait path
-			PublishEvents:   64,
-			PublishInterval: time.Millisecond,
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := p.(*sprofile.Async)
+// stressPolicy gives the stress runs tiny mailboxes, which force the
+// block-mode backpressure wait path constantly, and frequent publishes.
+var stressPolicy = sprofile.AsyncPolicy{
+	MailboxDepth:    8,
+	PublishEvents:   64,
+	PublishInterval: time.Millisecond,
+}
 
+// runAsyncStress drives ak under the race detector: producers spread
+// add-only events uniformly over keys (perProducer must be a multiple of
+// len(keys)), while two readers verify one-cut invariants on epoch
+// snapshots, a flusher interleaves Flush and, if checkpoint is set, a
+// checkpointer interleaves Checkpoint. It then flushes and checks the exact
+// total, every key's count and Stats, and returns the per-key count.
+func runAsyncStress[K comparable](t *testing.T, ak *sprofile.AsyncKeyed[K], keys []K, producers, perProducer int, checkpoint bool) int64 {
+	t.Helper()
 	var wg sync.WaitGroup
 	var readersWg sync.WaitGroup
 	stopReaders := make(chan struct{})
 
-	// Readers: every answer must be one consistent cut of SOME epoch —
-	// the distribution, the summary and the mode all agree internally even
+	// Readers: every answer must be one consistent cut of SOME epoch — the
+	// distribution, the summary and the top entry all agree internally even
 	// while ingestion runs full tilt.
 	readerErr := make(chan error, 8)
 	for r := 0; r < 2; r++ {
@@ -55,18 +46,15 @@ func TestAsyncStress(t *testing.T) {
 					return
 				default:
 				}
-				res, err := a.Query(sprofile.Query{Summary: true, Distribution: true, TopK: 1})
+				res, err := ak.QueryKeys(sprofile.KeyedQuery[K]{Summary: true, Distribution: true, TopK: 1})
 				if err != nil {
-					readerErr <- fmt.Errorf("Query: %w", err)
+					readerErr <- fmt.Errorf("QueryKeys: %w", err)
 					return
 				}
-				var distTotal int64
-				var distMax int64
+				var distTotal, distMax int64
 				for _, fc := range res.Distribution {
 					distTotal += fc.Freq * int64(fc.Count)
-					if fc.Freq > distMax {
-						distMax = fc.Freq
-					}
+					distMax = max(distMax, fc.Freq)
 				}
 				if distTotal != res.Summary.Total {
 					readerErr <- fmt.Errorf("torn epoch: distribution sums to %d, summary total %d", distTotal, res.Summary.Total)
@@ -84,44 +72,46 @@ func TestAsyncStress(t *testing.T) {
 		}()
 	}
 
-	// Flushers and a checkpointer, concurrent with everything.
+	// A flusher and a checkpointer, concurrent with everything.
 	var flushErrs atomic.Int64
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			if err := a.Flush(); err != nil {
+			if err := ak.Flush(); err != nil {
 				flushErrs.Add(1)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5; i++ {
-			if err := a.Checkpoint(); err != nil {
-				readerErr <- fmt.Errorf("Checkpoint: %w", err)
-				return
+	if checkpoint {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if err := ak.Checkpoint(); err != nil {
+					readerErr <- fmt.Errorf("Checkpoint: %w", err)
+					return
+				}
+				time.Sleep(3 * time.Millisecond)
 			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
+		}()
+	}
 
-	// Producers: dedicated handles, add-only, uniform over all objects.
+	// Producers: dedicated handles, add-only, uniform over all keys.
 	prodErr := make(chan error, producers)
 	for pr := 0; pr < producers; pr++ {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
-			h, err := a.Producer()
+			h, err := ak.Producer()
 			if err != nil {
 				prodErr <- err
 				return
 			}
 			defer h.Close()
 			for i := 0; i < perProducer; i++ {
-				if err := h.Add((seed*31 + i) % m); err != nil {
+				if err := h.Add(keys[(seed*17+i)%len(keys)]); err != nil {
 					prodErr <- fmt.Errorf("producer %d event %d: %w", seed, i, err)
 					return
 				}
@@ -139,144 +129,7 @@ func TestAsyncStress(t *testing.T) {
 	case err := <-prodErr:
 		t.Fatal(err)
 	case <-time.After(120 * time.Second):
-		t.Fatalf("stress run wedged; stats: %+v", a.Stats())
-	}
-	close(stopReaders)
-	readersWg.Wait()
-	select {
-	case err := <-readerErr:
-		t.Fatal(err)
-	default:
-	}
-
-	if err := a.Flush(); err != nil {
-		t.Fatalf("final Flush: %v", err)
-	}
-	const want = producers * perProducer
-	if got := a.Total(); got != want {
-		t.Fatalf("Total = %d, want %d", got, want)
-	}
-	st := a.Stats()
-	if st.Applied != want || st.Queued != 0 {
-		t.Fatalf("Stats = %+v, want %d applied, 0 queued", st, want)
-	}
-	if flushErrs.Load() != 0 {
-		t.Fatalf("%d concurrent flushes returned errors on an add-only stream", flushErrs.Load())
-	}
-	if err := a.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	// Recovery: the WAL (tail + checkpoints taken mid-flight) must rebuild
-	// the exact same profile.
-	p2, err := sprofile.Build(m, sprofile.WithSharding(4), sprofile.WithWAL(path))
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if got := p2.Total(); got != want {
-		t.Fatalf("restored Total = %d, want %d", got, want)
-	}
-	for x := 0; x < m; x++ {
-		wantC, _ := a.Count(x) // final published epoch
-		gotC, _ := p2.Count(x)
-		if wantC != gotC {
-			t.Fatalf("restored Count(%d) = %d, want %d", x, gotC, wantC)
-		}
-	}
-}
-
-// TestAsyncKeyedStress runs the keyed plane under the race detector:
-// producers over a shared key space (stripe routing, id assignment and
-// recycling bookkeeping all live), concurrent keyed composite queries,
-// Flush/Checkpoint interleaved, then an exact final count per key.
-func TestAsyncKeyedStress(t *testing.T) {
-	const (
-		producers   = 4
-		perProducer = 4_000
-		keys        = 40
-	)
-	path := filepath.Join(t.TempDir(), "keyed-stress.wal")
-	ak, err := sprofile.BuildKeyedAsync[string](keys, sprofile.AsyncPolicy{
-		MailboxDepth:    8,
-		PublishEvents:   64,
-		PublishInterval: time.Millisecond,
-	}, sprofile.WithSharding(4), sprofile.WithWAL(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	var readersWg sync.WaitGroup
-	stopReaders := make(chan struct{})
-	readerErr := make(chan error, 8)
-	readersWg.Add(1)
-	go func() {
-		defer readersWg.Done()
-		for {
-			select {
-			case <-stopReaders:
-				return
-			default:
-			}
-			res, err := ak.QueryKeys(sprofile.KeyedQuery[string]{Summary: true, Distribution: true})
-			if err != nil {
-				readerErr <- fmt.Errorf("QueryKeys: %w", err)
-				return
-			}
-			var distTotal int64
-			for _, fc := range res.Distribution {
-				distTotal += fc.Freq * int64(fc.Count)
-			}
-			if distTotal != res.Summary.Total {
-				readerErr <- fmt.Errorf("torn keyed epoch: distribution sums to %d, summary total %d", distTotal, res.Summary.Total)
-				return
-			}
-		}
-	}()
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			ak.Flush()
-			if err := ak.Checkpoint(); err != nil {
-				readerErr <- fmt.Errorf("Checkpoint: %w", err)
-				return
-			}
-			time.Sleep(3 * time.Millisecond)
-		}
-	}()
-
-	prodErr := make(chan error, producers)
-	for pr := 0; pr < producers; pr++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			h, err := ak.Producer()
-			if err != nil {
-				prodErr <- err
-				return
-			}
-			defer h.Close()
-			for i := 0; i < perProducer; i++ {
-				if err := h.Add(fmt.Sprintf("key-%d", (seed*17+i)%keys)); err != nil {
-					prodErr <- fmt.Errorf("producer %d event %d: %w", seed, i, err)
-					return
-				}
-			}
-		}(pr)
-	}
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case err := <-readerErr:
-		t.Fatal(err)
-	case err := <-prodErr:
-		t.Fatal(err)
-	case <-time.After(120 * time.Second):
-		t.Fatalf("keyed stress run wedged; stats: %+v", ak.Stats())
+		t.Fatalf("stress run wedged; stats: %+v", ak.Stats())
 	}
 	close(stopReaders)
 	readersWg.Wait()
@@ -289,19 +142,82 @@ func TestAsyncKeyedStress(t *testing.T) {
 	if err := ak.Flush(); err != nil {
 		t.Fatalf("final Flush: %v", err)
 	}
-	const want = producers * perProducer
+	want := int64(producers * perProducer)
 	if got := ak.Total(); got != want {
 		t.Fatalf("Total = %d, want %d", got, want)
 	}
-	// Uniform traffic: every key got exactly want/keys adds.
-	for k := 0; k < keys; k++ {
-		c, err := ak.Count(fmt.Sprintf("key-%d", k))
-		if err != nil || c != want/keys {
-			t.Fatalf("Count(key-%d) = %d, %v; want %d, nil", k, c, err, want/keys)
+	// Uniform traffic: every key got exactly want/len(keys) adds.
+	perKey := want / int64(len(keys))
+	for _, key := range keys {
+		c, err := ak.Count(key)
+		if err != nil || c != perKey {
+			t.Fatalf("Count(%v) = %d, %v; want %d, nil", key, c, err, perKey)
 		}
 	}
+	if st := ak.Stats(); st.Applied != uint64(want) || st.Queued != 0 {
+		t.Fatalf("Stats = %+v, want %d applied, 0 queued", st, want)
+	}
+	if flushErrs.Load() != 0 {
+		t.Fatalf("%d concurrent flushes returned errors on an add-only stream", flushErrs.Load())
+	}
+	return perKey
+}
+
+// TestAsyncStress runs the plane the way a dense-id caller uses it —
+// BuildKeyedAsync[int] without key recycling over ids 0..m-1 — through
+// runAsyncStress. An int-keyed profile has no WAL, so there is nothing to
+// checkpoint; TestAsyncKeyedStress covers Checkpoint and recovery.
+func TestAsyncStress(t *testing.T) {
+	const m = 64
+	a, err := sprofile.BuildKeyedAsync[int](m, stressPolicy,
+		sprofile.WithSharding(4), sprofile.WithoutKeyRecycling())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int, m)
+	for i := range ids {
+		ids[i] = i
+	}
+	runAsyncStress(t, a, ids, 4, 5_120, false)
+	if err := a.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestAsyncKeyedStress runs the keyed plane through runAsyncStress with
+// string keys, id assignment and recycling bookkeeping live, a WAL and
+// Checkpoints taken mid-flight; the log must then rebuild the exact same
+// profile.
+func TestAsyncKeyedStress(t *testing.T) {
+	keys := make([]string, 40)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	path := filepath.Join(t.TempDir(), "keyed-stress.wal")
+	ak, err := sprofile.BuildKeyedAsync[string](len(keys), stressPolicy,
+		sprofile.WithSharding(4), sprofile.WithWAL(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perKey := runAsyncStress(t, ak, keys, 4, 4_000, true)
 	if err := ak.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+
+	// Recovery: the WAL (tail + checkpoints taken mid-flight) must rebuild
+	// the exact same profile.
+	k2, err := sprofile.BuildKeyed[string](len(keys), sprofile.WithSharding(4), sprofile.WithWAL(path))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer k2.Close()
+	if got, want := k2.Total(), perKey*int64(len(keys)); got != want {
+		t.Fatalf("restored Total = %d, want %d", got, want)
+	}
+	for _, key := range keys {
+		if c, err := k2.Count(key); err != nil || c != perKey {
+			t.Fatalf("restored Count(%s) = %d, %v; want %d, nil", key, c, err, perKey)
+		}
 	}
 }
 
@@ -309,15 +225,13 @@ func TestAsyncKeyedStress(t *testing.T) {
 // contention: rejected events are never applied, so the flushed total
 // equals successes exactly.
 func TestAsyncBackpressureErrorConcurrent(t *testing.T) {
-	p, err := sprofile.Build(16, sprofile.WithSharding(2),
-		sprofile.WithAsyncIngest(sprofile.AsyncPolicy{
-			MailboxDepth: 4,
-			Backpressure: sprofile.BackpressureError,
-		}))
+	a, err := sprofile.BuildKeyedAsync[int](16, sprofile.AsyncPolicy{
+		MailboxDepth: 4,
+		Backpressure: sprofile.BackpressureError,
+	}, sprofile.WithSharding(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := p.(*sprofile.Async)
 	defer a.Close()
 
 	const producers = 3

@@ -3,7 +3,6 @@ package sprofile_test
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -71,71 +70,82 @@ func (f *flushedAsync) Summarize() sprofile.Summary             { f.flush(); ret
 func (f *flushedAsync) Cap() int                                { return f.p.Cap() }
 func (f *flushedAsync) Total() int64                            { f.flush(); return f.p.Total() }
 
+// flushedKeyed wraps an async keyed profile addressed by dense ids for the
+// conformance battery: the keyed adapter translates ids to keys, flushed
+// makes every call synchronous.
+func flushedKeyed(k sprofile.KeyedProfiler[int], flush func() error, m int) (sprofile.Profiler, error) {
+	adapter, err := newKeyedAdapter(k, m)
+	if err != nil {
+		return nil, err
+	}
+	return &flushedAsync{p: adapter, flush: flush}, nil
+}
+
 // TestAsyncProfilerConformance holds the async ingest plane to the same
 // update/query/error semantics as every synchronous variant: enqueue + Flush
-// must be observationally identical to a direct apply, across the sharded,
-// unsharded, WAL-backed and keyed assemblies.
+// must be observationally identical to a direct apply, with four stripes
+// (built in one step, and wrapped by NewAsyncKeyed under two-event
+// mailboxes), with one (a single applier and shard), and WAL-backed.
+// Key→stripe routing, per-stripe appliers, backpressure waits and
+// epoch-translated reads must preserve the reference semantics exactly.
 func TestAsyncProfilerConformance(t *testing.T) {
-	newFlushed := func(p sprofile.Profiler, err error) (sprofile.Profiler, error) {
-		if err != nil {
-			return nil, err
+	dense := func(shards int) profilertest.Factory {
+		return func(m int, opts ...sprofile.Option) (sprofile.Profiler, error) {
+			ak, err := sprofile.BuildKeyedAsync[int](m, asyncTestPolicy(),
+				sprofile.WithSharding(shards),
+				sprofile.WithoutKeyRecycling(),
+				sprofile.WithOptions(opts...))
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(func() { ak.Close() })
+			return flushedKeyed(ak, ak.Flush, m)
 		}
-		a := p.(*sprofile.Async)
-		t.Cleanup(func() { a.Close() })
-		return &flushedAsync{p: a, flush: a.Flush}, nil
 	}
+	profilertest.Run(t, "AsyncKeyed-4", dense(4))
+	profilertest.Run(t, "Async-Unsharded", dense(1))
 
+	// Four shards wrapped by NewAsyncKeyed around a separately built
+	// profile, under a tight policy: the smallest mailboxes (two events), so
+	// batches can meet block-mode backpressure, and a republish every 8
+	// applied events.
 	profilertest.Run(t, "Async-Sharded", func(m int, opts ...sprofile.Option) (sprofile.Profiler, error) {
-		return newFlushed(sprofile.Build(m,
-			sprofile.WithSharding(4),
-			sprofile.WithAsyncIngest(asyncTestPolicy()),
-			sprofile.WithOptions(opts...)))
-	})
-	profilertest.Run(t, "Async-Unsharded", func(m int, opts ...sprofile.Option) (sprofile.Profiler, error) {
-		p, err := sprofile.New(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		a, err := sprofile.NewAsync(p, asyncTestPolicy())
-		if err != nil {
-			return nil, err
-		}
-		t.Cleanup(func() { a.Close() })
-		return &flushedAsync{p: a, flush: a.Flush}, nil
-	})
-
-	walDir := t.TempDir()
-	walSeq := 0
-	profilertest.Run(t, "Async-WAL", func(m int, opts ...sprofile.Option) (sprofile.Profiler, error) {
-		walSeq++
-		path := filepath.Join(walDir, fmt.Sprintf("async-%d.wal", walSeq))
-		if err := os.RemoveAll(path); err != nil {
-			return nil, err
-		}
-		return newFlushed(sprofile.Build(m,
-			sprofile.WithSharding(3),
-			sprofile.WithWAL(path),
-			sprofile.WithAsyncIngest(asyncTestPolicy()),
-			sprofile.WithOptions(opts...)))
-	})
-
-	// The keyed async plane runs through the same battery via the keyed
-	// adapter: key→stripe routing, per-stripe appliers and epoch-translated
-	// reads must preserve the reference semantics exactly.
-	profilertest.Run(t, "AsyncKeyed-4", func(m int, opts ...sprofile.Option) (sprofile.Profiler, error) {
-		ak, err := sprofile.BuildKeyedAsync[int](m, asyncTestPolicy(),
+		k, err := sprofile.BuildKeyed[int](m,
 			sprofile.WithSharding(4),
 			sprofile.WithoutKeyRecycling(),
 			sprofile.WithOptions(opts...))
 		if err != nil {
 			return nil, err
 		}
+		ak, err := sprofile.NewAsyncKeyed(k, sprofile.AsyncPolicy{
+			MailboxDepth:    2,
+			PublishEvents:   8,
+			PublishInterval: 50 * time.Millisecond,
+		})
+		if err != nil {
+			k.Close()
+			return nil, err
+		}
 		t.Cleanup(func() { ak.Close() })
-		adapter, err := newKeyedAdapter(ak, m)
+		return flushedKeyed(ak, ak.Flush, m)
+	})
+
+	// The log stores string keys, so the WAL-backed run addresses the
+	// plane through the int→string key adapter.
+	walDir := t.TempDir()
+	walSeq := 0
+	profilertest.Run(t, "Async-WAL", func(m int, opts ...sprofile.Option) (sprofile.Profiler, error) {
+		walSeq++
+		ak, err := sprofile.BuildKeyedAsync[string](m, asyncTestPolicy(),
+			sprofile.WithSharding(3),
+			sprofile.WithoutKeyRecycling(),
+			sprofile.WithWAL(filepath.Join(walDir, fmt.Sprintf("async-%d.wal", walSeq))),
+			sprofile.WithOptions(opts...))
 		if err != nil {
 			return nil, err
 		}
-		return &flushedAsync{p: adapter, flush: ak.Flush}, nil
+		t.Cleanup(func() { ak.Close() })
+		return flushedKeyed(intStringKeyed{ak}, ak.Flush, m)
 	})
 }
 
@@ -150,33 +160,34 @@ func TestAsyncRestoredConformance(t *testing.T) {
 	profilertest.Run(t, "Async-WAL-Restored", func(m int, opts ...sprofile.Option) (sprofile.Profiler, error) {
 		seq++
 		path := filepath.Join(dir, fmt.Sprintf("async-restored-%d.wal", seq))
+		var ak *sprofile.AsyncKeyed[string]
 		build := func() (sprofile.Profiler, error) {
-			p, err := sprofile.Build(m,
+			var err error
+			ak, err = sprofile.BuildKeyedAsync[string](m, asyncTestPolicy(),
 				sprofile.WithSharding(3),
+				sprofile.WithoutKeyRecycling(),
 				sprofile.WithWAL(path),
-				sprofile.WithAsyncIngest(asyncTestPolicy()),
 				sprofile.WithOptions(opts...))
 			if err != nil {
 				return nil, err
 			}
-			a := p.(*sprofile.Async)
-			return &flushedAsync{p: a, flush: a.Flush}, nil
+			return flushedKeyed(intStringKeyed{ak}, ak.Flush, m)
 		}
 		cur, err := build()
 		if err != nil {
 			return nil, err
 		}
-		return &restoredProfiler{cur: cur, reopen: func(cur sprofile.Profiler, cycle int) (sprofile.Profiler, error) {
-			a := cur.(*flushedAsync).p.(*sprofile.Async)
-			if err := a.Flush(); err != nil {
+		t.Cleanup(func() { ak.Close() })
+		return &restoredProfiler{cur: cur, reopen: func(_ sprofile.Profiler, cycle int) (sprofile.Profiler, error) {
+			if err := ak.Flush(); err != nil {
 				return nil, err
 			}
 			if cycle%2 == 0 {
-				if err := a.Checkpoint(); err != nil {
+				if err := ak.Checkpoint(); err != nil {
 					return nil, err
 				}
 			}
-			if err := a.Close(); err != nil {
+			if err := ak.Close(); err != nil {
 				return nil, err
 			}
 			return build()
@@ -187,14 +198,13 @@ func TestAsyncRestoredConformance(t *testing.T) {
 // TestAsyncFlushReadYourWrite verifies the migration contract directly:
 // enqueued events may be invisible, Flush makes them visible.
 func TestAsyncFlushReadYourWrite(t *testing.T) {
-	p, err := sprofile.Build(100, sprofile.WithSharding(4), sprofile.WithAsyncIngest(asyncTestPolicy()))
+	a, err := sprofile.BuildKeyedAsync[string](100, asyncTestPolicy(), sprofile.WithSharding(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := p.(*sprofile.Async)
 	defer a.Close()
 	for i := 0; i < 100; i++ {
-		if err := a.Add(i % 10); err != nil {
+		if err := a.Add(fmt.Sprintf("k%d", i%10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,16 +215,16 @@ func TestAsyncFlushReadYourWrite(t *testing.T) {
 		t.Fatalf("Total after Flush = %d, want 100", got)
 	}
 	for i := 0; i < 10; i++ {
-		c, err := a.Count(i)
+		c, err := a.Count(fmt.Sprintf("k%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c != 10 {
-			t.Fatalf("Count(%d) = %d, want 10", i, c)
+			t.Fatalf("Count(k%d) = %d, want 10", i, c)
 		}
 	}
 	// Composite query answers from one epoch snapshot.
-	res, err := a.Query(sprofile.Query{Summary: true, TopK: 3, Distribution: true})
+	res, err := a.QueryKeys(sprofile.KeyedQuery[string]{Summary: true, TopK: 3, Distribution: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,19 +236,18 @@ func TestAsyncFlushReadYourWrite(t *testing.T) {
 // TestAsyncEventualPublish verifies the staleness bound without Flush: an
 // enqueued event becomes visible within a few publish intervals.
 func TestAsyncEventualPublish(t *testing.T) {
-	p, err := sprofile.Build(16, sprofile.WithSharding(2),
-		sprofile.WithAsyncIngest(sprofile.AsyncPolicy{PublishInterval: time.Millisecond}))
+	a, err := sprofile.BuildKeyedAsync[string](16,
+		sprofile.AsyncPolicy{PublishInterval: time.Millisecond}, sprofile.WithSharding(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := p.(*sprofile.Async)
 	defer a.Close()
-	if err := a.Add(3); err != nil {
+	if err := a.Add("k3"); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if c, _ := a.Count(3); c == 1 {
+		if c, _ := a.Count("k3"); c == 1 {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -250,15 +259,11 @@ func TestAsyncEventualPublish(t *testing.T) {
 // refuses the enqueue with ErrBackpressure, the event is not applied, and
 // the drop is counted.
 func TestAsyncBackpressureError(t *testing.T) {
-	inner, err := sprofile.NewSharded(8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := sprofile.NewAsync(inner, sprofile.AsyncPolicy{
+	a, err := sprofile.BuildKeyedAsync[int](8, sprofile.AsyncPolicy{
 		MailboxDepth:    2,
 		PublishInterval: time.Hour, // applier effectively manual
 		Backpressure:    sprofile.BackpressureError,
-	})
+	}, sprofile.WithSharding(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,12 +298,11 @@ func TestAsyncBackpressureError(t *testing.T) {
 // TestAsyncClosed verifies that a closed plane refuses producers and
 // pushes with an ErrReadOnly-classified error while reads keep answering.
 func TestAsyncClosed(t *testing.T) {
-	p, err := sprofile.Build(10, sprofile.WithSharding(2), sprofile.WithAsyncIngest(asyncTestPolicy()))
+	a, err := sprofile.BuildKeyedAsync[string](10, asyncTestPolicy(), sprofile.WithSharding(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := p.(*sprofile.Async)
-	if err := a.Add(5); err != nil {
+	if err := a.Add("k5"); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Close(); err != nil {
@@ -307,15 +311,15 @@ func TestAsyncClosed(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if err := a.Add(1); !errors.Is(err, sprofile.ErrReadOnly) {
+	if err := a.Add("k1"); !errors.Is(err, sprofile.ErrReadOnly) {
 		t.Fatalf("Add after Close = %v, want ErrReadOnly", err)
 	}
 	if _, err := a.Producer(); !errors.Is(err, sprofile.ErrReadOnly) {
 		t.Fatalf("Producer after Close = %v, want ErrReadOnly", err)
 	}
 	// Close drained and published: the pre-close event is visible.
-	if c, _ := a.Count(5); c != 1 {
-		t.Fatalf("Count(5) after Close = %d, want 1", c)
+	if c, _ := a.Count("k5"); c != 1 {
+		t.Fatalf("Count(k5) after Close = %d, want 1", c)
 	}
 }
 
@@ -323,15 +327,19 @@ func TestAsyncClosed(t *testing.T) {
 // strict violation surfaces on Flush, not at the enqueueing call, and is
 // cleared once reported.
 func TestAsyncDeferredStrictError(t *testing.T) {
-	p, err := sprofile.Build(8, sprofile.WithSharding(2),
-		sprofile.WithAsyncIngest(asyncTestPolicy()),
+	a, err := sprofile.BuildKeyedAsync[string](8, asyncTestPolicy(),
+		sprofile.WithSharding(2),
 		sprofile.WithOptions(sprofile.WithStrictNonNegative()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := p.(*sprofile.Async)
 	defer a.Close()
-	if err := a.Remove(3); err != nil {
+	// A tracked key sits at zero, so removing it is a strict violation
+	// rather than an unknown key.
+	if err := a.Track("k3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Remove("k3"); err != nil {
 		t.Fatalf("Remove enqueue = %v, want nil (error is deferred)", err)
 	}
 	if err := a.Flush(); !errors.Is(err, sprofile.ErrNegativeFrequency) {
@@ -342,20 +350,66 @@ func TestAsyncDeferredStrictError(t *testing.T) {
 	}
 }
 
-// TestAsyncBuildRejects verifies the config surface: windows cannot be
-// async, and BuildKeyed points at BuildKeyedAsync.
+// TestAsyncDeferredErrorKeepsOtherProducers verifies that a deferred error
+// costs only the failing key: producer A's removes of unknown keys share
+// each drained batch with producer B's adds, and every acknowledged add
+// must still land.
+func TestAsyncDeferredErrorKeepsOtherProducers(t *testing.T) {
+	a, err := sprofile.BuildKeyedAsync[string](16, asyncTestPolicy(), sprofile.WithSharding(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	ghosts, err := a.Producer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ghosts.Close()
+	adds, err := a.Producer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer adds.Close()
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		if err := ghosts.Remove(fmt.Sprintf("ghost%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := adds.Add("hot"); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Flush(); !errors.Is(err, sprofile.ErrUnknownKey) {
+			t.Fatalf("round %d: Flush = %v, want ErrUnknownKey", i, err)
+		}
+	}
+	if c, _ := a.Count("hot"); c != rounds {
+		t.Fatalf("Count(hot) = %d after %d acknowledged adds", c, rounds)
+	}
+}
+
+// TestAsyncBuildRejects verifies the config surface: the plane needs a
+// sharded dense profile, windows cannot be async, and a WAL needs string
+// keys.
 func TestAsyncBuildRejects(t *testing.T) {
-	if _, err := sprofile.Build(10, sprofile.Windowed(5), sprofile.WithAsyncIngest(sprofile.AsyncPolicy{})); !errors.Is(err, sprofile.ErrBuildConfig) {
-		t.Fatalf("Build(Windowed, WithAsyncIngest) = %v, want ErrBuildConfig", err)
+	if _, err := sprofile.NewAsyncKeyed[string](nil, sprofile.AsyncPolicy{}); !errors.Is(err, sprofile.ErrBuildConfig) {
+		t.Fatalf("NewAsyncKeyed(nil) = %v, want ErrBuildConfig", err)
 	}
-	if _, err := sprofile.Build(10, sprofile.TimeWindowed(time.Hour), sprofile.WithAsyncIngest(sprofile.AsyncPolicy{})); !errors.Is(err, sprofile.ErrBuildConfig) {
-		t.Fatalf("Build(TimeWindowed, WithAsyncIngest) = %v, want ErrBuildConfig", err)
+	k, err := sprofile.BuildKeyed[string](10, sprofile.Synchronized())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := sprofile.BuildKeyed[string](10, sprofile.WithAsyncIngest(sprofile.AsyncPolicy{})); !errors.Is(err, sprofile.ErrBuildConfig) {
-		t.Fatalf("BuildKeyed(WithAsyncIngest) = %v, want ErrBuildConfig", err)
+	if _, err := sprofile.NewAsyncKeyed(k, sprofile.AsyncPolicy{}); !errors.Is(err, sprofile.ErrBuildConfig) {
+		t.Fatalf("NewAsyncKeyed(Synchronized) = %v, want ErrBuildConfig", err)
 	}
-	if _, err := sprofile.NewAsync(nil, sprofile.AsyncPolicy{}); !errors.Is(err, sprofile.ErrBuildConfig) {
-		t.Fatalf("NewAsync(nil) = %v, want ErrBuildConfig", err)
+	if _, err := sprofile.BuildKeyedAsync[string](10, sprofile.AsyncPolicy{}, sprofile.Windowed(5)); !errors.Is(err, sprofile.ErrBuildConfig) {
+		t.Fatalf("BuildKeyedAsync(Windowed) = %v, want ErrBuildConfig", err)
+	}
+	if _, err := sprofile.BuildKeyedAsync[string](10, sprofile.AsyncPolicy{}, sprofile.TimeWindowed(time.Hour)); !errors.Is(err, sprofile.ErrBuildConfig) {
+		t.Fatalf("BuildKeyedAsync(TimeWindowed) = %v, want ErrBuildConfig", err)
+	}
+	if _, err := sprofile.BuildKeyedAsync[int](10, sprofile.AsyncPolicy{},
+		sprofile.WithWAL(filepath.Join(t.TempDir(), "int.wal"))); !errors.Is(err, sprofile.ErrBuildConfig) {
+		t.Fatalf("BuildKeyedAsync[int](WithWAL) = %v, want ErrBuildConfig", err)
 	}
 }
 
@@ -455,16 +509,15 @@ func TestAsyncKeyedCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestAsyncProducerOrdering verifies per-producer FIFO: a producer's own
-// add/remove sequence for one object is applied in order, so the flushed
+// add/remove sequence for one key is applied in order, so the flushed
 // frequency is exact.
 func TestAsyncProducerOrdering(t *testing.T) {
-	p, err := sprofile.Build(4, sprofile.WithSharding(2),
-		sprofile.WithAsyncIngest(asyncTestPolicy()),
+	a, err := sprofile.BuildKeyedAsync[string](4, asyncTestPolicy(),
+		sprofile.WithSharding(2),
 		sprofile.WithOptions(sprofile.WithStrictNonNegative()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := p.(*sprofile.Async)
 	defer a.Close()
 	prod, err := a.Producer()
 	if err != nil {
@@ -473,17 +526,17 @@ func TestAsyncProducerOrdering(t *testing.T) {
 	defer prod.Close()
 	// Strict mode makes any reordering of add-before-remove fatal.
 	for i := 0; i < 10_000; i++ {
-		if err := prod.Add(1); err != nil {
+		if err := prod.Add("k1"); err != nil {
 			t.Fatal(err)
 		}
-		if err := prod.Remove(1); err != nil {
+		if err := prod.Remove("k1"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := a.Flush(); err != nil {
 		t.Fatalf("Flush = %v (reordering under strict mode?)", err)
 	}
-	if c, _ := a.Count(1); c != 0 {
-		t.Fatalf("Count(1) = %d, want 0", c)
+	if c, _ := a.Count("k1"); c != 0 {
+		t.Fatalf("Count(k1) = %d, want 0", c)
 	}
 }

@@ -17,17 +17,38 @@ import (
 // epoch-published immutable snapshots of the dense profile, translated back
 // to keys through the live id mapper.
 //
-// The bounded-staleness contract and Flush/Close semantics are those of
-// Async. Two keyed specifics:
+// Semantics vs the synchronous KeyedConcurrent, all consequences of the
+// decoupling:
 //
-//   - Stream-dependent errors — removing an unknown key, ErrKeyedFull when
-//     no id can be recycled, strict-mode violations — surface on the next
-//     Flush, not at the enqueueing call. Argument errors (invalid action,
-//     a key the write-ahead log cannot record) stay synchronous.
+//   - Bounded staleness instead of read-your-write: a read reflects every
+//     event up to some publish epoch at most ~PublishInterval (plus the
+//     drain in progress) behind the ingest frontier. Flush restores
+//     read-your-write: it returns only when every event enqueued before it
+//     is applied and published.
+//   - Argument errors stay synchronous: an invalid action, or a key the
+//     write-ahead log cannot record, fails the enqueueing call. So do
+//     ErrBackpressure (see AsyncPolicy) and ErrReadOnly after Close.
+//   - Stream-dependent errors are deferred: removing an unknown key,
+//     ErrKeyedFull when no id can be recycled, strict-mode violations and
+//     journal failures surface on the next Flush (or Close), which returns
+//     the first one and clears it. A failing event costs only its own key:
+//     each drain is one ApplyBatch over every producer's events for that
+//     stripe, and ApplyBatch still applies every other key of the batch.
+//   - Concurrency: AsyncKeyed is safe for any number of producer and reader
+//     goroutines. Update calls on AsyncKeyed itself rent a producer handle
+//     from an internal pool; hot producers should hold their own handle
+//     (Producer) for strict per-producer ordering and no pool traffic.
+//   - Close drains every mailbox, publishes the final epoch, stops the
+//     appliers and closes the wrapped profile; no accepted event is
+//     dropped. Later updates fail with ErrReadOnly, and reads keep
+//     answering from the final epoch.
 //   - Key translation uses the live mapper, so in rare cases a key read
 //     from an epoch snapshot may have been recycled since that epoch was
 //     published — the same point-in-time caveat KeyedConcurrent documents
 //     for its global queries.
+//
+// Dense-id callers use AsyncKeyed[int] built WithoutKeyRecycling, whose
+// keys are the ids themselves; a write-ahead log needs string keys.
 //
 // Construct with NewAsyncKeyed over a BuildKeyed profile, or in one step
 // with BuildKeyedAsync.
@@ -40,7 +61,8 @@ type AsyncKeyed[K comparable] struct {
 	plane *asyncPlane[KeyedTuple[K]]
 	// snaps holds the newest per-shard snapshot; guarded by plane.publishMu.
 	snaps []*core.Profile
-	view  atomic.Pointer[queryableProfiler]
+	// view is the current epoch: a *Sharded over snaps.
+	view atomic.Pointer[Sharded]
 
 	pool chan *AsyncKeyedProducer[K]
 }
@@ -61,11 +83,7 @@ func NewAsyncKeyed[K comparable](k *KeyedConcurrent[K], policy AsyncPolicy) (*As
 		return nil, fmt.Errorf("%w: shard/stripe geometry mismatch (%d shards, %d stripes)", ErrBuildConfig, sharded.Shards(), k.ids.NumStripes())
 	}
 	ak := &AsyncKeyed[K]{k: k, sharded: sharded}
-	// crossShard: a stripe whose dense-id range is exhausted borrows ids
-	// from a neighbouring shard's range, so an apply on stripe i can dirty
-	// shard j — every applier's version advances on every batch and Flush
-	// republishes all shards.
-	ak.plane = newAsyncPlane[KeyedTuple[K]](sharded.Shards(), policy, ak.applyBatch, ak.publishShard, true)
+	ak.plane = newAsyncPlane[KeyedTuple[K]](sharded.Shards(), policy, ak.applyBatch, ak.publishShard)
 	ak.snaps = make([]*core.Profile, sharded.Shards())
 	ak.plane.publishMu.Lock()
 	for i := 0; i < sharded.Shards(); i++ {
@@ -98,7 +116,7 @@ func BuildKeyedAsync[K comparable](m int, policy AsyncPolicy, opts ...BuildOptio
 // applyBatch ingests one drained, single-stripe batch through the keyed
 // batch path (coalescing, one stripe-lock acquisition, one WAL record, one
 // group-commit fsync).
-func (ak *AsyncKeyed[K]) applyBatch(_ int, items []KeyedTuple[K]) error {
+func (ak *AsyncKeyed[K]) applyBatch(items []KeyedTuple[K]) error {
 	_, err := ak.k.ApplyBatch(items)
 	return err
 }
@@ -107,14 +125,11 @@ func (ak *AsyncKeyed[K]) applyBatch(_ int, items []KeyedTuple[K]) error {
 // called under plane.publishMu.
 func (ak *AsyncKeyed[K]) publishShard(shard int) {
 	ak.snaps[shard] = ak.sharded.cloneShard(shard)
-	var v queryableProfiler = newShardedView(ak.sharded, ak.snaps)
-	ak.view.Store(&v)
+	ak.view.Store(newShardedView(ak.sharded, ak.snaps))
 }
 
 // curView returns the current epoch's dense read view.
-func (ak *AsyncKeyed[K]) curView() queryableProfiler {
-	return *ak.view.Load()
-}
+func (ak *AsyncKeyed[K]) curView() *Sharded { return ak.view.Load() }
 
 // queries builds the key-translating read facade over the current epoch.
 // The resolver is the live mapper: snapshots capture frequencies, the
@@ -207,11 +222,16 @@ func (ak *AsyncKeyed[K]) Track(key K) error { return ak.k.Track(key) }
 
 // Flush drains every producer mailbox, waits until every drained event is
 // applied, republishes all shard snapshots, and returns the first deferred
-// apply error since the last Flush — the read-your-write escape hatch.
+// apply error since the last Flush, clearing it. After Flush returns, reads
+// see every event enqueued before it: the read-your-write barrier of the
+// bounded-staleness contract, and what a Checkpoint that must cover every
+// accepted event calls first.
 func (ak *AsyncKeyed[K]) Flush() error { return ak.plane.flush() }
 
 // Close drains and stops the ingest plane, then closes the wrapped keyed
-// profile (flushing its WAL and stopping its checkpointer).
+// profile (flushing its WAL and stopping its checkpointer). It returns the
+// last deferred apply error. Further updates fail with ErrReadOnly; reads
+// keep answering from the final published epoch.
 func (ak *AsyncKeyed[K]) Close() error {
 	err := ak.plane.close()
 	if cerr := ak.k.Close(); err == nil {

@@ -31,8 +31,6 @@ type buildConfig struct {
 	ckptSet      bool
 	profileOpts  []Option
 	noKeyRecycle bool
-	async        AsyncPolicy
-	asyncSet     bool
 }
 
 // BuildOption declares one capability of the profile Build assembles.
@@ -165,30 +163,15 @@ func WithoutKeyRecycling() BuildOption {
 	return func(c *buildConfig) { c.noKeyRecycle = true }
 }
 
-// WithAsyncIngest wraps the assembled profile with the shared-nothing async
-// ingest plane (see Async): updates are enqueued to per-producer, per-shard
-// SPSC mailboxes and applied by one goroutine per shard; reads answer from
-// epoch-published snapshots under the bounded-staleness contract. A zero
-// AsyncPolicy means all defaults. It composes with Synchronized,
-// WithSharding and WithWAL; window adapters are rejected (they are
-// single-goroutine and lack the delta capability the appliers batch
-// through). BuildKeyed rejects it — use BuildKeyedAsync instead, which
-// returns the concrete *AsyncKeyed.
-func WithAsyncIngest(p AsyncPolicy) BuildOption {
-	return func(c *buildConfig) {
-		c.async = p
-		c.asyncSet = true
-	}
-}
-
 // defaultShards is the shard (and mapper stripe) count BuildKeyed uses when
 // WithSharding is not given: one per unit of real parallelism, the point
 // where parallel ingestion stops gaining from further splitting. The count
 // is min(GOMAXPROCS, NumCPU): splitting beyond either bound buys no
-// parallelism but still pays the per-event striping overhead (PR 2 measured
-// ~100ns/op on one core), so a single-core host — GOMAXPROCS=1, or a
+// parallelism but still pays the per-event striping cost (BENCH_keyed.json,
+// 2 CPUs, 2 producers: striped 646–821 ns/event at 1–16 shards, one mutex
+// 576–628 ns/event), so a single-core host — GOMAXPROCS=1, or a
 // quota-limited container where the runtime sees one usable CPU — gets one
-// stripe and one shard and ingests at the unstriped rate.
+// stripe and one shard.
 func defaultShards() int {
 	n := runtime.GOMAXPROCS(0)
 	if c := runtime.NumCPU(); c < n {
@@ -251,9 +234,6 @@ func Build(m int, opts ...BuildOption) (Profiler, error) {
 			return nil, fmt.Errorf("%w: a frequency snapshot cannot capture a window's in-flight tuples; WithCheckpoints does not compose with Windowed or TimeWindowed", ErrBuildConfig)
 		}
 	}
-	if cfg.asyncSet && (cfg.windowSet || cfg.spanSet) {
-		return nil, fmt.Errorf("%w: window adapters are single-goroutine and have no delta capability; WithAsyncIngest does not compose with Windowed or TimeWindowed", ErrBuildConfig)
-	}
 
 	var (
 		p   Profiler
@@ -288,9 +268,6 @@ func Build(m int, opts ...BuildOption) (Profiler, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if cfg.asyncSet {
-		return NewAsync(p, cfg.async)
 	}
 	return p, nil
 }

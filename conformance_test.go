@@ -504,10 +504,10 @@ func (r *restoredProfiler) Total() int64 {
 }
 
 // intStringKeyed adapts a string-keyed profile to the int-keyed interface
-// the conformance adapter wants, so the WAL-backed KeyedConcurrent (whose
-// log stores string keys) can run the dense-id battery.
+// the conformance adapter wants, so WAL-backed keyed profiles — synchronous
+// or async, whose log stores string keys — can run the dense-id battery.
 type intStringKeyed struct {
-	k *sprofile.KeyedConcurrent[string]
+	k sprofile.KeyedProfiler[string]
 }
 
 func intKey(x int) string { return fmt.Sprintf("%d", x) }

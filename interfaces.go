@@ -195,7 +195,6 @@ var (
 	_ Profiler = (*TimeWindow)(nil)
 	_ Profiler = (*Durable)(nil)
 	_ Profiler = (*ReadOnlyProfiler)(nil)
-	_ Profiler = (*Async)(nil)
 
 	_ Querier = (*Profile)(nil)
 	_ Querier = (*Concurrent)(nil)
@@ -204,7 +203,6 @@ var (
 	_ Querier = (*TimeWindow)(nil)
 	_ Querier = (*Durable)(nil)
 	_ Querier = (*ReadOnlyProfiler)(nil)
-	_ Querier = (*Async)(nil)
 
 	_ KeyedQuerier[string] = (*Keyed[string])(nil)
 	_ KeyedQuerier[string] = (*KeyedConcurrent[string])(nil)

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -11,18 +12,20 @@ import (
 )
 
 // The async-ingest experiment's methods. locked-striped is the baseline the
-// async plane is measured against: the same sharded dense profile, updated
-// directly by the producer goroutines through its per-shard locks.
-// async-mailbox routes the same events through per-producer SPSC mailboxes
-// and one applier per shard, so producers never touch a lock and each drain
-// is applied through the coalescing batch path.
+// async plane is measured against: the same keyed profile (BuildKeyed at
+// asyncIngestShards stripes and shards), updated directly by the producer
+// goroutines through its stripe and shard locks. async-mailbox builds that
+// profile with BuildKeyedAsync and routes the same events through
+// per-producer SPSC mailboxes and one applier per stripe, so producers never
+// touch a lock and each drain is applied through ApplyBatch.
 const (
 	MethodLockedStriped Method = "locked-striped"
 	MethodAsyncMailbox  Method = "async-mailbox"
 )
 
-// Methods of the query-latency panel: p50 of a composite query against an
-// idle profile vs the same query while every producer ingests full tilt.
+// Methods of the query-latency panel: p50 of a composite keyed query against
+// an idle async profile vs the same query while every producer ingests full
+// tilt.
 const (
 	MethodQueryIdle   Method = "query-idle-p50"
 	MethodQueryIngest Method = "query-under-ingest-p50"
@@ -31,38 +34,60 @@ const (
 // asyncIngestProducers is the producer-count sweep of both panels.
 var asyncIngestProducers = []int{1, 2, 4}
 
-// asyncIngestShards fixes the shard count; the acceptance comparison is at
-// 4 producers x 4 shards.
+// asyncIngestShards fixes the stripe (and shard) count; the acceptance
+// comparison is at 4 producers x 4 stripes.
 const asyncIngestShards = 4
 
-// asyncIngestHot bounds the hot-object set: ingest draws uniformly from
-// m/asyncIngestHot objects, the skew that lets the appliers' coalesced
-// drains pay off (the shape the paper's stream generators model).
+// asyncIngestHot bounds the hot-key set: ingest draws uniformly from
+// m/asyncIngestHot keys, the skew that lets the appliers' coalesced drains
+// pay off (the shape the paper's stream generators model).
 const asyncIngestHot = 1000
 
-// hotObject maps one RNG draw to a hot object id.
-func hotObject(rng *stream.RNG, m int) int {
-	hot := m / asyncIngestHot
-	if hot < 1 {
-		hot = 1
+// asyncIngestQuery is the composite query of the latency panel: the
+// statistics a dashboard asks for in one request.
+var asyncIngestQuery = sprofile.KeyedQuery[string]{Mode: true, TopK: 10, Quantiles: []float64{0.5, 0.99}, Summary: true}
+
+// hotKeys returns the hot-key set of a profile of capacity m, built before
+// any clock starts so key formatting is not measured.
+func hotKeys(m int) []string {
+	keys := make([]string, max(m/asyncIngestHot, 1))
+	for i := range keys {
+		keys[i] = "obj-" + strconv.Itoa(i)
 	}
-	return rng.Intn(hot)
+	return keys
+}
+
+// addHot adds count hot keys drawn from rng through add.
+func addHot(add func(string) error, keys []string, rng *stream.RNG, count int) error {
+	for i := 0; i < count; i++ {
+		if err := add(keys[rng.Intn(len(keys))]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // measureAsyncIngest ingests n add events from `producers` goroutines into a
-// sharded dense profile of capacity m, either directly (locked-striped) or
-// through the async plane (async-mailbox, including the final Flush so every
-// event is applied when the clock stops). Construction is included,
+// keyed profile of capacity m, either directly (locked-striped: every
+// producer calls Add) or through the async plane (async-mailbox: one
+// Producer handle per goroutine, and the clock includes the final Flush, so
+// every event is applied when it stops). Construction is included,
 // mirroring Measure's protocol; teardown is not.
 func measureAsyncIngest(method Method, m, producers, n int, seed uint64) (float64, error) {
+	keys := hotKeys(m)
 	per := n / producers
 	start := time.Now()
 
-	opts := []sprofile.BuildOption{sprofile.WithSharding(asyncIngestShards)}
+	var (
+		locked *sprofile.KeyedConcurrent[string]
+		async  *sprofile.AsyncKeyed[string]
+		err    error
+	)
 	if method == MethodAsyncMailbox {
-		opts = append(opts, sprofile.WithAsyncIngest(sprofile.AsyncPolicy{}))
+		async, err = sprofile.BuildKeyedAsync[string](m, sprofile.AsyncPolicy{}, sprofile.WithSharding(asyncIngestShards))
+	} else {
+		locked, err = sprofile.BuildKeyed[string](m, sprofile.WithSharding(asyncIngestShards))
 	}
-	p, err := sprofile.Build(m, opts...)
 	if err != nil {
 		return 0, err
 	}
@@ -78,43 +103,31 @@ func measureAsyncIngest(method Method, m, producers, n int, seed uint64) (float6
 		go func(w, count int) {
 			defer wg.Done()
 			rng := stream.NewRNG(seed + uint64(w)*2654435761)
-			if a, ok := p.(*sprofile.Async); ok {
-				h, err := a.Producer()
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				defer h.Close()
-				for i := 0; i < count; i++ {
-					if err := h.Add(hotObject(rng, m)); err != nil {
-						errs[w] = err
-						return
-					}
-				}
+			if async == nil {
+				errs[w] = addHot(locked.Add, keys, rng, count)
 				return
 			}
-			for i := 0; i < count; i++ {
-				if err := p.Add(hotObject(rng, m)); err != nil {
-					errs[w] = err
-					return
-				}
+			h, err := async.Producer()
+			if err != nil {
+				errs[w] = err
+				return
 			}
+			defer h.Close()
+			errs[w] = addHot(h.Add, keys, rng, count)
 		}(w, count)
 	}
 	wg.Wait()
-	var elapsed time.Duration
-	if a, ok := p.(*sprofile.Async); ok {
+	elapsed := time.Since(start)
+	if async != nil {
 		// The clock stops only once every enqueued event is applied — the
 		// async column never gets credit for work still sitting in a mailbox.
-		if err := a.Flush(); err != nil {
+		if err := async.Flush(); err != nil {
 			return 0, err
 		}
 		elapsed = time.Since(start)
-		if err := a.Close(); err != nil {
+		if err := async.Close(); err != nil {
 			return 0, err
 		}
-	} else {
-		elapsed = time.Since(start)
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -124,25 +137,20 @@ func measureAsyncIngest(method Method, m, producers, n int, seed uint64) (float6
 	return elapsed.Seconds(), nil
 }
 
-// measureQueryP50 returns the median latency, in seconds, of a composite
-// Query (summary + top-10) against an async profile holding m objects,
-// optionally while `producers` goroutines ingest continuously.
+// measureQueryP50 returns the median latency, in seconds, of
+// asyncIngestQuery against an async keyed profile of capacity m, optionally
+// while `producers` goroutines ingest continuously.
 func measureQueryP50(m, producers, samples int, seed uint64) (float64, error) {
-	p, err := sprofile.Build(m,
-		sprofile.WithSharding(asyncIngestShards),
-		sprofile.WithAsyncIngest(sprofile.AsyncPolicy{}))
+	keys := hotKeys(m)
+	a, err := sprofile.BuildKeyedAsync[string](m, sprofile.AsyncPolicy{}, sprofile.WithSharding(asyncIngestShards))
 	if err != nil {
 		return 0, err
 	}
-	a := p.(*sprofile.Async)
 	defer a.Close()
 
 	// Seed the profile so the queries have state to summarise.
-	rng := stream.NewRNG(seed)
-	for i := 0; i < m; i++ {
-		if err := a.Add(hotObject(rng, m)); err != nil {
-			return 0, err
-		}
+	if err := addHot(a.Add, keys, stream.NewRNG(seed), m); err != nil {
+		return 0, err
 	}
 	if err := a.Flush(); err != nil {
 		return 0, err
@@ -166,16 +174,15 @@ func measureQueryP50(m, producers, samples int, seed uint64) (float64, error) {
 					return
 				default:
 				}
-				_ = h.Add(hotObject(rng, m))
+				_ = addHot(h.Add, keys, rng, 1)
 			}
 		}(w)
 	}
 
 	lat := make([]float64, samples)
-	q := sprofile.Query{Summary: true, TopK: 10}
 	for i := range lat {
 		t0 := time.Now()
-		if _, err := a.Query(q); err != nil {
+		if _, err := a.QueryKeys(asyncIngestQuery); err != nil {
 			close(stop)
 			wg.Wait()
 			return 0, err
@@ -188,23 +195,24 @@ func measureQueryP50(m, producers, samples int, seed uint64) (float64, error) {
 	return lat[len(lat)/2], nil
 }
 
-// AsyncIngest measures the shared-nothing ingest plane against the locked
-// striped baseline: the left panel sweeps the producer count at 4 shards and
-// reports wall-clock seconds for n hot-key add events (async includes its
-// final Flush); the right panel reports the p50 latency of a composite query
-// against an idle profile vs under full-tilt ingest from the same producer
-// counts — the bounded-staleness reads are supposed to stay flat because
-// queries never take an ingest lock. Single-core hosts timeshare the
-// producers and appliers, so the async column shows the coalescing win
-// there rather than parallel speedup; record GOMAXPROCS with the numbers.
+// AsyncIngest measures the keyed async ingest plane against the locked
+// striped baseline: the left panel sweeps the producer count at 4 stripes
+// and reports wall-clock seconds for n hot-key add events (async includes
+// its final Flush); the right panel reports the p50 latency of a composite
+// keyed query against an idle async profile vs under full-tilt ingest from
+// the same producer counts — the bounded-staleness reads are supposed to
+// stay flat because queries never take an ingest lock. Single-core hosts
+// timeshare the producers and appliers, so the async column shows the
+// coalescing win there rather than parallel speedup; record GOMAXPROCS with
+// the numbers.
 func AsyncIngest(scale Scale) ([]*Result, error) {
 	n := scale.Figure4N
 	m := scale.Figure6M
 
 	ingest := &Result{
 		ID: "async-ingest",
-		Title: fmt.Sprintf("dense ingest, locked striped vs async mailboxes, n=%d, m=%d, %d shards, hot keys",
-			n, m, asyncIngestShards),
+		Title: fmt.Sprintf("keyed ingest, locked striped vs async mailboxes, n=%d, m=%d, %d stripes, %d hot string keys",
+			n, m, asyncIngestShards, len(hotKeys(m))),
 		XLabel:  "producers",
 		Methods: []Method{MethodLockedStriped, MethodAsyncMailbox},
 	}
@@ -239,7 +247,7 @@ func AsyncIngest(scale Scale) ([]*Result, error) {
 	}
 	query := &Result{
 		ID: "async-ingest-query",
-		Title: fmt.Sprintf("composite query p50 on the async plane, idle vs under ingest, m=%d, %d shards, %d samples",
+		Title: fmt.Sprintf("composite keyed query p50 (mode, top-10, p50/p99, summary) on the async plane, idle vs under ingest, m=%d, %d stripes, %d samples",
 			m, asyncIngestShards, samples),
 		XLabel:  "producers",
 		Methods: []Method{MethodQueryIdle, MethodQueryIngest},

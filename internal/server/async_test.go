@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -124,6 +125,38 @@ func TestAsyncServerDeferredErrorOnFlush(t *testing.T) {
 	// The error was consumed; the next flush is clean.
 	if fresp, ferr := postFlush(t, ts); fresp.StatusCode != http.StatusOK || ferr.Error != "" {
 		t.Fatalf("second flush = %d %+v, want clean", fresp.StatusCode, ferr)
+	}
+}
+
+// TestAsyncServerFailingEventKeepsTheRest pins that a deferred failure
+// costs only its own event: the request's other events share the failing
+// one's drained batch, were acknowledged, and must all land.
+func TestAsyncServerFailingEventKeepsTheRest(t *testing.T) {
+	_, ts := newAsyncTestServer(t, Config{Capacity: 128, Shards: 1, AsyncFlushInterval: time.Hour})
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		a, c := fmt.Sprintf("a%d", i), fmt.Sprintf("c%d", i)
+		postEvents(t, ts, `{"object":"`+a+`","action":"add"}`)
+		if fresp, ferr := postFlush(t, ts); fresp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: seeding flush = %d %+v", i, fresp.StatusCode, ferr)
+		}
+		resp, out := postEvents(t, ts, `[{"object":"`+a+`","action":"remove"},`+
+			`{"object":"ghost","action":"remove"},{"object":"`+c+`","action":"add"}]`)
+		if resp.StatusCode != http.StatusOK || out.Applied != 3 {
+			t.Fatalf("round %d: events = %d %+v, want 200 applied 3", i, resp.StatusCode, out)
+		}
+		if fresp, ferr := postFlush(t, ts); fresp.StatusCode != http.StatusNotFound || ferr.Code != "unknown_key" {
+			t.Fatalf("round %d: flush = %d %+v, want 404 unknown_key", i, fresp.StatusCode, ferr)
+		}
+	}
+	for i := 0; i < rounds; i++ {
+		for object, want := range map[string]int64{fmt.Sprintf("a%d", i): 0, fmt.Sprintf("c%d", i): 1} {
+			var count entryResponse
+			getJSON(t, ts, "/v1/stats/count?object="+object, &count)
+			if count.Frequency != want {
+				t.Fatalf("count(%s) = %d, want %d", object, count.Frequency, want)
+			}
+		}
 	}
 }
 

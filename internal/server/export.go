@@ -88,8 +88,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var doc exportDoc
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&doc); err != nil {
+	if err := decodeOnly(json.NewDecoder(r.Body), &doc); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid import document: %v", err)
 		return
 	}

@@ -47,7 +47,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q sprofile.KeyedQuery[string]
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q); err != nil {
+	if err := decodeOnly(dec, &q); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid query document: %v", err)
 		return
 	}

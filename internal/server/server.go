@@ -794,11 +794,34 @@ func decodeEvents(r *http.Request, maxBatch int) ([]Event, error) {
 	return []Event{single}, nil
 }
 
-// strictDecode unmarshals data into v, rejecting unknown fields.
+// strictDecode unmarshals data into v, rejecting unknown fields and any
+// data after the value.
 func strictDecode(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	return decodeOnly(dec, v)
+}
+
+// errTrailingData rejects a body or line holding more than one JSON value.
+var errTrailingData = errors.New("unexpected data after the JSON value")
+
+// decodeOnly decodes the one JSON value dec reads into v. Only whitespace
+// may follow it: a second value or trailing garbage is an error, never
+// silently dropped.
+func decodeOnly(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err == nil:
+		return errTrailingData
+	default:
+		// Garbage that is not a token, or a body read failing after the
+		// value; either way the value is not all the body holds.
+		return fmt.Errorf("%w: %v", errTrailingData, err)
+	}
 }
 
 func parseAction(s string) (sprofile.Action, error) {

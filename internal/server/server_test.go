@@ -458,3 +458,53 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatalf("adds = %v, want %d", got, clients*50)
 	}
 }
+
+// TestDecodersRejectTrailingData pins that every request decoder reads
+// exactly one JSON value: a second value or trailing garbage is a 400 with
+// the code other malformed bodies get, and nothing of the body is applied.
+// Trailing whitespace stays accepted.
+func TestDecodersRejectTrailingData(t *testing.T) {
+	for _, tc := range []struct {
+		name, path, body string
+		status           int
+	}{
+		{"ndjson line with two events", "/v1/events/bulk",
+			`{"object":"a","action":"add"} {"object":"b","action":"add"}` + "\n", http.StatusBadRequest},
+		{"events array then array", "/v1/events",
+			`[{"object":"a","action":"add"}] [{"object":"b","action":"add"}]`, http.StatusBadRequest},
+		{"event then garbage", "/v1/events", `{"object":"a","action":"add"} garbage`, http.StatusBadRequest},
+		{"event then closing bracket", "/v1/events", `{"object":"a","action":"add"}]`, http.StatusBadRequest},
+		{"query then query", "/v1/query", `{"summary":true} {"mode":true}`, http.StatusBadRequest},
+		{"import then garbage", "/v1/import", `{"objects":[{"object":"a","frequency":2}]} x`, http.StatusBadRequest},
+		{"ndjson line with trailing space", "/v1/events/bulk", "{\"object\":\"a\",\"action\":\"add\"} \t\n", http.StatusOK},
+		{"events with trailing newline", "/v1/events", "[{\"object\":\"a\",\"action\":\"add\"}]\r\n ", http.StatusOK},
+		{"query with trailing newline", "/v1/query", "{\"summary\":true}\n", http.StatusOK},
+		{"import with trailing newline", "/v1/import", "{\"objects\":[{\"object\":\"a\",\"frequency\":2}]}\n", http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := newTestServer(t, 8)
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out errorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status = %d %+v, want %d", resp.StatusCode, out, tc.status)
+			}
+			var summary map[string]any
+			getJSON(t, ts, "/v1/stats/summary", &summary)
+			if tc.status != http.StatusOK {
+				if out.Code != "bad_request" {
+					t.Fatalf("code = %q, want bad_request", out.Code)
+				}
+				if total := summary["total"].(float64); total != 0 {
+					t.Fatalf("rejected body applied %v events", total)
+				}
+			}
+		})
+	}
+}

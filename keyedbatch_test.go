@@ -214,6 +214,56 @@ func TestKeyedApplyBatchErrors(t *testing.T) {
 	}
 }
 
+// TestKeyedApplyBatchFailingKeyAppliesTheRest pins ApplyBatch's per-key
+// error semantics: a failing entry leaves only its own key unchanged, and
+// every other key of the batch — after it in the same stripe, or in a later
+// stripe — is applied, counted and journaled.
+func TestKeyedApplyBatchFailingKeyAppliesTheRest(t *testing.T) {
+	one := sprofile.MustBuildKeyed[string](8, sprofile.WithSharding(1))
+	applied, err := one.ApplyBatch([]sprofile.KeyedTuple[string]{
+		{Key: "ghost", Action: sprofile.ActionRemove},
+		{Key: "c", Action: sprofile.ActionAdd},
+	})
+	if !errors.Is(err, sprofile.ErrUnknownKey) || applied != 1 {
+		t.Fatalf("one stripe: applied=%d err=%v, want 1 and ErrUnknownKey", applied, err)
+	}
+	if f, _ := one.Count("c"); f != 1 || one.Tracked() != 1 {
+		t.Fatalf("one stripe: c=%d tracked=%d, want 1 and 1", f, one.Tracked())
+	}
+
+	// Across stripes, with a WAL: the keys after the failing one are
+	// applied wherever they hash, and survive a reopen.
+	path := filepath.Join(t.TempDir(), "batch.wal")
+	k, err := sprofile.BuildKeyed[string](64, sprofile.WithSharding(4), sprofile.WithWAL(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []sprofile.KeyedTuple[string]{{Key: "ghost", Action: sprofile.ActionRemove}}
+	for i := 0; i < 32; i++ {
+		batch = append(batch, sprofile.KeyedTuple[string]{Key: fmt.Sprintf("k%d", i), Action: sprofile.ActionAdd})
+	}
+	applied, err = k.ApplyBatch(batch)
+	if !errors.Is(err, sprofile.ErrUnknownKey) || applied != 32 {
+		t.Fatalf("four stripes: applied=%d err=%v, want 32 and ErrUnknownKey", applied, err)
+	}
+	if err := k.Close(); err != nil {
+		t.Fatal(err)
+	}
+	k, err = sprofile.BuildKeyed[string](64, sprofile.WithSharding(4), sprofile.WithWAL(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	for i := 0; i < 32; i++ {
+		if f, _ := k.Count(fmt.Sprintf("k%d", i)); f != 1 {
+			t.Fatalf("reopened k%d = %d, want 1", i, f)
+		}
+	}
+	if k.Tracked() != 32 {
+		t.Fatalf("reopened tracked %d, want 32", k.Tracked())
+	}
+}
+
 // TestKeyedApplyBatchFirstActionDecidesAcquire pins the per-event acquire
 // rule on the batch path: an unknown key is acquired exactly when its first
 // event in the batch is an add — so a WithoutKeyRecycling stream that adds

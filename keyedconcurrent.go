@@ -169,9 +169,6 @@ func BuildKeyed[K comparable](m int, opts ...BuildOption) (*KeyedConcurrent[K], 
 	if cfg.windowSet || cfg.spanSet {
 		return nil, fmt.Errorf("%w: window adapters are single-goroutine; BuildKeyed cannot maintain them concurrently", ErrBuildConfig)
 	}
-	if cfg.asyncSet {
-		return nil, fmt.Errorf("%w: BuildKeyed returns the concrete *KeyedConcurrent; use BuildKeyedAsync for the async ingest plane", ErrBuildConfig)
-	}
 	if cfg.shardsSet && cfg.shards <= 0 {
 		return nil, fmt.Errorf("%w: shard count must be positive, got %d", ErrBuildConfig, cfg.shards)
 	}
@@ -687,10 +684,13 @@ func growInt32(s []int32, n int) []int32 {
 // It returns the number of events whose effect is in the profile. Semantics
 // match applying the events one by one except in two documented ways shared
 // with the rest of the delta path: strict non-negativity applies to each
-// key's net delta, and on an error the other keys of the batch may already
-// be applied (an invalid action anywhere, however, rejects the whole batch
-// before anything is applied). A journaling failure is reported as
-// ErrWALAppend after the batch has been applied in memory.
+// key's net delta, and a key whose entry fails (a remove-first unknown key,
+// ErrKeyedFull, a strict violation) does not stop the others — it is left
+// unchanged, every other key of the batch is applied, and the first such
+// error is returned. An invalid action (or, with a WAL, an unjournalable
+// key) anywhere rejects the whole batch before anything is applied. A
+// journaling failure is reported as ErrWALAppend after its stripe has been
+// applied in memory; later stripes are not applied.
 func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 	if len(events) == 0 {
 		return 0, nil
@@ -763,7 +763,7 @@ func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 	applied := 0
 	var journalErr error
 	var entryErr error
-	for si := 0; si < ns && entryErr == nil && journalErr == nil; si++ {
+	for si := 0; si < ns && journalErr == nil; si++ {
 		idxs := b.group(si)
 		if len(idxs) == 0 {
 			continue
@@ -772,16 +772,21 @@ func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 			b.wrecs = b.wrecs[:0]
 			for _, j := range idxs {
 				en := &b.entries[j]
-				if entryErr = k.applyEntryLocked(t, si, en.key, en.hash, en.adds, en.removes, en.firstIsAdd); entryErr != nil {
-					break
+				if err := k.applyEntryLocked(t, si, en.key, en.hash, en.adds, en.removes, en.firstIsAdd); err != nil {
+					// A failed entry leaves its key unchanged; the other
+					// keys still apply (an async drain mixes producers).
+					if entryErr == nil {
+						entryErr = err
+					}
+					continue
 				}
 				applied += int(en.adds + en.removes)
 				if k.store != nil {
 					b.wrecs = append(b.wrecs, wal.BatchEntry{Key: any(en.key).(string), Adds: en.adds, Removes: en.removes})
 				}
 			}
-			// The applied prefix of the stripe is journaled even when a later
-			// entry failed: the in-memory updates happened, so the log must
+			// The stripe's applied entries are journaled even when one of
+			// them failed: the in-memory updates happened, so the log must
 			// carry them.
 			if k.store != nil && len(b.wrecs) > 0 {
 				if _, jerr := k.store.AppendBatch(b.wrecs); jerr != nil {

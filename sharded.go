@@ -835,10 +835,6 @@ func newShardedView(template *Sharded, snaps []*core.Profile) *Sharded {
 	return v
 }
 
-// shardOf returns the shard index holding object x; the caller guarantees x
-// is in range.
-func (s *Sharded) shardOf(x int) int { return x / s.shardSize }
-
 // lockAllWrite takes every shard's write lock (in index order); the returned
 // function releases them.
 func (s *Sharded) lockAllWrite() func() {
