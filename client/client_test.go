@@ -212,16 +212,49 @@ func TestErrorTaxonomyAcrossTheWire(t *testing.T) {
 		t.Fatalf("overflow add = %v, want errors.Is ErrCapExceeded", err)
 	}
 
-	// Partial batches surface the applied prefix on the APIError.
+	// An invalid event rejects its whole batch: nothing is applied, and the
+	// APIError says so.
 	applied, err := c.SendEvents(ctx, []Event{
 		{Object: "k1", Action: ActionAdd},
 		{Object: "k2", Action: "bogus"},
 	})
-	if err == nil || applied != 1 {
-		t.Fatalf("partial batch = (%d, %v), want 1 applied and an error", applied, err)
+	if err == nil || applied != 0 {
+		t.Fatalf("partial batch = (%d, %v), want 0 applied and an error", applied, err)
 	}
 	if !errors.Is(err, sprofile.ErrInvalidAction) {
 		t.Fatalf("bogus action = %v, want errors.Is ErrInvalidAction", err)
+	}
+}
+
+// TestRejectedEventsUnwrapAcrossTheWire pins that both ingest routes reject
+// an invalid event with its taxonomy code, so errors.Is resolves the same
+// class whether the batch went through SendEvents or BulkIngest, and that
+// nothing of the rejected batch is applied.
+func TestRejectedEventsUnwrapAcrossTheWire(t *testing.T) {
+	c := newClient(t, 4)
+	ctx := context.Background()
+	send := map[string]func(context.Context, []Event) (int, error){
+		"SendEvents": c.SendEvents,
+		"BulkIngest": c.BulkIngest,
+	}
+	for _, tc := range []struct {
+		name  string
+		event Event
+		want  error
+	}{
+		{"bad action", Event{Object: "k", Action: "sideways"}, sprofile.ErrInvalidAction},
+		{"empty object", Event{Object: "", Action: ActionAdd}, sprofile.ErrOutOfRange},
+	} {
+		for route, fn := range send {
+			applied, err := fn(ctx, []Event{{Object: "k", Action: ActionAdd}, tc.event})
+			var ae *APIError
+			if !errors.Is(err, tc.want) || !errors.As(err, &ae) || ae.StatusCode != 400 || applied != 0 {
+				t.Errorf("%s with %s = (%d, %v), want 400 and errors.Is %v with 0 applied", route, tc.name, applied, err, tc.want)
+			}
+		}
+	}
+	if f, err := c.Count(ctx, "k"); err != nil || f != 0 {
+		t.Fatalf("Count(k) after rejected batches = (%d, %v), want 0", f, err)
 	}
 }
 

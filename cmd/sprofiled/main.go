@@ -80,7 +80,6 @@ func main() {
 		shards      = fs.Int("shards", 0, "split the profile across this many lock shards (0 = one per CPU)")
 		maxBatch    = fs.Int("max-batch", 10_000, "maximum number of events per POST")
 		walPath     = fs.String("wal", "", "write-ahead log directory; state is recovered from it on startup (a single-file log from an older version is refused: open it once with commit 3727a8a and checkpoint)")
-		walSync     = fs.Int("wal-sync-every", 0, "fsync the WAL after this many events (0 = once per batch)")
 		ckptEvery   = fs.Duration("checkpoint-every", 0, "snapshot the profile and truncate the WAL on this cadence (0 = disabled; requires -wal)")
 		ckptBytes   = fs.Int64("checkpoint-bytes", 0, "additionally checkpoint once the WAL tail exceeds this many bytes (0 = disabled; requires -wal)")
 		follow      = fs.String("follow", "", "run as a read-only follower of the leader at this base URL; -wal names the local mirror directory (required). Writes are refused with the leader's address until POST /v1/admin/promote")
@@ -129,7 +128,6 @@ func main() {
 		Shards:             *shards,
 		MaxBatch:           *maxBatch,
 		WALPath:            *walPath,
-		WALSyncEvery:       *walSync,
 		CheckpointEvery:    *ckptEvery,
 		CheckpointBytes:    *ckptBytes,
 		Follow:             *follow,

@@ -132,8 +132,10 @@ type FrequencyLoader interface {
 // ingestion and query surface, addressed by arbitrary comparable keys
 // instead of dense ids. Both Keyed (single-goroutine, global recycling) and
 // KeyedConcurrent (lock-striped, per-stripe recycling, safe for concurrent
-// use) satisfy it, so callers such as the HTTP server can swap one for the
-// other without touching handler code.
+// use) satisfy it, so callers can swap one for the other without touching
+// query code. The HTTP server reads through it (every statistics route is
+// one QueryKeys call, over KeyedConcurrent or AsyncKeyed) and writes through
+// the concrete types' ApplyBatch.
 type KeyedProfiler[K comparable] interface {
 	// Add increments the frequency of key, assigning a dense id if needed
 	// and recycling an idle one when the profile is full.

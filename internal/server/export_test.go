@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -77,6 +79,48 @@ func TestImportValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: import = %d, want 400", name, resp.StatusCode)
+		}
+	}
+}
+
+// TestImportEmptyObjectIsOutOfRange pins the wire code of an import entry
+// without an object: the write routes' shared validation class, so a client
+// can errors.Is it against sprofile.ErrOutOfRange.
+func TestImportEmptyObjectIsOutOfRange(t *testing.T) {
+	ts := newTestServer(t, 10)
+	resp, out := postJSON(t, ts.URL+"/v1/import", `{"objects":[{"object":"a","frequency":2},{"object":"","frequency":1}]}`)
+	if resp.StatusCode != http.StatusBadRequest || out["code"] != "out_of_range" {
+		t.Fatalf("import of an empty object = %d %+v, want 400 out_of_range", resp.StatusCode, out)
+	}
+}
+
+// TestImportAckIsDurable pins that an import is acknowledged only once it
+// is durable: a copy of the WAL directory taken right after the 200, with
+// the server still running (a crash stand-in), recovers every imported
+// count.
+func TestImportAckIsDurable(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	s, ts := newWALServer(t, Config{Capacity: 16, WALPath: dir})
+	defer s.Close()
+	if resp, out := postJSON(t, ts.URL+"/v1/import", `{"objects":[{"object":"a","frequency":3},{"object":"b","frequency":2}]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("import = %d %+v", resp.StatusCode, out)
+	}
+	crashed := filepath.Join(t.TempDir(), "crashed")
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(Config{Capacity: 16, WALPath: crashed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	ts2 := httptest.NewServer(s2)
+	defer ts2.Close()
+	for object, want := range map[string]int64{"a": 3, "b": 2} {
+		var count entryResponse
+		getJSON(t, ts2, "/v1/stats/count?object="+object, &count)
+		if count.Frequency != want {
+			t.Fatalf("count(%s) recovered from the acknowledged import = %d, want %d", object, count.Frequency, want)
 		}
 	}
 }

@@ -8,7 +8,7 @@
 // The API is deliberately small and JSON-only:
 //
 //	POST /v1/events              one event or a batch of events
-//	POST /v1/events/bulk         NDJSON stream of events (batch fast path)
+//	POST /v1/events/bulk         NDJSON stream of events
 //	POST /v1/query               one composite multi-statistic query,
 //	                             answered atomically from one cut
 //	POST /v1/admin/checkpoint    snapshot the profile and truncate the WAL
@@ -24,15 +24,26 @@
 //	GET  /v1/stats/majority      strict-majority object, if any
 //	GET  /v1/stats/distribution  full frequency histogram
 //	GET  /v1/stats/summary       aggregate counters
+//	GET  /v1/stats/rank?object=  popularity rank of one object
 //	GET  /healthz                liveness probe
 //
+// Writes: /v1/events, /v1/events/bulk and /v1/import validate their events
+// and apply them through ApplyBatch in chunks of at most MaxBatch; one
+// /v1/events body is one chunk. An invalid event (bad action, empty or
+// oversized object) rejects its whole chunk with 400 and its taxonomy code,
+// while earlier chunks stay applied. Strict non-negativity is checked on
+// each key's net delta within a chunk, and a key that fails to apply leaves
+// only itself unapplied ("applied" counts the rest). Every write route
+// answers only after its chunks' group-commit fsync.
+//
+// Reads: each GET /v1/stats/* route is a projection of one QueryKeys call.
+//
 // Concurrency: the server holds no lock of its own. Handlers call a
-// sprofile.KeyedConcurrent directly — ingestion synchronises on the event
-// key's stripe plus its profile shard, queries on the shards they read — so
-// requests for different keys proceed in parallel and readers are never
-// blocked behind a writer's fsync. Events inside one POST batch are applied
-// one by one; a concurrent reader may observe a batch partially applied
-// (each individual statistic is still internally consistent).
+// sprofile.KeyedConcurrent directly — a chunk locks its keys' stripes and
+// shards one stripe at a time, a query quiesces every stripe for its one
+// cut — so requests for different keys proceed in parallel and readers are
+// never blocked behind a writer's fsync. A concurrent reader may observe a
+// chunk partially applied; every answer is still one consistent cut.
 package server
 
 import (
@@ -77,9 +88,6 @@ type Config struct {
 	// this path by an older version is refused, and so are its migration
 	// leftovers (see README "Persistence & recovery").
 	WALPath string
-	// WALSyncEvery fsyncs the log after this many events; zero syncs once
-	// per accepted batch.
-	WALSyncEvery int
 	// CheckpointEvery, when positive, checkpoints the profile on that
 	// cadence: a snapshot is written into the WAL directory and the log
 	// segments it covers are deleted, bounding restart time and disk use.
@@ -193,8 +201,9 @@ func (s *Server) keyed() sprofile.KeyedProfiler[string] {
 	return s.prof()
 }
 
-// applyBatch routes one decoded bulk chunk through whichever batch path is
-// configured.
+// applyBatch applies one validated chunk through whichever batch path is
+// configured: KeyedConcurrent.ApplyBatch, which with a WAL returns after the
+// chunk's group-commit fsync, or AsyncKeyed.ApplyBatch, which enqueues it.
 func (s *Server) applyBatch(events []sprofile.KeyedTuple[string]) (int, error) {
 	if s.async != nil {
 		return s.async.ApplyBatch(events)
@@ -241,9 +250,7 @@ func New(cfg Config) (*Server, error) {
 		return newFollowerServer(cfg, buildOpts, maxBatch)
 	}
 	if cfg.WALPath != "" {
-		buildOpts = append(buildOpts,
-			sprofile.WithWAL(cfg.WALPath),
-			sprofile.WithWALSyncEvery(cfg.WALSyncEvery))
+		buildOpts = append(buildOpts, sprofile.WithWAL(cfg.WALPath))
 	}
 	if cfg.CheckpointEvery > 0 || cfg.CheckpointBytes > 0 {
 		if cfg.WALPath == "" {
@@ -291,9 +298,9 @@ func newFollowerServer(cfg Config, buildOpts []sprofile.BuildOption, maxBatch in
 	if cfg.WALPath == "" {
 		return nil, fmt.Errorf("%w: follower mode requires a WAL path for the local mirror", errConfig)
 	}
-	// Checkpoint and sync-cadence options only make sense on a leader; they
-	// take effect when (if) this follower is promoted.
-	promoteOpts := []sprofile.BuildOption{sprofile.WithWALSyncEvery(cfg.WALSyncEvery)}
+	// Checkpoint options only make sense on a leader; they take effect when
+	// (if) this follower is promoted.
+	var promoteOpts []sprofile.BuildOption
 	if cfg.CheckpointEvery > 0 || cfg.CheckpointBytes > 0 {
 		promoteOpts = append(promoteOpts, sprofile.WithCheckpoints(sprofile.CheckpointPolicy{
 			Every:      cfg.CheckpointEvery,
@@ -438,16 +445,9 @@ func (s *Server) routes() {
 	if s.debugFailpoints {
 		s.mux.Handle("/v1/admin/failpoint", s.deadlineFunc(s.handleFailpoint))
 	}
-	s.mux.Handle("/v1/stats/mode", s.deadlineFunc(s.handleMode))
-	s.mux.Handle("/v1/stats/top", s.deadlineFunc(s.handleTop))
-	s.mux.Handle("/v1/stats/min", s.deadlineFunc(s.handleMin))
-	s.mux.Handle("/v1/stats/bottom", s.deadlineFunc(s.handleBottom))
-	s.mux.Handle("/v1/stats/count", s.deadlineFunc(s.handleCount))
-	s.mux.Handle("/v1/stats/median", s.deadlineFunc(s.handleMedian))
-	s.mux.Handle("/v1/stats/quantile", s.deadlineFunc(s.handleQuantile))
-	s.mux.Handle("/v1/stats/majority", s.deadlineFunc(s.handleMajority))
-	s.mux.Handle("/v1/stats/distribution", s.deadlineFunc(s.handleDistribution))
-	s.mux.Handle("/v1/stats/summary", s.deadlineFunc(s.handleSummary))
+	for path, route := range statsRoutes {
+		s.mux.Handle(path, s.deadlineFunc(s.statsHandler(route.query, route.render)))
+	}
 	s.registerExportRoutes()
 	s.registerReplicationRoutes()
 }
@@ -463,21 +463,6 @@ type eventsResponse struct {
 	Applied int    `json:"applied"`
 	Error   string `json:"error,omitempty"`
 	Code    string `json:"code,omitempty"`
-}
-
-// entryResponse is the wire form of a single statistics answer.
-type entryResponse struct {
-	Object    string `json:"object"`
-	Frequency int64  `json:"frequency"`
-	Ties      int    `json:"ties,omitempty"`
-}
-
-// majorityResponse answers GET /v1/stats/majority; Object and Frequency are
-// meaningful only when Majority is true.
-type majorityResponse struct {
-	Object    string `json:"object,omitempty"`
-	Frequency int64  `json:"frequency,omitempty"`
-	Majority  bool   `json:"majority"`
 }
 
 type errorResponse struct {
@@ -824,17 +809,6 @@ func decodeOnly(dec *json.Decoder, v any) error {
 	}
 }
 
-func parseAction(s string) (sprofile.Action, error) {
-	switch s {
-	case "add", "+", "1":
-		return sprofile.ActionAdd, nil
-	case "remove", "-", "-1":
-		return sprofile.ActionRemove, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown action %q (want \"add\" or \"remove\")", sprofile.ErrInvalidAction, s)
-	}
-}
-
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -848,58 +822,39 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	applied := 0
+	in := s.startIngest()
+	defer in.close()
 	for _, e := range events {
-		if err := checkObject(e.Object); err != nil {
-			writeJSON(w, http.StatusBadRequest, eventsResponse{Applied: applied, Error: err.Error(), Code: "bad_request"})
-			return
+		t, err := parseEvent(e.Object, e.Action)
+		if err == nil {
+			err = in.push(t)
 		}
-		action, err := parseAction(e.Action)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, eventsResponse{Applied: applied, Error: err.Error(), Code: "invalid_action"})
+			in.fail(w, err)
 			return
 		}
-		if err := s.keyed().Apply(e.Object, action); err != nil {
-			status, code := errorCode(err)
-			resp := eventsResponse{Applied: applied, Error: err.Error(), Code: code}
-			if errors.Is(err, sprofile.ErrWALAppend) {
-				// The update is in the profile but not in the log.
-				resp.Applied++
-			}
-			setRetryHint(w, err)
-			writeJSON(w, status, resp)
-			return
-		}
-		applied++
 	}
 	// In async mode Applied means accepted-and-enqueued: the appliers fsync
 	// per drained batch, and stream-dependent errors surface on
 	// POST /v1/admin/flush instead of here.
-	if s.async == nil {
-		if err := s.prof().Sync(); err != nil {
-			writeJSON(w, http.StatusInternalServerError, eventsResponse{
-				Applied: applied,
-				Error:   fmt.Sprintf("events applied but log sync failed: %v", err),
-				Code:    "wal_append",
-			})
-			return
-		}
+	if err := in.flush(); err != nil {
+		in.fail(w, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, eventsResponse{Applied: applied})
+	writeJSON(w, http.StatusOK, eventsResponse{Applied: in.applied})
 }
 
-// bulkScratch is the pooled per-request buffer set of the bulk endpoint:
-// the line scanner's initial buffer and the event chunk handed to
-// ApplyBatch. Pooling keeps the streaming decode free of per-event
-// allocations (the decoded key strings themselves are the only per-event
-// cost, and only new keys are retained by the profile).
-type bulkScratch struct {
+// chunkScratch is the pooled per-request buffer set of the write routes:
+// the event chunk handed to applyBatch and, once the bulk route has used
+// it, the NDJSON line scanner's initial buffer. Pooling keeps the streaming
+// decode free of per-event allocations beyond the decoded key strings.
+type chunkScratch struct {
 	line   []byte
 	events []sprofile.KeyedTuple[string]
 }
 
-var bulkPool = sync.Pool{
-	New: func() any { return &bulkScratch{line: make([]byte, 64<<10)} },
+var chunkPool = sync.Pool{
+	New: func() any { return new(chunkScratch) },
 }
 
 // maxBulkLine bounds one NDJSON line. It is deliberately larger than the
@@ -922,16 +877,80 @@ func checkObject(object string) error {
 	return nil
 }
 
+// parseEvent is the validation every write route applies to one wire event.
+// Its errors carry their taxonomy class, which errorCode turns into a 400
+// with that class's wire code.
+func parseEvent(object, action string) (sprofile.KeyedTuple[string], error) {
+	if err := checkObject(object); err != nil {
+		return sprofile.KeyedTuple[string]{}, err
+	}
+	switch action {
+	case "add", "+", "1":
+		return sprofile.KeyedTuple[string]{Key: object, Action: sprofile.ActionAdd}, nil
+	case "remove", "-", "-1":
+		return sprofile.KeyedTuple[string]{Key: object, Action: sprofile.ActionRemove}, nil
+	}
+	return sprofile.KeyedTuple[string]{}, fmt.Errorf("%w: unknown action %q (want \"add\" or \"remove\")", sprofile.ErrInvalidAction, action)
+}
+
+// ingest is one write request's pass through the shared chunk applier:
+// validated events fill a chunk, and each full chunk, then the last one,
+// goes through applyBatch. applied counts the events in effect.
+type ingest struct {
+	s       *Server
+	sc      *chunkScratch
+	applied int
+}
+
+func (s *Server) startIngest() *ingest {
+	return &ingest{s: s, sc: chunkPool.Get().(*chunkScratch)}
+}
+
+// close returns the scratch to the pool, zeroing the chunk's whole backing
+// array so it does not pin the last chunk's key strings.
+func (in *ingest) close() {
+	clear(in.sc.events[:cap(in.sc.events)])
+	in.sc.events = in.sc.events[:0]
+	chunkPool.Put(in.sc)
+}
+
+// push buffers one validated event, applying the chunk once it holds
+// MaxBatch events.
+func (in *ingest) push(t sprofile.KeyedTuple[string]) error {
+	in.sc.events = append(in.sc.events, t)
+	if len(in.sc.events) < in.s.maxBatch {
+		return nil
+	}
+	return in.flush()
+}
+
+// flush applies the pending chunk.
+func (in *ingest) flush() error {
+	n, err := in.s.applyBatch(in.sc.events)
+	in.applied += n
+	in.sc.events = in.sc.events[:0]
+	return err
+}
+
+// fail answers a write that stopped on err, an invalid event or a chunk's
+// apply failure, with err's taxonomy status and code.
+func (in *ingest) fail(w http.ResponseWriter, err error) {
+	status, code := errorCode(err)
+	setRetryHint(w, err)
+	writeJSON(w, status, eventsResponse{Applied: in.applied, Error: err.Error(), Code: code})
+}
+
+// badRequest answers a write whose body could not be read as events.
+func (in *ingest) badRequest(w http.ResponseWriter, format string, args ...any) {
+	writeJSON(w, http.StatusBadRequest, eventsResponse{Applied: in.applied, Error: fmt.Sprintf(format, args...), Code: statusCode(http.StatusBadRequest)})
+}
+
 // handleBulk ingests an NDJSON stream — one {"object", "action"} event per
-// line — through the profile's delta-batched fast path: events are decoded
-// into chunks of at most MaxBatch, each chunk is coalesced into net
+// line — through the shared chunk applier: each chunk is coalesced into net
 // per-key deltas, applied with one stripe-lock acquisition per stripe and
 // one block walk per distinct key, and (with a WAL) journaled as one batch
-// record per stripe with one group-commit fsync per chunk. Blank lines are
-// skipped. The response reports how many events were applied; on a decode
-// error it also names the failing line. A bad line rejects its own pending
-// chunk (those events are never applied), while chunks flushed earlier in
-// the stream stay applied — the Applied count is always accurate.
+// record per stripe with one group-commit fsync. Blank lines are skipped. A
+// decode error names the failing line.
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -940,29 +959,14 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReadOnly(w) || s.rejectDegraded(w) {
 		return
 	}
-	sc := bulkPool.Get().(*bulkScratch)
-	defer func() {
-		// Zero the full backing array, not just the live prefix — flush()
-		// truncates after each chunk, so the pooled capacity would otherwise
-		// keep pinning the last flushed chunk's key strings.
-		clear(sc.events[:cap(sc.events)])
-		sc.events = sc.events[:0]
-		bulkPool.Put(sc)
-	}()
+	in := s.startIngest()
+	defer in.close()
+	if in.sc.line == nil {
+		in.sc.line = make([]byte, 64<<10)
+	}
 	scanner := bufio.NewScanner(r.Body)
-	scanner.Buffer(sc.line, maxBulkLine)
-
-	applied := 0
+	scanner.Buffer(in.sc.line, maxBulkLine)
 	lineNo := 0
-	flush := func() error {
-		n, err := s.applyBatch(sc.events)
-		applied += n
-		sc.events = sc.events[:0]
-		return err
-	}
-	fail := func(status int, format string, args ...any) {
-		writeJSON(w, status, eventsResponse{Applied: applied, Error: fmt.Sprintf(format, args...), Code: statusCode(status)})
-	}
 	for scanner.Scan() {
 		lineNo++
 		data := bytes.TrimSpace(scanner.Bytes())
@@ -971,216 +975,27 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 		}
 		var e Event
 		if err := strictDecode(data, &e); err != nil {
-			fail(http.StatusBadRequest, "line %d: %v", lineNo, err)
+			in.badRequest(w, "line %d: %v", lineNo, err)
 			return
 		}
-		if err := checkObject(e.Object); err != nil {
-			fail(http.StatusBadRequest, "line %d: %v", lineNo, err)
-			return
-		}
-		action, err := parseAction(e.Action)
+		t, err := parseEvent(e.Object, e.Action)
 		if err != nil {
-			fail(http.StatusBadRequest, "line %d: %v", lineNo, err)
+			in.fail(w, fmt.Errorf("line %d: %w", lineNo, err))
 			return
 		}
-		sc.events = append(sc.events, sprofile.KeyedTuple[string]{Key: e.Object, Action: action})
-		if len(sc.events) >= s.maxBatch {
-			if err := flush(); err != nil {
-				s.writeBulkApplyError(w, applied, err)
-				return
-			}
+		if err := in.push(t); err != nil {
+			in.fail(w, err)
+			return
 		}
 	}
 	if err := scanner.Err(); err != nil {
 		// Apply nothing further: the partial chunk may be mid-stream garbage.
-		fail(http.StatusBadRequest, "reading stream at line %d: %v", lineNo, err)
+		in.badRequest(w, "reading stream at line %d: %v", lineNo, err)
 		return
 	}
-	if err := flush(); err != nil {
-		s.writeBulkApplyError(w, applied, err)
+	if err := in.flush(); err != nil {
+		in.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, eventsResponse{Applied: applied})
-}
-
-// writeBulkApplyError maps an ApplyBatch failure onto the same taxonomy
-// statuses and codes the per-event endpoint uses.
-func (s *Server) writeBulkApplyError(w http.ResponseWriter, applied int, err error) {
-	status, code := errorCode(err)
-	setRetryHint(w, err)
-	writeJSON(w, status, eventsResponse{Applied: applied, Error: err.Error(), Code: code})
-}
-
-func (s *Server) handleMode(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	entry, ties, err := s.keyed().Mode()
-	if err != nil {
-		writeProfileError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, entryResponse{Object: entry.Key, Frequency: entry.Frequency, Ties: ties})
-}
-
-func (s *Server) handleMin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	entry, ties, err := s.keyed().Min()
-	if err != nil {
-		writeProfileError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, entryResponse{Object: entry.Key, Frequency: entry.Frequency, Ties: ties})
-}
-
-// parseK reads the ?k= parameter shared by the top and bottom handlers,
-// defaulting to 10; a given value is bounded by queryLimit. The bool reports
-// whether the value was valid (an error has been written otherwise).
-func (s *Server) parseK(w http.ResponseWriter, r *http.Request) (int, bool) {
-	k := 10
-	if raw := r.URL.Query().Get("k"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v <= 0 {
-			writeError(w, http.StatusBadRequest, "k must be a positive integer, got %q", raw)
-			return 0, false
-		}
-		if !s.withinQueryLimit(w, v) {
-			return 0, false
-		}
-		k = v
-	}
-	return k, true
-}
-
-func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	k, ok := s.parseK(w, r)
-	if !ok {
-		return
-	}
-	entries := s.keyed().TopK(k)
-	out := make([]entryResponse, len(entries))
-	for i, e := range entries {
-		out[i] = entryResponse{Object: e.Key, Frequency: e.Frequency}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleBottom(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	k, ok := s.parseK(w, r)
-	if !ok {
-		return
-	}
-	entries := s.keyed().BottomK(k)
-	out := make([]entryResponse, len(entries))
-	for i, e := range entries {
-		out[i] = entryResponse{Object: e.Key, Frequency: e.Frequency}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	object := r.URL.Query().Get("object")
-	if object == "" {
-		writeError(w, http.StatusBadRequest, "missing object parameter")
-		return
-	}
-	f, err := s.keyed().Count(object)
-	if err != nil {
-		writeProfileError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, entryResponse{Object: object, Frequency: f})
-}
-
-func (s *Server) handleMedian(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	entry, err := s.keyed().Median()
-	if err != nil {
-		writeProfileError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, entryResponse{Object: entry.Key, Frequency: entry.Frequency})
-}
-
-func (s *Server) handleQuantile(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	raw := r.URL.Query().Get("q")
-	q, err := strconv.ParseFloat(raw, 64)
-	if err != nil || q < 0 || q > 1 {
-		writeError(w, http.StatusBadRequest, "q must be a number in [0,1], got %q", raw)
-		return
-	}
-	entry, err := s.keyed().Quantile(q)
-	if err != nil {
-		writeProfileError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, entryResponse{Object: entry.Key, Frequency: entry.Frequency})
-}
-
-func (s *Server) handleMajority(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	entry, ok, err := s.keyed().Majority()
-	if err != nil {
-		writeProfileError(w, err)
-		return
-	}
-	if !ok {
-		writeJSON(w, http.StatusOK, majorityResponse{Majority: false})
-		return
-	}
-	writeJSON(w, http.StatusOK, majorityResponse{Object: entry.Key, Frequency: entry.Frequency, Majority: true})
-}
-
-func (s *Server) handleDistribution(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.keyed().Distribution())
-}
-
-func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	summary := s.keyed().Summarize()
-	tracked := s.keyed().Tracked()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"capacity":             summary.Capacity,
-		"tracked":              tracked,
-		"total":                summary.Total,
-		"active":               summary.Active,
-		"distinct_frequencies": summary.DistinctFrequencies,
-		"max_frequency":        summary.MaxFrequency,
-		"min_frequency":        summary.MinFrequency,
-		"adds":                 summary.Adds,
-		"removes":              summary.Removes,
-	})
+	writeJSON(w, http.StatusOK, eventsResponse{Applied: in.applied})
 }

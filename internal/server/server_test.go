@@ -172,14 +172,22 @@ func TestIngestValidation(t *testing.T) {
 		t.Fatalf("remove of unknown object: %d %+v", resp.StatusCode, out)
 	}
 
-	// Partial batches report how many events were applied before the error.
+	// One body is one chunk: an invalid event rejects the whole body, and
+	// the valid events before it are not applied either.
 	resp, out = postEvents(t, ts, `[
 		{"object":"a","action":"add"},
 		{"object":"b","action":"add"},
 		{"object":"c","action":"nope"}
 	]`)
-	if resp.StatusCode != http.StatusBadRequest || out.Applied != 2 {
-		t.Fatalf("partial batch: %d %+v", resp.StatusCode, out)
+	if resp.StatusCode != http.StatusBadRequest || out.Code != "invalid_action" || out.Applied != 0 {
+		t.Fatalf("partial batch: %d %+v, want 400 invalid_action with 0 applied", resp.StatusCode, out)
+	}
+	for _, object := range []string{"a", "b"} {
+		var count entryResponse
+		getJSON(t, ts, "/v1/stats/count?object="+object, &count)
+		if count.Frequency != 0 {
+			t.Fatalf("count(%s) = %d after a rejected body, want 0", object, count.Frequency)
+		}
 	}
 }
 
