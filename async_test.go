@@ -388,8 +388,9 @@ func TestAsyncDeferredErrorKeepsOtherProducers(t *testing.T) {
 }
 
 // TestAsyncBuildRejects verifies the config surface: the plane needs a
-// sharded dense profile, windows cannot be async, and a WAL needs string
-// keys.
+// keyed profiler, windows cannot be async, and a WAL needs string keys. A
+// Synchronized profile is one shard with one stripe, which the plane serves
+// like any other.
 func TestAsyncBuildRejects(t *testing.T) {
 	if _, err := sprofile.NewAsyncKeyed[string](nil, sprofile.AsyncPolicy{}); !errors.Is(err, sprofile.ErrBuildConfig) {
 		t.Fatalf("NewAsyncKeyed(nil) = %v, want ErrBuildConfig", err)
@@ -398,8 +399,24 @@ func TestAsyncBuildRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sprofile.NewAsyncKeyed(k, sprofile.AsyncPolicy{}); !errors.Is(err, sprofile.ErrBuildConfig) {
-		t.Fatalf("NewAsyncKeyed(Synchronized) = %v, want ErrBuildConfig", err)
+	if n := writableDense(k).(*sprofile.Sharded).Shards(); n != 1 {
+		t.Fatalf("BuildKeyed(Synchronized()) has %d shards, want 1", n)
+	}
+	ak, err := sprofile.NewAsyncKeyed(k, sprofile.AsyncPolicy{})
+	if err != nil {
+		t.Fatalf("NewAsyncKeyed(Synchronized) = %v", err)
+	}
+	if err := ak.Add("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ak.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if c, _ := ak.Count("a"); c != 1 {
+		t.Fatalf("Count(a) = %d after a flushed add, want 1", c)
+	}
+	if err := ak.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := sprofile.BuildKeyedAsync[string](10, sprofile.AsyncPolicy{}, sprofile.Windowed(5)); !errors.Is(err, sprofile.ErrBuildConfig) {
 		t.Fatalf("BuildKeyedAsync(Windowed) = %v, want ErrBuildConfig", err)

@@ -53,10 +53,9 @@ import (
 // Construct with NewAsyncKeyed over a BuildKeyed profile, or in one step
 // with BuildKeyedAsync.
 type AsyncKeyed[K comparable] struct {
+	// k's dense profile has one shard per mapper stripe (BuildKeyed aligns
+	// them), so applier i owns stripe i's home shard.
 	k *KeyedConcurrent[K]
-	// sharded is the dense profile; its shard geometry matches the mapper
-	// stripes, so applier i owns stripe i's home shard.
-	sharded *Sharded
 
 	plane *asyncPlane[KeyedTuple[K]]
 	// snaps holds the newest per-shard snapshot; guarded by plane.publishMu.
@@ -67,26 +66,19 @@ type AsyncKeyed[K comparable] struct {
 	pool chan *AsyncKeyedProducer[K]
 }
 
-// NewAsyncKeyed wraps k — a BuildKeyed profile whose dense half is sharded
-// with the mapper's stripe geometry (the default; Synchronized profiles are
-// rejected) — with the async ingest plane described on AsyncKeyed. The
-// wrapped profile must no longer be updated directly.
+// NewAsyncKeyed wraps k, a BuildKeyed profile, with the async ingest plane
+// described on AsyncKeyed. The wrapped profile must no longer be updated
+// directly.
 func NewAsyncKeyed[K comparable](k *KeyedConcurrent[K], policy AsyncPolicy) (*AsyncKeyed[K], error) {
 	if k == nil {
 		return nil, fmt.Errorf("%w: nil keyed profiler", ErrBuildConfig)
 	}
-	sharded, ok := k.profile.(*Sharded)
-	if !ok {
-		return nil, fmt.Errorf("%w: async keyed ingest needs a sharded dense profile (got %T); build without Synchronized", ErrBuildConfig, k.profile)
-	}
-	if sharded.Shards() != k.ids.NumStripes() {
-		return nil, fmt.Errorf("%w: shard/stripe geometry mismatch (%d shards, %d stripes)", ErrBuildConfig, sharded.Shards(), k.ids.NumStripes())
-	}
-	ak := &AsyncKeyed[K]{k: k, sharded: sharded}
-	ak.plane = newAsyncPlane[KeyedTuple[K]](sharded.Shards(), policy, ak.applyBatch, ak.publishShard)
-	ak.snaps = make([]*core.Profile, sharded.Shards())
+	shards := k.dense.Shards()
+	ak := &AsyncKeyed[K]{k: k}
+	ak.plane = newAsyncPlane[KeyedTuple[K]](shards, policy, ak.applyBatch, ak.publishShard)
+	ak.snaps = make([]*core.Profile, shards)
 	ak.plane.publishMu.Lock()
-	for i := 0; i < sharded.Shards(); i++ {
+	for i := 0; i < shards; i++ {
 		ak.publishShard(i)
 	}
 	ak.plane.publishMu.Unlock()
@@ -124,8 +116,8 @@ func (ak *AsyncKeyed[K]) applyBatch(items []KeyedTuple[K]) error {
 // publishShard installs a new epoch view containing shard's fresh snapshot;
 // called under plane.publishMu.
 func (ak *AsyncKeyed[K]) publishShard(shard int) {
-	ak.snaps[shard] = ak.sharded.cloneShard(shard)
-	ak.view.Store(newShardedView(ak.sharded, ak.snaps))
+	ak.snaps[shard] = ak.k.dense.cloneShard(shard)
+	ak.view.Store(newShardedView(ak.k.dense, ak.snaps))
 }
 
 // curView returns the current epoch's dense read view.

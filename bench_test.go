@@ -311,16 +311,16 @@ func BenchmarkGraphShaving(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentIngestion compares the two concurrency wrappers under
-// parallel producers: a single mutex (Concurrent) against per-shard locks
-// (Sharded). Both keep the O(1) per-update bound; the difference is lock
-// contention.
+// BenchmarkConcurrentIngestion compares one lock against many under
+// parallel producers: a single mutex (Synchronized, one shard) against 32
+// per-shard locks. Both keep the O(1) per-update bound; the difference is
+// lock contention.
 func BenchmarkConcurrentIngestion(b *testing.B) {
 	const m = 1_000_000
 	const shards = 32
 
 	b.Run("single-mutex", func(b *testing.B) {
-		c := sprofile.MustNewConcurrent(m)
+		c := sprofile.MustBuild(m, sprofile.Synchronized())
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			rng := stream.NewRNG(uint64(b.N) | 1)
@@ -352,10 +352,10 @@ func BenchmarkConcurrentIngestion(b *testing.B) {
 }
 
 // BenchmarkApplyAll compares batched against per-event ingestion through the
-// unified Profiler interface for the two concurrency wrappers. Concurrent
-// amortises one lock acquisition over the whole batch; Sharded amortises lock
-// round-trips over runs of same-shard tuples, so its batched gain grows with
-// the stream's shard locality.
+// unified Profiler interface for one lock and for 32. With one shard every
+// tuple of the batch is one run under one lock acquisition; with 32, Sharded
+// amortises lock round-trips over runs of same-shard tuples, so its batched
+// gain grows with the stream's shard locality.
 func BenchmarkApplyAll(b *testing.B) {
 	const m = 1_000_000
 	const batchSize = 4096
@@ -706,10 +706,10 @@ func BenchmarkCoreQueries(b *testing.B) {
 // BenchmarkQueryComposite measures the query plane's selling point: ONE
 // composite Query{Mode, TopK(10), Quantile(.99), Summary} against the
 // equivalent sequence of four individual getter calls, on each concurrency
-// variant. The composite pays one lock acquisition (Concurrent), one
-// lock-all plus one merged distribution (Sharded), or one quiesce
-// (KeyedConcurrent) where the sequence pays four of each — and only the
-// composite's answers are guaranteed to come from one cut.
+// variant. The composite pays one lock acquisition (Synchronized, one
+// shard), one lock-all plus one merged distribution (Sharded-8), or one
+// quiesce (KeyedConcurrent) where the sequence pays four of each — and only
+// the composite's answers are guaranteed to come from one cut.
 func BenchmarkQueryComposite(b *testing.B) {
 	const m = 100_000
 	q := sprofile.Query{Mode: true, TopK: 10, Quantiles: []float64{0.99}, Summary: true}
@@ -808,7 +808,7 @@ func BenchmarkQueryComposite(b *testing.B) {
 			withIngest(b, p, individual)
 		})
 	}
-	run("Concurrent", sprofile.MustNewConcurrent(m))
+	run("Synchronized", sprofile.MustBuild(m, sprofile.Synchronized()))
 	run("Sharded-8", sprofile.MustNewSharded(m, 8))
 
 	// The keyed variant goes through QueryKeys (one quiesced cut) versus the
@@ -857,6 +857,73 @@ func BenchmarkQueryComposite(b *testing.B) {
 			benchSink += e.Frequency + keyed.Summarize().Total
 		}
 	})
+}
+
+// BenchmarkQueryKeys measures the server's composite read: one keyed
+// QueryKeys{Mode, TopK(10), Quantiles(.5, .99), Summary} on a profile of
+// capacity 1<<20 holding 1M zipf(1.1) adds over 100k keys (a few hundred
+// distinct frequencies), ingested as 4096-event ApplyBatch calls. The cases
+// differ only in the dense profile's shards: WithSharding(2) answers from
+// the merged view of two shards, while WithSharding(1) and Synchronized(),
+// two spellings of one build, answer from the one shard's own profile.
+func BenchmarkQueryKeys(b *testing.B) {
+	const (
+		capacity = 1 << 20
+		keys     = 100_000
+		events   = 1_000_000
+		batch    = 4096
+	)
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("object-%06d", i)
+	}
+	fill := func(b *testing.B, opt sprofile.BuildOption) *sprofile.KeyedConcurrent[string] {
+		b.Helper()
+		k := sprofile.MustBuildKeyed[string](capacity, opt)
+		zipf, err := stream.NewZipf(keys, 1.1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := stream.NewRNG(11)
+		buf := make([]sprofile.KeyedTuple[string], batch)
+		for sent := 0; sent < events; sent += len(buf) {
+			buf = buf[:min(batch, events-sent)]
+			for i := range buf {
+				buf[i] = sprofile.KeyedTuple[string]{Key: names[zipf.Sample(rng)], Action: sprofile.ActionAdd}
+			}
+			if _, err := k.ApplyBatch(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return k
+	}
+	q := sprofile.KeyedQuery[string]{Mode: true, TopK: 10, Quantiles: []float64{0.5, 0.99}, Summary: true}
+	for _, c := range []struct {
+		name string
+		opt  sprofile.BuildOption
+	}{
+		{"sharded-2", sprofile.WithSharding(2)},
+		{"sharded-1", sprofile.WithSharding(1)},
+		{"synchronized", sprofile.Synchronized()},
+	} {
+		// Filled on the first call only: the benchmark function runs again
+		// for each b.N it tries.
+		var k *sprofile.KeyedConcurrent[string]
+		b.Run(c.name, func(b *testing.B) {
+			if k == nil {
+				k = fill(b, c.opt)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := k.QueryKeys(q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += res.Mode.Frequency + res.Summary.Total
+			}
+		})
+	}
 }
 
 // BenchmarkRecovery measures cold-start time of a durable keyed profile at

@@ -44,9 +44,11 @@ func WithSharding(n int) BuildOption {
 	return func(c *buildConfig) { c.shards = n; c.shardsSet = true }
 }
 
-// Synchronized protects the profile with a read-write mutex so multiple
-// goroutines can update and query it. Redundant (and harmless) when
-// WithSharding is also given.
+// Synchronized protects the profile with one read-write mutex so multiple
+// goroutines can update and query it: it is the documented spelling of
+// WithSharding(1), in Build and BuildKeyed alike, and builds a one-shard
+// *Sharded whose statistics cost what a plain Profile's do plus the lock.
+// Redundant (and harmless) when WithSharding is also given.
 func Synchronized() BuildOption {
 	return func(c *buildConfig) { c.synchronized = true }
 }
@@ -187,7 +189,7 @@ func defaultShards() int {
 // capabilities instead of hand-nested wrappers:
 //
 //	p, err := sprofile.Build(1_000_000)                          // plain Profile
-//	p, err := sprofile.Build(m, sprofile.Synchronized())         // mutex-protected
+//	p, err := sprofile.Build(m, sprofile.Synchronized())         // one mutex (one shard)
 //	p, err := sprofile.Build(m, sprofile.WithSharding(16))       // 16 lock shards
 //	p, err := sprofile.Build(m, sprofile.Windowed(100_000))      // last 100k tuples
 //	p, err := sprofile.Build(m, sprofile.TimeWindowed(time.Hour))
@@ -240,10 +242,8 @@ func Build(m int, opts ...BuildOption) (Profiler, error) {
 		err error
 	)
 	switch {
-	case cfg.shards > 0:
-		p, err = NewSharded(m, cfg.shards, cfg.profileOpts...)
-	case cfg.synchronized:
-		p, err = NewConcurrent(m, cfg.profileOpts...)
+	case cfg.shards > 0 || cfg.synchronized:
+		p, err = NewSharded(m, max(cfg.shards, 1), cfg.profileOpts...)
 	case cfg.windowSet:
 		var base *Profile
 		base, err = New(m, cfg.profileOpts...)

@@ -20,7 +20,7 @@ func TestBuildVariantTypes(t *testing.T) {
 		want string
 	}{
 		{"plain", nil, "*core.Profile"},
-		{"synchronized", []sprofile.BuildOption{sprofile.Synchronized()}, "*sprofile.Concurrent"},
+		{"synchronized", []sprofile.BuildOption{sprofile.Synchronized()}, "*sprofile.Sharded"},
 		{"sharded", []sprofile.BuildOption{sprofile.WithSharding(4)}, "*sprofile.Sharded"},
 		{"sharded-synchronized", []sprofile.BuildOption{sprofile.WithSharding(4), sprofile.Synchronized()}, "*sprofile.Sharded"},
 		{"windowed", []sprofile.BuildOption{sprofile.Windowed(10)}, "*sprofile.Window"},
@@ -35,8 +35,6 @@ func TestBuildVariantTypes(t *testing.T) {
 		switch p.(type) {
 		case *sprofile.Profile:
 			got = "*core.Profile"
-		case *sprofile.Concurrent:
-			got = "*sprofile.Concurrent"
 		case *sprofile.Sharded:
 			got = "*sprofile.Sharded"
 		case *sprofile.Window:
@@ -49,6 +47,10 @@ func TestBuildVariantTypes(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: Build produced %s, want %s", c.name, got, c.want)
 		}
+	}
+	// Synchronized alone is WithSharding(1).
+	if n := sprofile.MustBuild(16, sprofile.Synchronized()).(*sprofile.Sharded).Shards(); n != 1 {
+		t.Errorf("Build(Synchronized()) has %d shards, want 1", n)
 	}
 }
 

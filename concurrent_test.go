@@ -8,8 +8,11 @@ import (
 	"sprofile/internal/stream"
 )
 
+// The TestConcurrent* tests run on the single-mutex profile Synchronized
+// builds: a one-shard Sharded.
+
 func TestConcurrentBasicOperations(t *testing.T) {
-	c := sprofile.MustNewConcurrent(8)
+	c := sprofile.MustBuild(8, sprofile.Synchronized())
 	c.Add(1)
 	c.Add(1)
 	c.Remove(2)
@@ -53,8 +56,8 @@ func TestConcurrentBasicOperations(t *testing.T) {
 }
 
 func TestConcurrentInvalidCapacity(t *testing.T) {
-	if _, err := sprofile.NewConcurrent(-1); err == nil {
-		t.Fatalf("NewConcurrent(-1) succeeded")
+	if _, err := sprofile.Build(-1, sprofile.Synchronized()); err == nil {
+		t.Fatalf("Build(-1, Synchronized()) succeeded")
 	}
 }
 
@@ -62,7 +65,7 @@ func TestConcurrentParallelUpdatesAndQueries(t *testing.T) {
 	const m = 64
 	const workers = 8
 	const opsPerWorker = 5000
-	c := sprofile.MustNewConcurrent(m)
+	c := sprofile.MustBuild(m, sprofile.Synchronized()).(*sprofile.Sharded)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -119,8 +122,7 @@ func TestConcurrentParallelUpdatesAndQueries(t *testing.T) {
 }
 
 func TestConcurrentApplyAllAndWrap(t *testing.T) {
-	p := sprofile.MustNew(4)
-	c := sprofile.WrapConcurrent(p)
+	c := sprofile.MustBuild(4, sprofile.Synchronized())
 	tuples := []sprofile.Tuple{
 		{Object: 0, Action: sprofile.ActionAdd},
 		{Object: 1, Action: sprofile.ActionAdd},

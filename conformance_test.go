@@ -16,9 +16,10 @@ import (
 
 // TestProfilerConformance runs the shared conformance battery against every
 // sprofile.Profiler implementation in the package, so all variants are held
-// to exactly the same update/query/error semantics. Sharded and Concurrent
-// answers are cross-checked against a plain Profile on the same stream by the
-// suite itself.
+// to exactly the same update/query/error semantics. Sharded answers, with one
+// shard (the "Concurrent" entry is Build with Synchronized) or several, are
+// cross-checked against a plain Profile on the same stream by the suite
+// itself.
 func TestProfilerConformance(t *testing.T) {
 	// Window sizes larger than any stream the suite replays: the windowed
 	// profile then holds the whole stream and must agree with the reference.
@@ -28,7 +29,7 @@ func TestProfilerConformance(t *testing.T) {
 		return sprofile.New(m, opts...)
 	})
 	profilertest.Run(t, "Concurrent", func(m int, opts ...sprofile.Option) (sprofile.Profiler, error) {
-		return sprofile.NewConcurrent(m, opts...)
+		return sprofile.Build(m, sprofile.Synchronized(), sprofile.WithOptions(opts...))
 	})
 	for _, shards := range []int{1, 3, 16} {
 		profilertest.Run(t, fmt.Sprintf("Sharded-%d", shards), func(m int, opts ...sprofile.Option) (sprofile.Profiler, error) {

@@ -4,8 +4,8 @@ package sprofile
 // satisfies. It is the promotion of the internal evaluation interface
 // (internal/profiler) into the supported API: callers program against
 // Updater/Reader/Profiler and pick a concrete representation — plain,
-// mutex-protected, sharded, windowed, durable — with Build, swapping one for
-// another without touching query code.
+// locked (one shard or several), windowed, durable — with Build, swapping
+// one for another without touching query code.
 
 // Updater is the ingestion half of a profile: it consumes the (object,
 // add|remove) log stream the paper is built around. Object ids are dense
@@ -74,8 +74,9 @@ type Reader interface {
 type reader = Reader
 
 // Profiler is the full contract: ingestion plus queries. Every profile
-// variant in this package satisfies it — *Profile, *Concurrent, *Sharded,
-// *Window, *TimeWindow and *Durable — as does anything returned by Build.
+// variant in this package satisfies it — *Profile, *Sharded (one shard is
+// the single-mutex profile), *Window, *TimeWindow and *Durable — as does
+// anything returned by Build.
 type Profiler interface {
 	Updater
 	Reader
@@ -100,9 +101,9 @@ type Snapshotter interface {
 // Strict-mode semantics differ from the per-event path in one documented
 // way: the non-negativity check applies to each delta's net result, so a
 // batch whose net effect is valid succeeds even if some per-event
-// interleaving of it would have failed mid-way. *Profile, *Concurrent,
-// *Sharded and *Durable satisfy the capability; the window adapters do not
-// (a window must observe every individual tuple to expire it later).
+// interleaving of it would have failed mid-way. *Profile, *Sharded and
+// *Durable satisfy the capability; the window adapters do not (a window must
+// observe every individual tuple to expire it later).
 type DeltaUpdater interface {
 	// AddN raises the frequency of object x by k (k >= 0) in one step.
 	AddN(x int, k int64) error
@@ -122,8 +123,8 @@ type DeltaUpdater interface {
 // state in one O(m) operation: object x ends at frequency freqs[x] and
 // the adds/removes counters at the given historical totals. It is the
 // restore half of checkpointing — Snapshotter captures an image, a
-// FrequencyLoader reinstates one — and is satisfied by *Profile, *Concurrent
-// and *Sharded.
+// FrequencyLoader reinstates one — and is satisfied by *Profile and
+// *Sharded.
 type FrequencyLoader interface {
 	LoadFrequencies(freqs []int64, adds, removes uint64) error
 }
@@ -191,7 +192,6 @@ type KeyedProfiler[K comparable] interface {
 // Compile-time checks that every variant honours the contract.
 var (
 	_ Profiler = (*Profile)(nil)
-	_ Profiler = (*Concurrent)(nil)
 	_ Profiler = (*Sharded)(nil)
 	_ Profiler = (*Window)(nil)
 	_ Profiler = (*TimeWindow)(nil)
@@ -199,7 +199,6 @@ var (
 	_ Profiler = (*ReadOnlyProfiler)(nil)
 
 	_ Querier = (*Profile)(nil)
-	_ Querier = (*Concurrent)(nil)
 	_ Querier = (*Sharded)(nil)
 	_ Querier = (*Window)(nil)
 	_ Querier = (*TimeWindow)(nil)
@@ -210,15 +209,12 @@ var (
 	_ KeyedQuerier[string] = (*KeyedConcurrent[string])(nil)
 
 	_ Snapshotter = (*Profile)(nil)
-	_ Snapshotter = (*Concurrent)(nil)
 	_ Snapshotter = (*Sharded)(nil)
 
 	_ FrequencyLoader = (*Profile)(nil)
-	_ FrequencyLoader = (*Concurrent)(nil)
 	_ FrequencyLoader = (*Sharded)(nil)
 
 	_ DeltaUpdater = (*Profile)(nil)
-	_ DeltaUpdater = (*Concurrent)(nil)
 	_ DeltaUpdater = (*Sharded)(nil)
 	_ DeltaUpdater = (*Durable)(nil)
 

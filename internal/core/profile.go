@@ -88,8 +88,8 @@ func WithBlockHint(hint int) Option {
 // identifiers onto dense ids is the job of package idmap (and of the public
 // sprofile.Keyed wrapper).
 //
-// A Profile is not safe for concurrent use; wrap it (see sprofile.Concurrent)
-// or shard it if multiple goroutines must update it.
+// A Profile is not safe for concurrent use; lock it or shard it (see
+// sprofile.Sharded) if multiple goroutines must update it.
 type Profile struct {
 	m    int32
 	opts Options

@@ -12,9 +12,9 @@ import (
 	"sprofile"
 )
 
-// denseProfiler unwraps the writable dense profiler behind the read-only
+// writableDense unwraps the writable dense profiler behind the read-only
 // view Profile() returns.
-func denseProfiler[K comparable](k sprofile.KeyedProfiler[K]) sprofile.Profiler {
+func writableDense[K comparable](k sprofile.KeyedProfiler[K]) sprofile.Profiler {
 	return k.Profile().(*sprofile.ReadOnlyProfiler).Unwrap()
 }
 
@@ -25,16 +25,16 @@ func TestBuildKeyedSingleCoreDefaultsToOneStripe(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	k := sprofile.MustBuildKeyed[string](100)
-	sh, ok := denseProfiler(k).(*sprofile.Sharded)
+	sh, ok := writableDense(k).(*sprofile.Sharded)
 	if !ok {
-		t.Fatalf("BuildKeyed built a %T dense profile", denseProfiler(k))
+		t.Fatalf("BuildKeyed built a %T dense profile", writableDense(k))
 	}
 	if sh.Shards() != 1 {
 		t.Fatalf("GOMAXPROCS=1 host got %d shards, want 1", sh.Shards())
 	}
 	// An explicit WithSharding always wins over the adaptive default.
 	k4 := sprofile.MustBuildKeyed[string](100, sprofile.WithSharding(4))
-	if got := denseProfiler(k4).(*sprofile.Sharded).Shards(); got != 4 {
+	if got := writableDense(k4).(*sprofile.Sharded).Shards(); got != 4 {
 		t.Fatalf("explicit sharding got %d shards, want 4", got)
 	}
 }

@@ -62,9 +62,9 @@ type KeyedConcurrent[K comparable] struct {
 	keyedQueries[K]
 	ids     *idmap.Striped[K]
 	recycle bool
-	// dense is the dense profile (keyedQueries.profile, with the capabilities
-	// the write path, Checkpoint and restore use).
-	dense denseProfile
+	// dense is the dense profile (keyedQueries.profile), called directly by
+	// the write path, Checkpoint and restore.
+	dense *Sharded
 	// batches recycles the coalescing scratch of ApplyBatch.
 	batches sync.Pool
 	// zeros tracks the idle (frequency-zero) keys of each stripe, the
@@ -82,16 +82,6 @@ type KeyedConcurrent[K comparable] struct {
 	ckpt     *checkpoint.Checkpointer
 	replayed int
 	stats    RecoveryStats
-}
-
-// denseProfile is what KeyedConcurrent needs of its dense profile: the
-// profiler surface plus delta updates, snapshots and bulk loads. BuildKeyed's
-// *Sharded and *Concurrent both satisfy it.
-type denseProfile interface {
-	Profiler
-	DeltaUpdater
-	Snapshotter
-	FrequencyLoader
 }
 
 // zeroSet is an O(1) insert/delete/pop set of idle keys.
@@ -152,9 +142,9 @@ func (z *zeroSet[K]) pop() (K, bool) {
 //
 // The result is always safe for concurrent use. WithSharding sets both the
 // profile shard count and the mapper stripe count (they are kept aligned);
-// without it the profile is sharded one shard per CPU. Synchronized selects
-// a single-mutex dense profile instead (the mapper stays striped). Windowed
-// and TimeWindowed are rejected — window adapters are single-goroutine.
+// without it the profile is sharded one shard per CPU. Synchronized, alone,
+// is WithSharding(1): one shard and one mapper stripe. Windowed and
+// TimeWindowed are rejected — window adapters are single-goroutine.
 //
 // Id recycling is on by default, which forces WithStrictNonNegative on the
 // dense profile exactly like NewKeyed; WithoutKeyRecycling turns it off and
@@ -190,38 +180,28 @@ func BuildKeyed[K comparable](m int, opts ...BuildOption) (*KeyedConcurrent[K], 
 	}
 
 	shards := cfg.shards
-	if !cfg.shardsSet {
+	switch {
+	case cfg.shardsSet:
+	case cfg.synchronized:
+		shards = 1
+	default:
 		shards = defaultShards()
 	}
-	var (
-		inner   denseProfile
-		stripes int
-		err     error
-	)
-	if cfg.synchronized && !cfg.shardsSet {
-		inner, err = NewConcurrent(m, profileOpts...)
-		stripes = defaultShards()
-	} else {
-		var sharded *Sharded
-		sharded, err = NewSharded(m, shards, profileOpts...)
-		if err == nil {
-			// Align mapper stripes with the shards actually materialised
-			// (NewSharded clamps the count for small m).
-			inner, stripes = sharded, sharded.Shards()
-		}
-	}
+	dense, err := NewSharded(m, shards, profileOpts...)
 	if err != nil {
 		return nil, err
 	}
-	ids, err := idmap.NewStriped[K](m, stripes)
+	// Align mapper stripes with the shards actually materialised (NewSharded
+	// clamps the count for small m).
+	ids, err := idmap.NewStriped[K](m, dense.Shards())
 	if err != nil {
 		return nil, err
 	}
 	kc := &KeyedConcurrent[K]{
-		keyedQueries: keyedQueries[K]{profile: inner, resolver: ids},
+		keyedQueries: keyedQueries[K]{profile: dense, resolver: ids},
 		ids:          ids,
 		recycle:      recycle,
-		dense:        inner,
+		dense:        dense,
 		zeros:        make([]zeroSet[K], ids.NumStripes()),
 	}
 	if cfg.walPath != "" {
@@ -553,9 +533,10 @@ func (k *KeyedConcurrent[K]) Apply(key K, action Action) error {
 // can never have been recycled between a statistic and its resolution, which
 // the individual getters cannot promise under concurrent ingest.
 //
-// The dense evaluation itself runs through the inner profile's own Querier
-// (one lock acquisition on Concurrent, one merged cut on Sharded); with
-// writers quiesced those locks are uncontended.
+// The dense evaluation is Sharded.Query: one read-locked cut evaluated by
+// core.EvalQuery, on the shard's own profile when there is one shard and on
+// the merged view of several otherwise; with writers quiesced those locks
+// are uncontended.
 func (k *KeyedConcurrent[K]) QueryKeys(q KeyedQuery[K]) (KeyedQueryResult[K], error) {
 	var out KeyedQueryResult[K]
 	var err error
@@ -574,7 +555,7 @@ func (k *KeyedConcurrent[K]) QueryKeys(q KeyedQuery[K]) (KeyedQueryResult[K], er
 			var f int64
 			// LookupLocked, not DenseID: the stripe locks are already held.
 			if id, ok := k.ids.LookupLocked(key); ok {
-				if f, err = k.profile.Count(id); err != nil {
+				if f, err = k.dense.Count(id); err != nil {
 					return
 				}
 			}

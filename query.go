@@ -38,9 +38,10 @@ type MajorityEntry = core.MajorityEntry
 // way:
 //
 //   - *Profile evaluates in one pass (single-goroutine);
-//   - *Concurrent holds its read lock once across the whole evaluation;
-//   - *Sharded holds all shard read locks once and answers every rank
-//     statistic from one merged distribution;
+//   - *Sharded holds all shard read locks once across the whole evaluation
+//     and evaluates on one view of that cut: the shard's own profile when
+//     there is one shard (Synchronized), otherwise a merged view that
+//     answers every rank statistic from one merged distribution;
 //   - *Window and *TimeWindow answer from the windowed profile, which
 //     reflects the expiry sweep of the newest push;
 //   - *Durable delegates to its inner profiler's Querier;

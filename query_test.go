@@ -186,10 +186,11 @@ func runAtomicQueryTest(t *testing.T, p sprofile.Profiler, queries int) {
 	wg.Wait()
 }
 
-// TestQueryAtomicConcurrent pins that a composite query on Concurrent is one
-// cut under concurrent ingest (run with -race).
+// TestQueryAtomicConcurrent pins that a composite query on the single-mutex
+// profile Synchronized builds is one cut under concurrent ingest (run with
+// -race).
 func TestQueryAtomicConcurrent(t *testing.T) {
-	runAtomicQueryTest(t, sprofile.MustNewConcurrent(64), 300)
+	runAtomicQueryTest(t, sprofile.MustBuild(64, sprofile.Synchronized()), 300)
 }
 
 // TestQueryAtomicSharded pins that a composite query on Sharded is one

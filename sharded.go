@@ -9,17 +9,20 @@ import (
 	"sprofile/internal/core"
 )
 
-// Sharded splits the object-id space across several independently locked
-// S-Profiles so that concurrent producers on different id ranges do not
-// contend on a single mutex (the bottleneck of Concurrent at high ingest
-// rates).
+// Sharded splits the object-id space across independently locked S-Profiles
+// so that concurrent producers on different id ranges do not contend on a
+// single mutex. With one shard it is the package's single-mutex profile:
+// Build with Synchronized and no WithSharding returns one.
 //
-// Updates touch exactly one shard: O(1) work under that shard's lock.
-// Extreme queries (Mode, Min) combine the shards' O(1) answers. Rank queries
-// (KthLargest, Median, Quantile) and Distribution merge the shards' frequency
-// histograms, costing O(total number of distinct frequencies) — still far
-// below O(m), but no longer constant; take a Snapshot first if many rank
-// queries must be answered against one consistent state.
+// Updates touch exactly one shard: O(1) work under that shard's lock. Every
+// global statistic, Total included, is read from one cut: all shard read
+// locks held at once. With one shard the shard's own profile answers it at
+// the plain Profile's cost. With several, extreme queries (Mode, Min)
+// combine the shards' O(1) answers, while rank queries (KthLargest, Median,
+// Quantile) and Distribution merge the shards' frequency histograms, costing
+// O(total number of distinct frequencies) — still far below O(m), but no
+// longer constant; a composite Query merges once for all its rank
+// statistics.
 type Sharded struct {
 	shards    []shardedShard
 	shardSize int
@@ -334,188 +337,148 @@ func (s *Sharded) Count(x int) (int64, error) {
 	return sh.p.Count(local)
 }
 
-// Total returns the sum of all frequencies.
+// Total returns the sum of all frequencies, read from one cut of every shard.
 func (s *Sharded) Total() int64 {
-	var total int64
-	for i := range s.shards {
-		sh := &s.shards[i]
+	if sh := s.single(); sh != nil {
 		sh.mu.RLock()
-		total += sh.p.Total()
-		sh.mu.RUnlock()
+		defer sh.mu.RUnlock()
+		return sh.p.Total()
 	}
-	return total
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.merged().Total()
 }
 
-// lockAll takes every shard's read lock (in index order) so that a global
-// query sees one consistent state; the returned function releases them.
-func (s *Sharded) lockAll() func() {
+// rlockAll takes every shard's read lock, in index order, so that a global
+// read sees one cut of the whole profile; runlockAll releases them.
+func (s *Sharded) rlockAll() {
 	for i := range s.shards {
 		s.shards[i].mu.RLock()
 	}
-	return func() {
-		for i := range s.shards {
-			s.shards[i].mu.RUnlock()
-		}
+}
+
+func (s *Sharded) runlockAll() {
+	for i := range s.shards {
+		s.shards[i].mu.RUnlock()
 	}
+}
+
+// lockAll takes every shard's write lock, in index order; unlockAll releases
+// them.
+func (s *Sharded) lockAll() {
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
+	}
+}
+
+func (s *Sharded) unlockAll() {
+	for i := range s.shards {
+		s.shards[i].mu.Unlock()
+	}
+}
+
+// single returns the shard of a one-shard Sharded, nil with several. Its
+// local ids are the global ids, so its own profile answers every global
+// statistic. The getters call that profile directly, not through view's
+// interface value, and take its lock inline: the lock helpers loop, so they
+// are never inlined, and their two calls would add about a fifth to a
+// one-shard Mode.
+func (s *Sharded) single() *shardedShard {
+	if len(s.shards) == 1 {
+		return &s.shards[0]
+	}
+	return nil
+}
+
+// merged returns the statistics view of a several-shard cut.
+func (s *Sharded) merged() *mergedView { return &mergedView{s: s} }
+
+// view returns the statistics view of the cut a caller holding rlockAll
+// reads: the one shard's profile, or the merged view of several.
+func (s *Sharded) view() core.Queryable {
+	if sh := s.single(); sh != nil {
+		return sh.p
+	}
+	return s.merged()
 }
 
 // Mode returns an object with the maximum frequency, that frequency, and how
 // many objects share it, by combining each shard's O(1) answer.
 func (s *Sharded) Mode() (Entry, int, error) {
-	if s.m == 0 {
-		return Entry{}, 0, ErrEmptyProfile
+	if sh := s.single(); sh != nil {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.p.Mode()
 	}
-	unlock := s.lockAll()
-	defer unlock()
-	return s.modeLocked()
-}
-
-func (s *Sharded) modeLocked() (Entry, int, error) {
-	var best Entry
-	ties := 0
-	found := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		e, shardTies, err := sh.p.Mode()
-		if err != nil {
-			continue
-		}
-		globalEntry := Entry{Object: e.Object + sh.base, Frequency: e.Frequency}
-		switch {
-		case !found || globalEntry.Frequency > best.Frequency:
-			best = globalEntry
-			ties = shardTies
-			found = true
-		case globalEntry.Frequency == best.Frequency:
-			ties += shardTies
-		}
-	}
-	if !found {
-		return Entry{}, 0, ErrEmptyProfile
-	}
-	return best, ties, nil
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.merged().Mode()
 }
 
 // Min returns an object with the minimum frequency, that frequency, and how
 // many objects share it.
 func (s *Sharded) Min() (Entry, int, error) {
-	if s.m == 0 {
-		return Entry{}, 0, ErrEmptyProfile
+	if sh := s.single(); sh != nil {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.p.Min()
 	}
-	unlock := s.lockAll()
-	defer unlock()
-	return s.minLocked()
-}
-
-func (s *Sharded) minLocked() (Entry, int, error) {
-	var best Entry
-	ties := 0
-	found := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		e, shardTies, err := sh.p.Min()
-		if err != nil {
-			continue
-		}
-		globalEntry := Entry{Object: e.Object + sh.base, Frequency: e.Frequency}
-		switch {
-		case !found || globalEntry.Frequency < best.Frequency:
-			best = globalEntry
-			ties = shardTies
-			found = true
-		case globalEntry.Frequency == best.Frequency:
-			ties += shardTies
-		}
-	}
-	if !found {
-		return Entry{}, 0, ErrEmptyProfile
-	}
-	return best, ties, nil
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.merged().Min()
 }
 
 // Distribution returns the global frequency histogram in ascending frequency
-// order, merging the shards' histograms. Cost O(total distinct frequencies).
+// order; with several shards it merges the shards' histograms. Cost
+// O(total distinct frequencies).
 func (s *Sharded) Distribution() []FreqCount {
-	unlock := s.lockAll()
-	defer unlock()
-	return s.distributionLocked()
-}
-
-func (s *Sharded) distributionLocked() []FreqCount {
-	merged := make(map[int64]int)
-	for i := range s.shards {
-		for _, fc := range s.shards[i].p.Distribution() {
-			merged[fc.Freq] += fc.Count
-		}
+	if sh := s.single(); sh != nil {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.p.Distribution()
 	}
-	out := make([]FreqCount, 0, len(merged))
-	for f, c := range merged {
-		out = append(out, FreqCount{Freq: f, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Freq < out[j].Freq })
-	return out
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.merged().Distribution()
 }
 
 // AtRank returns the entry at 0-based rank r of the global ascending-sorted
 // frequency array (rank 0 is a minimum-frequency object, rank m-1 a
-// maximum-frequency object). Cost O(total distinct frequencies).
+// maximum-frequency object). Cost O(1) with one shard, O(total distinct
+// frequencies) with several.
 func (s *Sharded) AtRank(r int) (Entry, error) {
-	if r < 0 || r >= s.m {
-		return Entry{}, fmt.Errorf("%w: k %d, capacity %d", ErrBadRank, r, s.m)
+	if sh := s.single(); sh != nil {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.p.AtRank(r)
 	}
-	unlock := s.lockAll()
-	defer unlock()
-	return s.atRankLocked(r, s.distributionLocked())
-}
-
-// atRankLocked answers a rank lookup from an already-merged distribution, so
-// a composite query resolving many ranks (median, several quantiles, several
-// k-th largest) merges the shard histograms once and shares the result.
-func (s *Sharded) atRankLocked(r int, dist []FreqCount) (Entry, error) {
-	// Find the frequency occupying global rank r.
-	remaining := r
-	var targetFreq int64
-	for _, fc := range dist {
-		if remaining < fc.Count {
-			targetFreq = fc.Freq
-			break
-		}
-		remaining -= fc.Count
-	}
-	// Find a shard holding an object with that frequency and return one
-	// representative from it.
-	for i := range s.shards {
-		sh := &s.shards[i]
-		below := sh.p.Cap() - sh.p.CountWithFrequencyAtLeast(targetFreq)
-		if below >= sh.p.Cap() {
-			continue // no object in this shard has frequency >= target
-		}
-		e, err := sh.p.KthSmallest(below + 1)
-		if err != nil || e.Frequency != targetFreq {
-			continue
-		}
-		return Entry{Object: e.Object + sh.base, Frequency: e.Frequency}, nil
-	}
-	// An impossible state (ranks were counted from the same locked shards
-	// this walk reads): deliberately NOT part of the wire taxonomy, so it
-	// surfaces as a 500, not as a client-addressable error class.
-	return Entry{}, fmt.Errorf("sprofile: internal error: no shard holds rank %d", r) //lint:allow errtaxonomy
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.merged().AtRank(r)
 }
 
 // KthLargest returns an object holding the k-th largest frequency (1-based).
 func (s *Sharded) KthLargest(k int) (Entry, error) {
-	if k < 1 || k > s.m {
-		return Entry{}, fmt.Errorf("%w: k %d, capacity %d", ErrBadRank, k, s.m)
+	if sh := s.single(); sh != nil {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.p.KthLargest(k)
 	}
-	return s.AtRank(s.m - k)
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.merged().KthLargest(k)
 }
 
 // Median returns the lower-median entry of the global frequency multiset.
 func (s *Sharded) Median() (Entry, error) {
-	if s.m == 0 {
-		return Entry{}, ErrEmptyProfile
+	if sh := s.single(); sh != nil {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.p.Median()
 	}
-	return s.AtRank((s.m - 1) / 2)
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.merged().Median()
 }
 
 // Quantile returns the entry at quantile q in [0, 1] of the global frequency
@@ -524,264 +487,93 @@ func (s *Sharded) Median() (Entry, error) {
 // over the same stream always answer identically. Finite q outside [0, 1] is
 // clamped; NaN is an error.
 func (s *Sharded) Quantile(q float64) (Entry, error) {
-	if s.m == 0 {
-		return Entry{}, ErrEmptyProfile
+	if sh := s.single(); sh != nil {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.p.Quantile(q)
 	}
-	if err := core.CheckQuantile(q); err != nil {
-		return Entry{}, err
-	}
-	return s.AtRank(core.QuantileRank(q, s.m))
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.merged().Quantile(q)
 }
 
 // Majority returns the object holding a strict majority of the total count,
-// if one exists. The mode and the total are read under one global read lock
-// so the comparison sees a single consistent state.
+// if one exists. The mode and the total are read from one cut, so the
+// comparison sees a single consistent state.
 func (s *Sharded) Majority() (Entry, bool, error) {
-	if s.m == 0 {
-		return Entry{}, false, ErrEmptyProfile
+	if sh := s.single(); sh != nil {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.p.Majority()
 	}
-	unlock := s.lockAll()
-	defer unlock()
-	return s.majorityLocked()
-}
-
-func (s *Sharded) majorityLocked() (Entry, bool, error) {
-	var best Entry
-	var total int64
-	found := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		total += sh.p.Total()
-		e, _, err := sh.p.Mode()
-		if err != nil {
-			continue
-		}
-		if !found || e.Frequency > best.Frequency {
-			best = Entry{Object: e.Object + sh.base, Frequency: e.Frequency}
-			found = true
-		}
-	}
-	if !found {
-		return Entry{}, false, ErrEmptyProfile
-	}
-	if total > 0 && best.Frequency*2 > total {
-		return best, true, nil
-	}
-	return Entry{}, false, nil
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.merged().Majority()
 }
 
 // Summarize returns aggregate statistics of the whole profile, merging every
-// shard's summary under one global read lock.
+// shard's summary from one cut.
 func (s *Sharded) Summarize() Summary {
-	unlock := s.lockAll()
-	defer unlock()
-	return s.summarizeLocked(s.distributionLocked())
-}
-
-// summarizeLocked merges the shard summaries against an already-merged
-// distribution (needed only for the distinct-frequency count).
-func (s *Sharded) summarizeLocked(dist []FreqCount) Summary {
-	sum := Summary{Capacity: s.m}
-	for i := range s.shards {
-		shardSum := s.shards[i].p.Summarize()
-		sum.Total += shardSum.Total
-		sum.Active += shardSum.Active
-		sum.Negative += shardSum.Negative
-		sum.Adds += shardSum.Adds
-		sum.Removes += shardSum.Removes
-		if i == 0 || shardSum.MaxFrequency > sum.MaxFrequency {
-			sum.MaxFrequency = shardSum.MaxFrequency
-		}
-		if i == 0 || shardSum.MinFrequency < sum.MinFrequency {
-			sum.MinFrequency = shardSum.MinFrequency
-		}
+	if sh := s.single(); sh != nil {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.p.Summarize()
 	}
-	// Distinct frequencies must be counted globally: two shards holding the
-	// same frequency contribute one distinct value, not two.
-	sum.DistinctFrequencies = len(dist)
-	return sum
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.merged().Summarize()
 }
 
 // TopK returns the k globally most frequent entries in non-increasing
 // frequency order, merging each shard's top-k list. Cost O(shards·k).
 func (s *Sharded) TopK(k int) []Entry {
-	if k <= 0 || s.m == 0 {
-		return nil
+	if sh := s.single(); sh != nil {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.p.TopK(k)
 	}
-	unlock := s.lockAll()
-	defer unlock()
-	return s.topKLocked(k)
-}
-
-func (s *Sharded) topKLocked(k int) []Entry {
-	if k <= 0 || s.m == 0 {
-		return nil
-	}
-	if k > s.m {
-		k = s.m
-	}
-	candidates := make([]Entry, 0, k*len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for _, e := range sh.p.TopK(k) {
-			candidates = append(candidates, Entry{Object: e.Object + sh.base, Frequency: e.Frequency})
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].Frequency != candidates[j].Frequency {
-			return candidates[i].Frequency > candidates[j].Frequency
-		}
-		return candidates[i].Object < candidates[j].Object
-	})
-	if len(candidates) > k {
-		candidates = candidates[:k]
-	}
-	return candidates
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.merged().TopK(k)
 }
 
 // BottomK returns the k globally least frequent entries in non-decreasing
 // frequency order, merging each shard's bottom-k list. Cost O(shards·k).
 func (s *Sharded) BottomK(k int) []Entry {
-	if k <= 0 || s.m == 0 {
-		return nil
+	if sh := s.single(); sh != nil {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.p.BottomK(k)
 	}
-	unlock := s.lockAll()
-	defer unlock()
-	return s.bottomKLocked(k)
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.merged().BottomK(k)
 }
 
-func (s *Sharded) bottomKLocked(k int) []Entry {
-	if k <= 0 || s.m == 0 {
-		return nil
-	}
-	if k > s.m {
-		k = s.m
-	}
-	candidates := make([]Entry, 0, k*len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for _, e := range sh.p.BottomK(k) {
-			candidates = append(candidates, Entry{Object: e.Object + sh.base, Frequency: e.Frequency})
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].Frequency != candidates[j].Frequency {
-			return candidates[i].Frequency < candidates[j].Frequency
-		}
-		return candidates[i].Object < candidates[j].Object
-	})
-	if len(candidates) > k {
-		candidates = candidates[:k]
-	}
-	return candidates
-}
-
-// Query answers a composite query atomically from one merged cut: every
-// shard's read lock is held once across the whole evaluation, and every rank
-// statistic the query selects — median, quantiles, k-th largest, the
-// distribution itself, the summary's distinct-frequency count — is answered
-// from ONE merged frequency histogram instead of re-merging per call. A
-// composite with R rank statistics therefore costs one lock round-trip and
-// one O(total distinct frequencies) merge, where R individual getters cost R
-// of each.
+// Query answers a composite query atomically: every shard's read lock is held
+// once across the whole evaluation, and core.EvalQuery reads every statistic
+// from the one view of that cut. With several shards every rank statistic
+// the query selects — median, quantiles, k-th largest, the distribution
+// itself, the summary's distinct-frequency count — is answered from ONE
+// merged frequency histogram, so a composite with R rank statistics costs one
+// lock round-trip and one merge, where R individual getters cost R of each.
 func (s *Sharded) Query(q Query) (QueryResult, error) {
-	var res QueryResult
-	if err := q.Validate(s.m); err != nil {
-		return res, err
-	}
-	unlock := s.lockAll()
-	defer unlock()
-
-	var dist []FreqCount
-	if q.NeedsDistribution() {
-		dist = s.distributionLocked()
-	}
-	if len(q.Count) > 0 {
-		res.Counts = make([]Entry, len(q.Count))
-		for i, x := range q.Count {
-			// Validate range-checked x, so locate cannot fail.
-			sh, local, err := s.locate(x)
-			if err != nil {
-				return QueryResult{}, err
-			}
-			f, err := sh.p.Count(local)
-			if err != nil {
-				return QueryResult{}, err
-			}
-			res.Counts[i] = Entry{Object: x, Frequency: f}
-		}
-	}
-	if q.Mode {
-		e, ties, err := s.modeLocked()
-		if err != nil {
-			return QueryResult{}, err
-		}
-		res.Mode = &Extreme{Entry: e, Ties: ties}
-	}
-	if q.Min {
-		e, ties, err := s.minLocked()
-		if err != nil {
-			return QueryResult{}, err
-		}
-		res.Min = &Extreme{Entry: e, Ties: ties}
-	}
-	if q.TopK > 0 {
-		res.TopK = s.topKLocked(q.TopK)
-	}
-	if q.BottomK > 0 {
-		res.BottomK = s.bottomKLocked(q.BottomK)
-	}
-	if len(q.KthLargest) > 0 {
-		res.KthLargest = make([]Entry, len(q.KthLargest))
-		for i, k := range q.KthLargest {
-			e, err := s.atRankLocked(s.m-k, dist)
-			if err != nil {
-				return QueryResult{}, err
-			}
-			res.KthLargest[i] = e
-		}
-	}
-	if q.Median {
-		e, err := s.atRankLocked((s.m-1)/2, dist)
-		if err != nil {
-			return QueryResult{}, err
-		}
-		res.Median = &e
-	}
-	if len(q.Quantiles) > 0 {
-		res.Quantiles = make([]QuantileEntry, len(q.Quantiles))
-		for i, qq := range q.Quantiles {
-			e, err := s.atRankLocked(core.QuantileRank(qq, s.m), dist)
-			if err != nil {
-				return QueryResult{}, err
-			}
-			res.Quantiles[i] = QuantileEntry{Q: qq, Entry: e}
-		}
-	}
-	if q.Majority {
-		e, ok, err := s.majorityLocked()
-		if err != nil {
-			return QueryResult{}, err
-		}
-		res.Majority = &MajorityEntry{Entry: e, Majority: ok}
-	}
-	if q.Distribution {
-		res.Distribution = dist
-	}
-	if q.Summary {
-		sum := s.summarizeLocked(dist)
-		res.Summary = &sum
-	}
-	return res, nil
+	s.rlockAll()
+	defer s.runlockAll()
+	return core.EvalQuery(s.view(), q)
 }
 
 // Snapshot merges every shard into one consistent standalone Profile (cost
-// O(m)); use it when a burst of rank queries must see a single state.
+// O(m); a one-shard profile is cloned); use it when a burst of rank queries
+// must see a single state.
 // The snapshot preserves the true adds/removes counters and the strict-mode
 // flag, so it is also a faithful checkpoint image, not just a query view.
 func (s *Sharded) Snapshot() (*Profile, error) {
-	unlock := s.lockAll()
-	defer unlock()
+	s.rlockAll()
+	defer s.runlockAll()
+	if sh := s.single(); sh != nil {
+		return sh.p.Clone(), nil
+	}
 
 	freqs := make([]int64, s.m)
 	var adds, removes uint64
@@ -835,19 +627,6 @@ func newShardedView(template *Sharded, snaps []*core.Profile) *Sharded {
 	return v
 }
 
-// lockAllWrite takes every shard's write lock (in index order); the returned
-// function releases them.
-func (s *Sharded) lockAllWrite() func() {
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
-	return func() {
-		for i := range s.shards {
-			s.shards[i].mu.Unlock()
-		}
-	}
-}
-
 // LoadFrequencies replaces the whole sharded state: object x ends at
 // frequency freqs[x] and the global adds/removes counters at the given
 // totals. Each shard receives its id range plus the minimal event counts
@@ -884,8 +663,8 @@ func (s *Sharded) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 		return fmt.Errorf("%w: %d adds - %d removes does not produce the loaded frequencies",
 			core.ErrBadSnapshot, adds, removes)
 	}
-	unlock := s.lockAllWrite()
-	defer unlock()
+	s.lockAll()
+	defer s.unlockAll()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		a, r := synthAdds[i], synthRemoves[i]
@@ -898,4 +677,251 @@ func (s *Sharded) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 		}
 	}
 	return nil
+}
+
+// mergedView answers the global statistics of a several-shard cut, whose
+// read locks the caller holds, by combining the shards' own answers. The
+// merged frequency histogram every rank statistic needs is built once, on
+// first use, and shared by the view's later reads.
+type mergedView struct {
+	s    *Sharded
+	dist []FreqCount
+}
+
+func (v *mergedView) Cap() int { return v.s.m }
+
+func (v *mergedView) Count(x int) (int64, error) {
+	sh, local, err := v.s.locate(x)
+	if err != nil {
+		return 0, err
+	}
+	return sh.p.Count(local)
+}
+
+func (v *mergedView) Total() int64 {
+	var total int64
+	for i := range v.s.shards {
+		total += v.s.shards[i].p.Total()
+	}
+	return total
+}
+
+func (v *mergedView) Mode() (Entry, int, error) {
+	var best Entry
+	ties := 0
+	found := false
+	for i := range v.s.shards {
+		sh := &v.s.shards[i]
+		e, shardTies, err := sh.p.Mode()
+		if err != nil {
+			continue
+		}
+		globalEntry := Entry{Object: e.Object + sh.base, Frequency: e.Frequency}
+		switch {
+		case !found || globalEntry.Frequency > best.Frequency:
+			best = globalEntry
+			ties = shardTies
+			found = true
+		case globalEntry.Frequency == best.Frequency:
+			ties += shardTies
+		}
+	}
+	if !found {
+		return Entry{}, 0, ErrEmptyProfile
+	}
+	return best, ties, nil
+}
+
+func (v *mergedView) Min() (Entry, int, error) {
+	var best Entry
+	ties := 0
+	found := false
+	for i := range v.s.shards {
+		sh := &v.s.shards[i]
+		e, shardTies, err := sh.p.Min()
+		if err != nil {
+			continue
+		}
+		globalEntry := Entry{Object: e.Object + sh.base, Frequency: e.Frequency}
+		switch {
+		case !found || globalEntry.Frequency < best.Frequency:
+			best = globalEntry
+			ties = shardTies
+			found = true
+		case globalEntry.Frequency == best.Frequency:
+			ties += shardTies
+		}
+	}
+	if !found {
+		return Entry{}, 0, ErrEmptyProfile
+	}
+	return best, ties, nil
+}
+
+func (v *mergedView) Distribution() []FreqCount {
+	if v.dist != nil {
+		return v.dist
+	}
+	merged := make(map[int64]int)
+	for i := range v.s.shards {
+		for _, fc := range v.s.shards[i].p.Distribution() {
+			merged[fc.Freq] += fc.Count
+		}
+	}
+	out := make([]FreqCount, 0, len(merged))
+	for f, c := range merged {
+		out = append(out, FreqCount{Freq: f, Count: c})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Freq < out[j].Freq })
+	v.dist = out
+	return out
+}
+
+// AtRank finds the frequency at global rank r in the merged distribution,
+// then a shard holding an object with that frequency.
+func (v *mergedView) AtRank(r int) (Entry, error) {
+	if r < 0 || r >= v.s.m {
+		return Entry{}, fmt.Errorf("%w: k %d, capacity %d", ErrBadRank, r, v.s.m)
+	}
+	remaining := r
+	var targetFreq int64
+	for _, fc := range v.Distribution() {
+		if remaining < fc.Count {
+			targetFreq = fc.Freq
+			break
+		}
+		remaining -= fc.Count
+	}
+	for i := range v.s.shards {
+		sh := &v.s.shards[i]
+		below := sh.p.Cap() - sh.p.CountWithFrequencyAtLeast(targetFreq)
+		if below >= sh.p.Cap() {
+			continue // no object in this shard has frequency >= target
+		}
+		e, err := sh.p.KthSmallest(below + 1)
+		if err != nil || e.Frequency != targetFreq {
+			continue
+		}
+		return Entry{Object: e.Object + sh.base, Frequency: e.Frequency}, nil
+	}
+	// An impossible state (ranks were counted from the same locked shards
+	// this walk reads): deliberately NOT part of the wire taxonomy, so it
+	// surfaces as a 500, not as a client-addressable error class.
+	return Entry{}, fmt.Errorf("sprofile: internal error: no shard holds rank %d", r) //lint:allow errtaxonomy
+}
+
+func (v *mergedView) KthLargest(k int) (Entry, error) {
+	if k < 1 || k > v.s.m {
+		return Entry{}, fmt.Errorf("%w: k %d, capacity %d", ErrBadRank, k, v.s.m)
+	}
+	return v.AtRank(v.s.m - k)
+}
+
+// Median needs no empty-profile check: several shards means m >= 2.
+func (v *mergedView) Median() (Entry, error) { return v.AtRank((v.s.m - 1) / 2) }
+
+func (v *mergedView) Quantile(q float64) (Entry, error) {
+	if err := core.CheckQuantile(q); err != nil {
+		return Entry{}, err
+	}
+	return v.AtRank(core.QuantileRank(q, v.s.m))
+}
+
+func (v *mergedView) Majority() (Entry, bool, error) {
+	var best Entry
+	var total int64
+	found := false
+	for i := range v.s.shards {
+		sh := &v.s.shards[i]
+		total += sh.p.Total()
+		e, _, err := sh.p.Mode()
+		if err != nil {
+			continue
+		}
+		if !found || e.Frequency > best.Frequency {
+			best = Entry{Object: e.Object + sh.base, Frequency: e.Frequency}
+			found = true
+		}
+	}
+	if !found {
+		return Entry{}, false, ErrEmptyProfile
+	}
+	if total > 0 && best.Frequency*2 > total {
+		return best, true, nil
+	}
+	return Entry{}, false, nil
+}
+
+func (v *mergedView) Summarize() Summary {
+	sum := Summary{Capacity: v.s.m}
+	for i := range v.s.shards {
+		shardSum := v.s.shards[i].p.Summarize()
+		sum.Total += shardSum.Total
+		sum.Active += shardSum.Active
+		sum.Negative += shardSum.Negative
+		sum.Adds += shardSum.Adds
+		sum.Removes += shardSum.Removes
+		if i == 0 || shardSum.MaxFrequency > sum.MaxFrequency {
+			sum.MaxFrequency = shardSum.MaxFrequency
+		}
+		if i == 0 || shardSum.MinFrequency < sum.MinFrequency {
+			sum.MinFrequency = shardSum.MinFrequency
+		}
+	}
+	// Distinct frequencies must be counted globally: two shards holding the
+	// same frequency contribute one distinct value, not two.
+	sum.DistinctFrequencies = len(v.Distribution())
+	return sum
+}
+
+func (v *mergedView) TopK(k int) []Entry {
+	if k <= 0 {
+		return nil
+	}
+	if k > v.s.m {
+		k = v.s.m
+	}
+	candidates := make([]Entry, 0, k*len(v.s.shards))
+	for i := range v.s.shards {
+		sh := &v.s.shards[i]
+		for _, e := range sh.p.TopK(k) {
+			candidates = append(candidates, Entry{Object: e.Object + sh.base, Frequency: e.Frequency})
+		}
+	}
+	sort.Slice(candidates, func(i, j int) bool {
+		if candidates[i].Frequency != candidates[j].Frequency {
+			return candidates[i].Frequency > candidates[j].Frequency
+		}
+		return candidates[i].Object < candidates[j].Object
+	})
+	if len(candidates) > k {
+		candidates = candidates[:k]
+	}
+	return candidates
+}
+
+func (v *mergedView) BottomK(k int) []Entry {
+	if k <= 0 {
+		return nil
+	}
+	if k > v.s.m {
+		k = v.s.m
+	}
+	candidates := make([]Entry, 0, k*len(v.s.shards))
+	for i := range v.s.shards {
+		sh := &v.s.shards[i]
+		for _, e := range sh.p.BottomK(k) {
+			candidates = append(candidates, Entry{Object: e.Object + sh.base, Frequency: e.Frequency})
+		}
+	}
+	sort.Slice(candidates, func(i, j int) bool {
+		if candidates[i].Frequency != candidates[j].Frequency {
+			return candidates[i].Frequency < candidates[j].Frequency
+		}
+		return candidates[i].Object < candidates[j].Object
+	})
+	if len(candidates) > k {
+		candidates = candidates[:k]
+	}
+	return candidates
 }

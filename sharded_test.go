@@ -3,8 +3,10 @@ package sprofile_test
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sprofile"
 	"sprofile/internal/stream"
@@ -309,6 +311,46 @@ func TestShardedConcurrentProducers(t *testing.T) {
 	// event is accounted for (adds - removes = total).
 	if snap.Total() != s.Total() {
 		t.Fatalf("snapshot total %d, sharded total %d", snap.Total(), s.Total())
+	}
+}
+
+// TestShardedTotalIsOneCut pins that Total reads every shard from one cut.
+// One token walks the ids 0→1→…→15→0 across 16 one-object shards, added at
+// its next id before it leaves its current one, so every state the profile
+// holds totals 1 or 2; summing the shards under successive locks can miss
+// the token or count it twice.
+func TestShardedTotalIsOneCut(t *testing.T) {
+	const m = 16
+	s := sprofile.MustNewSharded(m, m)
+	if err := s.Add(0); err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for cur := 0; !stop.Load(); cur = (cur + 1) % m {
+			if err := s.Add((cur + 1) % m); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.Remove(cur); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	reads, torn := 0, 0
+	for deadline := time.Now().Add(500 * time.Millisecond); time.Now().Before(deadline); reads++ {
+		if total := s.Total(); total < 1 || total > 2 {
+			torn++
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if torn > 0 {
+		t.Fatalf("%d of %d Total() reads fell outside [1, 2], the only totals the profile held", torn, reads)
 	}
 }
 

@@ -18,7 +18,7 @@
 // declared capabilities with Build:
 //
 //	p, err := sprofile.Build(m)                            // plain Profile
-//	p, err := sprofile.Build(m, sprofile.Synchronized())   // mutex-protected
+//	p, err := sprofile.Build(m, sprofile.Synchronized())   // one mutex (one shard)
 //	p, err := sprofile.Build(m, sprofile.WithSharding(16)) // per-shard locks
 //	p, err := sprofile.Build(m, sprofile.Windowed(100_000))
 //	p, err := sprofile.Build(m, sprofile.WithWAL("events.wal"))
@@ -34,10 +34,10 @@
 // The concrete constructors remain for callers that need a variant's extra
 // methods: New for the raw dense-id profile (object ids are integers in
 // [0, m)), NewKeyed for arbitrary comparable keys (user names, URLs, int64
-// ids, optionally over any Build result via NewKeyedOver), NewConcurrent,
-// NewSharded, NewWindow and NewTimeWindow. See README.md for the full
-// interface documentation and the migration table from the constructor-based
-// API.
+// ids, optionally over any Build result via NewKeyedOver), NewSharded (one
+// shard is the single-mutex profile Synchronized builds), NewWindow and
+// NewTimeWindow. See README.md for the full interface documentation and the
+// migration table from the constructor-based API.
 //
 // The subdirectories contain the full evaluation apparatus used to reproduce
 // the paper's experiments: baseline profilers (indexed heap, order-statistic
