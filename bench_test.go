@@ -661,6 +661,79 @@ func BenchmarkKeyedIngestion(b *testing.B) {
 	})
 }
 
+// BenchmarkKeyedEviction measures the recycling path of a concurrent keyed
+// profile, which the end-to-end workloads never reach because their key
+// spaces fit the capacity. Each case builds its profile once and keeps it
+// across the runner's rounds, since every op leaves the same shape behind.
+//
+//   - evict: 1<<16 ids over 2 stripes, all held by idle keys; one op is an
+//     Add of a key not tracked, which evicts an idle key of its stripe,
+//     and the Remove that leaves the new key idle.
+//   - idle-flip: 1<<20 idle keys over 2 stripes; one op is an Add of a
+//     random one, taking it off its stripe's idle list, and the Remove that
+//     puts it back.
+func BenchmarkKeyedEviction(b *testing.B) {
+	// build tracks every key, the first m of them, on a fresh profile of m ids.
+	build := func(b *testing.B, m int, keys []string) *sprofile.KeyedConcurrent[string] {
+		k := sprofile.MustBuildKeyed[string](m, sprofile.WithSharding(2))
+		for _, key := range keys[:m] {
+			if err := k.Track(key); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return k
+	}
+	var evict, flip *sprofile.KeyedConcurrent[string]
+	var evictKeys, flipKeys []string
+	next := 0
+	b.Run("evict", func(b *testing.B) {
+		const m = 1 << 16
+		if evict == nil {
+			// The ops cycle through the second m keys: by the time a key
+			// comes round again its stripe has evicted it.
+			evictKeys = make([]string, 2*m)
+			for i := range evictKeys {
+				evictKeys[i] = fmt.Sprintf("object-%06d", i)
+			}
+			evict = build(b, m, evictKeys)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			key := evictKeys[m+next]
+			next = (next + 1) % m
+			if err := evict.Add(key); err != nil {
+				b.Fatal(err)
+			}
+			if err := evict.Remove(key); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("idle-flip", func(b *testing.B) {
+		const m = 1 << 20
+		if flip == nil {
+			flipKeys = make([]string, m)
+			for i := range flipKeys {
+				flipKeys[i] = fmt.Sprintf("object-%07d", i)
+			}
+			flip = build(b, m, flipKeys)
+		}
+		rng := stream.NewRNG(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			key := flipKeys[rng.Intn(m)]
+			if err := flip.Add(key); err != nil {
+				b.Fatal(err)
+			}
+			if err := flip.Remove(key); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkCoreQueries measures the constant-time query surface of a profile
 // that is already loaded with a realistic frequency distribution.
 func BenchmarkCoreQueries(b *testing.B) {

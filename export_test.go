@@ -3,46 +3,49 @@ package sprofile
 import "fmt"
 
 // CheckZeroSets verifies the recycling bookkeeping of k against its dense
-// profile on one quiesced cut: each stripe's zero set must hold exactly that
-// stripe's mapped keys whose dense Count is zero (and stay empty without key
-// recycling), with its position index in step.
+// profile on one quiesced cut: each stripe's idle list must hold exactly
+// that stripe's mapped ids whose dense Count is zero (and stay empty
+// without key recycling), and every id's state word must record its
+// position on that list, or none for an id that is active or unmapped.
 func (k *KeyedConcurrent[K]) CheckZeroSets() error {
 	var err error
 	k.ids.Quiesce(func() {
-		idle := make([]map[K]bool, len(k.zeros))
-		for si := range idle {
-			idle[si] = map[K]bool{}
-		}
+		lists, pos := k.ids.IdleLocked()
+		idle := make([]int, len(lists))
+		mapped := make([]bool, len(pos))
 		k.ids.RangeLocked(func(key K, id int) bool {
+			mapped[id] = true
 			f, cerr := k.dense.Count(id)
 			if cerr != nil {
 				err = cerr
 				return false
 			}
-			if f == 0 && k.recycle {
-				idle[k.ids.StripeOf(key)][key] = true
+			si := k.ids.StripeOf(key)
+			switch p := pos[id]; {
+			case f != 0 || !k.recycle:
+				if p >= 0 {
+					err = fmt.Errorf("id %d of %v (count %d) is marked idle at position %d", id, key, f, p)
+				}
+			case p < 0 || p >= len(lists[si]) || lists[si][p] != id:
+				err = fmt.Errorf("stripe %d: idle id %d of %v is not on its idle list at its recorded position %d", si, id, key, p)
+			default:
+				idle[si]++
 			}
-			return true
+			return err == nil
 		})
 		if err != nil {
 			return
 		}
-		for si := range k.zeros {
-			z := &k.zeros[si]
-			if len(z.keys) != len(idle[si]) || len(z.pos) != len(z.keys) {
-				err = fmt.Errorf("stripe %d: zero set holds %d keys (%d indexed), want the %d idle mapped keys",
-					si, len(z.keys), len(z.pos), len(idle[si]))
+		for si, list := range lists {
+			if len(list) != idle[si] {
+				err = fmt.Errorf("stripe %d: idle list holds %d ids, want its %d idle mapped keys", si, len(list), idle[si])
 				return
 			}
-			for i, key := range z.keys {
-				if !idle[si][key] {
-					err = fmt.Errorf("stripe %d: zero set holds %v, which is not an idle mapped key of the stripe", si, key)
-					return
-				}
-				if z.pos[key] != i {
-					err = fmt.Errorf("stripe %d: zero set indexes %v at %d, stored at %d", si, key, z.pos[key], i)
-					return
-				}
+		}
+		for id, p := range pos {
+			if !mapped[id] && p >= 0 {
+				err = fmt.Errorf("unmapped id %d is marked idle at position %d", id, p)
+				return
 			}
 		}
 	})

@@ -14,7 +14,7 @@ import (
 // TestMapperAllocationTracksKeys: a mapper allocates for the keys it
 // tracks, not for its capacity. Building a mapper of 1<<20 ids and
 // acquiring 10,000 keys must allocate under 2 MiB; a flat id→key table of
-// one string header and one in-use byte per id alone would take 17 MiB.
+// one string header and one 4-byte state word per id alone would take 20 MiB.
 func TestMapperAllocationTracksKeys(t *testing.T) {
 	const capacity, n, limit = 1 << 20, 10_000, 2 << 20
 	type mapper interface {
@@ -137,14 +137,14 @@ func TestStripedChunkEdges(t *testing.T) {
 	if got := allocatedChunks(s); !slices.Equal(got, []int{0, 1}) {
 		t.Fatalf("after ids [0, 6098): chunks %v allocated, want [0 1]", got)
 	}
-	checkStriped(t, s, model)
+	checkStriped(t, s, model, nil)
 	// Keys of every stripe fill the rest; stripe 0's overflow keeps borrowing.
 	for len(model) < capacity {
 		key := next
 		next++
 		model[key] = s.MustAcquire(t, key)
 	}
-	checkStriped(t, s, model)
+	checkStriped(t, s, model, nil)
 
 	holder := func(id int) int {
 		for key, kid := range model {
@@ -166,20 +166,20 @@ func TestStripedChunkEdges(t *testing.T) {
 		if k, ok := s.Key(edge); ok {
 			t.Fatalf("Key(%d) = %d after its release", edge, k)
 		}
-		checkStriped(t, s, model)
+		checkStriped(t, s, model, nil)
 
 		// A fresh acquisition rolled back in its transaction frees it again.
 		key = keyOfStripe(s, &next, rangeOf(edge), false)
 		h := s.Hash(key)
 		_ = s.BatchFunc(s.StripeOfHash(h), func(txn StripeTxn[int]) error {
-			id, isNew, err := txn.Acquire(key, h, nil)
+			id, isNew, err := txn.Acquire(key, h, false)
 			if err != nil || !isNew || id != edge {
 				t.Fatalf("acquire %d = (%d, %v, %v), want fresh id %d", key, id, isNew, err, edge)
 			}
 			txn.Rollback(key, h, id)
 			return nil
 		})
-		checkStriped(t, s, model)
+		checkStriped(t, s, model, nil)
 
 		// A key of another stripe borrows it from the edge's range.
 		key = keyOfStripe(s, &next, rangeOf(edge), true)
@@ -187,18 +187,19 @@ func TestStripedChunkEdges(t *testing.T) {
 			t.Fatalf("borrowing acquire %d took id %d, want %d", key, id, edge)
 		}
 		model[key] = edge
-		checkStriped(t, s, model)
+		checkStriped(t, s, model, nil)
 		if _, _, err := s.Acquire(next); !errors.Is(err, ErrFull) {
 			t.Fatalf("Acquire at capacity = %v, want ErrFull", err)
 		}
 
-		// At capacity, a key of the borrower's stripe evicts it and takes
-		// the edge id over.
+		// At capacity, the borrower goes idle and a key of its stripe evicts
+		// it and takes the edge id over.
 		victim, si := key, s.StripeOf(key)
 		key = keyOfStripe(s, &next, si, false)
 		h = s.Hash(key)
 		_ = s.BatchFunc(si, func(txn StripeTxn[int]) error {
-			id, isNew, err := txn.Acquire(key, h, func(int) (int, bool) { return victim, true })
+			txn.SetIdle(edge, true)
+			id, isNew, err := txn.Acquire(key, h, true)
 			if err != nil || !isNew || id != edge {
 				t.Fatalf("evicting acquire %d = (%d, %v, %v), want id %d", key, id, isNew, err, edge)
 			}
@@ -206,7 +207,7 @@ func TestStripedChunkEdges(t *testing.T) {
 		})
 		delete(model, victim)
 		model[key] = edge
-		checkStriped(t, s, model)
+		checkStriped(t, s, model, nil)
 	}
 }
 
@@ -315,6 +316,6 @@ func TestStripedConcurrentFill(t *testing.T) {
 				}
 			}
 		}
-		checkStriped(t, s, model)
+		checkStriped(t, s, model, nil)
 	}
 }

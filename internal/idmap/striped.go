@@ -3,6 +3,7 @@ package idmap
 import (
 	"fmt"
 	"hash/maphash"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -21,17 +22,27 @@ import (
 // exhausted does Acquire borrow an id from another stripe's free range, so
 // the full capacity is always usable regardless of how keys hash.
 //
-// Each key is stored once, in the id-indexed key table. A stripe finds
-// its keys through a pointer-free open-addressing index: one []uint64 whose
-// slots hold the high 32 bits of the key's hash (Hash, the same hash that
-// picks the stripe) above id+1, with 0 marking an empty slot. Lookups probe
-// linearly from the slot the fingerprint selects and confirm a fingerprint
-// match against the key table; the index doubles before it passes 3/4 load,
-// and a deletion shifts the rest of its probe run back, so recycling ids
-// leaves no tombstones. Per tracked key that is 8 bytes of index per slot at
-// 3/8 to 3/4 load (11 to 21 bytes per key), plus its key-table entry (16
-// bytes for a string header and one in-use byte); the garbage collector
+// Each key is stored once, in the id-indexed key table, beside its id's
+// state word: free, mapped, or idle at a position of its stripe's idle list.
+// A stripe finds its keys through a pointer-free open-addressing index: one
+// []uint64 whose slots hold the high 32 bits of the key's hash (Hash, the
+// same hash that picks the stripe) above id+1, with 0 marking an empty slot.
+// Lookups probe linearly from the slot the fingerprint selects and confirm a
+// fingerprint match against the key table; the index doubles before it
+// passes 3/4 load, and a deletion shifts the rest of its probe run back, so
+// recycling ids leaves no tombstones. Per tracked key that is 8 bytes of
+// index per slot at 3/8 to 3/4 load (11 to 21 bytes per key), plus its
+// key-table entry (20 bytes for a string header and the state word), plus
+// the key's own bytes, plus 4 bytes while it is idle; the garbage collector
 // never scans the index.
+//
+// Idle ids are the eviction candidates. A caller layering frequencies on the
+// mapping marks an id idle while its key's frequency is zero
+// (StripeTxn.SetIdle). Each stripe lists its keys' idle ids in one []int32,
+// and an idle id's state word holds its position there, so marking and
+// unmarking are an append and a swap-remove. When no id is free, an Acquire
+// allowed to evict pops the last id of the acquiring stripe's list and hands
+// it to the new key.
 //
 // The key table exists only for the chunks of 4096 ids that hold an id
 // handed out at some point. Each range hands out its ids as a prefix
@@ -69,11 +80,14 @@ type Striped[K comparable] struct {
 // mapStripe indexes the keys hashing to one stripe. Each nonzero slot is
 // fingerprint<<32 | id+1, where the fingerprint is the high 32 bits of the
 // key's hash and also selects the slot its probe starts from; len(slots) is
-// zero or a power of two, and at most 3/4 of the slots are used.
+// zero or a power of two, and at most 3/4 of the slots are used. idle lists
+// the ids of the stripe's keys marked idle; idle[p]'s state word is
+// idleBase+p.
 type mapStripe struct {
 	mu    sync.Mutex
 	slots []uint64
 	used  int
+	idle  []int32
 }
 
 // slotIDMask extracts id+1 from an index slot.
@@ -167,8 +181,8 @@ type allocStripe struct {
 // profile clamps its shard count, so equal requested counts yield identical
 // id-range geometry.
 func NewStriped[K comparable](capacity, stripes int) (*Striped[K], error) {
-	if capacity < 0 {
-		return nil, fmt.Errorf("idmap: negative capacity %d", capacity)
+	if capacity < 0 || capacity > math.MaxInt32-idleBase {
+		return nil, fmt.Errorf("idmap: capacity %d outside [0, %d]", capacity, math.MaxInt32-idleBase)
 	}
 	if stripes <= 0 {
 		return nil, fmt.Errorf("idmap: stripe count must be positive, got %d", stripes)
@@ -312,7 +326,7 @@ func (s *Striped[K]) reassign(id int, key K) {
 func (s *Striped[K]) Acquire(key K) (id int, isNew bool, err error) {
 	h := s.Hash(key)
 	err = s.BatchFunc(s.StripeOfHash(h), func(t StripeTxn[K]) error {
-		id, isNew, err = t.Acquire(key, h, nil)
+		id, isNew, err = t.Acquire(key, h, false)
 		return err
 	})
 	return id, isNew, err
@@ -348,27 +362,23 @@ func (t StripeTxn[K]) Get(key K, h uint64) (int, bool) {
 }
 
 // Acquire returns the dense id for key (hash h), assigning a new one if the
-// key is not yet mapped. When every id is in use, evict (if not nil) may
-// name a victim key of the same stripe (callers typically track idle keys
-// per stripe); the victim's mapping is removed and its id handed to key
-// atomically. isNew reports a fresh assignment; use Rollback to undo it if
-// the caller's own state update fails.
-func (t StripeTxn[K]) Acquire(key K, h uint64, evict func(stripe int) (K, bool)) (id int, isNew bool, err error) {
+// key is not yet mapped. When every id is in use and evict is set, the last
+// id on this stripe's idle list is taken instead: its key is unmapped and
+// the id handed to key in the same step. Without a free id or an idle one,
+// Acquire returns ErrFull. isNew reports a fresh assignment, which is never
+// marked idle; use Rollback to undo it if the caller's own state update
+// fails.
+func (t StripeTxn[K]) Acquire(key K, h uint64, evict bool) (id int, isNew bool, err error) {
 	s, si := t.s, t.si
 	ms := &s.stripes[si]
 	if slot, id := s.find(ms, key, h); slot >= 0 {
 		return id, false, nil
 	}
 	id, ok := s.allocate(si, key)
-	if !ok && evict != nil {
-		if victim, vok := evict(si); vok {
-			if vslot, vid := s.find(ms, victim, s.Hash(victim)); vslot >= 0 {
-				ms.delete(vslot)
-				s.length.Add(-1)
-				s.reassign(vid, key)
-				id, ok = vid, true
-			}
-		}
+	if !ok && evict && len(ms.idle) > 0 {
+		id, _ = s.unmapLastIdle(ms)
+		s.reassign(id, key)
+		ok = true
 	}
 	if !ok {
 		return 0, false, fmt.Errorf("%w: capacity %d", ErrFull, s.capacity)
@@ -384,9 +394,54 @@ func (t StripeTxn[K]) Acquire(key K, h uint64, evict func(stripe int) (K, bool))
 func (t StripeTxn[K]) Rollback(key K, h uint64, id int) {
 	ms := &t.s.stripes[t.si]
 	slot, _ := t.s.find(ms, key, h)
-	ms.delete(slot)
+	t.s.unmap(ms, slot, id)
 	t.s.free(id)
-	t.s.length.Add(-1)
+}
+
+// SetIdle marks id, the mapped id of a key of this stripe, idle (an eviction
+// candidate) or active again. It is O(1) and idempotent; releasing or
+// evicting the key drops the mark.
+func (t StripeTxn[K]) SetIdle(id int, idle bool) {
+	s := t.s
+	ms := &s.stripes[t.si]
+	switch w := s.keys.word(id); {
+	case idle && w == stateMapped:
+		s.keys.setWord(id, idleBase+int32(len(ms.idle)))
+		ms.idle = append(ms.idle, int32(id))
+	case !idle && w >= idleBase:
+		s.dropIdle(ms, id, w)
+	}
+}
+
+// dropIdle takes id, whose state word w places it on ms's idle list, off
+// the list: the list's last id moves into its position.
+func (s *Striped[K]) dropIdle(ms *mapStripe, id int, w int32) {
+	last := len(ms.idle) - 1
+	moved := ms.idle[last]
+	ms.idle[w-idleBase] = moved
+	ms.idle = ms.idle[:last]
+	s.keys.setWord(int(moved), w)
+	s.keys.setWord(id, stateMapped)
+}
+
+// unmap removes the key at slot of ms, which holds id, from the index and
+// its id from the idle list; the caller frees or reassigns the id.
+func (s *Striped[K]) unmap(ms *mapStripe, slot, id int) {
+	if w := s.keys.word(id); w >= idleBase {
+		s.dropIdle(ms, id, w)
+	}
+	ms.delete(slot)
+	s.length.Add(-1)
+}
+
+// unmapLastIdle unmaps the key holding the last id on ms's nonempty idle
+// list and returns the id and the key; the caller frees or reassigns the id.
+func (s *Striped[K]) unmapLastIdle(ms *mapStripe) (int, K) {
+	id := int(ms.idle[len(ms.idle)-1])
+	key := s.keys.key(id)
+	slot, _ := s.find(ms, key, s.Hash(key))
+	s.unmap(ms, slot, id)
+	return id, key
 }
 
 // Reserve sizes the stripe's index so n more keys fit without growing it,
@@ -445,10 +500,31 @@ func (s *Striped[K]) Release(key K) (int, error) {
 	if slot < 0 {
 		return 0, fmt.Errorf("%w: %v", ErrUnknownKey, key)
 	}
-	ms.delete(slot)
-	s.length.Add(-1)
+	s.unmap(ms, slot, id)
 	s.free(id)
 	return id, nil
+}
+
+// ReleaseIdle releases one idle key, freeing its id for any stripe: the
+// last one on the first nonempty idle list, taking each stripe's lock in
+// turn. It returns the key, or false when no key is idle. A caller whose
+// own stripe has no idle key to evict uses it to make room (WAL replay,
+// whose stripe assignment differs from the run that wrote the log).
+func (s *Striped[K]) ReleaseIdle() (key K, ok bool) {
+	for i := range s.stripes {
+		ms := &s.stripes[i]
+		ms.mu.Lock()
+		if ok = len(ms.idle) > 0; ok {
+			var id int
+			id, key = s.unmapLastIdle(ms)
+			s.free(id)
+		}
+		ms.mu.Unlock()
+		if ok {
+			return key, true
+		}
+	}
+	return key, false
 }
 
 // Keys returns every currently mapped key. Each stripe is read atomically
@@ -493,6 +569,27 @@ func (s *Striped[K]) LookupLocked(key K) (int, bool) {
 	h := s.Hash(key)
 	slot, id := s.find(&s.stripes[s.StripeOfHash(h)], key, h)
 	return id, slot >= 0
+}
+
+// IdleLocked is for callers already inside Quiesce that check the idle
+// bookkeeping: it returns a copy of each stripe's idle list and, for every
+// id, the idle position its state word records (-1 when it records none).
+// Calling it anywhere else is a data race.
+func (s *Striped[K]) IdleLocked() (lists [][]int, pos []int) {
+	lists = make([][]int, len(s.stripes))
+	for i := range s.stripes {
+		for _, id := range s.stripes[i].idle {
+			lists[i] = append(lists[i], int(id))
+		}
+	}
+	pos = make([]int, s.capacity)
+	for id := range pos {
+		pos[id] = int(s.keys.word(id)) - idleBase
+		if pos[id] < 0 {
+			pos[id] = -1
+		}
+	}
+	return lists, pos
 }
 
 // RangeLocked is Range for callers already inside Quiesce: it visits every

@@ -6,17 +6,21 @@ import (
 	"testing"
 )
 
-// stripedOpsCoverage counts the index events a run of runStripedOps
-// exercised, so a test can insist the seed corpus reaches them.
+// stripedOpsCoverage counts the index and idle-list events a run of
+// runStripedOps exercised, so a test can insist the seed corpus reaches
+// them.
 type stripedOpsCoverage struct {
 	growths     int // a stripe's slot array grew
 	wrapDeletes int // a deletion's probe run continued past the last slot
+	evictions   int // an evicting Acquire took an idle key's id
+	midDrops    int // an idle id left its list from before the last position
 }
 
 // runStripedOps interprets data as a sequence of operations on a small
-// Striped[int] and checks every answer against a map[int]int model. The
-// first two bytes choose the capacity (1..64) and the stripe count (1..8);
-// each following pair is an operation and its key.
+// Striped[int] and checks every answer against a model: a map[int]int of
+// the mapping and, per stripe, the set of keys marked idle. The first two
+// bytes choose the capacity (1..64) and the stripe count (1..8); each
+// following pair is an operation and its key.
 func runStripedOps(t *testing.T, data []byte) stripedOpsCoverage {
 	var cov stripedOpsCoverage
 	if len(data) < 2 {
@@ -25,19 +29,12 @@ func runStripedOps(t *testing.T, data []byte) stripedOpsCoverage {
 	capacity := 1 + int(data[0])%64
 	s := MustNewStriped[int](capacity, 1+int(data[1])%8)
 	model := make(map[int]int)
+	idle := make([]map[int]bool, s.NumStripes())
+	for si := range idle {
+		idle[si] = make(map[int]bool)
+	}
 	keySpace := 2*capacity + 1
 
-	// stripeKeys lists the model's keys of one stripe, the eviction
-	// candidates an evict callback may name.
-	stripeKeys := func(si int) []int {
-		var keys []int
-		for k := range model {
-			if s.StripeOf(k) == si {
-				keys = append(keys, k)
-			}
-		}
-		return keys
-	}
 	// wrapsOnDelete reports whether deleting key's slot shifts a probe run
 	// that continues past the end of the slot array.
 	wrapsOnDelete := func(key int) bool {
@@ -54,7 +51,19 @@ func runStripedOps(t *testing.T, data []byte) stripedOpsCoverage {
 		}
 		return ms.slots[0] != 0
 	}
-	// expectAcquire checks a (non-evicting) acquisition of key against the
+	// dropsMidList reports whether unmarking or releasing key takes an id
+	// off its idle list from before the list's last position.
+	dropsMidList := func(key int) bool {
+		id, mapped := model[key]
+		p := int(s.keys.word(id)) - idleBase
+		return mapped && p >= 0 && p < len(s.stripes[s.StripeOf(key)].idle)-1
+	}
+	// unmapped drops key from the model after the mapper released it.
+	unmapped := func(key int) {
+		delete(model, key)
+		delete(idle[s.StripeOf(key)], key)
+	}
+	// expectAcquire checks a non-evicting acquisition of key against the
 	// model and records it.
 	expectAcquire := func(key, id int, isNew bool, err error) {
 		t.Helper()
@@ -77,7 +86,7 @@ func runStripedOps(t *testing.T, data []byte) stripedOpsCoverage {
 	}
 
 	for i := 2; i+1 < len(data); i += 2 {
-		op, key := data[i]%6, int(data[i+1])%keySpace
+		op, key := data[i]%9, int(data[i+1])%keySpace
 		h := s.Hash(key)
 		si := s.StripeOfHash(h)
 		before := make([]int, len(s.stripes))
@@ -103,62 +112,59 @@ func runStripedOps(t *testing.T, data []byte) stripedOpsCoverage {
 			if s.Contains(key) != mapped {
 				t.Fatalf("Contains(%d) = %v, want %v", key, !mapped, mapped)
 			}
-		case 2: // Release
+		case 2: // Release, which drops an idle mark
 			want, mapped := model[key]
 			if mapped && wrapsOnDelete(key) {
 				cov.wrapDeletes++
+			}
+			if dropsMidList(key) {
+				cov.midDrops++
 			}
 			id, err := s.Release(key)
 			if mapped && (err != nil || id != want) || !mapped && !errors.Is(err, ErrUnknownKey) {
 				t.Fatalf("Release(%d) = (%d, %v), model (%d, %v)", key, id, err, want, mapped)
 			}
-			delete(model, key)
-		case 3: // Acquire that may evict a key of the same stripe
-			var victim int
-			victims := stripeKeys(si)
-			hasVictim := false
-			for _, v := range victims {
-				if v != key {
-					victim, hasVictim = v, true
-					break
-				}
-			}
+			unmapped(key)
+		case 3: // Acquire that evicts an idle key of the same stripe when full
 			_, mapped := model[key]
-			if !mapped && len(model) == capacity && hasVictim {
-				if wrapsOnDelete(victim) {
-					cov.wrapDeletes++
-				}
+			if mapped || len(model) < capacity || len(idle[si]) == 0 {
 				var id int
 				var isNew bool
 				err := s.BatchFunc(si, func(txn StripeTxn[int]) error {
 					var err error
-					id, isNew, err = txn.Acquire(key, h, func(stripe int) (int, bool) {
-						if stripe != si {
-							t.Fatalf("evict asked for stripe %d, want %d", stripe, si)
-						}
-						return victim, true
-					})
+					id, isNew, err = txn.Acquire(key, h, true)
 					return err
 				})
-				if err != nil || !isNew || id != model[victim] {
-					t.Fatalf("evicting acquire %d = (%d, %v, %v), want victim %d's id %d", key, id, isNew, err, victim, model[victim])
-				}
-				delete(model, victim)
-				model[key] = id
+				expectAcquire(key, id, isNew, err)
 				break
+			}
+			ms := &s.stripes[si]
+			if wrapsOnDelete(s.keys.key(int(ms.idle[len(ms.idle)-1]))) {
+				cov.wrapDeletes++
 			}
 			var id int
 			var isNew bool
 			err := s.BatchFunc(si, func(txn StripeTxn[int]) error {
 				var err error
-				id, isNew, err = txn.Acquire(key, h, func(int) (int, bool) { return 0, false })
+				id, isNew, err = txn.Acquire(key, h, true)
 				return err
 			})
-			expectAcquire(key, id, isNew, err)
+			victim, found := 0, false
+			for v := range idle[si] {
+				if model[v] == id {
+					victim, found = v, true
+				}
+			}
+			if err != nil || !isNew || !found {
+				t.Fatalf("evicting acquire %d = (%d, %v, %v), want the id of one of stripe %d's idle keys %v", key, id, isNew, err, si, idle[si])
+			}
+			unmapped(victim)
+			model[key] = id
+			cov.evictions++
 		case 4: // a fresh Acquire rolled back in the same transaction
 			_, mapped := model[key]
 			err := s.BatchFunc(si, func(txn StripeTxn[int]) error {
-				id, isNew, err := txn.Acquire(key, h, nil)
+				id, isNew, err := txn.Acquire(key, h, false)
 				if err != nil {
 					return err
 				}
@@ -181,21 +187,58 @@ func runStripedOps(t *testing.T, data []byte) stripedOpsCoverage {
 				txn.Reserve(int(data[i+1]) % (capacity - len(model) + 1))
 				return nil
 			})
+		case 6, 7: // mark a mapped key idle (6) or active (7)
+			id, mapped := model[key]
+			if !mapped {
+				break
+			}
+			mark := op == 6
+			if !mark && dropsMidList(key) {
+				cov.midDrops++
+			}
+			_ = s.BatchFunc(si, func(txn StripeTxn[int]) error {
+				txn.SetIdle(id, mark)
+				return nil
+			})
+			if mark {
+				idle[si][key] = true
+			} else {
+				delete(idle[si], key)
+			}
+		case 8: // ReleaseIdle: one idle key of the first stripe holding one
+			first := -1
+			for j := range idle {
+				if len(idle[j]) > 0 {
+					first = j
+					break
+				}
+			}
+			victim, ok := s.ReleaseIdle()
+			if ok != (first >= 0) || ok && !idle[first][victim] {
+				t.Fatalf("ReleaseIdle = (%d, %v), want a key of the first nonempty idle set %v", victim, ok, idle)
+			}
+			if ok {
+				unmapped(victim)
+			}
 		}
 		for j := range s.stripes {
 			if len(s.stripes[j].slots) > before[j] && before[j] > 0 {
 				cov.growths++
 			}
 		}
-		checkStriped(t, s, model)
+		checkStriped(t, s, model, idle)
 	}
 	return cov
 }
 
 // checkStriped asserts the mapper agrees with the model and that every
 // stripe's index is well formed: used counts the nonzero slots, the load
-// stays within 3/4, and each entry is reachable from its probe start.
-func checkStriped(t *testing.T, s *Striped[int], model map[int]int) {
+// stays within 3/4, and each entry is reachable from its probe start. It
+// also checks each stripe's idle list against the keys marked idle (idle[si]
+// for stripe si; nil when no key is) and every id's state word: free for an
+// unmapped id, idleBase plus its list position for an idle one, mapped for
+// the rest.
+func checkStriped(t *testing.T, s *Striped[int], model map[int]int, idle []map[int]bool) {
 	t.Helper()
 	if s.Len() != len(model) {
 		t.Fatalf("Len = %d, model holds %d", s.Len(), len(model))
@@ -218,14 +261,30 @@ func checkStriped(t *testing.T, s *Striped[int], model map[int]int) {
 		t.Fatalf("Range visited %d pairs, model holds %d", len(seen), len(model))
 	}
 	for id := 0; id < s.Cap(); id++ {
-		if _, mapped := seen[id]; !mapped {
-			if _, ok := s.Key(id); ok {
-				t.Fatalf("Key(%d) resolves but no key holds it", id)
+		key, mapped := seen[id]
+		w := s.keys.word(id)
+		switch {
+		case !mapped:
+			if _, ok := s.Key(id); ok || w != stateFree {
+				t.Fatalf("Key(%d) resolves (%v) or state word %d, but no key holds it", id, ok, w)
 			}
+		case idle != nil && idle[s.StripeOf(key)][key]:
+			if p := int(w) - idleBase; p < 0 || s.stripes[s.StripeOf(key)].idle[p] != int32(id) {
+				t.Fatalf("idle key %d: id %d's state word %d is not its idle-list position", key, id, w)
+			}
+		case w != stateMapped:
+			t.Fatalf("active key %d: id %d's state word is %d, want %d", key, id, w, stateMapped)
 		}
 	}
 	for si := range s.stripes {
 		ms := &s.stripes[si]
+		var want int
+		if idle != nil {
+			want = len(idle[si])
+		}
+		if len(ms.idle) != want {
+			t.Fatalf("stripe %d: idle list holds %d ids, model marks %d keys idle", si, len(ms.idle), want)
+		}
 		used := 0
 		mask := len(ms.slots) - 1
 		for j, e := range ms.slots {
@@ -268,12 +327,23 @@ func stripedOpsSeeds() [][]byte {
 		}
 		seeds = append(seeds, data)
 	}
-	return seeds
+	// Idle-list paths by hand: three keys of one stripe go idle, the first
+	// is unmarked from the middle of the list, a fourth key evicts, then
+	// ReleaseIdle and a Release from the middle of the list.
+	seeds = append(seeds, []byte{2, 0, 0, 1, 0, 2, 0, 3, 6, 1, 6, 2, 6, 3, 7, 1, 3, 4, 8, 0, 6, 1, 6, 4, 2, 1})
+	// Idle churn at capacity: mostly acquires, evicting acquires and marks.
+	ops := []byte{0, 3, 3, 6, 6, 7, 2, 8}
+	data := []byte{47, 2}
+	for i := 0; i < 1500; i++ {
+		data = append(data, ops[rng.Intn(len(ops))], byte(rng.Intn(256)))
+	}
+	return append(seeds, data)
 }
 
 // FuzzStripedOps is a model-based test of Striped: random Acquire, Get,
-// Release, evicting Acquire, Rollback and Reserve sequences over small
-// capacities and 1–8 stripes must agree with a plain map at every step.
+// Release, evicting Acquire, Rollback, Reserve, SetIdle and ReleaseIdle
+// sequences over small capacities and 1–8 stripes must agree with a plain
+// map and per-stripe idle sets at every step.
 func FuzzStripedOps(f *testing.F) {
 	for _, seed := range stripedOpsSeeds() {
 		f.Add(seed)
@@ -284,17 +354,20 @@ func FuzzStripedOps(f *testing.F) {
 }
 
 // TestStripedOpsSeedCoverage: the seed corpus FuzzStripedOps runs under go
-// test must reach index growth and deletions whose probe run wraps past the
-// end of the slot array, the two paths a small random test could miss.
+// test must reach index growth, deletions whose probe run wraps past the end
+// of the slot array, evictions, and idle ids leaving their list from the
+// middle, the paths a small random test could miss.
 func TestStripedOpsSeedCoverage(t *testing.T) {
 	var total stripedOpsCoverage
 	for _, seed := range stripedOpsSeeds() {
 		cov := runStripedOps(t, seed)
 		total.growths += cov.growths
 		total.wrapDeletes += cov.wrapDeletes
+		total.evictions += cov.evictions
+		total.midDrops += cov.midDrops
 	}
-	if total.growths == 0 || total.wrapDeletes == 0 {
-		t.Fatalf("seed corpus reached %d growths and %d wrapping deletions, want both > 0", total.growths, total.wrapDeletes)
+	if total.growths == 0 || total.wrapDeletes == 0 || total.evictions == 0 || total.midDrops == 0 {
+		t.Fatalf("seed corpus reached %+v, want every count > 0", total)
 	}
-	t.Logf("%d growths, %d wrapping deletions", total.growths, total.wrapDeletes)
+	t.Logf("%+v", total)
 }

@@ -22,13 +22,13 @@ func TestBatchFuncResolvesUnderOneLock(t *testing.T) {
 				if _, ok := txn.Get(key, s.Hash(key)); ok {
 					t.Errorf("key %s mapped before acquisition", key)
 				}
-				id, isNew, err := txn.Acquire(key, s.Hash(key), nil)
+				id, isNew, err := txn.Acquire(key, s.Hash(key), false)
 				if err != nil || !isNew {
 					return err
 				}
 				ids[key] = id
 				// A second acquisition inside the same txn is a lookup.
-				again, isNew2, err := txn.Acquire(key, s.Hash(key), nil)
+				again, isNew2, err := txn.Acquire(key, s.Hash(key), false)
 				if err != nil || isNew2 || again != id {
 					t.Errorf("re-acquire of %s: id %d->%d isNew=%v err=%v", key, id, again, isNew2, err)
 				}
@@ -54,7 +54,7 @@ func TestBatchFuncRollback(t *testing.T) {
 	s := MustNewStriped[string](4, 1)
 	err := s.BatchFunc(0, func(txn StripeTxn[string]) error {
 		h := s.Hash("doomed")
-		id, isNew, err := txn.Acquire("doomed", h, nil)
+		id, isNew, err := txn.Acquire("doomed", h, false)
 		if err != nil || !isNew {
 			t.Fatalf("acquire: id=%d isNew=%v err=%v", id, isNew, err)
 		}
@@ -85,11 +85,12 @@ func TestBatchFuncEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	evict := func(stripe int) (string, bool) { return "idle", true }
 	err := s.BatchFunc(0, func(txn StripeTxn[string]) error {
-		id, isNew, err := txn.Acquire("fresh", s.Hash("fresh"), evict)
-		if err != nil || !isNew {
-			t.Fatalf("evicting acquire: id=%d isNew=%v err=%v", id, isNew, err)
+		idle, _ := txn.Get("idle", s.Hash("idle"))
+		txn.SetIdle(idle, true)
+		id, isNew, err := txn.Acquire("fresh", s.Hash("fresh"), true)
+		if err != nil || !isNew || id != idle {
+			t.Fatalf("evicting acquire: id=%d isNew=%v err=%v, want the idle key's id %d", id, isNew, err, idle)
 		}
 		return nil
 	})
@@ -102,9 +103,9 @@ func TestBatchFuncEviction(t *testing.T) {
 	if !s.Contains("fresh") || !s.Contains("busy") {
 		t.Fatal("survivor set wrong")
 	}
-	// With no evictable key the stripe reports ErrFull.
+	// With no idle key the stripe reports ErrFull, even when evicting.
 	err = s.BatchFunc(0, func(txn StripeTxn[string]) error {
-		_, _, err := txn.Acquire("overflow", s.Hash("overflow"), nil)
+		_, _, err := txn.Acquire("overflow", s.Hash("overflow"), true)
 		return err
 	})
 	if !errors.Is(err, ErrFull) {
@@ -112,10 +113,11 @@ func TestBatchFuncEviction(t *testing.T) {
 	}
 }
 
-// acquireFunc acquires key in a one-key stripe transaction and runs fn under
-// the stripe lock, rolling a fresh assignment back if fn fails: the way a
-// caller layering per-key state on the mapping uses StripeTxn.
-func acquireFunc[K comparable](s *Striped[K], key K, evict func(stripe int) (K, bool), fn func(id int, isNew bool) error) (id int, isNew bool, err error) {
+// acquireFunc acquires key in a one-key stripe transaction (evicting an idle
+// key of its stripe if evict is set) and runs fn under the stripe lock,
+// rolling a fresh assignment back if fn fails: the way a caller layering
+// per-key state on the mapping uses StripeTxn.
+func acquireFunc[K comparable](s *Striped[K], key K, evict bool, fn func(id int, isNew bool) error) (id int, isNew bool, err error) {
 	h := s.Hash(key)
 	err = s.BatchFunc(s.StripeOfHash(h), func(txn StripeTxn[K]) error {
 		if id, isNew, err = txn.Acquire(key, h, evict); err != nil {
@@ -138,7 +140,7 @@ func acquireFunc[K comparable](s *Striped[K], key K, evict func(stripe int) (K, 
 func TestStripedAcquireFuncRollback(t *testing.T) {
 	s := MustNewStriped[string](4, 2)
 	boom := errors.New("boom")
-	_, _, err := acquireFunc(s, "k", nil, func(id int, isNew bool) error {
+	_, _, err := acquireFunc(s, "k", false, func(id int, isNew bool) error {
 		if !isNew {
 			t.Fatalf("expected fresh assignment")
 		}
@@ -158,12 +160,18 @@ func TestStripedAcquireFuncRollback(t *testing.T) {
 	}
 }
 
+// TestStripedEvictCallback: an evicting acquire hands the idle key's id to
+// the new key, and one without an idle key fails.
 func TestStripedEvictCallback(t *testing.T) {
 	s := MustNewStriped[string](2, 1)
 	idA, _, _ := s.Acquire("a")
 	s.MustAcquire(t, "b")
+	_ = s.BatchFunc(0, func(txn StripeTxn[string]) error {
+		txn.SetIdle(idA, true)
+		return nil
+	})
 	// Evict "a" to make room for "c"; the victim's id must transfer.
-	id, isNew, err := acquireFunc(s, "c", func(stripe int) (string, bool) { return "a", true }, nil)
+	id, isNew, err := acquireFunc(s, "c", true, nil)
 	if err != nil || !isNew {
 		t.Fatalf("acquire with evict = (%d, %v, %v)", id, isNew, err)
 	}
@@ -180,8 +188,9 @@ func TestStripedEvictCallback(t *testing.T) {
 		t.Fatalf("Len after eviction = %d, want 2", s.Len())
 	}
 
-	// An evict callback that declines leaves ErrFull in place.
-	if _, _, err := acquireFunc(s, "d", func(stripe int) (string, bool) { return "", false }, nil); !errors.Is(err, ErrFull) {
-		t.Fatalf("declined eviction = %v, want ErrFull", err)
+	// The evicted key's mark went with it, and the new key is not idle, so
+	// nothing is left to evict.
+	if _, _, err := acquireFunc(s, "d", true, nil); !errors.Is(err, ErrFull) {
+		t.Fatalf("eviction without an idle key = %v, want ErrFull", err)
 	}
 }

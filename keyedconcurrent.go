@@ -29,12 +29,14 @@ var ErrWALAppend = errors.New("sprofile: event applied but not journaled")
 //     stripe assigns lands in the matching shard — one Add takes one stripe
 //     lock plus one shard lock, and updates on different stripes never
 //     contend;
-//   - the idle keys (frequency zero, the recycling candidates) are kept per
-//     stripe and changed only while that stripe's lock is held, from the
-//     dense profile's own count of the key's id. That lock serialises both
-//     the eviction check and every update that could move the key's
-//     frequency, which is what makes eviction sound under concurrency; no
-//     second copy of the frequencies is kept.
+//   - the idle keys (frequency zero, the recycling candidates) are marked by
+//     dense id in the mapper (StripeTxn.SetIdle), on a per-stripe list that
+//     costs 4 bytes per idle key and holds no copy of the key. An id is
+//     marked or unmarked only while its stripe's lock is held, from the
+//     dense profile's own count of that id. That lock serialises both the
+//     eviction check and every update that could move the key's frequency,
+//     which is what makes eviction sound under concurrency; no second copy
+//     of the frequencies is kept.
 //
 // Every keyed write — Add, Remove, Apply, ApplyDelta, ApplyBatch, Track and
 // WAL replay — takes the same step: one entry (key, adds, removes) applied
@@ -67,9 +69,6 @@ type KeyedConcurrent[K comparable] struct {
 	dense *Sharded
 	// batches recycles the coalescing scratch of ApplyBatch.
 	batches sync.Pool
-	// zeros tracks the idle (frequency-zero) keys of each stripe, the
-	// eviction candidates; zeros[i] is guarded by stripe i's lock.
-	zeros []zeroSet[K]
 
 	// store is the checkpointed write-ahead log (nil without WithWAL). The
 	// store's internal append mutex serialises journal writes; each append
@@ -82,54 +81,6 @@ type KeyedConcurrent[K comparable] struct {
 	ckpt     *checkpoint.Checkpointer
 	replayed int
 	stats    RecoveryStats
-}
-
-// zeroSet is an O(1) insert/delete/pop set of idle keys.
-type zeroSet[K comparable] struct {
-	keys []K
-	pos  map[K]int
-}
-
-// reserve sizes an empty set for n keys.
-func (z *zeroSet[K]) reserve(n int) {
-	if z.pos == nil {
-		z.pos = make(map[K]int, n)
-		z.keys = make([]K, 0, n)
-	}
-}
-
-func (z *zeroSet[K]) add(key K) {
-	if z.pos == nil {
-		z.pos = make(map[K]int)
-	}
-	if _, ok := z.pos[key]; ok {
-		return
-	}
-	z.pos[key] = len(z.keys)
-	z.keys = append(z.keys, key)
-}
-
-func (z *zeroSet[K]) remove(key K) {
-	i, ok := z.pos[key]
-	if !ok {
-		return
-	}
-	last := len(z.keys) - 1
-	z.keys[i] = z.keys[last]
-	z.pos[z.keys[i]] = i
-	z.keys = z.keys[:last]
-	delete(z.pos, key)
-}
-
-func (z *zeroSet[K]) pop() (K, bool) {
-	var zero K
-	if len(z.keys) == 0 {
-		return zero, false
-	}
-	key := z.keys[len(z.keys)-1]
-	z.keys = z.keys[:len(z.keys)-1]
-	delete(z.pos, key)
-	return key, true
 }
 
 // BuildKeyed assembles a concurrent key-addressed profile able to track up
@@ -202,7 +153,6 @@ func BuildKeyed[K comparable](m int, opts ...BuildOption) (*KeyedConcurrent[K], 
 		ids:          ids,
 		recycle:      recycle,
 		dense:        dense,
-		zeros:        make([]zeroSet[K], ids.NumStripes()),
 	}
 	if cfg.walPath != "" {
 		store, err := checkpoint.Open(cfg.walPath, checkpoint.Options{SyncEvery: cfg.walSyncEvery})
@@ -231,13 +181,13 @@ func BuildKeyed[K comparable](m int, opts ...BuildOption) (*KeyedConcurrent[K], 
 
 // applyWALRecord replays one durable record into the profile. Stripe
 // assignment is seeded per process, so the per-stripe eviction decisions of
-// the writing run cannot be reproduced here. Replay is single-goroutine (the
-// recovery loop or a follower's polling goroutine), so it may fall back to
-// evicting an idle key from any stripe: the log guarantees the live
-// (frequency > 0) key set never exceeded capacity, hence an idle victim
-// always exists when an Add finds the mapper full. The profile's store must
-// be nil (recovery, or a follower without an append head), so the apply
-// paths rebuild state without re-journaling the records being replayed.
+// the writing run cannot be reproduced here: when the record's own stripe
+// has no idle key to evict, replay releases an idle key of any stripe
+// (Striped.ReleaseIdle) and retries. The log guarantees the live
+// (frequency > 0) key set never exceeded capacity, hence an idle key always
+// exists when an Add finds the mapper full. The profile's store must be nil
+// (recovery, or a follower without an append head), so the apply paths
+// rebuild state without re-journaling the records being replayed.
 func (k *KeyedConcurrent[K]) applyWALRecord(rec wal.Record) error {
 	key := any(rec.Key).(K)
 	apply := func() error {
@@ -247,8 +197,10 @@ func (k *KeyedConcurrent[K]) applyWALRecord(rec wal.Record) error {
 		return k.Apply(key, rec.Action)
 	}
 	err := apply()
-	if errors.Is(err, idmap.ErrFull) && k.evictIdleAny() {
-		err = apply()
+	if errors.Is(err, idmap.ErrFull) {
+		if _, ok := k.ids.ReleaseIdle(); ok {
+			err = apply()
+		}
 	}
 	return err
 }
@@ -256,11 +208,12 @@ func (k *KeyedConcurrent[K]) applyWALRecord(rec wal.Record) error {
 // restore reinstates a checkpoint snapshot as one bulk load. The
 // snapshotted keys are grouped by stripe with the counting sort ApplyBatch
 // uses, and each group re-acquires dense ids in a single stripe transaction
-// with the stripe's index and zero set sized for it up front (ids are
-// reassigned — stripe hashing is seeded per process, so the original ids
-// are meaningless here). The dense profile is then loaded with the
-// frequencies in one linear-time LoadFrequencies. A key the snapshot lists
-// twice makes it invalid. Runs before any concurrent access exists.
+// with the stripe's index sized for it up front, marking the keys at
+// frequency zero idle (ids are reassigned — stripe hashing is seeded per
+// process, so the original ids are meaningless here). The dense profile is
+// then loaded with the frequencies in one linear-time LoadFrequencies. A key
+// the snapshot lists twice makes it invalid. Runs before any concurrent
+// access exists.
 func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) error {
 	if !st.Keyed {
 		return fmt.Errorf("this WAL holds a dense-id snapshot; open it with Build, not BuildKeyed: %w", ErrBadSnapshot)
@@ -272,12 +225,8 @@ func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) error {
 	keys := any(st.Keys).([]K) // BuildKeyed only opens a WAL for K = string
 	ns := k.ids.NumStripes()
 	hashes := make([]uint64, len(keys))
-	idle := make([]int, ns)
 	for i, key := range keys {
 		hashes[i] = k.ids.Hash(key)
-		if st.Freqs[i] == 0 {
-			idle[k.ids.StripeOfHash(hashes[i])]++
-		}
 	}
 	var g stripeGroups
 	g.sort(ns, len(keys), func(i int) int32 { return int32(k.ids.StripeOfHash(hashes[i])) })
@@ -286,11 +235,8 @@ func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) error {
 		group := g.group(si)
 		err := k.ids.BatchFunc(si, func(t idmap.StripeTxn[K]) error {
 			t.Reserve(len(group))
-			if k.recycle {
-				k.zeros[si].reserve(idle[si])
-			}
 			for _, i := range group {
-				id, isNew, err := t.Acquire(keys[i], hashes[i], nil)
+				id, isNew, err := t.Acquire(keys[i], hashes[i], false)
 				if err != nil {
 					return err
 				}
@@ -299,7 +245,7 @@ func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) error {
 				}
 				freqs[id] = st.Freqs[i]
 				if k.recycle && st.Freqs[i] == 0 {
-					k.zeros[si].add(keys[i])
+					t.SetIdle(id, true)
 				}
 			}
 			return nil
@@ -465,33 +411,6 @@ func (k *KeyedConcurrent[K]) checkKey(key K) error {
 		return nil
 	}
 	return checkJournalableKey(any(key).(string))
-}
-
-// evictFn returns the per-stripe eviction callback for the mapper: pop one
-// idle key of the acquiring key's stripe. It runs under the stripe lock.
-func (k *KeyedConcurrent[K]) evictFn() func(stripe int) (K, bool) {
-	if !k.recycle {
-		return nil
-	}
-	return func(stripe int) (K, bool) { return k.zeros[stripe].pop() }
-}
-
-// evictIdleAny releases one idle key from any stripe, ignoring the
-// per-stripe eviction boundary. Only WAL replay uses it, where a single
-// goroutine owns the whole profile; under concurrency the unsynchronised
-// zero-set scan would race with the stripes' lock discipline.
-func (k *KeyedConcurrent[K]) evictIdleAny() bool {
-	if !k.recycle {
-		return false
-	}
-	for i := range k.zeros {
-		if victim, ok := k.zeros[i].pop(); ok {
-			if _, err := k.ids.Release(victim); err == nil {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Add increments the frequency of key, assigning it a dense id if needed.
@@ -753,7 +672,7 @@ func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 			b.wrecs = b.wrecs[:0]
 			for _, j := range idxs {
 				en := &b.entries[j]
-				if err := k.applyEntryLocked(t, si, en.key, en.hash, en.adds, en.removes, en.firstIsAdd); err != nil {
+				if err := k.applyEntryLocked(t, en.key, en.hash, en.adds, en.removes, en.firstIsAdd); err != nil {
 					// A failed entry leaves its key unchanged; the other
 					// keys still apply (an async drain mixes producers).
 					if entryErr == nil {
@@ -823,7 +742,7 @@ func (k *KeyedConcurrent[K]) applyKey(key K, adds, removes uint64, acquire bool)
 	var syncDue bool
 	var journalErr error
 	err := k.ids.BatchFunc(si, func(t idmap.StripeTxn[K]) error {
-		if err := k.applyEntryLocked(t, si, key, h, adds, removes, acquire); err != nil {
+		if err := k.applyEntryLocked(t, key, h, adds, removes, acquire); err != nil {
 			return err
 		}
 		if k.store == nil || adds+removes == 0 {
@@ -869,13 +788,13 @@ func (k *KeyedConcurrent[K]) applyKey(key K, adds, removes uint64, acquire bool)
 // whether an unknown key may be assigned an id — true exactly when the
 // key's first event is an add; an unknown key without it fails like Remove
 // does.
-func (k *KeyedConcurrent[K]) applyEntryLocked(t idmap.StripeTxn[K], si int, key K, h uint64, adds, removes uint64, acquire bool) error {
+func (k *KeyedConcurrent[K]) applyEntryLocked(t idmap.StripeTxn[K], key K, h uint64, adds, removes uint64, acquire bool) error {
 	net := int64(adds) - int64(removes)
 	var id int
 	var isNew bool
 	if acquire {
 		var err error
-		id, isNew, err = t.Acquire(key, h, k.evictFn())
+		id, isNew, err = t.Acquire(key, h, k.recycle)
 		if err != nil {
 			return err
 		}
@@ -897,13 +816,13 @@ func (k *KeyedConcurrent[K]) applyEntryLocked(t idmap.StripeTxn[K], si int, key 
 	}
 	// Every update of id runs under this stripe lock, so the count read here
 	// is the frequency this entry left behind (id is in range: the delta was
-	// just accepted). A fresh id starts at zero.
+	// just accepted). A fresh id starts at zero and is not marked idle.
 	now, _ := k.dense.Count(id)
 	switch old := now - net; {
 	case now == 0 && (isNew || old != 0):
-		k.zeros[si].add(key)
+		t.SetIdle(id, true)
 	case now != 0 && old == 0 && !isNew:
-		k.zeros[si].remove(key)
+		t.SetIdle(id, false)
 	}
 	return nil
 }

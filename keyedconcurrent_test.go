@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -523,11 +524,6 @@ func TestKeyedConcurrentChurnStress(t *testing.T) {
 	}
 }
 
-// TestKeyedCheckpointRoundTrip is the checkpoint round trip for the keyed
-// pipeline, with forced key recycling in the history: snapshot → restore must
-// preserve every query and the key↔dense-id mapping even though dense ids are
-// reassigned on restore. WithSharding(1) makes eviction deterministic (one
-// stripe owns every key), so the recycled history is identical on every run.
 // TestBuildKeyedRejectsDuplicateSnapshotKeys: a checksum-valid keyed
 // snapshot that lists one key twice is not the image of any profile, so
 // recovery must refuse it rather than merge the entries.
@@ -599,6 +595,50 @@ func TestKeyedRestoreRebuildsIdleKeys(t *testing.T) {
 	}
 }
 
+// TestIdleSetAllocation: a key going idle costs a slot on its stripe's
+// idle list, not a copy of the key. 100k keys are added to a 1<<20-key
+// profile and then each is removed through a freshly allocated copy of its
+// string, as a decoded request would send it. The removes, copies included
+// (16 B each), must allocate under 4 MiB in all; keeping each idle key in a
+// per-stripe map and slice allocates about 17 MB here and keeps the copies.
+func TestIdleSetAllocation(t *testing.T) {
+	const capacity, n, limit = 1 << 20, 100_000, 4 << 20
+	k := sprofile.MustBuildKeyed[string](capacity, sprofile.WithSharding(2))
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+		if err := k.Add(keys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, key := range keys {
+		if err := k.Remove(strings.Clone(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if allocated >= limit {
+		t.Errorf("removing %d keys allocated %d bytes (%d retained after GC), want < %d", n, allocated, retained, limit)
+	} else {
+		t.Logf("removing %d keys allocated %d bytes, %d retained after GC", n, allocated, retained)
+	}
+	if k.Total() != 0 || k.Tracked() != n {
+		t.Fatalf("after the removes: total %d, tracked %d, want 0 and %d", k.Total(), k.Tracked(), n)
+	}
+}
+
+// TestKeyedCheckpointRoundTrip is the checkpoint round trip for the keyed
+// pipeline, with forced key recycling in the history: snapshot → restore must
+// preserve every query and the key↔dense-id mapping even though dense ids are
+// reassigned on restore. WithSharding(1) makes eviction deterministic (one
+// stripe owns every key), so the recycled history is identical on every run.
 func TestKeyedCheckpointRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	opts := []sprofile.BuildOption{sprofile.WithSharding(1), sprofile.WithWAL(dir)}
