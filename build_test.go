@@ -1,10 +1,14 @@
 package sprofile_test
 
 import (
+	"context"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -114,183 +118,6 @@ func TestMustBuildPanics(t *testing.T) {
 	sprofile.MustBuild(16, sprofile.Windowed(1), sprofile.TimeWindowed(time.Hour))
 }
 
-// TestDurableRecoversAcrossRestart is the durability round trip: ingest
-// through a WAL-wrapped profiler, close it, rebuild from the same path, and
-// require the recovered profile to answer identically.
-func TestDurableRecoversAcrossRestart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "events.wal")
-
-	p1, err := sprofile.Build(32, sprofile.WithWAL(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, ok := p1.(*sprofile.Durable)
-	if !ok {
-		t.Fatalf("Build with WithWAL produced %T, want *sprofile.Durable", p1)
-	}
-	if d1.Replayed() != 0 {
-		t.Fatalf("fresh WAL replayed %d records", d1.Replayed())
-	}
-	tuples := []sprofile.Tuple{
-		{Object: 3, Action: sprofile.ActionAdd},
-		{Object: 3, Action: sprofile.ActionAdd},
-		{Object: 7, Action: sprofile.ActionAdd},
-		{Object: 3, Action: sprofile.ActionRemove},
-		{Object: 11, Action: sprofile.ActionAdd},
-	}
-	if n, err := d1.ApplyAll(tuples); err != nil || n != len(tuples) {
-		t.Fatalf("ApplyAll = (%d, %v)", n, err)
-	}
-	if err := d1.Add(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := d1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	p2, err := sprofile.Build(32, sprofile.WithWAL(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := p2.(*sprofile.Durable)
-	defer d2.Close()
-	if d2.Replayed() != len(tuples)+1 {
-		t.Fatalf("Replayed = %d, want %d", d2.Replayed(), len(tuples)+1)
-	}
-	for _, c := range []struct {
-		object int
-		want   int64
-	}{{3, 1}, {7, 2}, {11, 1}, {0, 0}} {
-		got, err := d2.Count(c.object)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("recovered Count(%d) = %d, want %d", c.object, got, c.want)
-		}
-	}
-	if got := d2.Total(); got != 4 {
-		t.Errorf("recovered Total = %d, want 4", got)
-	}
-	mode, _, err := d2.Mode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mode.Object != 7 || mode.Frequency != 2 {
-		t.Errorf("recovered Mode = %+v, want object 7 frequency 2", mode)
-	}
-}
-
-// TestDurableComposesWithSharding checks that WAL journaling wraps whatever
-// representation the other options selected.
-func TestDurableComposesWithSharding(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sharded.wal")
-	p, err := sprofile.Build(64, sprofile.WithSharding(8), sprofile.WithWAL(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := p.(*sprofile.Durable)
-	if _, ok := d.Unwrap().(*sprofile.Sharded); !ok {
-		t.Fatalf("Unwrap() = %T, want *sprofile.Sharded", d.Unwrap())
-	}
-	for i := 0; i < 64; i++ {
-		if err := d.Add(i % 10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	p2, err := sprofile.Build(64, sprofile.WithSharding(8), sprofile.WithWAL(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.(*sprofile.Durable).Close()
-	if got := p2.Total(); got != 64 {
-		t.Fatalf("recovered sharded Total = %d, want 64", got)
-	}
-}
-
-// TestDurableCheckpointRoundTrip: checkpoint a dense durable profile, append
-// a tail, and require recovery to restore the snapshot and replay only the
-// tail — with the historical event counters intact.
-func TestDurableCheckpointRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "events.wal")
-	opts := []sprofile.BuildOption{sprofile.WithSharding(3), sprofile.WithWAL(path)}
-
-	p1, err := sprofile.Build(32, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1 := p1.(*sprofile.Durable)
-	for _, x := range []int{3, 3, 7, 11} {
-		if err := d1.Add(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d1.Remove(11); err != nil {
-		t.Fatal(err)
-	}
-	if err := d1.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []int{7, 19} {
-		if err := d1.Add(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	p2, err := sprofile.Build(32, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := p2.(*sprofile.Durable)
-	defer d2.Close()
-	if d2.Replayed() != 2 {
-		t.Fatalf("Replayed = %d, want 2 (only the post-checkpoint tail)", d2.Replayed())
-	}
-	rec := d2.Recovery()
-	if rec.SnapshotSeq != 1 || rec.SnapshotEvents != 5 || rec.TailRecords != 2 {
-		t.Fatalf("Recovery = %+v, want snapshot 1 covering 5 events plus 2 tail records", rec)
-	}
-	for _, c := range []struct {
-		object int
-		want   int64
-	}{{3, 2}, {7, 2}, {11, 0}, {19, 1}} {
-		if got, _ := d2.Count(c.object); got != c.want {
-			t.Errorf("recovered Count(%d) = %d, want %d", c.object, got, c.want)
-		}
-	}
-	sum := d2.Summarize()
-	if sum.Adds != 6 || sum.Removes != 1 {
-		t.Errorf("recovered adds/removes = %d/%d, want 6/1", sum.Adds, sum.Removes)
-	}
-
-	// A second checkpoint covering the whole state leaves nothing to replay.
-	if err := d2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p3, err := sprofile.Build(32, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d3 := p3.(*sprofile.Durable)
-	defer d3.Close()
-	if d3.Replayed() != 0 {
-		t.Fatalf("after full checkpoint, Replayed = %d, want 0", d3.Replayed())
-	}
-	if got := d3.Total(); got != 5 {
-		t.Fatalf("recovered Total = %d, want 5", got)
-	}
-}
-
 // legacyWALLeftovers plants, under a fresh WAL path, each leftover of the
 // retired single-file SWL1 log, keyed by name: the log itself at the path,
 // the staging file of an interrupted migration, and a migrated log whose
@@ -323,22 +150,14 @@ func legacyWALLeftovers(t *testing.T) map[string]func() string {
 }
 
 // TestDurableLegacyWALMigration: the single-file SWL1 log is no longer
-// migrated. Every leftover of it refuses to open, under Build and
-// BuildKeyed alike, with errors.ErrUnsupported and the last commit that can
-// still migrate it.
+// migrated. Every leftover of it refuses to open under BuildKeyed with
+// errors.ErrUnsupported and the last commit that can still migrate it.
 func TestDurableLegacyWALMigration(t *testing.T) {
 	for name, plant := range legacyWALLeftovers(t) {
 		for _, b := range []struct {
 			api   string
 			build func(path string) (io.Closer, error)
 		}{
-			{"Build", func(path string) (io.Closer, error) {
-				p, err := sprofile.Build(8, sprofile.WithWAL(path))
-				if err != nil {
-					return nil, err
-				}
-				return p.(*sprofile.Durable), nil
-			}},
 			{"BuildKeyed", func(path string) (io.Closer, error) {
 				return sprofile.BuildKeyed[string](8, sprofile.WithWAL(path))
 			}},
@@ -368,31 +187,26 @@ func TestWithCheckpointsConfigErrors(t *testing.T) {
 	if _, err := sprofile.BuildKeyed[string](8, sprofile.WithCheckpoints(policy)); !errors.Is(err, sprofile.ErrBuildConfig) {
 		t.Fatalf("BuildKeyed WithCheckpoints without WithWAL = %v, want ErrBuildConfig", err)
 	}
-	// A count-window WAL profile still builds, but cannot be checkpointed.
-	p, err := sprofile.Build(8, sprofile.Windowed(4), sprofile.WithWAL(filepath.Join(t.TempDir(), "win.wal")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := p.(*sprofile.Durable)
-	defer d.Close()
-	if err := d.Checkpoint(); err == nil {
-		t.Fatalf("checkpointing a windowed profile succeeded; a frequency snapshot cannot capture the window ring")
+	// A count window cannot be journaled at all: the durable profile is
+	// keyed.
+	if _, err := sprofile.Build(8, sprofile.Windowed(4), sprofile.WithWAL(filepath.Join(t.TempDir(), "win.wal"))); !errors.Is(err, sprofile.ErrBuildConfig) {
+		t.Fatalf("Build(Windowed, WithWAL) = %v, want ErrBuildConfig", err)
 	}
 }
 
 // TestDurableCheckpointTimeTrigger exercises the interval-based background
-// checkpointer end to end on a dense durable profile.
+// checkpointer (CheckpointPolicy.Every, behind sprofiled -checkpoint-every)
+// end to end on a durable keyed profile.
 func TestDurableCheckpointTimeTrigger(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.wal")
-	p, err := sprofile.Build(8, sprofile.WithSharding(2), sprofile.WithWAL(path),
+	d, err := sprofile.BuildKeyed[string](8, sprofile.WithSharding(2), sprofile.WithWAL(path),
 		sprofile.WithCheckpoints(sprofile.CheckpointPolicy{Every: 50 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.(*sprofile.Durable)
 	defer d.Close()
 	for x := 0; x < 8; x++ {
-		if err := d.Add(x); err != nil {
+		if err := d.Add(strconv.Itoa(x)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -425,16 +239,157 @@ func TestDurableCheckpointTimeTrigger(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := sprofile.Build(8, sprofile.WithSharding(2), sprofile.WithWAL(path))
+	d2, err := sprofile.BuildKeyed[string](8, sprofile.WithSharding(2), sprofile.WithWAL(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2 := p2.(*sprofile.Durable)
 	defer d2.Close()
 	if d2.Recovery().SnapshotSeq == 0 {
 		t.Fatalf("recovery loaded no snapshot: %+v", d2.Recovery())
 	}
 	if got := d2.Total(); got != 8 {
 		t.Fatalf("recovered Total = %d, want 8", got)
+	}
+}
+
+// TestBuildRefusesJournalOptions: Build profiles live in memory only. Each
+// journal option fails with ErrBuildConfig naming BuildKeyed, before
+// anything is created at the WAL path.
+func TestBuildRefusesJournalOptions(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.wal")
+	for name, opt := range map[string]sprofile.BuildOption{
+		"WithWAL":          sprofile.WithWAL(path),
+		"WithWALSyncEvery": sprofile.WithWALSyncEvery(8),
+		"WithCheckpoints":  sprofile.WithCheckpoints(sprofile.CheckpointPolicy{EveryBytes: 1 << 20}),
+	} {
+		p, err := sprofile.Build(16, sprofile.WithSharding(4), opt)
+		if !errors.Is(err, sprofile.ErrBuildConfig) || !strings.Contains(err.Error(), "BuildKeyed") {
+			t.Fatalf("Build with %s = (%T, %v), want ErrBuildConfig naming BuildKeyed", name, p, err)
+		}
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a refused Build touched the WAL path: %v", err)
+	}
+}
+
+// TestBuildKeyedJournalOptionsRequireWAL: without WithWAL there is no log
+// to sync, so WithWALSyncEvery is refused like WithCheckpoints.
+func TestBuildKeyedJournalOptionsRequireWAL(t *testing.T) {
+	if _, err := sprofile.BuildKeyed[string](16, sprofile.WithWALSyncEvery(8)); !errors.Is(err, sprofile.ErrBuildConfig) {
+		t.Fatalf("BuildKeyed with WithWALSyncEvery and no WAL = %v, want ErrBuildConfig", err)
+	}
+}
+
+// TestDenseLogReadsAsDecimalKeys pins the migration of a log written by the
+// retired dense-id profile: without a snapshot it is a valid keyed log
+// whose keys are the decimal object ids, single-event and batch records
+// alike.
+func TestDenseLogReadsAsDecimalKeys(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "events.wal")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.OpenDir(dir, wal.Options{}, nil, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []wal.Record{
+		{Key: "0", Action: sprofile.ActionAdd},
+		{Key: "1", Action: sprofile.ActionAdd},
+		{Key: "2", Action: sprofile.ActionAdd},
+		{Key: "2", Action: sprofile.ActionRemove},
+	} {
+		if _, err := log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := log.AppendBatch([]wal.BatchEntry{{Key: "0", Adds: 1}, {Key: "2", Adds: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	k, err := sprofile.BuildKeyed[string](8, sprofile.WithWAL(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	// Replay counts each single event and each batch entry.
+	if got := k.Replayed(); got != 6 {
+		t.Fatalf("Replayed = %d, want 6", got)
+	}
+	for key, want := range map[string]int64{"0": 2, "1": 1, "2": 4, "3": 0} {
+		if got, err := k.Count(key); err != nil || got != want {
+			t.Errorf("Count(%q) = %d, %v; want %d", key, got, err, want)
+		}
+	}
+	if sum := k.Summarize(); sum.Adds != 8 || sum.Removes != 1 {
+		t.Errorf("adds/removes = %d/%d, want 8/1", sum.Adds, sum.Removes)
+	}
+}
+
+// TestFollowerRejectsJournalOptions: a follower replays its mirror itself,
+// so a journal option in FollowerConfig.Build is refused. With WithWAL the
+// profile used to replay the mirror a second time on resume and double
+// every count.
+func TestFollowerRejectsJournalOptions(t *testing.T) {
+	leader, err := sprofile.BuildKeyed[string](16, sprofile.WithSharding(2), sprofile.WithWAL(filepath.Join(t.TempDir(), "leader")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	for range 3 {
+		if err := leader.Add("a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leader.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	feed := leader.ReplicationHandler()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/replication/snapshot", feed.ServeSnapshot)
+	mux.HandleFunc("/v1/replication/wal", feed.ServeWAL)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	mirror := filepath.Join(t.TempDir(), "mirror")
+	follow := func(build ...sprofile.BuildOption) (*sprofile.KeyedFollower, error) {
+		return sprofile.NewKeyedFollower(sprofile.FollowerConfig{Capacity: 16, Leader: ts.URL, Dir: mirror, Build: build})
+	}
+	for name, opt := range map[string]sprofile.BuildOption{
+		"WithWAL":          sprofile.WithWAL(mirror),
+		"WithWALSyncEvery": sprofile.WithWALSyncEvery(8),
+		"WithCheckpoints":  sprofile.WithCheckpoints(sprofile.CheckpointPolicy{EveryBytes: 1 << 20}),
+	} {
+		kf, err := follow(sprofile.WithSharding(2), opt)
+		if err == nil {
+			kf.Close()
+		}
+		if !errors.Is(err, sprofile.ErrBuildConfig) {
+			t.Fatalf("NewKeyedFollower with %s in Build = %v, want ErrBuildConfig", name, err)
+		}
+	}
+
+	// The follower reads the leader's count, and so does a resume over the
+	// same mirror.
+	for pass := range 2 {
+		kf, err := follow(sprofile.WithSharding(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = kf.CatchUp(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := kf.Profile().Count("a"); got != 3 {
+			t.Fatalf("pass %d: follower reads Count(a) = %d, want 3", pass, got)
+		}
+		if err := kf.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

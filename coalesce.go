@@ -30,8 +30,7 @@ func coalesceWorthIt(deltas, tuples int) bool {
 //
 //   - if the batch deduplicated (skewed traffic: hot objects repeat, net
 //     deltas ≪ tuples) the deltas go through p's DeltaUpdater capability —
-//     one block walk per distinct object, one WAL record and one fsync for
-//     the whole batch on a *Durable;
+//     one block walk per distinct object;
 //   - if coalescing barely shrank the batch (uniform traffic: nearly one
 //     delta per tuple) or p has no DeltaUpdater capability, the original
 //     tuples go through p.ApplyAll, whose direct ±1 updates beat

@@ -63,6 +63,8 @@ func TestProfilerConformance(t *testing.T) {
 		return sprofile.Build(m, sprofile.Windowed(conformanceWindow), sprofile.WithOptions(opts...))
 	})
 
+	// The durable profile is keyed: the one-shard keyed WAL profile runs the
+	// battery through the int→string adapter, its keys the decimal ids.
 	walDir := t.TempDir()
 	walSeq := 0
 	profilertest.Run(t, "Build-WAL", func(m int, opts ...sprofile.Option) (sprofile.Profiler, error) {
@@ -71,7 +73,16 @@ func TestProfilerConformance(t *testing.T) {
 		if err := os.RemoveAll(path); err != nil {
 			return nil, err
 		}
-		return sprofile.Build(m, sprofile.WithWAL(path), sprofile.WithOptions(opts...))
+		k, err := sprofile.BuildKeyed[string](m,
+			sprofile.Synchronized(),
+			sprofile.WithWAL(path),
+			sprofile.WithoutKeyRecycling(),
+			sprofile.WithOptions(opts...))
+		if err != nil {
+			return nil, err
+		}
+		t.Cleanup(func() { k.Close() })
+		return newKeyedAdapter(intStringKeyed{k}, m)
 	})
 
 	// The keyed layers — serial Keyed and the lock-striped KeyedConcurrent —
@@ -242,30 +253,6 @@ func (a *keyedAdapter) Total() int64                       { return a.k.Total() 
 func TestRestoredProfilerConformance(t *testing.T) {
 	restoredDir := t.TempDir()
 	restoredSeq := 0
-	profilertest.Run(t, "Durable-Restored", func(m int, opts ...sprofile.Option) (sprofile.Profiler, error) {
-		restoredSeq++
-		path := filepath.Join(restoredDir, fmt.Sprintf("dense-%d.wal", restoredSeq))
-		build := func() (sprofile.Profiler, error) {
-			return sprofile.Build(m, sprofile.WithSharding(3), sprofile.WithWAL(path), sprofile.WithOptions(opts...))
-		}
-		cur, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return &restoredProfiler{cur: cur, reopen: func(cur sprofile.Profiler, cycle int) (sprofile.Profiler, error) {
-			d := cur.(*sprofile.Durable)
-			if cycle%2 == 0 {
-				if err := d.Checkpoint(); err != nil {
-					return nil, err
-				}
-			}
-			if err := d.Close(); err != nil {
-				return nil, err
-			}
-			return build()
-		}}, nil
-	})
-
 	profilertest.Run(t, "BuildKeyed-Restored", func(m int, opts ...sprofile.Option) (sprofile.Profiler, error) {
 		restoredSeq++
 		path := filepath.Join(restoredDir, fmt.Sprintf("keyed-%d.wal", restoredSeq))

@@ -1,66 +1,52 @@
 package sprofile
 
-// Internal tests for the Durable delta-batch path: they reach through to the
-// checkpoint store's fsync counter, which the public API deliberately does
-// not expose.
+// Internal tests for the keyed WAL's batch path: they reach into the id
+// map to see which stripes a batch spans.
 
 import (
-	"errors"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
-func buildDurable(t *testing.T, dir string, opts ...BuildOption) *Durable {
-	t.Helper()
-	p, err := Build(100, append([]BuildOption{WithWAL(dir)}, opts...)...)
+// TestDurableApplyDeltasOneFsync pins the bulk contract: a whole batch
+// reaches stable storage with exactly one fsync, however many stripes (and
+// so WAL records) its keys span.
+func TestDurableApplyDeltasOneFsync(t *testing.T) {
+	k, err := BuildKeyed[string](100, WithSharding(4), WithWAL(filepath.Join(t.TempDir(), "wal")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, ok := p.(*Durable)
-	if !ok {
-		t.Fatalf("Build with WithWAL returned %T", p)
+	defer k.Close()
+	fsyncs := func() uint64 {
+		st, _ := k.WALStats()
+		return st.Fsyncs
 	}
-	return d
-}
 
-// TestDurableApplyDeltasOneFsync pins the bulk contract: a whole coalesced
-// batch reaches stable storage with exactly one fsync, however many deltas
-// it carries.
-func TestDurableApplyDeltasOneFsync(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	d := buildDurable(t, dir)
-	defer d.Close()
-
-	base := d.store.Fsyncs()
-	deltas := make([]Delta, 50)
-	for i := range deltas {
-		deltas[i] = Delta{Object: i, Delta: int64(i + 1)}
+	events := make([]KeyedTuple[string], 200)
+	stripes := make(map[int]bool)
+	for i := range events {
+		key := strconv.Itoa(i % 50)
+		events[i] = KeyedTuple[string]{Key: key, Action: ActionAdd}
+		stripes[k.ids.StripeOfHash(k.ids.Hash(key))] = true
 	}
-	n, err := d.ApplyDeltas(deltas)
-	if err != nil || n != len(deltas) {
-		t.Fatalf("ApplyDeltas: n=%d err=%v", n, err)
+	if len(stripes) < 2 {
+		t.Fatalf("batch keys span %d stripes, want several", len(stripes))
 	}
-	if got := d.store.Fsyncs() - base; got != 1 {
-		t.Fatalf("bulk batch cost %d fsyncs, want exactly 1", got)
+	base := fsyncs()
+	if n, err := k.ApplyBatch(events); err != nil || n != len(events) {
+		t.Fatalf("ApplyBatch: n=%d err=%v", n, err)
+	}
+	if got := fsyncs() - base; got != 1 {
+		t.Fatalf("batch over %d stripes cost %d fsyncs, want exactly 1", len(stripes), got)
 	}
 
 	// A second batch costs exactly one more.
-	if _, err := d.ApplyDeltas([]Delta{{Object: 3, Delta: -2}, {Object: 4, Delta: 7}}); err != nil {
+	if _, err := k.ApplyBatch([]KeyedTuple[string]{{Key: "3", Action: ActionRemove}, {Key: "4", Action: ActionAdd}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.store.Fsyncs() - base; got != 2 {
-		t.Fatalf("two bulk batches cost %d fsyncs, want 2", got)
-	}
-
-	// A zero-gross delta still rejects bad ids, like every DeltaUpdater.
-	if err := d.AddN(d.Cap(), 0); !errors.Is(err, ErrObjectRange) {
-		t.Fatalf("out-of-range no-op AddN: %v", err)
-	}
-	if err := d.ApplyDelta(Delta{Object: -1}); !errors.Is(err, ErrObjectRange) {
-		t.Fatalf("negative-id no-op delta: %v", err)
-	}
-	if n, err := d.ApplyDeltas([]Delta{{Object: -1}}); !errors.Is(err, ErrObjectRange) || n != 0 {
-		t.Fatalf("negative-id no-op batch: n=%d err=%v", n, err)
+	if got := fsyncs() - base; got != 2 {
+		t.Fatalf("two batches cost %d fsyncs, want 2", got)
 	}
 }
 
@@ -92,97 +78,5 @@ func TestKeyedBatchRejectsUnjournalableKeys(t *testing.T) {
 	plain := MustBuildKeyed[string](16)
 	if _, err := plain.ApplyBatch([]KeyedTuple[string]{{Key: huge, Action: ActionAdd}}); err != nil {
 		t.Fatalf("in-memory profile rejected a large key: %v", err)
-	}
-}
-
-// TestDurableDeltaRecovery checks that batch records replay into the same
-// state the writer held, including the gross event counters.
-func TestDurableDeltaRecovery(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	d := buildDurable(t, dir)
-	if _, err := d.ApplyDeltas([]Delta{
-		{Object: 1, Delta: 5},
-		{Object: 2, Delta: 3, Adds: 8, Removes: 5},
-		{Object: 3, Delta: 0, Adds: 2, Removes: 2}, // cancelled, counters only
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddN(1, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RemoveN(2, 2); err != nil {
-		t.Fatal(err)
-	}
-	before := d.Summarize()
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2 := buildDurable(t, dir)
-	defer d2.Close()
-	after := d2.Summarize()
-	if before != after {
-		t.Fatalf("summary diverged after recovery:\n before %+v\n after  %+v", before, after)
-	}
-	for obj, want := range map[int]int64{1: 9, 2: 1, 3: 0} {
-		if f, err := d2.Count(obj); err != nil || f != want {
-			t.Fatalf("object %d recovered at %d (%v), want %d", obj, f, err, want)
-		}
-	}
-	if after.Adds != 5+8+2+4 || after.Removes != 5+2+2 {
-		t.Fatalf("gross counters (%d,%d) lost in recovery", after.Adds, after.Removes)
-	}
-}
-
-// TestDurableApplyDeltasStrictPrefix checks stop-at-first-error semantics
-// and that only the applied prefix is journaled.
-func TestDurableApplyDeltasStrictPrefix(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	d := buildDurable(t, dir, Strict())
-	n, err := d.ApplyDeltas([]Delta{
-		{Object: 0, Delta: 2},
-		{Object: 1, Delta: -1}, // strict violation
-		{Object: 2, Delta: 9},
-	})
-	if !errors.Is(err, ErrNegativeFrequency) {
-		t.Fatalf("ApplyDeltas: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("applied %d deltas, want 1", n)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2 := buildDurable(t, dir, Strict())
-	defer d2.Close()
-	if f, _ := d2.Count(0); f != 2 {
-		t.Fatalf("object 0 recovered at %d, want 2", f)
-	}
-	if f, _ := d2.Count(2); f != 0 {
-		t.Fatalf("object 2 recovered at %d, want 0 (delta after the error)", f)
-	}
-}
-
-// TestDurableWindowRejectsDeltas pins the window caveat: a Durable over a
-// window adapter refuses coalesced deltas instead of silently reordering
-// the ring.
-func TestDurableWindowRejectsDeltas(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	p, err := Build(100, Windowed(10), WithWAL(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := p.(*Durable)
-	defer d.Close()
-	if err := d.AddN(1, 3); !errors.Is(err, ErrBuildConfig) {
-		t.Fatalf("window AddN: %v", err)
-	}
-	if _, err := d.ApplyDeltas([]Delta{{Object: 1, Delta: 1}}); !errors.Is(err, ErrBuildConfig) {
-		t.Fatalf("window ApplyDeltas: %v", err)
-	}
-	// The per-event path still works.
-	if err := d.Add(1); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -139,7 +139,7 @@ var (
 // inside a function body.
 var (
 	// errNilProfiler reports a constructor handed a nil profiler; returned
-	// by NewWindow, NewTimeWindow, NewKeyedOver and NewDurable.
+	// by NewWindow, NewTimeWindow and NewKeyedOver.
 	errNilProfiler = errors.New("sprofile: nil profiler")
 
 	// errNoWAL reports a checkpoint request on a profile built without

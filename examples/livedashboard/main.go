@@ -6,8 +6,8 @@
 //	go run ./examples/livedashboard
 //
 // Several producer goroutines ingest (object, add|remove) events into one
-// shared durable profile — think one goroutine per Kafka partition of a
-// click stream — while two reporter panes run alongside:
+// shared durable keyed profile — think one goroutine per Kafka partition of
+// a click stream — while two reporter panes run alongside:
 //
 //   - pane 1 answers ONE composite query per completed batch (mode, p50/p99
 //     of the popularity distribution, summary), all from the same instant;
@@ -109,16 +109,25 @@ func p99(buckets map[float64]float64) float64 {
 func main() {
 	// A durable synchronized profile: every applied event is appended to a
 	// rotating WAL segment, fsynced every 5000 records — which is what makes
-	// the WAL families on /metrics move.
+	// the WAL families on /metrics move. The log stores string keys, so the
+	// objects are the decimal keys "0".."9999", all tracked up front; without
+	// key recycling a frequency may go negative, as in the paper.
 	walDir, err := os.MkdirTemp("", "livedashboard-wal-*")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(walDir)
-	profile, err := sprofile.Build(objects, sprofile.Synchronized(),
-		sprofile.WithWAL(walDir), sprofile.WithWALSyncEvery(5000))
+	profile, err := sprofile.BuildKeyed[string](objects, sprofile.Synchronized(),
+		sprofile.WithoutKeyRecycling(), sprofile.WithWAL(walDir), sprofile.WithWALSyncEvery(5000))
 	if err != nil {
 		log.Fatal(err)
+	}
+	keys := make([]string, objects)
+	for x := range keys {
+		keys[x] = strconv.Itoa(x)
+		if err := profile.Track(keys[x]); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// Serve the exposition exactly as sprofiled would, on an ephemeral port.
@@ -150,9 +159,9 @@ func main() {
 						x = rng.Intn(objects)
 					}
 					if rng.Float64() < 0.75 {
-						_ = profile.Add(x)
+						_ = profile.Add(keys[x])
 					} else {
-						_ = profile.Remove(x)
+						_ = profile.Remove(keys[x])
 					}
 				}
 				batchDone <- worker
@@ -193,7 +202,7 @@ func main() {
 	// the mode, both quantiles and the summary always describe the same
 	// instant — with individual getters, each would be a separate lock
 	// round-trip and the line could mix four different states of the stream.
-	dashboard := sprofile.Query{
+	dashboard := sprofile.KeyedQuery[string]{
 		Mode:      true,
 		Quantiles: []float64{0.50, 0.99},
 		Summary:   true,
@@ -203,12 +212,12 @@ func main() {
 		defer close(reporterDone)
 		for i := 0; i < producers*batchesPerWorker; i++ {
 			worker := <-batchDone
-			res, err := sprofile.QueryProfiler(profile, dashboard)
+			res, err := profile.QueryKeys(dashboard)
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("batch %2d (worker %d): events=%d mode=obj%-5d freq=%-6d ties=%-4d p50=%-4d p99=%-5d distinct-freqs=%d\n",
-				i+1, worker, res.Summary.Adds+res.Summary.Removes, res.Mode.Object, res.Mode.Frequency, res.Mode.Ties,
+			fmt.Printf("batch %2d (worker %d): events=%d mode=obj%-5s freq=%-6d ties=%-4d p50=%-4d p99=%-5d distinct-freqs=%d\n",
+				i+1, worker, res.Summary.Adds+res.Summary.Removes, res.Mode.Key, res.Mode.Frequency, res.Mode.Ties,
 				res.Quantiles[0].Frequency, res.Quantiles[1].Frequency, res.Summary.DistinctFrequencies)
 		}
 	}()
@@ -218,24 +227,22 @@ func main() {
 	close(stopMetrics)
 	<-metricsDone
 
-	// Final consistent snapshot for the end-of-run report. Snapshots are an
-	// optional capability on top of the Profiler interface; the durable
-	// wrapper exposes its inner profile through Unwrap.
-	durable := profile.(*sprofile.Durable)
-	snapshot, err := durable.Unwrap().(sprofile.Snapshotter).Snapshot()
+	// The end-of-run report is one more composite query, so the top 10 and
+	// the distribution describe the same final state.
+	final, err := profile.QueryKeys(sprofile.KeyedQuery[string]{TopK: 10, Distribution: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nfinal top 10 objects:")
-	for rank, e := range snapshot.TopK(10) {
-		fmt.Printf("  #%2d object %-6d net count %d\n", rank+1, e.Object, e.Frequency)
+	for rank, e := range final.TopK {
+		fmt.Printf("  #%2d object %-6s net count %d\n", rank+1, e.Key, e.Frequency)
 	}
-	dist := snapshot.Distribution()
+	dist := final.Distribution
 	fmt.Printf("\nfinal distribution spans %d distinct frequencies (min %d, max %d)\n",
 		len(dist), dist[0].Freq, dist[len(dist)-1].Freq)
 
 	// One last scrape after Close, when the final fsync has landed.
-	if err := durable.Close(); err != nil {
+	if err := profile.Close(); err != nil {
 		log.Fatal(err)
 	}
 	appends, buckets, fsyncs, err := scrapeWAL(metricsURL)

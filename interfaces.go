@@ -4,8 +4,9 @@ package sprofile
 // satisfies. It is the promotion of the internal evaluation interface
 // (internal/profiler) into the supported API: callers program against
 // Updater/Reader/Profiler and pick a concrete representation — plain,
-// locked (one shard or several), windowed, durable — with Build, swapping
-// one for another without touching query code.
+// locked (one shard or several) or windowed — with Build, swapping one for
+// another without touching query code. The durable profile is keyed: see
+// BuildKeyed and KeyedProfiler.
 
 // Updater is the ingestion half of a profile: it consumes the (object,
 // add|remove) log stream the paper is built around. Object ids are dense
@@ -21,7 +22,7 @@ type Updater interface {
 	Apply(t Tuple) error
 	// ApplyAll applies tuples in order, stopping at the first error; it
 	// returns the number of tuples applied. Implementations amortise
-	// per-batch overheads (lock acquisition, WAL syncs) across the batch.
+	// per-batch overheads (lock acquisition) across the batch.
 	ApplyAll(tuples []Tuple) (int, error)
 }
 
@@ -68,14 +69,14 @@ type Reader interface {
 }
 
 // reader is Reader under an unexported name, for embedding: a wrapper whose
-// statistics come straight from the profile it wraps (Durable,
-// ReadOnlyProfiler) embeds one and has all thirteen getters promoted
-// without exporting a field.
+// statistics come straight from the profile it wraps (ReadOnlyProfiler)
+// embeds one and has all thirteen getters promoted without exporting a
+// field.
 type reader = Reader
 
-// Profiler is the full contract: ingestion plus queries. Every profile
-// variant in this package satisfies it — *Profile, *Sharded (one shard is
-// the single-mutex profile), *Window, *TimeWindow and *Durable — as does
+// Profiler is the full contract: ingestion plus queries. Every dense-id
+// profile variant in this package satisfies it — *Profile, *Sharded (one
+// shard is the single-mutex profile), *Window and *TimeWindow — as does
 // anything returned by Build.
 type Profiler interface {
 	Updater
@@ -101,9 +102,9 @@ type Snapshotter interface {
 // Strict-mode semantics differ from the per-event path in one documented
 // way: the non-negativity check applies to each delta's net result, so a
 // batch whose net effect is valid succeeds even if some per-event
-// interleaving of it would have failed mid-way. *Profile, *Sharded and
-// *Durable satisfy the capability; the window adapters do not (a window must
-// observe every individual tuple to expire it later).
+// interleaving of it would have failed mid-way. *Profile and *Sharded
+// satisfy the capability; the window adapters do not (a window must observe
+// every individual tuple to expire it later).
 type DeltaUpdater interface {
 	// AddN raises the frequency of object x by k (k >= 0) in one step.
 	AddN(x int, k int64) error
@@ -117,16 +118,6 @@ type DeltaUpdater interface {
 	// applied. Implementations may partition the batch across their lock
 	// domains; see each implementation for its error semantics.
 	ApplyDeltas(deltas []Delta) (int, error)
-}
-
-// FrequencyLoader is the optional capability of replacing a profile's whole
-// state in one O(m) operation: object x ends at frequency freqs[x] and
-// the adds/removes counters at the given historical totals. It is the
-// restore half of checkpointing — Snapshotter captures an image, a
-// FrequencyLoader reinstates one — and is satisfied by *Profile and
-// *Sharded.
-type FrequencyLoader interface {
-	LoadFrequencies(freqs []int64, adds, removes uint64) error
 }
 
 // KeyedProfiler is the key-addressed counterpart of Profiler: the same
@@ -195,14 +186,12 @@ var (
 	_ Profiler = (*Sharded)(nil)
 	_ Profiler = (*Window)(nil)
 	_ Profiler = (*TimeWindow)(nil)
-	_ Profiler = (*Durable)(nil)
 	_ Profiler = (*ReadOnlyProfiler)(nil)
 
 	_ Querier = (*Profile)(nil)
 	_ Querier = (*Sharded)(nil)
 	_ Querier = (*Window)(nil)
 	_ Querier = (*TimeWindow)(nil)
-	_ Querier = (*Durable)(nil)
 	_ Querier = (*ReadOnlyProfiler)(nil)
 
 	_ KeyedQuerier[string] = (*Keyed[string])(nil)
@@ -211,12 +200,8 @@ var (
 	_ Snapshotter = (*Profile)(nil)
 	_ Snapshotter = (*Sharded)(nil)
 
-	_ FrequencyLoader = (*Profile)(nil)
-	_ FrequencyLoader = (*Sharded)(nil)
-
 	_ DeltaUpdater = (*Profile)(nil)
 	_ DeltaUpdater = (*Sharded)(nil)
-	_ DeltaUpdater = (*Durable)(nil)
 
 	_ KeyedProfiler[string] = (*Keyed[string])(nil)
 	_ KeyedProfiler[string] = (*KeyedConcurrent[string])(nil)

@@ -1,15 +1,20 @@
 package checkpoint_test
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
+	"sprofile"
 	"sprofile/internal/checkpoint"
 	"sprofile/internal/core"
+	"sprofile/internal/server"
 	"sprofile/internal/wal"
 )
 
@@ -36,7 +41,7 @@ func (f *fakeProfile) apply(rec wal.Record) error {
 }
 
 func (f *fakeProfile) state() *checkpoint.State {
-	st := &checkpoint.State{Keyed: true, Capacity: 1 << 20, Adds: f.adds, Removes: f.removes}
+	st := &checkpoint.State{Capacity: 1 << 20, Adds: f.adds, Removes: f.removes}
 	keys := make([]string, 0, len(f.counts))
 	for k := range f.counts {
 		keys = append(keys, k)
@@ -355,54 +360,71 @@ func TestRecoverFreshAndEmpty(t *testing.T) {
 	}
 }
 
-// TestCheckpointKeepsDenseProfile round-trips a dense snapshot through the
-// store, exercising the SPF1-embedded payload kind.
-func TestCheckpointKeepsDenseProfile(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	s, err := checkpoint.Open(dir, checkpoint.Options{})
+// dirFiles reads every file in dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReplayTail(func(wal.Record) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	p := core.MustNew(8)
-	for i := 0; i < 5; i++ {
-		if err := p.Add(i % 3); err != nil {
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
 			t.Fatal(err)
 		}
+		files[e.Name()] = data
 	}
-	if err := s.Checkpoint(func() (*checkpoint.State, uint64, error) {
-		sealed, err := s.Rotate()
-		if err != nil {
-			return nil, 0, err
-		}
-		return &checkpoint.State{Dense: p.Clone()}, sealed, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return files
+}
 
-	s2, err := checkpoint.Open(dir, checkpoint.Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestCheckpointKeepsDenseProfile: a directory checkpointed by the retired
+// dense-id profile — testdata/dense-ce8033a, written at commit ce8033a by
+// Build(8, WithWAL) with a Checkpoint between its events — holds a kind-0
+// snapshot. Every way to open it refuses with errors.ErrUnsupported and
+// that commit's name rather than fall back past the snapshot (which would
+// drop the state it holds), and leaves every file byte for byte as it was.
+func TestCheckpointKeepsDenseProfile(t *testing.T) {
+	fixture := dirFiles(t, filepath.Join("testdata", "dense-ce8033a"))
+	if len(fixture) != 2 {
+		t.Fatalf("fixture holds %d files, want a snapshot and a segment", len(fixture))
 	}
-	defer s2.Close()
-	st := s2.TakeState()
-	if st == nil || st.Keyed {
-		t.Fatalf("state = %+v, want dense snapshot", st)
-	}
-	if got, _ := st.Dense.Count(0); got != 2 {
-		t.Fatalf("restored Count(0) = %d, want 2", got)
-	}
-	adds, removes := st.Dense.Events()
-	if adds != 5 || removes != 0 {
-		t.Fatalf("restored events = %d/%d, want 5/0", adds, removes)
-	}
-	if _, err := s2.ReplayTail(func(wal.Record) error { return nil }); err != nil {
-		t.Fatal(err)
+	for _, open := range []struct {
+		name string
+		open func(dir string) (io.Closer, error)
+	}{
+		{"checkpoint.Open", func(dir string) (io.Closer, error) {
+			return checkpoint.Open(dir, checkpoint.Options{})
+		}},
+		{"BuildKeyed", func(dir string) (io.Closer, error) {
+			return sprofile.BuildKeyed[string](8, sprofile.WithWAL(dir))
+		}},
+		{"server.New", func(dir string) (io.Closer, error) {
+			return server.New(server.Config{Capacity: 8, WALPath: dir})
+		}},
+		{"NewKeyedFollower", func(dir string) (io.Closer, error) {
+			// The mirror is not empty, so the follower contacts no leader.
+			return sprofile.NewKeyedFollower(sprofile.FollowerConfig{Capacity: 8, Leader: "http://127.0.0.1:1", Dir: dir})
+		}},
+	} {
+		dir := t.TempDir()
+		for name, data := range fixture {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := open.open(dir)
+		if err == nil {
+			c.Close()
+			t.Fatalf("%s opened a directory holding a dense-id snapshot", open.name)
+		}
+		if !errors.Is(err, errors.ErrUnsupported) || !errors.Is(err, checkpoint.ErrBadSnapshot) ||
+			!strings.Contains(err.Error(), "ce8033a") {
+			t.Fatalf("%s = %v, want ErrBadSnapshot and errors.ErrUnsupported naming commit ce8033a", open.name, err)
+		}
+		if got := dirFiles(t, dir); !maps.EqualFunc(got, fixture, bytes.Equal) {
+			t.Fatalf("%s changed the directory: %d files, want the fixture's %d unchanged", open.name, len(got), len(fixture))
+		}
 	}
 }
 

@@ -19,24 +19,23 @@
 //
 //	magic    [4]byte  "SKS1"
 //	version  1 byte   (1)
-//	kind     1 byte   0 = dense, 1 = keyed
+//	kind     1 byte   1 = keyed
 //	seq      uvarint  snapshot sequence number
 //	sealed   uvarint  id of the last WAL segment the snapshot covers
-//	payload:
-//	  dense:  an SPF1 blob (core.WriteSnapshot) — frequencies, event
-//	          counters and flags of a dense-id profile
-//	  keyed:  capacity, adds, removes, count uvarints, then count ×
-//	          (keyLen uvarint, key bytes, frequency svarint) — the key
-//	          table and per-key frequencies of a keyed profile
+//	payload  capacity, adds, removes, count uvarints, then count ×
+//	         (keyLen uvarint, key bytes, frequency svarint) — the key
+//	         table and per-key frequencies of a keyed profile
 //	crc      uint32 little-endian, IEEE CRC-32 of all preceding bytes
 //
 // The trailing checksum lets recovery reject a snapshot damaged after the
-// fact and fall back to the previous one.
+// fact and fall back to the previous one. Kind 0 was a dense-id profile
+// image (an embedded SPF1 blob); commit ce8033a is the last that reads it.
+// A checksum-valid kind-0 snapshot is refused (errDenseSnapshot), not
+// skipped: falling back past it would silently drop the state it holds.
 package checkpoint
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,6 +48,12 @@ import (
 // ErrBadSnapshot is returned when a snapshot file cannot be decoded.
 var ErrBadSnapshot = errors.New("checkpoint: invalid snapshot")
 
+// errDenseSnapshot is returned for a snapshot of the retired dense-id kind.
+// It wraps ErrBadSnapshot and errors.ErrUnsupported, and names the last
+// commit that reads the kind.
+var errDenseSnapshot = fmt.Errorf("%w: a dense-id snapshot (kind 0) is no longer read; commit ce8033a is the last that reads it: %w",
+	ErrBadSnapshot, errors.ErrUnsupported)
+
 var snapMagic = [4]byte{'S', 'K', 'S', '1'}
 
 const (
@@ -58,20 +63,14 @@ const (
 	kindKeyed byte = 1
 )
 
-// State is one snapshot's decoded payload: the complete image of a profile
-// at a checkpoint, sufficient to rebuild it without replaying the events the
-// snapshot covers.
+// State is one snapshot's decoded payload: the complete image of a keyed
+// profile at a checkpoint, sufficient to rebuild it without replaying the
+// events the snapshot covers.
 type State struct {
-	// Keyed distinguishes the two payload kinds.
-	Keyed bool
-
-	// Dense is the dense-id profile image (dense snapshots only).
-	Dense *core.Profile
-
-	// Keys and Freqs are parallel: key Keys[i] held frequency Freqs[i]
-	// (keyed snapshots only). Dense ids are deliberately absent — they are
-	// reassigned when the keys are re-acquired during restore, because the
-	// stripe hashing that places keys is seeded per process.
+	// Keys and Freqs are parallel: key Keys[i] held frequency Freqs[i].
+	// Dense ids are deliberately absent — they are reassigned when the keys
+	// are re-acquired during restore, because the stripe hashing that
+	// places keys is seeded per process.
 	Keys  []string
 	Freqs []int64
 
@@ -87,24 +86,6 @@ type State struct {
 	SealedSeg uint64
 }
 
-// Objects returns how many objects the snapshot carries state for: tracked
-// keys for a keyed snapshot, slots with nonzero frequency for a dense one.
-func (st *State) Objects() int {
-	if st.Keyed {
-		return len(st.Keys)
-	}
-	if st.Dense == nil {
-		return 0
-	}
-	n := 0
-	for _, f := range st.Dense.Frequencies(nil) {
-		if f != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // encodeState writes the snapshot file body (header, payload, checksum).
 func encodeState(w io.Writer, st *State) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -114,11 +95,7 @@ func encodeState(w io.Writer, st *State) error {
 	if _, err := tw.Write(snapMagic[:]); err != nil {
 		return err
 	}
-	kind := kindDense
-	if st.Keyed {
-		kind = kindKeyed
-	}
-	if _, err := tw.Write([]byte{snapVersion, kind}); err != nil {
+	if _, err := tw.Write([]byte{snapVersion, kindKeyed}); err != nil {
 		return err
 	}
 	var buf [binary.MaxVarintLen64]byte
@@ -138,40 +115,29 @@ func encodeState(w io.Writer, st *State) error {
 	if err := writeUvarint(st.SealedSeg); err != nil {
 		return err
 	}
-	if st.Keyed {
-		if len(st.Keys) != len(st.Freqs) {
-			return fmt.Errorf("checkpoint: %d keys but %d frequencies", len(st.Keys), len(st.Freqs))
-		}
-		if err := writeUvarint(uint64(st.Capacity)); err != nil {
+	if len(st.Keys) != len(st.Freqs) {
+		return fmt.Errorf("checkpoint: %d keys but %d frequencies", len(st.Keys), len(st.Freqs))
+	}
+	if err := writeUvarint(uint64(st.Capacity)); err != nil {
+		return err
+	}
+	if err := writeUvarint(st.Adds); err != nil {
+		return err
+	}
+	if err := writeUvarint(st.Removes); err != nil {
+		return err
+	}
+	if err := writeUvarint(uint64(len(st.Keys))); err != nil {
+		return err
+	}
+	for i, key := range st.Keys {
+		if err := writeUvarint(uint64(len(key))); err != nil {
 			return err
 		}
-		if err := writeUvarint(st.Adds); err != nil {
+		if _, err := io.WriteString(tw, key); err != nil {
 			return err
 		}
-		if err := writeUvarint(st.Removes); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(len(st.Keys))); err != nil {
-			return err
-		}
-		for i, key := range st.Keys {
-			if err := writeUvarint(uint64(len(key))); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(tw, key); err != nil {
-				return err
-			}
-			if err := writeVarint(st.Freqs[i]); err != nil {
-				return err
-			}
-		}
-	} else {
-		if st.Dense == nil {
-			return errors.New("checkpoint: dense snapshot without a profile")
-		}
-		// WriteSnapshot buffers and flushes internally, so the SPF1 blob
-		// lands in tw in full before the checksum is taken.
-		if err := st.Dense.WriteSnapshot(tw); err != nil {
+		if err := writeVarint(st.Freqs[i]); err != nil {
 			return err
 		}
 	}
@@ -200,7 +166,12 @@ func decodeState(data []byte) (*State, error) {
 	if body[4] != snapVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBadSnapshot, body[4])
 	}
-	kind := body[5]
+	if body[5] == kindDense {
+		return nil, errDenseSnapshot
+	}
+	if body[5] != kindKeyed {
+		return nil, fmt.Errorf("%w: kind %d", ErrBadSnapshot, body[5])
+	}
 	rest := body[6:]
 	st := &State{}
 	readUvarint := func() (uint64, error) {
@@ -218,65 +189,51 @@ func decodeState(data []byte) (*State, error) {
 	if st.SealedSeg, err = readUvarint(); err != nil {
 		return nil, err
 	}
-	switch kind {
-	case kindDense:
-		p, err := core.ReadSnapshot(bytes.NewReader(rest))
+	capacity, err := readUvarint()
+	if err != nil {
+		return nil, err
+	}
+	if capacity > uint64(core.MaxCapacity) {
+		return nil, fmt.Errorf("%w: capacity %d exceeds limit", ErrBadSnapshot, capacity)
+	}
+	st.Capacity = int(capacity)
+	if st.Adds, err = readUvarint(); err != nil {
+		return nil, err
+	}
+	if st.Removes, err = readUvarint(); err != nil {
+		return nil, err
+	}
+	count, err := readUvarint()
+	if err != nil {
+		return nil, err
+	}
+	if count > capacity {
+		return nil, fmt.Errorf("%w: %d keys exceed capacity %d", ErrBadSnapshot, count, capacity)
+	}
+	// An entry takes at least two bytes (key length and frequency), so the
+	// input bounds the count before it sizes anything.
+	if count > uint64(len(rest))/2 {
+		return nil, fmt.Errorf("%w: %d keys cannot fit in %d bytes", ErrBadSnapshot, count, len(rest))
+	}
+	st.Keys = make([]string, 0, count)
+	st.Freqs = make([]int64, 0, count)
+	for i := uint64(0); i < count; i++ {
+		keyLen, err := readUvarint()
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		st.Dense = p
-		st.Capacity = p.Cap()
-		st.Adds, st.Removes = p.Events()
-	case kindKeyed:
-		st.Keyed = true
-		capacity, err := readUvarint()
-		if err != nil {
 			return nil, err
 		}
-		if capacity > uint64(core.MaxCapacity) {
-			return nil, fmt.Errorf("%w: capacity %d exceeds limit", ErrBadSnapshot, capacity)
+		if keyLen > uint64(len(rest)) {
+			return nil, fmt.Errorf("%w: key length %d", ErrBadSnapshot, keyLen)
 		}
-		st.Capacity = int(capacity)
-		if st.Adds, err = readUvarint(); err != nil {
-			return nil, err
+		key := string(rest[:keyLen])
+		rest = rest[keyLen:]
+		f, n := binary.Varint(rest)
+		if n <= 0 {
+			return nil, fmt.Errorf("%w: frequency of key %d", ErrBadSnapshot, i)
 		}
-		if st.Removes, err = readUvarint(); err != nil {
-			return nil, err
-		}
-		count, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if count > capacity {
-			return nil, fmt.Errorf("%w: %d keys exceed capacity %d", ErrBadSnapshot, count, capacity)
-		}
-		// An entry takes at least two bytes (key length and frequency), so
-		// the input bounds the count before it sizes anything.
-		if count > uint64(len(rest))/2 {
-			return nil, fmt.Errorf("%w: %d keys cannot fit in %d bytes", ErrBadSnapshot, count, len(rest))
-		}
-		st.Keys = make([]string, 0, count)
-		st.Freqs = make([]int64, 0, count)
-		for i := uint64(0); i < count; i++ {
-			keyLen, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			if keyLen > uint64(len(rest)) {
-				return nil, fmt.Errorf("%w: key length %d", ErrBadSnapshot, keyLen)
-			}
-			key := string(rest[:keyLen])
-			rest = rest[keyLen:]
-			f, n := binary.Varint(rest)
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: frequency of key %d", ErrBadSnapshot, i)
-			}
-			rest = rest[n:]
-			st.Keys = append(st.Keys, key)
-			st.Freqs = append(st.Freqs, f)
-		}
-	default:
-		return nil, fmt.Errorf("%w: kind %d", ErrBadSnapshot, kind)
+		rest = rest[n:]
+		st.Keys = append(st.Keys, key)
+		st.Freqs = append(st.Freqs, f)
 	}
 	return st, nil
 }

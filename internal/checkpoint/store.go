@@ -29,8 +29,8 @@ type RecoveryStats struct {
 	// SnapshotSeq is the sequence number of the snapshot recovery loaded
 	// (zero when no snapshot existed).
 	SnapshotSeq uint64
-	// SnapshotObjects is how many keys (or nonzero dense slots) the snapshot
-	// restored without replay.
+	// SnapshotObjects is how many keys the snapshot restored without
+	// replay.
 	SnapshotObjects int
 	// SnapshotEvents is the number of add/remove events the snapshot covers
 	// — events that did not need replaying.
@@ -125,8 +125,9 @@ type pinLease struct {
 // Open scans (creating if needed) the checkpointed log directory at path. A
 // leftover of the retired single-file log at path, or in it, is refused
 // with an error wrapping errors.ErrUnsupported (see wal.RefuseLegacy) and
-// left untouched. Open decodes the newest snapshot whose checksum verifies
-// — an unreadable newer snapshot is skipped, falling back to its
+// left untouched, and so is a directory whose newest readable snapshot is of
+// the retired dense-id kind. Open decodes the newest snapshot whose checksum
+// verifies — an unreadable newer snapshot is skipped, falling back to its
 // predecessor — and plans the tail replay, but replays nothing: the caller
 // restores its profile from TakeState, then calls ReplayTail.
 func Open(path string, opts Options) (*Store, error) {
@@ -155,6 +156,10 @@ func Open(path string, opts Options) (*Store, error) {
 			continue
 		}
 		st, err := decodeState(data)
+		if errors.Is(err, errDenseSnapshot) {
+			// Not damaged: skipping it would drop the state it holds.
+			return nil, fmt.Errorf("%s: %w", filepath.Join(path, snapName(seq)), err)
+		}
 		if err != nil || st.Seq != seq {
 			continue // damaged snapshot: fall back to the previous one
 		}
@@ -209,7 +214,7 @@ func Open(path string, opts Options) (*Store, error) {
 
 	if s.state != nil {
 		s.stats.SnapshotSeq = s.seq
-		s.stats.SnapshotObjects = s.state.Objects()
+		s.stats.SnapshotObjects = len(s.state.Keys)
 		s.stats.SnapshotEvents = s.state.Adds + s.state.Removes
 		mRecoverySnapshotEvents.Add(s.stats.SnapshotEvents)
 		mSnapshotSeq.Set(float64(s.seq))

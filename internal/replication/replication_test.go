@@ -42,7 +42,7 @@ func (c *counts) apply(rec wal.Record) error {
 }
 
 func (c *counts) state() *checkpoint.State {
-	st := &checkpoint.State{Keyed: true, Capacity: 1 << 20, Adds: c.adds, Removes: c.removes}
+	st := &checkpoint.State{Capacity: 1 << 20, Adds: c.adds, Removes: c.removes}
 	keys := make([]string, 0, len(c.m))
 	for k := range c.m {
 		keys = append(keys, k)

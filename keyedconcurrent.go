@@ -100,21 +100,19 @@ type KeyedConcurrent[K comparable] struct {
 // Id recycling is on by default, which forces WithStrictNonNegative on the
 // dense profile exactly like NewKeyed; WithoutKeyRecycling turns it off and
 // permits negative frequencies. WithWAL makes ingestion durable and is
-// supported for K = string (the log stores string keys); Build-style replay
-// happens before BuildKeyed returns, and Sync/Close flush the log.
+// supported for K = string (the log stores string keys); the log is
+// replayed before BuildKeyed returns, and Sync/Close flush it.
+// WithWALSyncEvery and WithCheckpoints require WithWAL.
 func BuildKeyed[K comparable](m int, opts ...BuildOption) (*KeyedConcurrent[K], error) {
-	var cfg buildConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	cfg := newBuildConfig(opts)
 	if cfg.windowSet || cfg.spanSet {
 		return nil, fmt.Errorf("%w: window adapters are single-goroutine; BuildKeyed cannot maintain them concurrently", ErrBuildConfig)
 	}
 	if cfg.shardsSet && cfg.shards <= 0 {
 		return nil, fmt.Errorf("%w: shard count must be positive, got %d", ErrBuildConfig, cfg.shards)
 	}
-	if cfg.ckptSet && cfg.walPath == "" {
-		return nil, fmt.Errorf("%w: WithCheckpoints requires WithWAL", ErrBuildConfig)
+	if opt := cfg.journalOption(); opt != "" && cfg.walPath == "" {
+		return nil, fmt.Errorf("%w: %s requires WithWAL", ErrBuildConfig, opt)
 	}
 	if cfg.walPath != "" {
 		var zero K
@@ -215,9 +213,6 @@ func (k *KeyedConcurrent[K]) applyWALRecord(rec wal.Record) error {
 // the snapshot lists twice makes it invalid. Runs before any concurrent
 // access exists.
 func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) error {
-	if !st.Keyed {
-		return fmt.Errorf("this WAL holds a dense-id snapshot; open it with Build, not BuildKeyed: %w", ErrBadSnapshot)
-	}
 	m := k.dense.Cap()
 	if len(st.Keys) > m {
 		return fmt.Errorf("snapshot tracks %d keys but the profile has capacity %d: %w", len(st.Keys), m, ErrBadSnapshot)
@@ -377,7 +372,6 @@ func (k *KeyedConcurrent[K]) Checkpoint() error {
 				return
 			}
 			st = &checkpoint.State{
-				Keyed:    true,
 				Capacity: k.dense.Cap(),
 				Adds:     adds,
 				Removes:  removes,

@@ -538,7 +538,7 @@ func TestBuildKeyedRejectsDuplicateSnapshotKeys(t *testing.T) {
 	}
 	if err := store.Checkpoint(func() (*checkpoint.State, uint64, error) {
 		sealed, err := store.Rotate()
-		st := &checkpoint.State{Keyed: true, Capacity: 8, Adds: 1, Keys: []string{"a", "a"}, Freqs: []int64{1, 1}}
+		st := &checkpoint.State{Capacity: 8, Adds: 1, Keys: []string{"a", "a"}, Freqs: []int64{1, 1}}
 		return st, sealed, err
 	}); err != nil {
 		t.Fatal(err)

@@ -44,7 +44,6 @@ type MajorityEntry = core.MajorityEntry
 //     answers every rank statistic from one merged distribution;
 //   - *Window and *TimeWindow answer from the windowed profile, which
 //     reflects the expiry sweep of the newest push;
-//   - *Durable delegates to its inner profiler's Querier;
 //   - the keyed variants answer KeyedQuery through QueryKeys (Keyed
 //     single-goroutine, KeyedConcurrent from one quiesced cut).
 //

@@ -120,13 +120,14 @@ type FollowerConfig struct {
 	// LongPoll is the tail wait asked of the leader per poll (default 20s).
 	LongPoll time.Duration
 	// Build configures the profile (sharding, key recycling, profile
-	// options). WithWAL/WithCheckpoints are rejected here: the mirror
-	// directory is managed by the follower and only Promote opens it for
-	// appending.
+	// options). NewKeyedFollower rejects the journal options WithWAL,
+	// WithWALSyncEvery and WithCheckpoints here with ErrBuildConfig: the
+	// mirror directory is managed by the follower, which replays it itself,
+	// and only Promote opens it for appending.
 	Build []BuildOption
-	// Promote is appended to Build when the follower is promoted — the place
-	// for WithWALSyncEvery and WithCheckpoints, which only apply to a
-	// leader.
+	// Promote is appended to Build, together with WithWAL(Dir), when the
+	// follower is promoted — the place for WithWALSyncEvery and
+	// WithCheckpoints, which only apply to a leader.
 	Promote []BuildOption
 }
 
@@ -172,6 +173,12 @@ func NewKeyedFollower(cfg FollowerConfig) (*KeyedFollower, error) {
 	}
 	if cfg.Leader == "" || cfg.Dir == "" {
 		return nil, fmt.Errorf("%w: follower needs both a leader URL and a mirror directory", ErrBuildConfig)
+	}
+	// A journal in Build would replay the mirror a second time on top of the
+	// follower's own read-only replay.
+	bc := newBuildConfig(cfg.Build)
+	if opt := bc.journalOption(); opt != "" {
+		return nil, fmt.Errorf("%w: %s cannot configure a follower, which replays its mirror in Dir itself; leader options go in Promote", ErrBuildConfig, opt)
 	}
 	if cfg.LongPoll <= 0 {
 		cfg.LongPoll = 20 * time.Second

@@ -21,7 +21,12 @@
 //	p, err := sprofile.Build(m, sprofile.Synchronized())   // one mutex (one shard)
 //	p, err := sprofile.Build(m, sprofile.WithSharding(16)) // per-shard locks
 //	p, err := sprofile.Build(m, sprofile.Windowed(100_000))
-//	p, err := sprofile.Build(m, sprofile.WithWAL("events.wal"))
+//
+// The durable profile is keyed: BuildKeyed assembles a concurrent profile
+// over arbitrary comparable keys from the same options, and WithWAL
+// journals one keyed by strings:
+//
+//	k, err := sprofile.BuildKeyed[string](m, sprofile.WithWAL("events.wal"))
 //
 // Composite reads go through the query plane: one Query selects any subset
 // of the statistics and every variant answers it atomically from a single
