@@ -152,8 +152,9 @@ type RecoveryStats struct {
 	// SnapshotEvents is the number of add/remove events the snapshot
 	// covers — history that did not need replaying.
 	SnapshotEvents uint64
-	// TailSegments and TailRecords count the log segments newer than the
-	// snapshot and the records replayed from them.
+	// TailSegments counts the log segments newer than the snapshot.
+	// TailRecords counts the entries replayed from them: one per
+	// single-event record and one per key of a batch record.
 	TailSegments int
 	TailRecords  int
 }

@@ -112,7 +112,6 @@ var codeToErr = map[string]error{
 	"wal_append":       sprofile.ErrWALAppend,
 	"read_only":        sprofile.ErrReadOnly,
 	"stale_read":       sprofile.ErrStaleRead,
-	"backpressure":     sprofile.ErrBackpressure,
 	"degraded":         sprofile.ErrDegraded,
 	"shed":             sprofile.ErrShed,
 }
@@ -197,10 +196,10 @@ func WithHTTPClient(hc *http.Client) Option {
 // degraded and shed codes ARE read-retryable). Writes retry only on
 // connection-refused, where the request provably never reached a server —
 // anything later and a non-idempotent ingest could be applied twice, and a
-// degraded node may refuse writes indefinitely. A server Retry-After hint
-// (429 backpressure, 503 shed/degraded) raises the backoff to at least the
-// hinted wait, capped by RetryPolicy.MaxDelay. Context cancellation always
-// stops the retry loop.
+// degraded node may refuse writes indefinitely. A Retry-After hint (503
+// shed/degraded, or a rate-limiting proxy's 429) raises the backoff to at
+// least the hinted wait, capped by RetryPolicy.MaxDelay. Context
+// cancellation always stops the retry loop.
 func WithRetry(p RetryPolicy) Option {
 	return func(c *Client) { c.retry, c.retryOn = p, true }
 }
@@ -306,12 +305,12 @@ func transportFailure(err error) bool {
 }
 
 // readRetryable classifies errors a repeat of the same idempotent read could
-// heal: transport failures, 429 backpressure, and gateway-ish 5xx answers —
-// including "shed" (a slot frees as soon as any request finishes) and
-// "degraded" (reads are never refused on a degraded node, so seeing the code
-// at all means a proxy or a mid-transition race; a retry is safe and cheap
-// for an idempotent read). read_only and stale_read are excluded — the same
-// node will keep giving the same answer; they are grounds for leader
+// heal: transport failures, a rate-limiting proxy's 429, and gateway-ish 5xx
+// answers — including "shed" (a slot frees as soon as any request finishes)
+// and "degraded" (reads are never refused on a degraded node, so seeing the
+// code at all means a proxy or a mid-transition race; a retry is safe and
+// cheap for an idempotent read). read_only and stale_read are excluded — the
+// same node will keep giving the same answer; they are grounds for leader
 // fallback, not same-node retry.
 func readRetryable(err error) bool {
 	if transportFailure(err) {
@@ -341,9 +340,9 @@ func writeRetryable(err error) bool {
 
 // withRetry runs fn under the configured retry policy, backing off with
 // jittered exponential delays between attempts while retryable(err) holds.
-// A server Retry-After hint (429 backpressure, 503 shed/degraded) raises the
-// backoff to at least the hinted wait, still capped by the policy's MaxDelay.
-// Without WithRetry it runs fn exactly once.
+// A Retry-After hint (503 shed/degraded, or a rate-limiting proxy's 429)
+// raises the backoff to at least the hinted wait, still capped by the
+// policy's MaxDelay. Without WithRetry it runs fn exactly once.
 func (c *Client) withRetry(ctx context.Context, retryable func(error) bool, fn func() error) error {
 	attempts := 1
 	if c.retryOn {
@@ -636,11 +635,10 @@ func (c *Client) Checkpoint(ctx context.Context) error {
 	return c.doWrite(ctx, http.MethodPost, "/v1/admin/checkpoint", nil, "", nil)
 }
 
-// Flush asks the server to drain its async ingest plane (POST
-// /v1/admin/flush): when it returns nil, every previously acknowledged event
-// is applied and visible to reads, and any deferred apply error has been
-// surfaced (it comes back with its taxonomy class, so errors.Is works). On a
-// synchronous server it degrades to a WAL sync.
+// Flush is the server's durability barrier (POST /v1/admin/flush): it syncs
+// the write-ahead log. Every acknowledged event is already applied and
+// visible to reads, and with a WAL already fsynced, so Flush before reading
+// writes back is safe but never required.
 func (c *Client) Flush(ctx context.Context) error {
 	return c.doWrite(ctx, http.MethodPost, "/v1/admin/flush", nil, "", nil)
 }
@@ -672,7 +670,6 @@ type Health struct {
 	ReplicationError string                      `json:"replication_error"`
 	WAL              *WALHealth                  `json:"wal"`
 	Replication      *sprofile.ReplicationStatus `json:"replication"`
-	Async            *sprofile.AsyncStats        `json:"async"`
 }
 
 // Healthz returns the server's liveness document. It probes the configured

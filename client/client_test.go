@@ -258,50 +258,6 @@ func TestRejectedEventsUnwrapAcrossTheWire(t *testing.T) {
 	}
 }
 
-// TestAsyncServerFlushAndBackpressure drives the client against an
-// async-ingest server: Flush is the read-your-write barrier, deferred apply
-// errors come back with their taxonomy class, and a wire "backpressure"
-// code unwraps to sprofile.ErrBackpressure.
-func TestAsyncServerFlushAndBackpressure(t *testing.T) {
-	s, err := server.New(server.Config{Capacity: 16, AsyncIngest: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	c, err := New(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	if err := c.Add(ctx, "a"); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if err := c.Flush(ctx); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if f, err := c.Count(ctx, "a"); err != nil || f != 1 {
-		t.Fatalf("Count after Flush = (%d, %v), want (1, nil)", f, err)
-	}
-
-	// A remove of an unknown key is accepted at enqueue time; the error
-	// surfaces on Flush with its class intact.
-	if err := c.Remove(ctx, "ghost"); err != nil {
-		t.Fatalf("Remove enqueue: %v", err)
-	}
-	if err := c.Flush(ctx); !errors.Is(err, sprofile.ErrUnknownKey) {
-		t.Fatalf("Flush after bad remove = %v, want ErrUnknownKey", err)
-	}
-
-	if !errors.Is(codeToErr["backpressure"], sprofile.ErrBackpressure) {
-		t.Fatal("wire code backpressure does not unwrap to ErrBackpressure")
-	}
-}
-
 func TestMetricsScrape(t *testing.T) {
 	c := newClient(t, 16)
 	ctx := context.Background()

@@ -52,8 +52,8 @@ func TestRetryPolicyTable(t *testing.T) {
 		{"degraded write does not retry", false, http.StatusServiceUnavailable, "degraded", "1", 1, sprofile.ErrDegraded},
 		{"shed read retries", true, http.StatusServiceUnavailable, "shed", "1", attempts, sprofile.ErrShed},
 		{"shed write does not retry", false, http.StatusServiceUnavailable, "shed", "1", 1, sprofile.ErrShed},
-		{"backpressure read retries", true, http.StatusTooManyRequests, "backpressure", "1", attempts, sprofile.ErrBackpressure},
-		{"backpressure write does not retry", false, http.StatusTooManyRequests, "backpressure", "1", 1, sprofile.ErrBackpressure},
+		{"429 read retries", true, http.StatusTooManyRequests, "", "1", attempts, nil},
+		{"429 write does not retry", false, http.StatusTooManyRequests, "", "1", 1, nil},
 		{"read_only is not same-node retryable", true, http.StatusServiceUnavailable, "read_only", "", 1, sprofile.ErrReadOnly},
 		{"stale_read is not same-node retryable", true, http.StatusServiceUnavailable, "stale_read", "", 1, sprofile.ErrStaleRead},
 		{"plain 503 read retries", true, http.StatusServiceUnavailable, "internal", "", attempts, nil},

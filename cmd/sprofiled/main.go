@@ -85,15 +85,12 @@ func main() {
 		follow      = fs.String("follow", "", "run as a read-only follower of the leader at this base URL; -wal names the local mirror directory (required). Writes are refused with the leader's address until POST /v1/admin/promote")
 		pollWait    = fs.Duration("follow-poll", 0, "long-poll wait per WAL tail fetch in follower mode (0 = 20s default)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) on a listener separate from the API, so hot-path regressions can be profiled in production; empty disables")
-		asyncIngest = fs.Bool("async-ingest", false, "route ingestion through the shared-nothing async plane: per-shard mailboxes, one applier per shard, epoch-snapshot reads (bounded staleness; POST /v1/admin/flush forces read-your-write). Full mailboxes return 429")
-		asyncFlush  = fs.Duration("async-flush-us", 0, "snapshot publish cadence (the read staleness bound) with -async-ingest; 0 = 2ms default")
-		asyncDepth  = fs.Int("async-mailbox-depth", 0, "per-producer per-shard mailbox capacity with -async-ingest; 0 = 1024 default")
 		logFormat   = fs.String("log-format", "text", "log output format: text or json")
 		logLevel    = fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		maxInFlight = fs.Int("max-in-flight", 0, "shed requests beyond this many in flight with 503 (0 = 1024 default, negative disables; /healthz and /metrics are exempt)")
 		reqTimeout  = fs.Duration("request-timeout", 0, "per-route response deadline; lapsed requests answer 503 code \"deadline\" (0 = 15s default, negative disables; streaming routes are never bounded)")
 		debugFaults = fs.Bool("debug-failpoints", false, "register POST /v1/admin/failpoint for runtime fault injection (chaos rigs and tests only; NEVER in production)")
-		drainWait   = fs.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests to drain before the data plane is settled (flush, final checkpoint, WAL close)")
+		drainWait   = fs.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests to drain before the data plane is settled (final checkpoint, WAL close)")
 	)
 	fs.Parse(os.Args[1:])
 
@@ -124,20 +121,17 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		Capacity:           *capacity,
-		Shards:             *shards,
-		MaxBatch:           *maxBatch,
-		WALPath:            *walPath,
-		CheckpointEvery:    *ckptEvery,
-		CheckpointBytes:    *ckptBytes,
-		Follow:             *follow,
-		FollowPoll:         *pollWait,
-		AsyncIngest:        *asyncIngest,
-		AsyncFlushInterval: *asyncFlush,
-		AsyncMailboxDepth:  *asyncDepth,
-		MaxInFlight:        *maxInFlight,
-		RequestTimeout:     *reqTimeout,
-		DebugFailpoints:    *debugFaults,
+		Capacity:        *capacity,
+		Shards:          *shards,
+		MaxBatch:        *maxBatch,
+		WALPath:         *walPath,
+		CheckpointEvery: *ckptEvery,
+		CheckpointBytes: *ckptBytes,
+		Follow:          *follow,
+		FollowPoll:      *pollWait,
+		MaxInFlight:     *maxInFlight,
+		RequestTimeout:  *reqTimeout,
+		DebugFailpoints: *debugFaults,
 	})
 	if err != nil {
 		logger.Error("startup failed", "err", err)
@@ -154,10 +148,10 @@ func main() {
 				"snapshot_seq", rec.SnapshotSeq,
 				"snapshot_objects", rec.SnapshotObjects,
 				"snapshot_events", rec.SnapshotEvents,
-				"tail_records", rec.TailRecords,
+				"tail_entries", rec.TailRecords,
 				"tail_segments", rec.TailSegments)
 		} else {
-			logger.Info("replayed WAL", "wal", *walPath, "events", srv.Replayed())
+			logger.Info("replayed WAL", "wal", *walPath, "entries", srv.Replayed())
 		}
 	}
 
@@ -180,10 +174,9 @@ func main() {
 	case <-ctx.Done():
 		// Drain-ordered shutdown: stop accepting and drain in-flight
 		// requests (with a bound, so a stuck client cannot hold the process
-		// hostage), then settle the data plane — flush the async ingest
-		// plane, take a final checkpoint, close the WAL. Order matters: the
-		// final checkpoint must cover everything the drained requests
-		// acknowledged.
+		// hostage), then settle the data plane — take a final checkpoint,
+		// close the WAL. Order matters: the final checkpoint must cover
+		// everything the drained requests acknowledged.
 		logger.Info("draining", "timeout", *drainWait)
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
 		defer cancel()

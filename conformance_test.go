@@ -492,8 +492,8 @@ func (r *restoredProfiler) Total() int64 {
 }
 
 // intStringKeyed adapts a string-keyed profile to the int-keyed interface
-// the conformance adapter wants, so WAL-backed keyed profiles — synchronous
-// or async, whose log stores string keys — can run the dense-id battery.
+// the conformance adapter wants, so WAL-backed keyed profiles, whose log
+// stores string keys, can run the dense-id battery.
 type intStringKeyed struct {
 	k sprofile.KeyedProfiler[string]
 }

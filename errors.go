@@ -33,9 +33,6 @@ func errInvalidAction(a Action) error {
 //	ErrInvalidQuery    — a malformed composite Query
 //	ErrReadOnly        — an update through a read-only view
 //	ErrWALAppend       — applied in memory but not journaled (divergence)
-//	ErrBackpressure    — an async-ingest mailbox was full and the plane was
-//	                     built with BackpressureError; retry after backing
-//	                     off (HTTP: 429 with Retry-After)
 //
 // Specific sentinels (fine; each resolves to its class):
 //
@@ -75,14 +72,6 @@ var (
 	// could not meet the caller's max-staleness bound; retry against the
 	// leader or loosen the bound.
 	ErrStaleRead = errors.New("sprofile: follower is too stale for this read")
-
-	// ErrBackpressure reports an async-ingest enqueue refused because the
-	// producer's mailbox for the target shard was full and the plane was
-	// built with BackpressureError instead of blocking. The event was NOT
-	// applied; back off and retry. The HTTP server maps it to 429 Too Many
-	// Requests with a Retry-After header, and the client SDK maps that back
-	// so errors.Is(err, ErrBackpressure) works against a remote profile.
-	ErrBackpressure = errors.New("sprofile: async ingest mailbox full")
 
 	// ErrDegraded reports a write refused because the node is in degraded
 	// read-only mode: its write-ahead log hit a persistent I/O failure

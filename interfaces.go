@@ -126,8 +126,7 @@ type DeltaUpdater interface {
 // KeyedConcurrent (lock-striped, per-stripe recycling, safe for concurrent
 // use) satisfy it, so callers can swap one for the other without touching
 // query code. The HTTP server reads through it (every statistics route is
-// one QueryKeys call, over KeyedConcurrent or AsyncKeyed) and writes through
-// the concrete types' ApplyBatch.
+// one QueryKeys call) and writes through KeyedConcurrent.ApplyBatch.
 type KeyedProfiler[K comparable] interface {
 	// Add increments the frequency of key, assigning a dense id if needed
 	// and recycling an idle one when the profile is full.
@@ -205,8 +204,6 @@ var (
 
 	_ KeyedProfiler[string] = (*Keyed[string])(nil)
 	_ KeyedProfiler[string] = (*KeyedConcurrent[string])(nil)
-	_ KeyedProfiler[string] = (*AsyncKeyed[string])(nil)
 	_ KeyedProfiler[int64]  = (*Keyed[int64])(nil)
 	_ KeyedProfiler[int64]  = (*KeyedConcurrent[int64])(nil)
-	_ KeyedProfiler[int64]  = (*AsyncKeyed[int64])(nil)
 )

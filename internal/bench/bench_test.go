@@ -117,7 +117,7 @@ func TestAblationExperimentsAtTinyScale(t *testing.T) {
 	for _, id := range []string{
 		"ablation-treekind", "ablation-fenwick", "ablation-blockhint",
 		"ablation-workloads", "graph-shaving", "sliding-window", "keyed-parallel",
-		"recovery", "batch-delta", "async-ingest",
+		"recovery", "batch-delta",
 	} {
 		results, err := Run(id, scale)
 		if err != nil {

@@ -202,7 +202,7 @@ func ExperimentIDs() []string {
 		"figure3", "figure4", "figure5", "figure6",
 		"ablation-treekind", "ablation-fenwick", "ablation-blockhint",
 		"ablation-workloads", "graph-shaving", "sliding-window", "variants",
-		"keyed-parallel", "recovery", "batch-delta", "async-ingest",
+		"keyed-parallel", "recovery", "batch-delta",
 	}
 }
 
@@ -302,8 +302,6 @@ func Run(id string, scale Scale) ([]*Result, error) {
 		return []*Result{r}, nil
 	case "batch-delta":
 		return BatchDelta(scale)
-	case "async-ingest":
-		return AsyncIngest(scale)
 	default:
 		return nil, fmt.Errorf("bench: unknown experiment %q (known: %v)", id, ExperimentIDs())
 	}

@@ -384,6 +384,7 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 // snapshot. Every way to open it refuses with errors.ErrUnsupported and
 // that commit's name rather than fall back past the snapshot (which would
 // drop the state it holds), and leaves every file byte for byte as it was.
+// The refusal matches the public sprofile.ErrBadSnapshot too.
 func TestCheckpointKeepsDenseProfile(t *testing.T) {
 	fixture := dirFiles(t, filepath.Join("testdata", "dense-ce8033a"))
 	if len(fixture) != 2 {
@@ -419,7 +420,7 @@ func TestCheckpointKeepsDenseProfile(t *testing.T) {
 			t.Fatalf("%s opened a directory holding a dense-id snapshot", open.name)
 		}
 		if !errors.Is(err, errors.ErrUnsupported) || !errors.Is(err, checkpoint.ErrBadSnapshot) ||
-			!strings.Contains(err.Error(), "ce8033a") {
+			!errors.Is(err, sprofile.ErrBadSnapshot) || !strings.Contains(err.Error(), "ce8033a") {
 			t.Fatalf("%s = %v, want ErrBadSnapshot and errors.ErrUnsupported naming commit ce8033a", open.name, err)
 		}
 		if got := dirFiles(t, dir); !maps.EqualFunc(got, fixture, bytes.Equal) {

@@ -19,7 +19,7 @@ var (
 	mSnapshotSeq = metrics.Default().Gauge("sprofile_checkpoint_snapshot_seq",
 		"Sequence number of the latest published snapshot.")
 	mRecoveryReplayed = metrics.Default().Counter("sprofile_recovery_replayed_records_total",
-		"WAL tail records replayed into profiles at startup (after snapshot restore).")
+		"WAL tail entries replayed into profiles at startup (after snapshot restore): one per single-event record, one per key of a batch record.")
 	mRecoverySnapshotEvents = metrics.Default().Counter("sprofile_recovery_snapshot_events_total",
 		"Events restored from checkpoint snapshots at startup without replay.")
 )

@@ -45,8 +45,10 @@ import (
 	"sprofile/internal/core"
 )
 
-// ErrBadSnapshot is returned when a snapshot file cannot be decoded.
-var ErrBadSnapshot = errors.New("checkpoint: invalid snapshot")
+// ErrBadSnapshot is returned when a snapshot file cannot be decoded. It
+// wraps core.ErrBadSnapshot, which the root package exports, so a decode
+// error matches sprofile.ErrBadSnapshot wherever it surfaces.
+var ErrBadSnapshot = fmt.Errorf("checkpoint: %w", core.ErrBadSnapshot)
 
 // errDenseSnapshot is returned for a snapshot of the retired dense-id kind.
 // It wraps ErrBadSnapshot and errors.ErrUnsupported, and names the last

@@ -37,7 +37,8 @@ type RecoveryStats struct {
 	SnapshotEvents uint64
 	// TailSegments and TailRecords count what was replayed after the
 	// snapshot: the WAL segments newer than the one it sealed and the
-	// records inside them.
+	// entries inside them, one per single-event record and one per key of
+	// a batch record.
 	TailSegments int
 	TailRecords  int
 }
@@ -243,7 +244,8 @@ func (s *Store) Dir() string { return s.dir }
 // ReplayTail replays every record appended after the recovery snapshot,
 // invoking fn for each, then opens the log for appending and prunes files
 // made redundant by the snapshot (covered segments, superseded snapshots,
-// leftover temp files). It returns the number of records replayed.
+// leftover temp files). It returns the number of entries replayed: one per
+// single-event record and one per key of a batch record.
 func (s *Store) ReplayTail(fn func(wal.Record) error) (int, error) {
 	if s.log != nil {
 		return 0, errors.New("checkpoint: tail already replayed")
@@ -647,7 +649,7 @@ func (s *Store) SegmentCount() int {
 // ReplayTailReadOnly replays every record appended after the recovery
 // snapshot, like ReplayTail, but leaves the directory exactly as it found it:
 // no append head is opened, nothing is truncated or pruned, and the store can
-// never append afterwards. It returns the number of records replayed and the
+// never append afterwards. It returns the number of entries replayed and the
 // replica position — the byte boundary just past the last complete record,
 // where a follower mirroring this directory resumes fetching. A torn tail is
 // tolerated (mirroring overwrites it); the position stops before it.

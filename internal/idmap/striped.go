@@ -63,7 +63,11 @@ import (
 // into the same Striped except through the transaction, or it will
 // self-deadlock.
 type Striped[K comparable] struct {
-	seed       maphash.Seed
+	seed maphash.Seed
+	// hash, when set, replaces the seeded maphash. Only this package's
+	// tests set it, so a fuzz input replays with the same stripe and slot
+	// assignment on every run.
+	hash       func(K) uint64
 	capacity   int
 	stripeSize int
 	stripes    []mapStripe
@@ -246,6 +250,9 @@ func (s *Striped[K]) NumStripes() int { return len(s.stripes) }
 // index, so a caller that hashes a key once (a batch coalescer
 // deduplicating keys, say) passes the hash on instead of hashing again.
 func (s *Striped[K]) Hash(key K) uint64 {
+	if s.hash != nil {
+		return s.hash(key)
+	}
 	return maphash.Comparable(s.seed, key)
 }
 

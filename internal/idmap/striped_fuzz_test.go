@@ -16,11 +16,23 @@ type stripedOpsCoverage struct {
 	midDrops    int // an idle id left its list from before the last position
 }
 
+// fixedIntHash stands in for the mapper's seeded maphash in runStripedOps:
+// splitmix64's finaliser, which spreads consecutive keys over stripes and
+// slots like a random hash but gives the same value on every run.
+func fixedIntHash(key int) uint64 {
+	x := uint64(key) + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
 // runStripedOps interprets data as a sequence of operations on a small
 // Striped[int] and checks every answer against a model: a map[int]int of
 // the mapping and, per stripe, the set of keys marked idle. The first two
 // bytes choose the capacity (1..64) and the stripe count (1..8); each
-// following pair is an operation and its key.
+// following pair is an operation and its key. The mapper hashes with
+// fixedIntHash, so the same data takes the same path on every run and a
+// saved failing input reproduces.
 func runStripedOps(t *testing.T, data []byte) stripedOpsCoverage {
 	var cov stripedOpsCoverage
 	if len(data) < 2 {
@@ -28,6 +40,7 @@ func runStripedOps(t *testing.T, data []byte) stripedOpsCoverage {
 	}
 	capacity := 1 + int(data[0])%64
 	s := MustNewStriped[int](capacity, 1+int(data[1])%8)
+	s.hash = fixedIntHash
 	model := make(map[int]int)
 	idle := make([]map[int]bool, s.NumStripes())
 	for si := range idle {
@@ -356,18 +369,26 @@ func FuzzStripedOps(f *testing.F) {
 // TestStripedOpsSeedCoverage: the seed corpus FuzzStripedOps runs under go
 // test must reach index growth, deletions whose probe run wraps past the end
 // of the slot array, evictions, and idle ids leaving their list from the
-// middle, the paths a small random test could miss.
+// middle, the paths a small random test could miss. The corpus runs twice
+// and must reach exactly the same counts both times: a run depends on its
+// input alone.
 func TestStripedOpsSeedCoverage(t *testing.T) {
-	var total stripedOpsCoverage
-	for _, seed := range stripedOpsSeeds() {
-		cov := runStripedOps(t, seed)
-		total.growths += cov.growths
-		total.wrapDeletes += cov.wrapDeletes
-		total.evictions += cov.evictions
-		total.midDrops += cov.midDrops
+	corpus := func() (total stripedOpsCoverage) {
+		for _, seed := range stripedOpsSeeds() {
+			cov := runStripedOps(t, seed)
+			total.growths += cov.growths
+			total.wrapDeletes += cov.wrapDeletes
+			total.evictions += cov.evictions
+			total.midDrops += cov.midDrops
+		}
+		return total
 	}
+	total := corpus()
 	if total.growths == 0 || total.wrapDeletes == 0 || total.evictions == 0 || total.midDrops == 0 {
 		t.Fatalf("seed corpus reached %+v, want every count > 0", total)
+	}
+	if again := corpus(); again != total {
+		t.Fatalf("two runs of the seed corpus reached %+v and %+v, want the same", total, again)
 	}
 	t.Logf("%+v", total)
 }

@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// AtomicField enforces the mixed-access rule behind the lock-free planes
-// (the PR 7 mailbox ring's head/tail words, the PR 9 failpoint registry's
-// armed counter): a struct field that is accessed through sync/atomic —
+// AtomicField enforces the mixed-access rule behind the lock-free paths
+// (the failpoint registry's armed counter, the id map's per-id state
+// words): a struct field that is accessed through sync/atomic —
 // either because its type is one of the atomic.* wrapper types or because
 // its address is passed to a sync/atomic function anywhere in the package —
 // must never be read or written plainly. One plain store racing atomic

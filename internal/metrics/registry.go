@@ -132,7 +132,7 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 }
 
 // OnScrape registers f to run at the start of every render — the place to
-// refresh gauges from live state (mailbox depths, replication lag). The
+// refresh gauges from live state (replication lag, staleness). The
 // returned cancel removes the hook; owners of finite-lifetime state MUST
 // call it on close so scrapes stop touching dead objects.
 func (r *Registry) OnScrape(f func()) (cancel func()) {

@@ -364,12 +364,12 @@ func TestFailpointAdminEndpoint(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainOrder proves Shutdown settles the data plane: the async
-// mailboxes are flushed, a final checkpoint is taken, and a restart replays
-// (nearly) nothing while reproducing every acknowledged event.
+// TestShutdownDrainOrder proves Shutdown settles the data plane: a final
+// checkpoint is taken, and a restart replays nothing while reproducing every
+// acknowledged event.
 func TestShutdownDrainOrder(t *testing.T) {
 	dir := t.TempDir() + "/wal"
-	s, ts := newWALServer(t, Config{WALPath: dir, AsyncIngest: true})
+	s, ts := newWALServer(t, Config{WALPath: dir})
 	for i := 0; i < 3; i++ {
 		if resp, out := postJSON(t, ts.URL+"/v1/events", `{"object":"k","action":"add"}`); resp.StatusCode != http.StatusOK {
 			t.Fatalf("write = %d %+v", resp.StatusCode, out)
@@ -386,7 +386,7 @@ func TestShutdownDrainOrder(t *testing.T) {
 	}
 	defer s2.Close()
 	if replayed := s2.Replayed(); replayed != 0 {
-		t.Fatalf("replayed %d records after a drained shutdown, want 0 (final checkpoint covers the log)", replayed)
+		t.Fatalf("replayed %d entries after a drained shutdown, want 0 (final checkpoint covers the log)", replayed)
 	}
 	f, err := s2.prof().Count("k")
 	if err != nil || f != 3 {

@@ -41,8 +41,9 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	doc := exportDoc{Capacity: s.keyed().Cap()}
-	var p sprofile.Reader = s.keyed().Profile()
+	k := s.prof()
+	doc := exportDoc{Capacity: k.Cap()}
+	var p sprofile.Reader = k.Profile()
 	if snapper, ok := p.(sprofile.Snapshotter); ok {
 		snap, err := snapper.Snapshot()
 		if err != nil {
@@ -58,7 +59,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		if err != nil || entry.Frequency <= 0 {
 			break
 		}
-		key, tracked := s.keyed().KeyOf(entry.Object)
+		key, tracked := k.KeyOf(entry.Object)
 		if !tracked {
 			continue
 		}
@@ -106,15 +107,6 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	if err := in.flush(); err != nil {
 		in.fail(w, err)
 		return
-	}
-	if s.async != nil {
-		// An import must report capacity exhaustion synchronously, so drain
-		// the plane and surface any deferred apply error here rather than on
-		// a later flush.
-		if err := s.async.Flush(); err != nil {
-			in.fail(w, err)
-			return
-		}
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"imported": len(doc.Objects)})
 }

@@ -205,9 +205,6 @@ var requiredFamilies = []string{
 	// Ingest plane.
 	"sprofile_ingest_events_total", "sprofile_ingest_batch_events",
 	"sprofile_ingest_applied_deltas_total", "sprofile_ingest_coalesce_events_total",
-	// Async plane.
-	"sprofile_async_applied_events_total", "sprofile_async_mailbox_depth",
-	"sprofile_async_backpressure_waits_total", "sprofile_async_publish_lag_seconds",
 	// WAL / checkpoint plane.
 	"sprofile_wal_appends_total", "sprofile_wal_fsync_seconds",
 	"sprofile_checkpoints_total", "sprofile_checkpoint_seconds",

@@ -57,7 +57,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, err := s.keyed().QueryKeys(q)
+	res, err := s.prof().QueryKeys(q)
 	if err != nil {
 		writeProfileError(w, err)
 		return
@@ -128,7 +128,7 @@ var statsRoutes = map[string]struct {
 	"/v1/stats/summary": {fixed(keyedQuery{Summary: true}), func(s *Server, a *keyedResult) any {
 		return map[string]any{
 			"capacity":             a.Summary.Capacity,
-			"tracked":              s.keyed().Tracked(),
+			"tracked":              s.prof().Tracked(),
 			"total":                a.Summary.Total,
 			"active":               a.Summary.Active,
 			"distinct_frequencies": a.Summary.DistinctFrequencies,
@@ -166,7 +166,7 @@ func (s *Server) statsHandler(query statsQuery, render func(*Server, *keyedResul
 		if !ok {
 			return
 		}
-		res, err := s.keyed().QueryKeys(q)
+		res, err := s.prof().QueryKeys(q)
 		if err != nil {
 			writeProfileError(w, err)
 			return

@@ -15,7 +15,7 @@ import (
 // queryErrorCodes is every code a 4xx answer may carry: the taxonomy codes
 // of errorCode and the request-level codes of statusCode.
 var queryErrorCodes = map[string]bool{
-	"backpressure": true, "unknown_key": true, "invalid_query": true,
+	"unknown_key": true, "invalid_query": true,
 	"invalid_action": true, "out_of_range": true, "strict_violation": true,
 	"empty_profile": true, "unprocessable": true, "bad_request": true,
 	"method_not_allowed": true,

@@ -12,8 +12,7 @@
 //	POST /v1/query               one composite multi-statistic query,
 //	                             answered atomically from one cut
 //	POST /v1/admin/checkpoint    snapshot the profile and truncate the WAL
-//	POST /v1/admin/flush         drain the async ingest plane (visibility +
-//	                             durability barrier; WAL sync when sync)
+//	POST /v1/admin/flush         durability barrier: sync the WAL
 //	GET  /v1/stats/mode          most frequent object
 //	GET  /v1/stats/top?k=10      top-K objects
 //	GET  /v1/stats/min           least frequent slot
@@ -107,19 +106,6 @@ type Config struct {
 	// FollowPoll is the long-poll wait asked of the leader per tail fetch;
 	// zero selects the sprofile default (20s).
 	FollowPoll time.Duration
-	// AsyncIngest routes ingestion through the shared-nothing async plane:
-	// events are enqueued to per-shard SPSC mailboxes and applied by one
-	// goroutine per shard, and reads answer from epoch-published snapshots
-	// (bounded staleness; POST /v1/admin/flush forces read-your-write).
-	// Full mailboxes are reported as 429 backpressure with a Retry-After
-	// hint. Incompatible with Follow (a follower ingests nothing locally).
-	AsyncIngest bool
-	// AsyncFlushInterval is the snapshot publish cadence (the staleness
-	// bound) in async mode; zero selects the sprofile default (2ms).
-	AsyncFlushInterval time.Duration
-	// AsyncMailboxDepth is the per-producer, per-shard mailbox capacity in
-	// async mode; zero selects the sprofile default (1024).
-	AsyncMailboxDepth int
 	// MaxInFlight bounds concurrently served requests; excess requests are
 	// shed at admission with 503 code "shed" and a Retry-After instead of
 	// queueing. Zero selects the default (1024); negative disables the gate.
@@ -144,9 +130,8 @@ type Config struct {
 // never serialise on each other.
 type Server struct {
 	profile  *sprofile.KeyedConcurrent[string]
-	async    *sprofile.AsyncKeyed[string] // non-nil with Config.AsyncIngest
-	follower *sprofile.KeyedFollower      // non-nil in follower mode (stays set after promote)
-	leader   string                       // leader base URL (follower mode)
+	follower *sprofile.KeyedFollower // non-nil in follower mode (stays set after promote)
+	leader   string                  // leader base URL (follower mode)
 	walPath  string
 	maxBatch int
 	mux      *http.ServeMux
@@ -191,26 +176,6 @@ func (s *Server) prof() *sprofile.KeyedConcurrent[string] {
 	return s.profile
 }
 
-// keyed resolves the profiler surface handlers read and write through: the
-// async plane when configured (lock-free enqueues, epoch-snapshot reads),
-// otherwise the synchronous profile itself.
-func (s *Server) keyed() sprofile.KeyedProfiler[string] {
-	if s.async != nil {
-		return s.async
-	}
-	return s.prof()
-}
-
-// applyBatch applies one validated chunk through whichever batch path is
-// configured: KeyedConcurrent.ApplyBatch, which with a WAL returns after the
-// chunk's group-commit fsync, or AsyncKeyed.ApplyBatch, which enqueues it.
-func (s *Server) applyBatch(events []sprofile.KeyedTuple[string]) (int, error) {
-	if s.async != nil {
-		return s.async.ApplyBatch(events)
-	}
-	return s.prof().ApplyBatch(events)
-}
-
 // readOnly reports whether this server must refuse writes (an unpromoted
 // follower: its profile is driven by the leader's WAL, and a local write
 // would silently diverge from it).
@@ -244,9 +209,6 @@ func New(cfg Config) (*Server, error) {
 		buildOpts = append(buildOpts, sprofile.WithSharding(cfg.Shards))
 	}
 	if cfg.Follow != "" {
-		if cfg.AsyncIngest {
-			return nil, fmt.Errorf("%w: async ingest is incompatible with follower mode (a follower ingests nothing locally)", errConfig)
-		}
 		return newFollowerServer(cfg, buildOpts, maxBatch)
 	}
 	if cfg.WALPath != "" {
@@ -270,21 +232,6 @@ func New(cfg Config) (*Server, error) {
 		walPath:  cfg.WALPath,
 		maxBatch: maxBatch,
 		mux:      http.NewServeMux(),
-	}
-	if cfg.AsyncIngest {
-		// Error-mode backpressure: a full mailbox becomes a 429 the caller
-		// can retry, instead of a handler goroutine blocking inside the
-		// profile while holding the connection.
-		async, err := sprofile.NewAsyncKeyed(keyed, sprofile.AsyncPolicy{
-			MailboxDepth:    cfg.AsyncMailboxDepth,
-			PublishInterval: cfg.AsyncFlushInterval,
-			Backpressure:    sprofile.BackpressureError,
-		})
-		if err != nil {
-			keyed.Close()
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		s.async = async
 	}
 	s.initGuards(cfg)
 	s.routes()
@@ -332,8 +279,9 @@ func newFollowerServer(cfg Config, buildOpts []sprofile.BuildOption, maxBatch in
 	return s, nil
 }
 
-// Replayed returns the number of WAL tail records replayed at startup —
-// with checkpointing, only the records after the last snapshot.
+// Replayed returns the number of WAL tail entries replayed at startup (one
+// per single-event record, one per key of a batch record) — with
+// checkpointing, only the entries after the last snapshot.
 func (s *Server) Replayed() int { return s.prof().Replayed() }
 
 // Recovery returns the startup recovery breakdown: how much state the
@@ -348,23 +296,18 @@ func (s *Server) Close() error {
 	if s.follower != nil {
 		return s.follower.Close()
 	}
-	if s.async != nil {
-		// Drains the mailboxes, stops the appliers, then closes the wrapped
-		// keyed profile (WAL flush + checkpointer stop).
-		return s.async.Close()
-	}
 	return s.prof().Close()
 }
 
 // Shutdown is the drain-ordered stop. The listener half — stop accepting,
 // drain in-flight requests with a timeout — belongs to the http.Server
 // wrapping this handler (call its Shutdown first); this half then settles
-// the data plane in order: flush the async ingest plane so every
-// acknowledged event is applied, take a final checkpoint so the next start
-// replays (almost) nothing, and close the WAL. The final checkpoint is
-// skipped when ctx is already done or the node is degraded (the checkpoint
-// would only fail against the sick disk); every later step still runs. The
-// first error is returned, but an error never short-circuits the close.
+// the data plane in order: take a final checkpoint, which covers every
+// acknowledged event, so the next start replays (almost) nothing, then
+// close the WAL. The final checkpoint is skipped when ctx is already done
+// or the node is degraded (the checkpoint would only fail against the sick
+// disk); every later step still runs. The first error is returned, but an
+// error never short-circuits the close.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopDegradeWatcher()
 	if s.follower != nil {
@@ -376,23 +319,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			firstErr = err
 		}
 	}
-	if s.async != nil {
-		record(s.async.Flush())
-	}
 	if _, ok := s.prof().WALStats(); ok && ctx.Err() == nil && !s.degradedNow() {
 		record(s.prof().Checkpoint())
 	}
 	record(s.Close())
 	return firstErr
-}
-
-// Flush drains the async ingest plane and republishes the read snapshots,
-// returning the first deferred apply error; a no-op without async ingest.
-func (s *Server) Flush() error {
-	if s.async == nil {
-		return nil
-	}
-	return s.async.Flush()
 }
 
 // HeaderMaxStaleness is the request header a reader sets to demand freshness:
@@ -495,11 +426,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 //	read_only, stale_read (replication)         → 503 Service Unavailable
 //	degraded (WAL I/O failure, writes refused)  → 503 Service Unavailable
 //	shed (admission gate at max in-flight)      → 503 Service Unavailable
-//	backpressure (async mailbox full)           → 429 Too Many Requests
 func errorCode(err error) (int, string) {
 	switch {
-	case errors.Is(err, sprofile.ErrBackpressure):
-		return http.StatusTooManyRequests, "backpressure"
 	case errors.Is(err, sprofile.ErrDegraded):
 		return http.StatusServiceUnavailable, "degraded"
 	case errors.Is(err, sprofile.ErrShed):
@@ -549,15 +477,12 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...), Code: statusCode(status)})
 }
 
-// setRetryHint attaches a Retry-After to transient rejections: async
-// backpressure clears as soon as the appliers drain a mailbox slot, shedding
-// as soon as an in-flight request finishes, and degradation as soon as the
-// recovery probe rolls the log — all within the header's minimum expressible
-// hint (one second).
+// setRetryHint attaches a Retry-After to transient rejections: shedding
+// clears as soon as an in-flight request finishes, and degradation as soon
+// as the recovery probe rolls the log — both within the header's minimum
+// expressible hint (one second).
 func setRetryHint(w http.ResponseWriter, err error) {
-	if errors.Is(err, sprofile.ErrBackpressure) ||
-		errors.Is(err, sprofile.ErrDegraded) ||
-		errors.Is(err, sprofile.ErrShed) {
+	if errors.Is(err, sprofile.ErrDegraded) || errors.Is(err, sprofile.ErrShed) {
 		w.Header().Set("Retry-After", "1")
 	}
 }
@@ -636,7 +561,6 @@ type healthResponse struct {
 	ReplicationErr  string                      `json:"replication_error,omitempty"`
 	WAL             *healthWAL                  `json:"wal,omitempty"`
 	Replication     *sprofile.ReplicationStatus `json:"replication,omitempty"`
-	Async           *sprofile.AsyncStats        `json:"async,omitempty"`
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -689,10 +613,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		resp.WAL = hw
 	}
 	resp.Replication = s.replicationStatus()
-	if s.async != nil {
-		st := s.async.Stats()
-		resp.Async = &st
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -710,14 +630,6 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		// the real condition instead of a misleading checkpoint error.
 		return
 	}
-	if s.async != nil {
-		// Drain the mailboxes first so the snapshot covers everything the
-		// server has acknowledged, not just what the appliers got to.
-		if err := s.async.Flush(); err != nil {
-			writeProfileError(w, err)
-			return
-		}
-	}
 	if err := s.prof().Checkpoint(); err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "checkpoint failed: %v", err)
 		return
@@ -725,12 +637,10 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"checkpointed": true})
 }
 
-// handleFlush drains the async ingest plane: every event acknowledged before
-// the POST is applied and visible to reads when it returns, and any deferred
-// apply error (unknown key on remove, capacity exhaustion, strict violation)
-// is reported here through the usual taxonomy. Without async ingest it
-// degrades to a WAL sync, so callers can use it unconditionally as a
-// durability+visibility barrier.
+// handleFlush syncs the WAL: a barrier callers may use unconditionally
+// before reading their writes back. Every acknowledged write is already
+// applied, visible and (with a WAL) fsynced, so for a caller's own
+// acknowledged writes it adds nothing.
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -741,12 +651,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		// 500 wal_append; 503 degraded + Retry-After is the actionable truth.
 		return
 	}
-	if s.async != nil {
-		if err := s.async.Flush(); err != nil {
-			writeProfileError(w, err)
-			return
-		}
-	} else if err := s.prof().Sync(); err != nil {
+	if err := s.prof().Sync(); err != nil {
 		writeProfileError(w, err)
 		return
 	}
@@ -834,9 +739,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// In async mode Applied means accepted-and-enqueued: the appliers fsync
-	// per drained batch, and stream-dependent errors surface on
-	// POST /v1/admin/flush instead of here.
 	if err := in.flush(); err != nil {
 		in.fail(w, err)
 		return
@@ -845,7 +747,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // chunkScratch is the pooled per-request buffer set of the write routes:
-// the event chunk handed to applyBatch and, once the bulk route has used
+// the event chunk handed to ApplyBatch and, once the bulk route has used
 // it, the NDJSON line scanner's initial buffer. Pooling keeps the streaming
 // decode free of per-event allocations beyond the decoded key strings.
 type chunkScratch struct {
@@ -895,7 +797,7 @@ func parseEvent(object, action string) (sprofile.KeyedTuple[string], error) {
 
 // ingest is one write request's pass through the shared chunk applier:
 // validated events fill a chunk, and each full chunk, then the last one,
-// goes through applyBatch. applied counts the events in effect.
+// goes through ApplyBatch. applied counts the events in effect.
 type ingest struct {
 	s       *Server
 	sc      *chunkScratch
@@ -926,7 +828,7 @@ func (in *ingest) push(t sprofile.KeyedTuple[string]) error {
 
 // flush applies the pending chunk.
 func (in *ingest) flush() error {
-	n, err := in.s.applyBatch(in.sc.events)
+	n, err := in.s.prof().ApplyBatch(in.sc.events)
 	in.applied += n
 	in.sc.events = in.sc.events[:0]
 	return err

@@ -72,6 +72,20 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestFlushOnSyncServer: POST /v1/admin/flush syncs the WAL and reports
+// flushed, on a server with a WAL and on one without.
+func TestFlushOnSyncServer(t *testing.T) {
+	_, walTS := newWALServer(t, Config{})
+	for _, ts := range []*httptest.Server{newTestServer(t, 8), walTS} {
+		if resp, out := postEvents(t, ts, `{"object":"k","action":"add"}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("write = %d %+v", resp.StatusCode, out)
+		}
+		if resp, out := postJSON(t, ts.URL+"/v1/admin/flush", ""); resp.StatusCode != http.StatusOK || out["flushed"] != true {
+			t.Fatalf("flush = %d %+v", resp.StatusCode, out)
+		}
+	}
+}
+
 func TestIngestAndStats(t *testing.T) {
 	ts := newTestServer(t, 100)
 	events := `[

@@ -22,7 +22,7 @@ var (
 	mRotations = metrics.Default().Counter("sprofile_wal_segment_rotations_total",
 		"Segment rotations (seal + fsync + open next).")
 	mReplayed = metrics.Default().Counter("sprofile_wal_replayed_records_total",
-		"Records replayed from segments during recovery or audits.")
+		"Entries replayed from segments during recovery or audits: one per single-event record, one per key of a batch record.")
 	mRolls = metrics.Default().Counter("sprofile_wal_rolls_total",
 		"Poisoned segments rolled away to recover from a persistent I/O failure.")
 	mSalvaged = metrics.Default().Counter("sprofile_wal_salvaged_records_total",

@@ -265,9 +265,11 @@ func MustBuildKeyed[K comparable](m int, opts ...BuildOption) *KeyedConcurrent[K
 // Tracked returns the number of keys currently holding a dense id.
 func (k *KeyedConcurrent[K]) Tracked() int { return k.ids.Len() }
 
-// Replayed returns the number of WAL tail records replayed when the profile
-// was built (zero without WithWAL) — with checkpointing, only the records
-// after the last snapshot, not the full ingest history.
+// Replayed returns the number of WAL tail entries replayed when the profile
+// was built (zero without WithWAL): one per single-event record and one per
+// key of a batch record, so it is neither the record count nor the event
+// count. With checkpointing it covers only the log after the last snapshot,
+// not the full ingest history.
 func (k *KeyedConcurrent[K]) Replayed() int { return k.replayed }
 
 // Recovery returns the full recovery breakdown: what the snapshot restored
@@ -668,7 +670,7 @@ func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 				en := &b.entries[j]
 				if err := k.applyEntryLocked(t, en.key, en.hash, en.adds, en.removes, en.firstIsAdd); err != nil {
 					// A failed entry leaves its key unchanged; the other
-					// keys still apply (an async drain mixes producers).
+					// keys still apply.
 					if entryErr == nil {
 						entryErr = err
 					}

@@ -24,7 +24,7 @@ var (
 const MetricsContentType = metrics.ContentType
 
 // WriteMetrics renders every registered metric family — ingest, WAL,
-// checkpoint, replication, async plane, query plane, HTTP server and Go
+// checkpoint, replication, query plane, HTTP server and Go
 // runtime — in Prometheus text exposition format. Embedders mount it wherever
 // their scrape endpoint lives; the bundled server serves it at GET /metrics.
 func WriteMetrics(w io.Writer) error { return metrics.Default().Write(w) }
@@ -41,32 +41,6 @@ func SetMetricsEnabled(on bool) { metrics.SetEnabled(on) }
 
 // MetricsEnabled reports whether instrumentation points currently record.
 func MetricsEnabled() bool { return metrics.Enabled() }
-
-// Async ingest plane families. Counters are package-global (summed across
-// planes); the gauges are recomputed per scrape from every live plane's
-// stats, so tests that build and close many planes never leave stale values
-// behind.
-var (
-	mAsyncAppliedEvents = metrics.Default().Counter("sprofile_async_applied_events_total",
-		"Events drained from mailboxes and applied by shard appliers.")
-	mAsyncApplierBatches = metrics.Default().Counter("sprofile_async_applier_batches_total",
-		"Drain batches shard appliers ran (each is one coalescing window).")
-	mAsyncBatchEvents = metrics.Default().Histogram("sprofile_async_applier_batch_events",
-		"Events per applier drain batch — the realized coalescing window.",
-		metrics.SizeBuckets())
-	mAsyncPublishes = metrics.Default().Counter("sprofile_async_publishes_total",
-		"Epoch snapshot publishes across all shards and planes.")
-	mAsyncWaits = metrics.Default().Counter("sprofile_async_backpressure_waits_total",
-		"Enqueues that blocked on a full mailbox (BackpressureBlock).")
-	mAsyncDrops = metrics.Default().Counter("sprofile_async_backpressure_errors_total",
-		"Enqueues refused with ErrBackpressure (BackpressureError).")
-	mAsyncMailboxDepth = metrics.Default().Gauge("sprofile_async_mailbox_depth",
-		"Enqueued-but-unapplied events across every live async plane.")
-	mAsyncProducers = metrics.Default().Gauge("sprofile_async_producers",
-		"Live producer handles across every async plane.")
-	mAsyncPublishLag = metrics.Default().Gauge("sprofile_async_publish_lag_seconds",
-		"Age of the stalest live plane's newest epoch publish.")
-)
 
 // Keyed ingest families. The batch path records at batch granularity; the
 // single-event paths count inside stripe locks they already hold, so the
@@ -85,7 +59,7 @@ var (
 // Replica-side replication families. The counters live in
 // internal/replication next to the code that moves the bytes; these gauges
 // need the KeyedFollower's Status (lag arithmetic, promote handling), so they
-// aggregate over live followers per scrape, same pattern as the async planes.
+// aggregate over live followers per scrape.
 var (
 	mReplRebootstraps = metrics.Default().Counter("sprofile_replication_rebootstraps_total",
 		"Replica rebuilds from a fresh leader snapshot (mirror wiped and re-bootstrapped).")
@@ -158,54 +132,8 @@ func scrapeFollowers() {
 	}
 }
 
-// asyncLive tracks every open async plane so one scrape hook can aggregate
-// their point-in-time gauges. Planes register at construction and unregister
-// on close.
-var asyncLive struct {
-	sync.Mutex
-	next uint64
-	set  map[uint64]func() AsyncStats
-}
-
-func registerAsyncPlane(stats func() AsyncStats) (unregister func()) {
-	asyncLive.Lock()
-	defer asyncLive.Unlock()
-	if asyncLive.set == nil {
-		asyncLive.set = make(map[uint64]func() AsyncStats)
-	}
-	asyncLive.next++
-	id := asyncLive.next
-	asyncLive.set[id] = stats
-	return func() {
-		asyncLive.Lock()
-		delete(asyncLive.set, id)
-		asyncLive.Unlock()
-	}
-}
-
 func init() {
 	metrics.Default().OnScrape(scrapeFollowers)
-	metrics.Default().OnScrape(func() {
-		asyncLive.Lock()
-		stats := make([]func() AsyncStats, 0, len(asyncLive.set))
-		for _, f := range asyncLive.set {
-			stats = append(stats, f)
-		}
-		asyncLive.Unlock()
-		var depth, producers int
-		var lagMs float64
-		for _, f := range stats {
-			st := f()
-			depth += st.Queued
-			producers += st.Producers
-			if st.PublishLagMs > lagMs {
-				lagMs = st.PublishLagMs
-			}
-		}
-		mAsyncMailboxDepth.Set(float64(depth))
-		mAsyncProducers.Set(float64(producers))
-		mAsyncPublishLag.Set(lagMs / 1e3)
-	})
 	metrics.Default().GaugeVec("sprofile_build_info",
 		"Build identity; the value is always 1, the labels carry it.",
 		"version", "commit").With(Version, Commit).Set(1)

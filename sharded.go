@@ -599,34 +599,6 @@ func (s *Sharded) Snapshot() (*Profile, error) {
 	return p, nil
 }
 
-// cloneShard returns a deep copy of shard idx, taken under that shard's read
-// lock alone — the async ingest plane's per-shard snapshot primitive. Cost is
-// O(shard size) and blocks only writers of that one shard, unlike Snapshot's
-// global O(m) merge under all shard locks.
-func (s *Sharded) cloneShard(idx int) *core.Profile {
-	sh := &s.shards[idx]
-	sh.mu.RLock()
-	c := sh.p.Clone()
-	sh.mu.RUnlock()
-	return c
-}
-
-// newShardedView assembles a *Sharded over already-captured per-shard
-// snapshot profiles, mirroring template's geometry. The view's shard mutexes
-// are fresh and never contended by writers (the snapshots are immutable by
-// convention), so every query on it — including composite Query — runs
-// without blocking or being blocked by ingestion; the async plane installs
-// one per publish epoch.
-func newShardedView(template *Sharded, snaps []*core.Profile) *Sharded {
-	v := &Sharded{shardSize: template.shardSize, m: template.m}
-	v.shards = make([]shardedShard, len(snaps))
-	for i := range snaps {
-		v.shards[i].p = snaps[i]
-		v.shards[i].base = template.shards[i].base
-	}
-	return v
-}
-
 // LoadFrequencies replaces the whole sharded state: object x ends at
 // frequency freqs[x] and the global adds/removes counters at the given
 // totals. Each shard receives its id range plus the minimal event counts
