@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1005,7 +1006,11 @@ func BenchmarkQueryKeys(b *testing.B) {
 // plus the 100k-event tail. The second path is what the checkpoint subsystem
 // buys: recovery bounded by the checkpoint cadence instead of the ingest
 // history. cmd/sprofile-bench's "recovery" experiment records the same
-// comparison in wall-clock form (BENCH_recovery.json).
+// comparison in wall-clock form (BENCH_recovery.json). The snapshot-only
+// case is the cold start the end-to-end benchmark times as setup_s on
+// ingest-events-uniform: a 1M-key snapshot at capacity 1<<20 on the default
+// shards, with no log tail, so it times the snapshot decode and restore
+// alone.
 func BenchmarkRecovery(b *testing.B) {
 	const (
 		m            = 100_000
@@ -1016,9 +1021,11 @@ func BenchmarkRecovery(b *testing.B) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("object-%08d", i)
 	}
-	buildDir := func(b *testing.B, checkpointed bool) string {
+	// buildDir writes the log, checkpointing at checkpointAt if asked, and
+	// returns its directory and the number of keys the snapshot holds.
+	buildDir := func(b *testing.B, checkpointed bool) (dir string, snapshotted int) {
 		b.Helper()
-		dir := filepath.Join(b.TempDir(), "wal")
+		dir = filepath.Join(b.TempDir(), "wal")
 		k, err := sprofile.BuildKeyed[string](m, sprofile.WithWAL(dir))
 		if err != nil {
 			b.Fatal(err)
@@ -1029,6 +1036,7 @@ func BenchmarkRecovery(b *testing.B) {
 				if err := k.Checkpoint(); err != nil {
 					b.Fatal(err)
 				}
+				snapshotted = k.Tracked()
 			}
 			if err := k.Add(keys[rng.Intn(m)]); err != nil {
 				b.Fatal(err)
@@ -1037,35 +1045,74 @@ func BenchmarkRecovery(b *testing.B) {
 		if err := k.Close(); err != nil {
 			b.Fatal(err)
 		}
-		return dir
+		return dir, snapshotted
 	}
-	coldStart := func(b *testing.B, dir string, wantTail bool) {
+	// coldStart times BuildKeyed over dir, checking that each start restored
+	// snapshotted keys from the snapshot and replayed replayed log entries.
+	coldStart := func(b *testing.B, dir string, capacity, snapshotted, replayed int) {
 		b.Helper()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k, err := sprofile.BuildKeyed[string](m, sprofile.WithWAL(dir))
+			k, err := sprofile.BuildKeyed[string](capacity, sprofile.WithWAL(dir))
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			if wantTail && k.Replayed() != n-checkpointAt {
-				b.Fatalf("replayed %d tail records, want %d", k.Replayed(), n-checkpointAt)
-			}
-			if !wantTail && k.Replayed() != n {
-				b.Fatalf("replayed %d records, want %d", k.Replayed(), n)
+			if got := k.Recovery(); got.SnapshotObjects != snapshotted || k.Replayed() != replayed {
+				b.Fatalf("restored %d snapshot keys and replayed %d records, want %d and %d",
+					got.SnapshotObjects, k.Replayed(), snapshotted, replayed)
 			}
 			if err := k.Close(); err != nil {
 				b.Fatal(err)
 			}
+			// Each start begins with the previous one's garbage collected,
+			// as the end-to-end benchmark's cold starts do.
+			runtime.GC()
 			b.StartTimer()
 		}
 	}
 	b.Run("full-log", func(b *testing.B) {
-		dir := buildDir(b, false)
-		coldStart(b, dir, false)
+		dir, _ := buildDir(b, false)
+		coldStart(b, dir, m, 0, n)
 	})
 	b.Run("snapshot-tail", func(b *testing.B) {
-		dir := buildDir(b, true)
-		coldStart(b, dir, true)
+		dir, snapshotted := buildDir(b, true)
+		coldStart(b, dir, m, snapshotted, n-checkpointAt)
+	})
+	b.Run("snapshot-only", func(b *testing.B) {
+		const keys, capacity = 1_000_000, 1 << 20
+		dir := filepath.Join(b.TempDir(), "wal")
+		k, err := sprofile.BuildKeyed[string](capacity, sprofile.WithWAL(dir))
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Every key once, then as many uniform adds again, in bodies of 4096.
+		names := make([]string, keys)
+		for i := range names {
+			names[i] = fmt.Sprintf("object-%08d", i)
+		}
+		rng := stream.NewRNG(20190326)
+		batch := make([]sprofile.KeyedTuple[string], 0, 4096)
+		for i := 0; i < 2*keys; i++ {
+			key := names[i%keys]
+			if i >= keys {
+				key = names[rng.Intn(keys)]
+			}
+			batch = append(batch, sprofile.KeyedTuple[string]{Key: key, Action: sprofile.ActionAdd})
+			if len(batch) == cap(batch) || i == 2*keys-1 {
+				if _, err := k.ApplyBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+				batch = batch[:0]
+			}
+		}
+		if err := k.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		if err := k.Close(); err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		coldStart(b, dir, capacity, keys, 0)
 	})
 }

@@ -20,7 +20,7 @@ func (k *KeyedConcurrent[K]) CheckZeroSets() error {
 				err = cerr
 				return false
 			}
-			si := k.ids.StripeOf(key)
+			si := k.ids.StripeOfHash(k.ids.Hash(key))
 			switch p := pos[id]; {
 			case f != 0 || !k.recycle:
 				if p >= 0 {

@@ -70,9 +70,8 @@ const (
 // events the snapshot covers.
 type State struct {
 	// Keys and Freqs are parallel: key Keys[i] held frequency Freqs[i].
-	// Dense ids are deliberately absent — they are reassigned when the keys
-	// are re-acquired during restore, because the stripe hashing that
-	// places keys is seeded per process.
+	// Dense ids are deliberately absent — restore assigns the keys new ones,
+	// because the stripe hashing that places keys is seeded per process.
 	Keys  []string
 	Freqs []int64
 

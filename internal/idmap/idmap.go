@@ -30,6 +30,10 @@ var ErrFull = core.Tagged(core.ErrCapExceeded, "idmap: all dense ids are in use"
 // mapping.
 var ErrUnknownKey = errors.New("idmap: key has no dense id")
 
+// ErrDuplicateKey is returned by StripeTxn.Load when its keys list one key
+// twice.
+var ErrDuplicateKey = errors.New("idmap: key listed twice")
+
 // Mapper assigns dense ids in [0, cap) to keys of type K. The zero value is
 // not usable; call New. A Mapper is not safe for concurrent use.
 //

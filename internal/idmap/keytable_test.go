@@ -77,7 +77,7 @@ func keyOfStripe(s *Striped[int], next *int, si int, other bool) int {
 	for {
 		key := *next
 		*next++
-		if (s.StripeOf(key) == si) != other {
+		if (stripeOf(s, key) == si) != other {
 			return key
 		}
 	}
@@ -194,7 +194,7 @@ func TestStripedChunkEdges(t *testing.T) {
 
 		// At capacity, the borrower goes idle and a key of its stripe evicts
 		// it and takes the edge id over.
-		victim, si := key, s.StripeOf(key)
+		victim, si := key, stripeOf(s, key)
 		key = keyOfStripe(s, &next, si, false)
 		h = s.Hash(key)
 		_ = s.BatchFunc(si, func(txn StripeTxn[int]) error {
@@ -225,7 +225,7 @@ func TestStripedConcurrentFill(t *testing.T) {
 		s := MustNewStriped[int](capacity, 7)
 		var homeKeys []int
 		for si, key := 0, -1; si < s.NumStripes(); key-- {
-			if s.StripeOf(key) == si {
+			if stripeOf(s, key) == si {
 				homeKeys = append(homeKeys, key)
 				si++
 			}

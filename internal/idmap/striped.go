@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -30,7 +31,9 @@ import (
 // Lookups probe linearly from the slot the fingerprint selects and confirm a
 // fingerprint match against the key table; the index doubles before it
 // passes 3/4 load, and a deletion shifts the rest of its probe run back, so
-// recycling ids leaves no tombstones. Per tracked key that is 8 bytes of
+// recycling ids leaves no tombstones. Restoring a snapshot fills each empty
+// stripe with one StripeTxn.Load, which places the entries in home-slot
+// order instead of probing for each key. Per tracked key that is 8 bytes of
 // index per slot at 3/8 to 3/4 load (11 to 21 bytes per key), plus its
 // key-table entry (20 bytes for a string header and the state word), plus
 // the key's own bytes, plus 4 bytes while it is idle; the garbage collector
@@ -136,12 +139,19 @@ func (ms *mapStripe) put(e uint64) {
 	}
 }
 
-// reserve grows the table, if needed, so n keys fit within 3/4 load.
-func (ms *mapStripe) reserve(n int) {
+// tableSize is the slot count of an index holding n keys: the least power
+// of two, and at least 8, that keeps them within 3/4 load.
+func tableSize(n int) int {
 	size := 8
 	for size*3 < n*4 {
 		size *= 2
 	}
+	return size
+}
+
+// reserve grows the table, if needed, so n keys fit within 3/4 load.
+func (ms *mapStripe) reserve(n int) {
+	size := tableSize(n)
 	if size <= len(ms.slots) {
 		return
 	}
@@ -259,15 +269,6 @@ func (s *Striped[K]) Hash(key K) uint64 {
 // StripeOfHash returns the stripe of a key whose Hash is h.
 func (s *Striped[K]) StripeOfHash(h uint64) int {
 	return int(h % uint64(len(s.stripes)))
-}
-
-// StripeOf returns the stripe index key hashes to. All operations on key
-// synchronise on this stripe's lock.
-func (s *Striped[K]) StripeOf(key K) int {
-	if len(s.stripes) == 1 {
-		return 0
-	}
-	return s.StripeOfHash(s.Hash(key))
 }
 
 // StripeRange returns the dense-id range [base, base+size) stripe i prefers
@@ -451,11 +452,109 @@ func (s *Striped[K]) unmapLastIdle(ms *mapStripe) (int, K) {
 	return id, key
 }
 
-// Reserve sizes the stripe's index so n more keys fit without growing it,
-// sparing a bulk load (snapshot restore) the repeated rehashing.
-func (t StripeTxn[K]) Reserve(n int) {
-	ms := &t.s.stripes[t.si]
-	ms.reserve(ms.used + n)
+// Load maps keys[i] for each i in group on this stripe, which must hold no
+// key yet: the bulk form of Acquire that restoring a snapshot uses.
+// hashes[i] is the Hash of keys[i], and Load stores keys[group[j]]'s id in
+// ids[j]. The keys take the never-used ids of the stripe's own range in
+// group order, with their key-table entries, under one hold of the range's
+// alloc lock; only the keys past the end of the range borrow, one at a
+// time, as Acquire does. The index is then sized for all of them once and
+// filled in home-slot order, so the load makes sequential passes instead of
+// one random probe per key. A key listed twice returns ErrDuplicateKey, and
+// more keys than free ids ErrFull; after an error the mapper is half loaded
+// and must be discarded.
+func (t StripeTxn[K]) Load(keys []K, hashes []uint64, group []int32, ids []int) error {
+	s, si := t.s, t.si
+	ms := &s.stripes[si]
+	if ms.used != 0 {
+		panic("idmap: Load on a stripe that holds keys")
+	}
+	n := len(group)
+	if n == 0 {
+		return nil
+	}
+	a := &s.allocs[si]
+	a.mu.Lock()
+	own := min(n, a.size-a.nextID)
+	first := a.base + a.nextID
+	a.nextID += own
+	for j, i := range group[:own] {
+		ids[j] = first + j
+		s.keys.set(first+j, keys[i])
+	}
+	a.mu.Unlock()
+	for j := own; j < n; j++ {
+		id, ok := s.allocate(si, keys[group[j]])
+		if !ok {
+			return fmt.Errorf("%w: capacity %d", ErrFull, s.capacity)
+		}
+		ids[j] = id
+	}
+
+	if size := tableSize(n); size > len(ms.slots) {
+		ms.slots = make([]uint64, size)
+	}
+	mask := uint64(len(ms.slots) - 1)
+	entries := make([]uint64, n)
+	for j, i := range group {
+		entries[j] = hashes[i]>>32<<32 | uint64(ids[j]+1)
+	}
+	entries = sortByHome(entries, mask)
+	// Each entry goes to its home slot or, when an earlier entry took that,
+	// just past the last one placed, so every slot between an entry's home
+	// and its own is full. Entries pushed past the last slot wrap around
+	// through put. A key listed twice meets its copy among the entries of
+	// its home slot, which the sort keeps adjacent.
+	next := uint64(0)
+	for j, e := range entries {
+		home := e >> 32 & mask
+		for p := j - 1; p >= 0 && entries[p]>>32&mask == home; p-- {
+			if entries[p]>>32 == e>>32 {
+				if key := s.keys.key(int(e&slotIDMask) - 1); s.keys.key(int(entries[p]&slotIDMask)-1) == key {
+					return fmt.Errorf("%w: %v", ErrDuplicateKey, key)
+				}
+			}
+		}
+		if pos := max(home, next); pos <= mask {
+			ms.slots[pos] = e
+			next = pos + 1
+		} else {
+			ms.put(e)
+		}
+	}
+	ms.used = n
+	s.length.Add(int64(n))
+	return nil
+}
+
+// sortByHome sorts index entries by their home slot, the fingerprint's low
+// bits under mask, with a stable LSD radix sort of at most 11 bits a pass,
+// and returns the sorted entries (in entries or in a second buffer).
+func sortByHome(entries []uint64, mask uint64) []uint64 {
+	homeBits := bits.Len64(mask)
+	passes := (homeBits + 10) / 11
+	width := (homeBits + passes - 1) / passes
+	tmp := make([]uint64, len(entries))
+	var counts [1 << 11]int
+	for shift := 32; shift < 32+homeBits; shift += width {
+		digits := uint64(1)<<min(width, 32+homeBits-shift) - 1
+		clear(counts[:])
+		for _, e := range entries {
+			counts[e>>shift&digits]++
+		}
+		sum := 0
+		for d, c := range counts[:digits+1] {
+			counts[d] = sum
+			sum += c
+		}
+		for _, e := range entries {
+			d := e >> shift & digits
+			tmp[counts[d]] = e
+			counts[d]++
+		}
+		entries, tmp = tmp, entries
+	}
+	return entries
 }
 
 // DenseID returns the dense id of key without assigning one.

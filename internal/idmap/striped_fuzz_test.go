@@ -14,6 +14,7 @@ type stripedOpsCoverage struct {
 	wrapDeletes int // a deletion's probe run continued past the last slot
 	evictions   int // an evicting Acquire took an idle key's id
 	midDrops    int // an idle id left its list from before the last position
+	loads       int // a Load mapped keys on an empty stripe
 }
 
 // fixedIntHash stands in for the mapper's seeded maphash in runStripedOps:
@@ -27,21 +28,28 @@ func fixedIntHash(key int) uint64 {
 }
 
 // runStripedOps interprets data as a sequence of operations on a small
-// Striped[int] and checks every answer against a model: a map[int]int of
-// the mapping and, per stripe, the set of keys marked idle. The first two
-// bytes choose the capacity (1..64) and the stripe count (1..8); each
-// following pair is an operation and its key. The mapper hashes with
-// fixedIntHash, so the same data takes the same path on every run and a
-// saved failing input reproduces.
+// Striped[int] (churnStriped). The first two bytes choose the capacity
+// (1..64) and the stripe count (1..8). The mapper hashes with fixedIntHash,
+// so the same data takes the same path on every run and a saved failing
+// input reproduces.
 func runStripedOps(t *testing.T, data []byte) stripedOpsCoverage {
-	var cov stripedOpsCoverage
 	if len(data) < 2 {
-		return cov
+		return stripedOpsCoverage{}
 	}
-	capacity := 1 + int(data[0])%64
-	s := MustNewStriped[int](capacity, 1+int(data[1])%8)
+	s := MustNewStriped[int](1+int(data[0])%64, 1+int(data[1])%8)
 	s.hash = fixedIntHash
-	model := make(map[int]int)
+	return churnStriped(t, s, make(map[int]int), data[2:])
+}
+
+// churnStriped applies ops, pairs of an operation and its key, to s, whose
+// mapping is model and which has no key marked idle, and checks every
+// answer against model and, per stripe, the set of keys marked idle. Keys
+// are drawn from [0, 2*s.Cap()+1), so at capacity some of them are
+// unmapped.
+func churnStriped(t *testing.T, s *Striped[int], model map[int]int, ops []byte) stripedOpsCoverage {
+	t.Helper()
+	var cov stripedOpsCoverage
+	capacity := s.Cap()
 	idle := make([]map[int]bool, s.NumStripes())
 	for si := range idle {
 		idle[si] = make(map[int]bool)
@@ -69,12 +77,12 @@ func runStripedOps(t *testing.T, data []byte) stripedOpsCoverage {
 	dropsMidList := func(key int) bool {
 		id, mapped := model[key]
 		p := int(s.keys.word(id)) - idleBase
-		return mapped && p >= 0 && p < len(s.stripes[s.StripeOf(key)].idle)-1
+		return mapped && p >= 0 && p < len(s.stripes[stripeOf(s, key)].idle)-1
 	}
 	// unmapped drops key from the model after the mapper released it.
 	unmapped := func(key int) {
 		delete(model, key)
-		delete(idle[s.StripeOf(key)], key)
+		delete(idle[stripeOf(s, key)], key)
 	}
 	// expectAcquire checks a non-evicting acquisition of key against the
 	// model and records it.
@@ -98,8 +106,8 @@ func runStripedOps(t *testing.T, data []byte) stripedOpsCoverage {
 		model[key] = id
 	}
 
-	for i := 2; i+1 < len(data); i += 2 {
-		op, key := data[i]%9, int(data[i+1])%keySpace
+	for i := 0; i+1 < len(ops); i += 2 {
+		op, key := ops[i]%9, int(ops[i+1])%keySpace
 		h := s.Hash(key)
 		si := s.StripeOfHash(h)
 		before := make([]int, len(s.stripes))
@@ -195,11 +203,32 @@ func runStripedOps(t *testing.T, data []byte) stripedOpsCoverage {
 			if err != nil && (mapped || len(model) < capacity || !errors.Is(err, ErrFull)) {
 				t.Fatalf("rolled-back acquire %d: %v", key, err)
 			}
-		case 5: // Reserve room for at most the unused capacity, as restore does
-			_ = s.BatchFunc(si, func(txn StripeTxn[int]) error {
-				txn.Reserve(int(data[i+1]) % (capacity - len(model) + 1))
-				return nil
+		case 5: // Load an empty stripe with its keys from key on, up to the free ids
+			if s.stripes[si].used > 0 {
+				break
+			}
+			var keys []int
+			var hashes []uint64
+			var group []int32
+			for k := key; k < key+keySpace && len(model)+len(keys) < capacity; k++ {
+				if kh := s.Hash(k % keySpace); s.StripeOfHash(kh) == si {
+					group = append(group, int32(len(keys)))
+					keys, hashes = append(keys, k%keySpace), append(hashes, kh)
+				}
+			}
+			ids := make([]int, len(keys))
+			err := s.BatchFunc(si, func(txn StripeTxn[int]) error {
+				return txn.Load(keys, hashes, group, ids)
 			})
+			if err != nil {
+				t.Fatalf("Load of stripe %d with %v: %v", si, keys, err)
+			}
+			for j, k := range keys {
+				model[k] = ids[j]
+			}
+			if len(keys) > 0 {
+				cov.loads++
+			}
 		case 6, 7: // mark a mapped key idle (6) or active (7)
 			id, mapped := model[key]
 			if !mapped {
@@ -281,8 +310,8 @@ func checkStriped(t *testing.T, s *Striped[int], model map[int]int, idle []map[i
 			if _, ok := s.Key(id); ok || w != stateFree {
 				t.Fatalf("Key(%d) resolves (%v) or state word %d, but no key holds it", id, ok, w)
 			}
-		case idle != nil && idle[s.StripeOf(key)][key]:
-			if p := int(w) - idleBase; p < 0 || s.stripes[s.StripeOf(key)].idle[p] != int32(id) {
+		case idle != nil && idle[stripeOf(s, key)][key]:
+			if p := int(w) - idleBase; p < 0 || s.stripes[stripeOf(s, key)].idle[p] != int32(id) {
 				t.Fatalf("idle key %d: id %d's state word %d is not its idle-list position", key, id, w)
 			}
 		case w != stateMapped:
@@ -318,13 +347,25 @@ func checkStriped(t *testing.T, s *Striped[int], model map[int]int, idle []map[i
 }
 
 // stripedOpsSeeds are the seed corpus of FuzzStripedOps: a few hand-made
-// sequences plus long pseudo-random ones that fill small mappers to
-// capacity and churn them.
+// sequences plus pseudo-random ones that fill small mappers to capacity and
+// churn them. Every seed runs checkStriped after each operation, so the
+// pseudo-random streams are cut into seeds of at most 100 operations, each
+// on a fresh mapper of the stream's shape: the fuzzer minimises each new
+// interesting input with work quadratic in its length, and long seeds breed
+// long inputs that stall it.
 func stripedOpsSeeds() [][]byte {
 	seeds := [][]byte{
 		{0, 0},
 		{7, 3, 0, 1, 0, 2, 2, 1, 1, 1, 4, 5, 3, 9},
 		{63, 0, 5, 40, 0, 1, 0, 2, 0, 3, 2, 2, 1, 2},
+	}
+	// split appends ops, operation and key pairs, as seeds of shape.
+	split := func(shape [2]byte, ops []byte) {
+		for len(ops) > 0 {
+			n := min(len(ops), 2*100)
+			seeds = append(seeds, append([]byte{shape[0], shape[1]}, ops[:n]...))
+			ops = ops[n:]
+		}
 	}
 	rng := rand.New(rand.NewSource(1))
 	shapes := [][2]byte{{63, 0}, {31, 2}, {15, 7}, {40, 3}, {2, 5}}
@@ -334,11 +375,11 @@ func stripedOpsSeeds() [][]byte {
 		shapes = append(shapes, [2]byte{c, 0})
 	}
 	for _, shape := range shapes {
-		data := []byte{shape[0], shape[1]}
+		var ops []byte
 		for i := 0; i < 1500; i++ {
-			data = append(data, byte(rng.Intn(256)), byte(rng.Intn(256)))
+			ops = append(ops, byte(rng.Intn(256)), byte(rng.Intn(256)))
 		}
-		seeds = append(seeds, data)
+		split(shape, ops)
 	}
 	// Idle-list paths by hand: three keys of one stripe go idle, the first
 	// is unmarked from the middle of the list, a fourth key evicts, then
@@ -346,15 +387,16 @@ func stripedOpsSeeds() [][]byte {
 	seeds = append(seeds, []byte{2, 0, 0, 1, 0, 2, 0, 3, 6, 1, 6, 2, 6, 3, 7, 1, 3, 4, 8, 0, 6, 1, 6, 4, 2, 1})
 	// Idle churn at capacity: mostly acquires, evicting acquires and marks.
 	ops := []byte{0, 3, 3, 6, 6, 7, 2, 8}
-	data := []byte{47, 2}
+	var churn []byte
 	for i := 0; i < 1500; i++ {
-		data = append(data, ops[rng.Intn(len(ops))], byte(rng.Intn(256)))
+		churn = append(churn, ops[rng.Intn(len(ops))], byte(rng.Intn(256)))
 	}
-	return append(seeds, data)
+	split([2]byte{47, 2}, churn)
+	return seeds
 }
 
 // FuzzStripedOps is a model-based test of Striped: random Acquire, Get,
-// Release, evicting Acquire, Rollback, Reserve, SetIdle and ReleaseIdle
+// Release, evicting Acquire, Rollback, Load, SetIdle and ReleaseIdle
 // sequences over small capacities and 1–8 stripes must agree with a plain
 // map and per-stripe idle sets at every step.
 func FuzzStripedOps(f *testing.F) {
@@ -368,10 +410,10 @@ func FuzzStripedOps(f *testing.F) {
 
 // TestStripedOpsSeedCoverage: the seed corpus FuzzStripedOps runs under go
 // test must reach index growth, deletions whose probe run wraps past the end
-// of the slot array, evictions, and idle ids leaving their list from the
-// middle, the paths a small random test could miss. The corpus runs twice
-// and must reach exactly the same counts both times: a run depends on its
-// input alone.
+// of the slot array, evictions, idle ids leaving their list from the
+// middle, and loads of an empty stripe, the paths a small random test could
+// miss. The corpus runs twice and must reach exactly the same counts both
+// times: a run depends on its input alone.
 func TestStripedOpsSeedCoverage(t *testing.T) {
 	corpus := func() (total stripedOpsCoverage) {
 		for _, seed := range stripedOpsSeeds() {
@@ -380,11 +422,12 @@ func TestStripedOpsSeedCoverage(t *testing.T) {
 			total.wrapDeletes += cov.wrapDeletes
 			total.evictions += cov.evictions
 			total.midDrops += cov.midDrops
+			total.loads += cov.loads
 		}
 		return total
 	}
 	total := corpus()
-	if total.growths == 0 || total.wrapDeletes == 0 || total.evictions == 0 || total.midDrops == 0 {
+	if total.growths == 0 || total.wrapDeletes == 0 || total.evictions == 0 || total.midDrops == 0 || total.loads == 0 {
 		t.Fatalf("seed corpus reached %+v, want every count > 0", total)
 	}
 	if again := corpus(); again != total {

@@ -115,9 +115,9 @@ func TestStripedHomeStripeAllocation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, size := s.StripeRange(s.StripeOf(key))
+		base, size := s.StripeRange(stripeOf(s, key))
 		if id < base || id >= base+size {
-			t.Fatalf("key %d (stripe %d) got id %d outside [%d, %d)", key, s.StripeOf(key), id, base, base+size)
+			t.Fatalf("key %d (stripe %d) got id %d outside [%d, %d)", key, stripeOf(s, key), id, base, base+size)
 		}
 	}
 }

@@ -12,7 +12,7 @@ func TestBatchFuncResolvesUnderOneLock(t *testing.T) {
 	// Group keys by stripe the way a batching caller would.
 	groups := make(map[int][]string)
 	for _, key := range keys {
-		si := s.StripeOf(key)
+		si := stripeOf(s, key)
 		groups[si] = append(groups[si], key)
 	}
 	ids := map[string]int{}

@@ -203,15 +203,16 @@ func (k *KeyedConcurrent[K]) applyWALRecord(rec wal.Record) error {
 	return err
 }
 
-// restore reinstates a checkpoint snapshot as one bulk load. The
+// restore reinstates a checkpoint snapshot as one bulk load into the
+// freshly built profile, before BuildKeyed or a follower publishes it. The
 // snapshotted keys are grouped by stripe with the counting sort ApplyBatch
-// uses, and each group re-acquires dense ids in a single stripe transaction
-// with the stripe's index sized for it up front, marking the keys at
-// frequency zero idle (ids are reassigned — stripe hashing is seeded per
-// process, so the original ids are meaningless here). The dense profile is
-// then loaded with the frequencies in one linear-time LoadFrequencies. A key
-// the snapshot lists twice makes it invalid. Runs before any concurrent
-// access exists.
+// uses, and the stripes load concurrently, on at most GOMAXPROCS
+// goroutines: each maps its group with one StripeTxn.Load (ids are
+// reassigned — stripe hashing is seeded per process, so the original ids
+// are meaningless here), then writes the frequencies of its own ids and
+// marks the keys at frequency zero idle. The dense profile is then loaded
+// with the frequencies in one linear-time LoadFrequencies. A key the
+// snapshot lists twice makes it invalid.
 func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) error {
 	m := k.dense.Cap()
 	if len(st.Keys) > m {
@@ -226,28 +227,24 @@ func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) error {
 	var g stripeGroups
 	g.sort(ns, len(keys), func(i int) int32 { return int32(k.ids.StripeOfHash(hashes[i])) })
 	freqs := make([]int64, m)
-	for si := range ns {
+	err := parallelEach(ns, func(si int) error {
 		group := g.group(si)
-		err := k.ids.BatchFunc(si, func(t idmap.StripeTxn[K]) error {
-			t.Reserve(len(group))
-			for _, i := range group {
-				id, isNew, err := t.Acquire(keys[i], hashes[i], false)
-				if err != nil {
-					return err
-				}
-				if !isNew {
-					return fmt.Errorf("snapshot lists key %v twice: %w", keys[i], ErrBadSnapshot)
-				}
-				freqs[id] = st.Freqs[i]
+		ids := make([]int, len(group))
+		return k.ids.BatchFunc(si, func(t idmap.StripeTxn[K]) error {
+			if err := t.Load(keys, hashes, group, ids); err != nil {
+				return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+			}
+			for j, i := range group {
+				freqs[ids[j]] = st.Freqs[i]
 				if k.recycle && st.Freqs[i] == 0 {
-					t.SetIdle(id, true)
+					t.SetIdle(ids[j], true)
 				}
 			}
 			return nil
 		})
-		if err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return err
 	}
 	return k.dense.LoadFrequencies(freqs, st.Adds, st.Removes)
 }

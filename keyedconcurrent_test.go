@@ -595,6 +595,73 @@ func TestKeyedRestoreRebuildsIdleKeys(t *testing.T) {
 	}
 }
 
+// TestKeyedRestoreLoadsStripesConcurrently: restore loads the stripes of a
+// snapshot at once. A full 4-stripe profile whose every fourth key is at
+// frequency zero must come back with each key at its count and the same
+// summary, with every stripe's idle list rebuilt, and must then admit new
+// keys by evicting idle ones.
+func TestKeyedRestoreLoadsStripesConcurrently(t *testing.T) {
+	const capacity = 4096
+	dir := filepath.Join(t.TempDir(), "wal")
+	opts := []sprofile.BuildOption{sprofile.WithSharding(4), sprofile.WithWAL(dir)}
+	k1, err := sprofile.BuildKeyed[string](capacity, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]int64, capacity)
+	var batch []sprofile.KeyedTuple[string]
+	for i := range capacity {
+		key := fmt.Sprintf("key-%d", i)
+		want[key] = int64(i % 4)
+		if i%4 == 0 {
+			if err := k1.Track(key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range i % 4 {
+			batch = append(batch, sprofile.KeyedTuple[string]{Key: key, Action: sprofile.ActionAdd})
+		}
+	}
+	if _, err := k1.ApplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	sum := k1.Summarize()
+	if err := k1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := k1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	k2, err := sprofile.BuildKeyed[string](capacity, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k2.Close()
+	if got := k2.Recovery().SnapshotObjects; got != capacity || k2.Tracked() != capacity {
+		t.Fatalf("restored %d snapshot keys, tracking %d, want %d", got, k2.Tracked(), capacity)
+	}
+	for key, n := range want {
+		if got, err := k2.Count(key); err != nil || got != n {
+			t.Fatalf("Count(%s) = (%d, %v), want %d", key, got, err, n)
+		}
+	}
+	if got := k2.Summarize(); got != sum {
+		t.Fatalf("Summarize = %+v, want %+v", got, sum)
+	}
+	if err := k2.CheckZeroSets(); err != nil {
+		t.Fatalf("after restore: %v", err)
+	}
+	for i := range capacity / 8 {
+		if err := k2.Add(fmt.Sprintf("new-%d", i)); err != nil {
+			t.Fatalf("Add of new key %d at capacity: %v", i, err)
+		}
+	}
+	if err := k2.CheckZeroSets(); err != nil {
+		t.Fatalf("after evicting: %v", err)
+	}
+}
+
 // TestIdleSetAllocation: a key going idle costs a slot on its stripe's
 // idle list, not a copy of the key. 100k keys are added to a 1<<20-key
 // profile and then each is removed through a freshly allocated copy of its

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sprofile/internal/core"
 )
@@ -604,7 +605,8 @@ func (s *Sharded) Snapshot() (*Profile, error) {
 // totals. Each shard receives its id range plus the minimal event counts
 // that produce it; the surplus of the historical counters over that minimum
 // is attributed to shard 0, so Summarize sums back to exactly the totals
-// given. Validation runs before any shard is mutated.
+// given. Validation runs before any shard is mutated; the shards then load
+// concurrently, on at most GOMAXPROCS goroutines.
 func (s *Sharded) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 	if len(freqs) != s.m {
 		return fmt.Errorf("%w: %d frequencies for capacity %d", core.ErrBadSnapshot, len(freqs), s.m)
@@ -637,14 +639,41 @@ func (s *Sharded) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 	}
 	s.lockAll()
 	defer s.unlockAll()
-	for i := range s.shards {
+	return parallelEach(len(s.shards), func(i int) error {
 		sh := &s.shards[i]
 		a, r := synthAdds[i], synthRemoves[i]
 		if i == 0 {
 			a += adds - totalAdds
 			r += removes - totalRemoves
 		}
-		if err := sh.p.LoadFrequencies(freqs[sh.base:sh.base+sh.p.Cap()], a, r); err != nil {
+		return sh.p.LoadFrequencies(freqs[sh.base:sh.base+sh.p.Cap()], a, r)
+	})
+}
+
+// parallelEach calls fn(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines, the caller's among them, each taking the next i until none is
+// left, and returns once every call has. It returns the error of the least
+// i that failed.
+func parallelEach(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			errs[i] = fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
