@@ -1116,3 +1116,36 @@ func BenchmarkRecovery(b *testing.B) {
 		coldStart(b, dir, capacity, keys, 0)
 	})
 }
+
+// BenchmarkCheckpoint times one checkpoint of a durable keyed profile in the
+// end-to-end benchmark's preload shape: 1M keys at capacity 1<<20 on two
+// shards. An operation is the capture under every stripe lock plus the
+// snapshot's encode, fsync and publication; -benchmem shows what the
+// capture copies while writers wait.
+func BenchmarkCheckpoint(b *testing.B) {
+	const keys, capacity = 1_000_000, 1 << 20
+	k, err := sprofile.BuildKeyed[string](capacity, sprofile.WithWAL(filepath.Join(b.TempDir(), "wal")), sprofile.WithSharding(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]sprofile.KeyedTuple[string], 0, 4096)
+	for i := 0; i < keys; i++ {
+		batch = append(batch, sprofile.KeyedTuple[string]{Key: fmt.Sprintf("object-%08d", i), Action: sprofile.ActionAdd})
+		if len(batch) == cap(batch) || i == keys-1 {
+			if _, err := k.ApplyBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := k.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := k.Close(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -1,14 +1,15 @@
 // Package client is the typed Go SDK for the sprofile HTTP server
 // (internal/server, run as cmd/sprofiled). It covers the whole wire surface:
-// single-event and batched ingestion, the streaming NDJSON bulk path,
-// every single-statistic endpoint, and the composite POST /v1/query
-// endpoint that answers an atomic multi-statistic sprofile.KeyedQuery.
+// single-event and batched ingestion, the streaming NDJSON bulk path, and
+// the one read call, Query, which sends an atomic multi-statistic
+// sprofile.KeyedQuery to POST /v1/query: every statistic, a single key's
+// count included, is a field of its answer.
 //
 // Errors mirror the library's taxonomy across the wire: the server tags
 // every error response with a machine-readable code, and the client maps it
 // back, so
 //
-//	_, err := c.Count(ctx, "ghost")
+//	err := c.Remove(ctx, "ghost")
 //	if errors.Is(err, sprofile.ErrUnknownKey) { ... }
 //
 // works against a remote profile exactly as against a local one at the
@@ -51,20 +52,6 @@ const (
 	ActionAdd    = "add"
 	ActionRemove = "remove"
 )
-
-// Summary is the document served by GET /v1/stats/summary: the profile's
-// aggregate counters plus the number of currently tracked keys.
-type Summary struct {
-	Capacity            int    `json:"capacity"`
-	Tracked             int    `json:"tracked"`
-	Total               int64  `json:"total"`
-	Active              int    `json:"active"`
-	DistinctFrequencies int    `json:"distinct_frequencies"`
-	MaxFrequency        int64  `json:"max_frequency"`
-	MinFrequency        int64  `json:"min_frequency"`
-	Adds                uint64 `json:"adds"`
-	Removes             uint64 `json:"removes"`
-}
 
 // APIError is an error response from the server: the HTTP status, the
 // machine-readable taxonomy code and the server's message. Its Unwrap maps
@@ -380,11 +367,11 @@ func (p RetryPolicy) nextDelay(attempt int, err error) time.Duration {
 	return d
 }
 
-// doRead routes one idempotent read: round-robin follower first (when
-// configured), leader as fallback. Each target gets the full retry budget;
+// doRead routes one idempotent read, a JSON body POSTed to path:
+// round-robin follower first (when configured), leader as fallback. Each target gets the full retry budget;
 // any follower failure that is not the caller's own fault (4xx) falls
 // through to the leader.
-func (c *Client) doRead(ctx context.Context, method, path string, body []byte, contentType string, out any) error {
+func (c *Client) doRead(ctx context.Context, path string, body []byte, out any) error {
 	targets := []string{c.base}
 	if len(c.followers) > 0 {
 		i := int(c.next.Add(1)-1) % len(c.followers)
@@ -393,11 +380,7 @@ func (c *Client) doRead(ctx context.Context, method, path string, body []byte, c
 	var err error
 	for ti, base := range targets {
 		err = c.withRetry(ctx, readRetryable, func() error {
-			var r io.Reader
-			if body != nil {
-				r = bytes.NewReader(body)
-			}
-			return c.sendOnce(ctx, method, base, path, r, contentType, true, out)
+			return c.sendOnce(ctx, http.MethodPost, base, path, bytes.NewReader(body), "application/json", true, out)
 		})
 		if err == nil {
 			return nil
@@ -422,10 +405,6 @@ func (c *Client) doWrite(ctx context.Context, method, path string, body []byte, 
 		}
 		return c.sendOnce(ctx, method, c.base, path, r, contentType, false, out)
 	})
-}
-
-func (c *Client) getRead(ctx context.Context, path string, out any) error {
-	return c.doRead(ctx, http.MethodGet, path, nil, "", out)
 }
 
 func (c *Client) postJSON(ctx context.Context, path string, body, out any) error {
@@ -510,9 +489,10 @@ func (c *Client) bulk(ctx context.Context, r io.Reader) (int, error) {
 
 // Query executes ONE composite, atomic multi-statistic query via
 // POST /v1/query: every statistic the KeyedQuery selects is answered from a
-// single consistent cut of the server's profile. Prefer it over sequences of
-// single-statistic calls — one round trip, one lock acquisition server-side,
-// and no torn reads under concurrent ingest.
+// single consistent cut of the server's profile — one round trip, one lock
+// acquisition server-side, and no torn reads under concurrent ingest. It is
+// the client's only read of the statistics; a single one is a query that
+// selects only it, e.g. KeyedQuery{Count: []string{key}}.
 //
 // Query is a read: with WithFollowers it is routed to a follower (falling
 // back to the leader), and the result's Replication field reports which
@@ -523,109 +503,7 @@ func (c *Client) Query(ctx context.Context, q sprofile.KeyedQuery[string]) (spro
 	if err != nil {
 		return out, err
 	}
-	err = c.doRead(ctx, http.MethodPost, "/v1/query", data, "application/json", &out)
-	return out, err
-}
-
-// entryResponse mirrors the single-statistic wire form.
-type entryResponse struct {
-	Object    string `json:"object"`
-	Frequency int64  `json:"frequency"`
-	Ties      int    `json:"ties"`
-}
-
-func (e entryResponse) keyed() sprofile.KeyedEntry[string] {
-	return sprofile.KeyedEntry[string]{Key: e.Object, Frequency: e.Frequency}
-}
-
-// Mode returns the most frequent object, its frequency, and how many objects
-// tie with it.
-func (c *Client) Mode(ctx context.Context) (sprofile.KeyedEntry[string], int, error) {
-	var out entryResponse
-	err := c.getRead(ctx, "/v1/stats/mode", &out)
-	return out.keyed(), out.Ties, err
-}
-
-// Min returns the least frequent slot, its frequency, and how many slots tie
-// with it.
-func (c *Client) Min(ctx context.Context) (sprofile.KeyedEntry[string], int, error) {
-	var out entryResponse
-	err := c.getRead(ctx, "/v1/stats/min", &out)
-	return out.keyed(), out.Ties, err
-}
-
-// Count returns the current frequency of object (zero when unknown).
-func (c *Client) Count(ctx context.Context, object string) (int64, error) {
-	var out entryResponse
-	err := c.getRead(ctx, "/v1/stats/count?object="+url.QueryEscape(object), &out)
-	return out.Frequency, err
-}
-
-func (c *Client) kList(ctx context.Context, path string, k int) ([]sprofile.KeyedEntry[string], error) {
-	var out []entryResponse
-	err := c.getRead(ctx, path+"?k="+strconv.Itoa(k), &out)
-	if err != nil {
-		return nil, err
-	}
-	entries := make([]sprofile.KeyedEntry[string], len(out))
-	for i, e := range out {
-		entries[i] = e.keyed()
-	}
-	return entries, nil
-}
-
-// TopK returns the k most frequent objects in non-increasing frequency order.
-func (c *Client) TopK(ctx context.Context, k int) ([]sprofile.KeyedEntry[string], error) {
-	return c.kList(ctx, "/v1/stats/top", k)
-}
-
-// BottomK returns the k least frequent slots in non-decreasing frequency
-// order.
-func (c *Client) BottomK(ctx context.Context, k int) ([]sprofile.KeyedEntry[string], error) {
-	return c.kList(ctx, "/v1/stats/bottom", k)
-}
-
-// Median returns the lower-median entry of the frequency multiset.
-func (c *Client) Median(ctx context.Context) (sprofile.KeyedEntry[string], error) {
-	var out entryResponse
-	err := c.getRead(ctx, "/v1/stats/median", &out)
-	return out.keyed(), err
-}
-
-// Quantile returns the entry at quantile q in [0, 1].
-func (c *Client) Quantile(ctx context.Context, q float64) (sprofile.KeyedEntry[string], error) {
-	var out entryResponse
-	err := c.getRead(ctx, "/v1/stats/quantile?q="+strconv.FormatFloat(q, 'g', -1, 64), &out)
-	return out.keyed(), err
-}
-
-// majorityResponse mirrors the majority wire form.
-type majorityResponse struct {
-	Object    string `json:"object"`
-	Frequency int64  `json:"frequency"`
-	Majority  bool   `json:"majority"`
-}
-
-// Majority returns the object holding a strict majority of the total count,
-// if one exists.
-func (c *Client) Majority(ctx context.Context) (sprofile.KeyedEntry[string], bool, error) {
-	var out majorityResponse
-	err := c.getRead(ctx, "/v1/stats/majority", &out)
-	return sprofile.KeyedEntry[string]{Key: out.Object, Frequency: out.Frequency}, out.Majority, err
-}
-
-// Distribution returns the full frequency histogram in ascending frequency
-// order.
-func (c *Client) Distribution(ctx context.Context) ([]sprofile.FreqCount, error) {
-	var out []sprofile.FreqCount
-	err := c.getRead(ctx, "/v1/stats/distribution", &out)
-	return out, err
-}
-
-// Summary returns the profile's aggregate counters.
-func (c *Client) Summary(ctx context.Context) (Summary, error) {
-	var out Summary
-	err := c.getRead(ctx, "/v1/stats/summary", &out)
+	err = c.doRead(ctx, "/v1/query", data, &out)
 	return out, err
 }
 

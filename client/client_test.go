@@ -35,64 +35,6 @@ func TestNewValidatesURL(t *testing.T) {
 	}
 }
 
-func TestIngestAndSingleStats(t *testing.T) {
-	c := newClient(t, 16)
-	ctx := context.Background()
-
-	applied, err := c.SendEvents(ctx, []Event{
-		{Object: "a", Action: ActionAdd},
-		{Object: "a", Action: ActionAdd},
-		{Object: "b", Action: ActionAdd},
-	})
-	if err != nil || applied != 3 {
-		t.Fatalf("SendEvents = (%d, %v)", applied, err)
-	}
-	if err := c.Add(ctx, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove(ctx, "b"); err != nil {
-		t.Fatal(err)
-	}
-
-	mode, ties, err := c.Mode(ctx)
-	if err != nil || mode.Key != "a" || mode.Frequency != 3 || ties != 1 {
-		t.Fatalf("Mode = (%+v, %d, %v)", mode, ties, err)
-	}
-	if f, err := c.Count(ctx, "a"); err != nil || f != 3 {
-		t.Fatalf("Count(a) = (%d, %v)", f, err)
-	}
-	if f, err := c.Count(ctx, "ghost"); err != nil || f != 0 {
-		t.Fatalf("Count(ghost) = (%d, %v)", f, err)
-	}
-	top, err := c.TopK(ctx, 2)
-	if err != nil || len(top) != 2 || top[0].Key != "a" {
-		t.Fatalf("TopK = (%+v, %v)", top, err)
-	}
-	if _, _, err := c.Min(ctx); err != nil {
-		t.Fatalf("Min: %v", err)
-	}
-	if _, err := c.Median(ctx); err != nil {
-		t.Fatalf("Median: %v", err)
-	}
-	if e, err := c.Quantile(ctx, 1); err != nil || e.Frequency != 3 {
-		t.Fatalf("Quantile(1) = (%+v, %v)", e, err)
-	}
-	if _, _, err := c.Majority(ctx); err != nil {
-		t.Fatalf("Majority: %v", err)
-	}
-	dist, err := c.Distribution(ctx)
-	if err != nil || len(dist) == 0 {
-		t.Fatalf("Distribution = (%+v, %v)", dist, err)
-	}
-	sum, err := c.Summary(ctx)
-	if err != nil || sum.Total != 3 || sum.Tracked != 2 {
-		t.Fatalf("Summary = (%+v, %v)", sum, err)
-	}
-	if h, err := c.Healthz(ctx); err != nil || h.Status != "ok" {
-		t.Fatalf("Healthz = (%+v, %v)", h, err)
-	}
-}
-
 func TestBulkIngest(t *testing.T) {
 	c := newClient(t, 64)
 	ctx := context.Background()
@@ -108,8 +50,8 @@ func TestBulkIngest(t *testing.T) {
 	if err != nil || applied != 300 {
 		t.Fatalf("BulkIngest = (%d, %v)", applied, err)
 	}
-	if f, err := c.Count(ctx, "hot"); err != nil || f != 200 {
-		t.Fatalf("Count(hot) = (%d, %v)", f, err)
+	if f, err := count(ctx, c, "hot"); err != nil || f != 200 {
+		t.Fatalf("count(hot) = (%d, %v)", f, err)
 	}
 
 	applied, err = c.BulkIngestReader(ctx, strings.NewReader(
@@ -123,11 +65,21 @@ func TestCompositeQuery(t *testing.T) {
 	c := newClient(t, 16)
 	ctx := context.Background()
 
-	if _, err := c.BulkIngest(ctx, []Event{
-		{Object: "a", Action: ActionAdd}, {Object: "a", Action: ActionAdd}, {Object: "a", Action: ActionAdd},
-		{Object: "b", Action: ActionAdd}, {Object: "b", Action: ActionAdd},
-		{Object: "c", Action: ActionAdd},
-	}); err != nil {
+	// a at 3, b at 2, c at 1, through each write call.
+	applied, err := c.SendEvents(ctx, []Event{
+		{Object: "a", Action: ActionAdd}, {Object: "a", Action: ActionAdd},
+		{Object: "b", Action: ActionAdd}, {Object: "b", Action: ActionAdd}, {Object: "b", Action: ActionAdd},
+	})
+	if err != nil || applied != 5 {
+		t.Fatalf("SendEvents = (%d, %v)", applied, err)
+	}
+	if err := c.Add(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Remove(ctx, "b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.BulkIngest(ctx, []Event{{Object: "c", Action: ActionAdd}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,7 +93,7 @@ func TestCompositeQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode == nil || res.Mode.Key != "a" || res.Mode.Frequency != 3 {
+	if res.Mode == nil || res.Mode.Key != "a" || res.Mode.Frequency != 3 || res.Mode.Ties != 1 {
 		t.Fatalf("mode = %+v", res.Mode)
 	}
 	if len(res.Counts) != 2 || res.Counts[0].Frequency != 3 || res.Counts[1].Frequency != 0 {
@@ -153,12 +105,29 @@ func TestCompositeQuery(t *testing.T) {
 	if len(res.Quantiles) != 2 || res.Quantiles[1].Frequency != 3 {
 		t.Fatalf("quantiles = %+v", res.Quantiles)
 	}
-	if res.Summary == nil || res.Summary.Total != 6 {
-		t.Fatalf("summary = %+v", res.Summary)
+	if res.Summary == nil || res.Summary.Total != 6 || res.Tracked == nil || *res.Tracked != 3 {
+		t.Fatalf("summary = %+v, tracked = %v", res.Summary, res.Tracked)
 	}
 	if res.Min != nil || res.Median != nil || res.Majority != nil || res.Distribution != nil {
 		t.Fatalf("unrequested fields were filled: %+v", res)
 	}
+
+	res, err = c.Query(ctx, sprofile.KeyedQuery[string]{Min: true, Median: true, Majority: true, Distribution: true})
+	if err != nil || res.Min == nil || res.Median == nil || res.Majority == nil || len(res.Distribution) == 0 {
+		t.Fatalf("min/median/majority/distribution = (%+v, %v)", res, err)
+	}
+	if h, err := c.Healthz(ctx); err != nil || h.Status != "ok" {
+		t.Fatalf("Healthz = (%+v, %v)", h, err)
+	}
+}
+
+// count reads one key's count with Client.Query.
+func count(ctx context.Context, c *Client, key string) (int64, error) {
+	res, err := c.Query(ctx, sprofile.KeyedQuery[string]{Count: []string{key}})
+	if err != nil {
+		return 0, err
+	}
+	return res.Counts[0].Frequency, nil
 }
 
 // TestErrorTaxonomyAcrossTheWire pins that errors.Is against the sprofile
@@ -253,8 +222,8 @@ func TestRejectedEventsUnwrapAcrossTheWire(t *testing.T) {
 			}
 		}
 	}
-	if f, err := c.Count(ctx, "k"); err != nil || f != 0 {
-		t.Fatalf("Count(k) after rejected batches = (%d, %v), want 0", f, err)
+	if f, err := count(ctx, c, "k"); err != nil || f != 0 {
+		t.Fatalf("count(k) after rejected batches = (%d, %v), want 0", f, err)
 	}
 }
 

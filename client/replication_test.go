@@ -38,7 +38,7 @@ func (f *flakyServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func TestRetryHealsTransient503(t *testing.T) {
 	fs := &flakyServer{failures: 2, status: http.StatusServiceUnavailable, code: "internal",
-		body: `{"tracked":1,"total":2,"capacity":16}`}
+		body: `{"summary":{"total":2,"capacity":16},"tracked":1}`}
 	ts := httptest.NewServer(fs)
 	defer ts.Close()
 
@@ -46,9 +46,9 @@ func TestRetryHealsTransient503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := c.Summary(context.Background())
-	if err != nil || sum.Total != 2 {
-		t.Fatalf("Summary after two 503s = (%+v, %v)", sum, err)
+	res, err := c.Query(context.Background(), sprofile.KeyedQuery[string]{Summary: true})
+	if err != nil || res.Summary == nil || res.Summary.Total != 2 {
+		t.Fatalf("summary after two 503s = (%+v, %v)", res.Summary, err)
 	}
 	if got := fs.hits.Load(); got != 3 {
 		t.Fatalf("server hit %d times, want 3", got)
@@ -64,7 +64,7 @@ func TestRetryGivesUpAtCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Summary(context.Background())
+	_, err = c.Query(context.Background(), sprofile.KeyedQuery[string]{Summary: true})
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("err = %v, want the final 503", err)
@@ -83,7 +83,7 @@ func TestNoRetryWithoutOptIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Summary(context.Background()); err == nil {
+	if _, err := c.Query(context.Background(), sprofile.KeyedQuery[string]{Summary: true}); err == nil {
 		t.Fatal("un-configured client retried its way past a 503")
 	}
 	if got := fs.hits.Load(); got != 1 {
@@ -104,7 +104,7 @@ func TestRetryRespectsContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(20 * time.Millisecond); cancel() }()
 	start := time.Now()
-	_, err = c.Summary(ctx)
+	_, err = c.Query(ctx, sprofile.KeyedQuery[string]{Summary: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -257,7 +257,7 @@ func TestStaleReadFallsBackToLeader(t *testing.T) {
 	defer fol.Close()
 	lead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		leaderHits.Add(1)
-		w.Write([]byte(`{"tracked":2,"total":3,"capacity":64}`))
+		w.Write([]byte(`{"summary":{"total":3,"capacity":64},"tracked":2}`))
 	}))
 	defer lead.Close()
 
@@ -266,9 +266,9 @@ func TestStaleReadFallsBackToLeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := c.Summary(context.Background())
-	if err != nil || sum.Total != 3 {
-		t.Fatalf("Summary = (%+v, %v)", sum, err)
+	res, err := c.Query(context.Background(), sprofile.KeyedQuery[string]{Summary: true})
+	if err != nil || res.Summary == nil || res.Summary.Total != 3 {
+		t.Fatalf("summary = (%+v, %v)", res.Summary, err)
 	}
 	// stale_read is not same-node-retryable: exactly one follower attempt,
 	// then the leader.
@@ -284,7 +284,7 @@ func TestStaleReadFallsBackToLeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c2.Summary(context.Background())
+	_, err = c2.Query(context.Background(), sprofile.KeyedQuery[string]{Summary: true})
 	if !errors.Is(err, sprofile.ErrStaleRead) {
 		t.Fatalf("err = %v, want ErrStaleRead in its chain", err)
 	}
@@ -369,9 +369,9 @@ func TestPromoteViaClient(t *testing.T) {
 	}
 
 	// The promoted node holds the acked write and accepts new ones.
-	n, err := fc.Count(ctx, "k")
+	n, err := count(ctx, fc, "k")
 	if err != nil || n != 1 {
-		t.Fatalf("Count(k) after promote = (%d, %v)", n, err)
+		t.Fatalf("count(k) after promote = (%d, %v)", n, err)
 	}
 	if err := fc.Add(ctx, "k"); err != nil {
 		t.Fatalf("write after promote: %v", err)

@@ -74,7 +74,7 @@ func TestRetryPolicyTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.read {
-				_, err = c.Summary(context.Background())
+				_, err = c.Query(context.Background(), sprofile.KeyedQuery[string]{Summary: true})
 			} else {
 				err = c.Add(context.Background(), "x")
 			}
@@ -140,7 +140,7 @@ func TestRetryWaitsForRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := c.Summary(context.Background()); err == nil {
+	if _, err := c.Query(context.Background(), sprofile.KeyedQuery[string]{Summary: true}); err == nil {
 		t.Fatal("permanently shedding server answered")
 	}
 	if elapsed := time.Since(start); elapsed < time.Second {

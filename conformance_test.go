@@ -593,6 +593,7 @@ func (v intStringKeyed) QueryKeys(q sprofile.KeyedQuery[int]) (sprofile.KeyedQue
 		KthLargest:   stringEntriesToInt(sres.KthLargest),
 		Distribution: sres.Distribution,
 		Summary:      sres.Summary,
+		Tracked:      sres.Tracked,
 	}
 	if len(sres.Counts) > 0 {
 		out.Counts = make([]sprofile.KeyedEntry[int], len(sres.Counts))

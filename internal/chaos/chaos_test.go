@@ -29,6 +29,7 @@ import (
 	"testing"
 	"time"
 
+	"sprofile"
 	"sprofile/internal/failpoint"
 	"sprofile/internal/server"
 )
@@ -136,19 +137,18 @@ func (h *harness) writeRand() (int, string) {
 // degraded-mode contract.
 func (h *harness) readCount(ts *httptest.Server, key string) int64 {
 	h.t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/stats/count?object=" + key)
+	body, _ := json.Marshal(sprofile.KeyedQuery[string]{Count: []string{key}})
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		h.t.Fatalf("count %s: %v", key, err)
 	}
-	var out struct {
-		Frequency int64 `json:"frequency"`
-	}
+	var out sprofile.KeyedQueryResult[string]
 	json.NewDecoder(resp.Body).Decode(&out)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		h.t.Fatalf("read of %s returned %d; reads must keep serving under faults", key, resp.StatusCode)
 	}
-	return out.Frequency
+	return out.Counts[0].Frequency
 }
 
 func (h *harness) counts(ts *httptest.Server) map[string]int64 {

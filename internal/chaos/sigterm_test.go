@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"sprofile"
 	"sprofile/internal/server"
 )
 
@@ -162,18 +163,20 @@ func TestChaosSIGTERMMidIngest(t *testing.T) {
 	}
 	total := int64(0)
 	for key, want := range acked {
-		resp, err := http.Get(rts.URL + "/v1/stats/count?object=" + key)
+		body, _ := json.Marshal(sprofile.KeyedQuery[string]{Count: []string{key}})
+		resp, err := http.Post(rts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out struct {
-			Frequency int64 `json:"frequency"`
-		}
+		var out sprofile.KeyedQueryResult[string]
 		json.NewDecoder(resp.Body).Decode(&out)
 		resp.Body.Close()
-		if out.Frequency < want {
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("count(%s) after reopen answered %d", key, resp.StatusCode)
+		}
+		if f := out.Counts[0].Frequency; f < want {
 			t.Errorf("count(%s) = %d after reopen, acked %d: SIGTERM lost acknowledged writes",
-				key, out.Frequency, want)
+				key, f, want)
 		}
 		total += want
 	}

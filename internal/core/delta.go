@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file implements the delta-batched update path. The paper's structure
 // pays O(1) per ±1 event; real traffic arrives in batches that are heavily
@@ -9,6 +12,40 @@ import "fmt"
 // one block-boundary walk turns k repeated ±1 steps for a hot object into a
 // single O(blocks crossed) move — a hot object going +500 in one batch
 // crosses a handful of distinct frequency values, not 500 ranks.
+
+// MaxMagnitude bounds the counts a profile takes in bulk. A delta (AddN,
+// RemoveN, ApplyDelta) that would take a frequency or the adds or removes
+// counter past ±MaxMagnitude is refused with ErrOutOfRange, and a load
+// (LoadFrequencies, ReadSnapshot) past it with ErrBadSnapshot; either leaves
+// the profile unchanged. The total, which is adds minus removes, stays
+// within the bound with them. At half of MaxInt64 the bound leaves the ±1
+// Add and Remove path 2^62 events of headroom before anything could wrap,
+// so that path is not checked.
+const MaxMagnitude = math.MaxInt64 / 2
+
+// outside reports whether v+delta lies outside ±MaxMagnitude, for any v and
+// delta, without overflowing.
+func outside(v, delta int64) bool {
+	if delta >= 0 {
+		return v > MaxMagnitude-delta
+	}
+	return v < -MaxMagnitude-delta
+}
+
+// checkStep refuses to move object x from frequency f by delta, recording
+// adds and removes gross events, when that would take the frequency or a
+// counter past MaxMagnitude.
+func (p *Profile) checkStep(x int, f, delta int64, adds, removes uint64) error {
+	if adds > MaxMagnitude || removes > MaxMagnitude || p.adds > MaxMagnitude-adds || p.removes > MaxMagnitude-removes {
+		return fmt.Errorf("%w: %d adds and %d removes for object %d take the event counters (%d, %d) past %d",
+			ErrOutOfRange, adds, removes, x, p.adds, p.removes, uint64(MaxMagnitude))
+	}
+	if outside(f, delta) {
+		return fmt.Errorf("%w: delta %+d takes object %d from frequency %d past ±%d",
+			ErrOutOfRange, delta, x, f, int64(MaxMagnitude))
+	}
+	return nil
+}
 
 // Delta is the net effect of a coalesced run of events on one object.
 //
@@ -45,7 +82,7 @@ func (d Delta) Gross() (adds, removes uint64) {
 
 // AddN raises the frequency of object x by k in one step, exactly as k Add
 // calls would but at cost O(blocks crossed) instead of O(k). k must be
-// non-negative; k = 0 is a no-op.
+// non-negative and within MaxMagnitude; k = 0 is a no-op.
 func (p *Profile) AddN(x int, k int64) error {
 	if x < 0 || int32(x) >= p.m {
 		return errObjectRange(x, int(p.m))
@@ -56,6 +93,9 @@ func (p *Profile) AddN(x int, k int64) error {
 	if k == 0 {
 		return nil
 	}
+	if err := p.checkStep(x, p.arena.at(p.ptrB[p.fToT[x]]).f, k, uint64(k), 0); err != nil {
+		return err
+	}
 	p.addN(int32(x), k)
 	return nil
 }
@@ -64,7 +104,8 @@ func (p *Profile) AddN(x int, k int64) error {
 // Remove calls would but at cost O(blocks crossed) instead of O(k). In strict
 // mode the check applies to the net result: RemoveN fails with
 // ErrNegativeFrequency if the final frequency would be negative, and leaves
-// the profile unchanged. k must be non-negative; k = 0 is a no-op.
+// the profile unchanged. k must be non-negative and within MaxMagnitude;
+// k = 0 is a no-op.
 func (p *Profile) RemoveN(x int, k int64) error {
 	if x < 0 || int32(x) >= p.m {
 		return errObjectRange(x, int(p.m))
@@ -75,10 +116,12 @@ func (p *Profile) RemoveN(x int, k int64) error {
 	if k == 0 {
 		return nil
 	}
-	if p.opts.StrictNonNegative {
-		if f := p.arena.at(p.ptrB[p.fToT[x]]).f; f-k < 0 {
-			return fmt.Errorf("%w: object %d has frequency %d, removing %d", ErrNegativeFrequency, x, f, k)
-		}
+	f := p.arena.at(p.ptrB[p.fToT[x]]).f
+	if err := p.checkStep(x, f, -k, 0, uint64(k)); err != nil {
+		return err
+	}
+	if p.opts.StrictNonNegative && f-k < 0 {
+		return fmt.Errorf("%w: object %d has frequency %d, removing %d", ErrNegativeFrequency, x, f, k)
 	}
 	p.removeN(int32(x), k)
 	return nil
@@ -87,7 +130,9 @@ func (p *Profile) RemoveN(x int, k int64) error {
 // ApplyDelta applies one coalesced delta. Strict mode checks the net result:
 // a delta whose final frequency is non-negative succeeds even if some
 // per-event interleaving of its gross counts would have failed mid-way
-// (e.g. a remove arriving before the add that covers it).
+// (e.g. a remove arriving before the add that covers it). A delta that
+// would take the frequency or a counter past MaxMagnitude fails with
+// ErrOutOfRange.
 func (p *Profile) ApplyDelta(d Delta) error {
 	x := d.Object
 	if x < 0 || int32(x) >= p.m {
@@ -97,6 +142,10 @@ func (p *Profile) ApplyDelta(d Delta) error {
 	if adds == 0 && removes == 0 {
 		return nil
 	}
+	f := p.arena.at(p.ptrB[p.fToT[x]]).f
+	if err := p.checkStep(x, f, d.Delta, adds, removes); err != nil {
+		return err
+	}
 	if int64(adds)-int64(removes) != d.Delta {
 		return fmt.Errorf("core: delta for object %d nets %+d but records %d adds and %d removes",
 			x, d.Delta, adds, removes)
@@ -105,10 +154,8 @@ func (p *Profile) ApplyDelta(d Delta) error {
 	case d.Delta > 0:
 		p.addN(int32(x), d.Delta)
 	case d.Delta < 0:
-		if p.opts.StrictNonNegative {
-			if f := p.arena.at(p.ptrB[p.fToT[x]]).f; f+d.Delta < 0 {
-				return fmt.Errorf("%w: object %d has frequency %d, delta %+d", ErrNegativeFrequency, x, f, d.Delta)
-			}
+		if p.opts.StrictNonNegative && f+d.Delta < 0 {
+			return fmt.Errorf("%w: object %d has frequency %d, delta %+d", ErrNegativeFrequency, x, f, d.Delta)
 		}
 		p.removeN(int32(x), -d.Delta)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -166,6 +168,55 @@ func TestApplyDeltaGrossCounters(t *testing.T) {
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeltaPathBoundsCounts pins MaxMagnitude on the delta path: a step
+// that would take a frequency, the total or a counter past it fails with
+// ErrOutOfRange and leaves the profile as it was, however large the counts.
+func TestDeltaPathBoundsCounts(t *testing.T) {
+	const bound = MaxMagnitude
+	for _, tc := range []struct {
+		name  string
+		setup func(p *Profile) error
+		step  func(p *Profile) error
+	}{
+		{"AddN past MaxInt64", nil, func(p *Profile) error { return p.AddN(0, math.MaxInt64) }},
+		{"AddN past the bound", func(p *Profile) error { return p.AddN(0, bound) },
+			func(p *Profile) error { return p.AddN(0, 10) }},
+		{"RemoveN past the bound", func(p *Profile) error { return p.RemoveN(0, bound) },
+			func(p *Profile) error { return p.RemoveN(0, 1) }},
+		{"total past the bound", func(p *Profile) error { return p.AddN(0, bound) },
+			func(p *Profile) error { return p.AddN(1, 1) }},
+		// A load may leave a frequency at the bound with counters below it.
+		{"frequency past the bound", func(p *Profile) error { return p.LoadFrequencies([]int64{bound, -bound, 0}, 0, 0) },
+			func(p *Profile) error { return p.ApplyDelta(Delta{Object: 0, Delta: 1}) }},
+		{"adds above MaxInt64", nil, func(p *Profile) error {
+			return p.ApplyDelta(Delta{Object: 0, Delta: 0, Adds: 1 << 63, Removes: 1 << 63})
+		}},
+		{"net MinInt64", nil, func(p *Profile) error { return p.ApplyDelta(Delta{Object: 0, Delta: math.MinInt64}) }},
+		{"counters past the bound", func(p *Profile) error {
+			return p.ApplyDelta(Delta{Object: 0, Delta: 0, Adds: bound, Removes: bound})
+		}, func(p *Profile) error { return p.ApplyDelta(Delta{Object: 1, Delta: 1}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := MustNew(3)
+			if tc.setup != nil {
+				if err := tc.setup(p); err != nil {
+					t.Fatalf("setup at the bound: %v", err)
+				}
+			}
+			before, freqs := p.Summarize(), p.Frequencies(nil)
+			if err := tc.step(p); !errors.Is(err, ErrOutOfRange) {
+				t.Fatalf("step = %v, want ErrOutOfRange", err)
+			}
+			if after := p.Summarize(); after != before || !slices.Equal(p.Frequencies(nil), freqs) {
+				t.Fatalf("refused step changed the profile: %+v, want %+v", after, before)
+			}
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -109,9 +109,9 @@ func ReadSnapshot(r io.Reader) (*Profile, error) {
 		opts.StrictNonNegative = true
 	}
 	p := newProfile(int32(mu), opts)
-	p.loadFrequencies(freqs)
-	p.adds = adds
-	p.removes = removes
+	if err := p.LoadFrequencies(freqs, adds, removes); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -155,20 +155,37 @@ func (p *Profile) StrictNonNegative() bool { return p.opts.StrictNonNegative }
 // historical totals (they must net out to the summed frequencies). It is the
 // restore half of checkpointing — unlike FromFrequencies it preserves the
 // original event bookkeeping instead of synthesising a minimal one — and
-// costs O(m). Validation happens before any mutation, so a failed load
-// leaves the profile untouched.
+// costs O(m). The counters, the sum of the positive frequencies and the sum
+// of the negative ones must each lie within MaxMagnitude, as they do in any
+// profile the checked delta path built (its adds counter bounds the first
+// sum, its removes counter the second). Validation happens before any
+// mutation, so a failed load leaves the profile untouched.
 func (p *Profile) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 	if len(freqs) != int(p.m) {
 		return fmt.Errorf("%w: %d frequencies for capacity %d", ErrBadSnapshot, len(freqs), p.m)
 	}
-	var net int64
+	if adds > MaxMagnitude || removes > MaxMagnitude {
+		return fmt.Errorf("%w: %d adds and %d removes exceed %d", ErrBadSnapshot, adds, removes, uint64(MaxMagnitude))
+	}
+	var pos, neg uint64 // the magnitudes of the positive and the negative frequencies' sums
 	for x, f := range freqs {
 		if f < 0 && p.opts.StrictNonNegative {
-			return fmt.Errorf("%w: object %d has frequency %d", ErrNegativeFrequency, x, f)
+			return fmt.Errorf("%w: %w: object %d has frequency %d", ErrBadSnapshot, ErrNegativeFrequency, x, f)
 		}
-		net += f
+		// Both sums are within MaxMagnitude before the step and a magnitude
+		// is at most 2^63, so neither wraps. MaxMagnitude is 2^62-1, so the
+		// one comparison of their OR checks both.
+		if f >= 0 {
+			pos += uint64(f)
+		} else {
+			neg += uint64(-f)
+		}
+		if pos|neg > MaxMagnitude {
+			return fmt.Errorf("%w: frequency %d of object %d takes the frequencies' sums past %d",
+				ErrBadSnapshot, f, x, uint64(MaxMagnitude))
+		}
 	}
-	if int64(adds)-int64(removes) != net {
+	if net := int64(pos) - int64(neg); int64(adds)-int64(removes) != net {
 		return fmt.Errorf("%w: %d adds - %d removes does not net to total %d",
 			ErrBadSnapshot, adds, removes, net)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -111,6 +112,68 @@ func TestReadSnapshotRejectsCorruptInput(t *testing.T) {
 	data := buf.Bytes()
 	if _, err := ReadSnapshot(bytes.NewReader(data[:len(data)-3])); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("truncated body: error = %v, want ErrBadSnapshot", err)
+	}
+
+	// Frequencies whose sum wraps int64, and counters that do not net to
+	// them.
+	for name, body := range map[string][]int64{
+		"wrapping frequencies": {math.MaxInt64, math.MaxInt64, 2},
+		"counters off the sum": {1, 2, 3},
+	} {
+		data := []byte("SPF1\x00\x03\x00\x00")
+		for _, f := range body {
+			data = binary.AppendVarint(data, f)
+		}
+		if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: error = %v, want ErrBadSnapshot", name, err)
+		}
+	}
+}
+
+// TestLoadFrequenciesBoundsCounts pins MaxMagnitude on loads: counters past
+// it, or frequencies whose positive or negative sum passes it, are
+// ErrBadSnapshot and leave the profile as it was; loads at the bound work.
+func TestLoadFrequenciesBoundsCounts(t *testing.T) {
+	const bound = MaxMagnitude
+	for _, tc := range []struct {
+		name          string
+		strict        bool
+		freqs         []int64
+		adds, removes uint64
+	}{
+		{"sum wrapping int64", true, []int64{math.MaxInt64, math.MaxInt64, 2}, 0, 0},
+		{"positive sum past the bound", false, []int64{bound, 1, 0}, bound + 1, 0},
+		{"negative sum past the bound", false, []int64{-bound, -1, 0}, 0, bound + 1},
+		{"MinInt64", false, []int64{math.MinInt64, 0, 0}, 0, 1 << 63},
+		{"counters past the bound", false, []int64{0, 0, 0}, bound + 1, bound + 1},
+	} {
+		var opts []Option
+		if tc.strict {
+			opts = append(opts, WithStrictNonNegative())
+		}
+		p := MustNew(3, opts...)
+		if err := p.AddN(1, 5); err != nil {
+			t.Fatal(err)
+		}
+		before := p.Summarize()
+		if err := p.LoadFrequencies(tc.freqs, tc.adds, tc.removes); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: load = %v, want ErrBadSnapshot", tc.name, err)
+		}
+		if after := p.Summarize(); after != before {
+			t.Errorf("%s: refused load changed the profile to %+v, want %+v", tc.name, after, before)
+		}
+	}
+	p := MustNew(3)
+	for _, load := range []struct {
+		freqs         []int64
+		adds, removes uint64
+	}{{[]int64{bound, -bound, 0}, 0, 0}, {[]int64{bound, 0, 0}, bound, 0}, {[]int64{0, 0, -bound}, 0, bound}} {
+		if err := p.LoadFrequencies(load.freqs, load.adds, load.removes); err != nil {
+			t.Fatalf("load of %v at the bound: %v", load.freqs, err)
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

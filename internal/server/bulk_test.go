@@ -41,14 +41,11 @@ func TestBulkIngestsNDJSON(t *testing.T) {
 	if out.Applied != 5 {
 		t.Fatalf("applied %d events, want 5", out.Applied)
 	}
-	var entry entryResponse
-	getJSON(t, ts, "/v1/stats/count?object=alice", &entry)
-	if entry.Frequency != 3 {
-		t.Fatalf("alice at %d, want 3", entry.Frequency)
+	if f := countOf(t, ts, "alice"); f != 3 {
+		t.Fatalf("alice at %d, want 3", f)
 	}
-	getJSON(t, ts, "/v1/stats/count?object=bob", &entry)
-	if entry.Frequency != 0 {
-		t.Fatalf("bob at %d, want 0", entry.Frequency)
+	if f := countOf(t, ts, "bob"); f != 0 {
+		t.Fatalf("bob at %d, want 0", f)
 	}
 }
 
@@ -70,10 +67,8 @@ func TestBulkChunksLargeStreams(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || out.Applied != n {
 		t.Fatalf("status %d applied %d (%s), want %d", resp.StatusCode, out.Applied, out.Error, n)
 	}
-	var entry entryResponse
-	getJSON(t, ts, "/v1/stats/count?object=hot", &entry)
-	if entry.Frequency != n {
-		t.Fatalf("hot at %d, want %d", entry.Frequency, n)
+	if f := countOf(t, ts, "hot"); f != n {
+		t.Fatalf("hot at %d, want %d", f, n)
 	}
 }
 
@@ -165,9 +160,7 @@ func TestBulkDurable(t *testing.T) {
 	defer s2.Close()
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
-	var entry entryResponse
-	getJSON(t, ts2, "/v1/stats/count?object=alice", &entry)
-	if entry.Frequency != 2 {
-		t.Fatalf("alice recovered at %d, want 2", entry.Frequency)
+	if f := countOf(t, ts2, "alice"); f != 2 {
+		t.Fatalf("alice recovered at %d, want 2", f)
 	}
 }

@@ -106,9 +106,8 @@ func TestDegradedModeEntryAndRecovery(t *testing.T) {
 	}
 
 	// Reads keep serving from the intact in-memory profile.
-	var summary map[string]any
-	if resp := getJSON(t, ts, "/v1/stats/summary", &summary); resp.StatusCode != http.StatusOK {
-		t.Fatalf("read while degraded = %d", resp.StatusCode)
+	if resp, _, errRes := postQuery(t, ts, `{"summary":true}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("read while degraded = %d %+v", resp.StatusCode, errRes)
 	}
 
 	// /healthz and the gauge report the impairment.
@@ -178,7 +177,7 @@ func TestShedGate(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/stats/summary")
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(`{"summary":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +208,7 @@ func TestShedGate(t *testing.T) {
 	// Release the parked request; the slot frees and service resumes.
 	pw.Close()
 	<-done
-	r3, err := http.Get(ts.URL + "/v1/stats/summary")
+	r3, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(`{"summary":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +250,7 @@ func TestPanicRecovery(t *testing.T) {
 	}
 
 	// The server survives: the next request is served normally.
-	r2, err := http.Get(ts.URL + "/v1/stats/summary")
+	r2, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(`{"summary":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -68,10 +69,14 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// handleImport replays an export document into the server's profile through
-// the shared chunk applier: each entry becomes frequency add events.
-// Existing state is kept; imported counts add on top of it, so import into a
-// fresh server for an exact restore.
+// handleImport adds an export document's counts to the server's profile.
+// Every entry is validated before any is applied; each is then one
+// ApplyDelta of its frequency, the per-key step WAL replay takes, so the
+// cost does not grow with the frequencies. As in ApplyBatch, an entry that
+// fails leaves only itself unapplied, and "applied" counts the events of
+// the others. One WAL sync makes the applied entries durable before the
+// answer. Existing state is kept; imported counts add on top of it, so
+// import into a fresh server for an exact restore.
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -85,27 +90,42 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid import document: %v", err)
 		return
 	}
-	in := s.startIngest()
-	defer in.close()
 	for i, e := range doc.Objects {
 		if err := checkObject(e.Object); err != nil {
-			in.fail(w, fmt.Errorf("import entry %d: %w", i, err))
+			writeIngestError(w, 0, fmt.Errorf("import entry %d: %w", i, err))
 			return
 		}
 		if e.Frequency < 0 {
-			in.badRequest(w, "import entry %q has negative frequency %d", e.Object, e.Frequency)
+			writeJSON(w, http.StatusBadRequest, eventsResponse{
+				Error: fmt.Sprintf("import entry %q has negative frequency %d", e.Object, e.Frequency),
+				Code:  statusCode(http.StatusBadRequest),
+			})
 			return
 		}
-		t := sprofile.KeyedTuple[string]{Key: e.Object, Action: sprofile.ActionAdd}
-		for n := e.Frequency; n > 0; n-- {
-			if err := in.push(t); err != nil {
-				in.fail(w, err)
-				return
-			}
+	}
+	p := s.prof()
+	applied := 0
+	var firstErr error
+	for _, e := range doc.Objects {
+		err := p.ApplyDelta(e.Object, uint64(e.Frequency), 0)
+		if err == nil || errors.Is(err, sprofile.ErrWALAppend) {
+			applied += int(e.Frequency)
+		}
+		if errors.Is(err, sprofile.ErrWALAppend) {
+			// Applied but not journaled; the log fails every later append.
+			writeIngestError(w, applied, err)
+			return
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
-	if err := in.flush(); err != nil {
-		in.fail(w, err)
+	if err := p.Sync(); err != nil {
+		writeIngestError(w, applied, fmt.Errorf("%w: sync: %v", sprofile.ErrWALAppend, err))
+		return
+	}
+	if firstErr != nil {
+		writeIngestError(w, applied, firstErr)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"imported": len(doc.Objects)})

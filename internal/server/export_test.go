@@ -52,15 +52,12 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if importResp.StatusCode != http.StatusOK {
 		t.Fatalf("import = %d", importResp.StatusCode)
 	}
-	var mode entryResponse
-	getJSON(t, fresh, "/v1/stats/mode", &mode)
-	if mode.Object != "a" || mode.Frequency != 3 {
-		t.Fatalf("mode after import = %+v", mode)
+	res := mustQuery(t, fresh, `{"mode":true,"count":["b"]}`)
+	if res.Mode.Key != "a" || res.Mode.Frequency != 3 {
+		t.Fatalf("mode after import = %+v", res.Mode)
 	}
-	var count entryResponse
-	getJSON(t, fresh, "/v1/stats/count?object=b", &count)
-	if count.Frequency != 2 {
-		t.Fatalf("count(b) after import = %+v", count)
+	if res.Counts[0].Frequency != 2 {
+		t.Fatalf("count(b) after import = %+v", res.Counts[0])
 	}
 }
 
@@ -89,8 +86,11 @@ func TestImportValidation(t *testing.T) {
 func TestImportEmptyObjectIsOutOfRange(t *testing.T) {
 	ts := newTestServer(t, 10)
 	resp, out := postJSON(t, ts.URL+"/v1/import", `{"objects":[{"object":"a","frequency":2},{"object":"","frequency":1}]}`)
-	if resp.StatusCode != http.StatusBadRequest || out["code"] != "out_of_range" {
-		t.Fatalf("import of an empty object = %d %+v, want 400 out_of_range", resp.StatusCode, out)
+	if resp.StatusCode != http.StatusBadRequest || out["code"] != "out_of_range" || out["applied"] != 0.0 {
+		t.Fatalf("import of an empty object = %d %+v, want 400 out_of_range with 0 applied", resp.StatusCode, out)
+	}
+	if f := countOf(t, ts, "a"); f != 0 {
+		t.Fatalf("count(a) = %d after a rejected document, want 0", f)
 	}
 }
 
@@ -117,31 +117,53 @@ func TestImportAckIsDurable(t *testing.T) {
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
 	for object, want := range map[string]int64{"a": 3, "b": 2} {
-		var count entryResponse
-		getJSON(t, ts2, "/v1/stats/count?object="+object, &count)
-		if count.Frequency != want {
-			t.Fatalf("count(%s) recovered from the acknowledged import = %d, want %d", object, count.Frequency, want)
+		if f := countOf(t, ts2, object); f != want {
+			t.Fatalf("count(%s) recovered from the acknowledged import = %d, want %d", object, f, want)
 		}
 	}
 }
 
+// TestImportOverCapacity: an entry that fails leaves only itself
+// unapplied, and "applied" counts the events of the others.
 func TestImportOverCapacity(t *testing.T) {
 	ts := newTestServer(t, 2)
-	body := `{"objects":[
+	resp, out := postJSON(t, ts.URL+"/v1/import", `{"objects":[
 		{"object":"a","frequency":1},
-		{"object":"b","frequency":1},
+		{"object":"b","frequency":3},
 		{"object":"c","frequency":1}
-	]}`
-	resp, err := http.Post(ts.URL+"/v1/import", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	]}`)
+	if resp.StatusCode != http.StatusInsufficientStorage || out["applied"] != 4.0 {
+		t.Fatalf("over-capacity import = %d %+v, want 507 with 4 applied", resp.StatusCode, out)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusInsufficientStorage {
-		t.Fatalf("over-capacity import = %d, want 507", resp.StatusCode)
+	if a, b := countOf(t, ts, "a"), countOf(t, ts, "b"); a != 1 || b != 3 {
+		t.Fatalf("counts after a partial import: a %d, b %d; want 1 and 3", a, b)
 	}
 }
 
+// TestImportLargeFrequencyIsOneFsync pins that an import entry costs one
+// delta however large its frequency: an entry of frequency 10^6 on a WAL
+// server is applied and made durable by exactly one fsync.
+func TestImportLargeFrequencyIsOneFsync(t *testing.T) {
+	s, ts := newWALServer(t, Config{Capacity: 16})
+	defer s.Close()
+	before, _ := s.prof().WALStats()
+	if resp, out := postJSON(t, ts.URL+"/v1/import", `{"objects":[{"object":"big","frequency":1000000}]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("import = %d %+v", resp.StatusCode, out)
+	}
+	after, _ := s.prof().WALStats()
+	if fsyncs := after.Fsyncs - before.Fsyncs; fsyncs != 1 {
+		t.Fatalf("import of one entry of frequency 10^6 took %d fsyncs, want 1", fsyncs)
+	}
+	if f := countOf(t, ts, "big"); f != 1_000_000 {
+		t.Fatalf("count(big) = %d, want 10^6", f)
+	}
+}
+
+// TestRankEndpoint pins the README's recipe for an object's rank and
+// percentile: from one {"count":[o],"distribution":true} query, the rank is
+// the number of slots at or above o's frequency (1 = most frequent) and the
+// percentile the fraction of slots below it. The distribution counts every
+// slot, so its counts sum to the capacity.
 func TestRankEndpoint(t *testing.T) {
 	ts := newTestServer(t, 10)
 	postEvents(t, ts, `[
@@ -150,33 +172,28 @@ func TestRankEndpoint(t *testing.T) {
 		{"object":"popular","action":"add"},
 		{"object":"niche","action":"add"}
 	]`)
+	rank := func(object string) (frequency int64, rank int, percentile float64) {
+		res := mustQuery(t, ts, `{"count":["`+object+`"],"distribution":true}`)
+		frequency = res.Counts[0].Frequency
+		slots := 0
+		for _, fc := range res.Distribution {
+			slots += fc.Count
+			if fc.Freq >= frequency {
+				rank += fc.Count
+			}
+		}
+		return frequency, rank, float64(slots-rank) / float64(slots)
+	}
 
-	var rank rankResponse
-	resp := getJSON(t, ts, "/v1/stats/rank?object=popular", &rank)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("rank = %d", resp.StatusCode)
+	if f, r, p := rank("popular"); f != 3 || r != 1 || p != 0.9 {
+		t.Fatalf("rank(popular) = %d, %d, %g", f, r, p)
 	}
-	if rank.Frequency != 3 || rank.Rank != 1 {
-		t.Fatalf("rank(popular) = %+v", rank)
-	}
-	getJSON(t, ts, "/v1/stats/rank?object=niche", &rank)
-	if rank.Frequency != 1 || rank.Rank != 2 {
-		t.Fatalf("rank(niche) = %+v", rank)
+	if f, r, _ := rank("niche"); f != 1 || r != 2 {
+		t.Fatalf("rank(niche) = %d, %d", f, r)
 	}
 	// Unknown objects count as frequency zero and rank behind every active one.
-	getJSON(t, ts, "/v1/stats/rank?object=ghost", &rank)
-	if rank.Frequency != 0 || rank.Rank != 10 {
-		t.Fatalf("rank(ghost) = %+v", rank)
-	}
-
-	// Validation.
-	resp, err := http.Get(ts.URL + "/v1/stats/rank")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("rank without object = %d", resp.StatusCode)
+	if f, r, p := rank("ghost"); f != 0 || r != 10 || p != 0 {
+		t.Fatalf("rank(ghost) = %d, %d, %g", f, r, p)
 	}
 }
 
@@ -197,14 +214,6 @@ func TestExportImportMethodNotAllowed(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/import = %d", getResp.StatusCode)
-	}
-	rankResp, err := http.Post(ts.URL+"/v1/stats/rank", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rankResp.Body.Close()
-	if rankResp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /v1/stats/rank = %d", rankResp.StatusCode)
 	}
 }
 

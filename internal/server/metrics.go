@@ -37,12 +37,7 @@ var knownRoutes = map[string]bool{
 	"/healthz": true, "/metrics": true,
 	"/v1/events": true, "/v1/events/bulk": true, "/v1/query": true,
 	"/v1/admin/checkpoint": true, "/v1/admin/flush": true, "/v1/admin/promote": true,
-	"/v1/admin/failpoint": true,
-	"/v1/stats/mode":      true, "/v1/stats/top": true, "/v1/stats/min": true,
-	"/v1/stats/bottom": true, "/v1/stats/count": true, "/v1/stats/median": true,
-	"/v1/stats/quantile": true, "/v1/stats/majority": true,
-	"/v1/stats/distribution": true, "/v1/stats/summary": true,
-	"/v1/stats/rank": true, "/v1/export": true, "/v1/import": true,
+	"/v1/admin/failpoint": true, "/v1/export": true, "/v1/import": true,
 	"/v1/replication/snapshot": true, "/v1/replication/wal": true,
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,8 +33,28 @@ func postQuery(t *testing.T, ts *httptest.Server, body string) (*http.Response, 
 	return resp, res, errRes
 }
 
+// mustQuery posts a composite query and fails the test unless it answers 200.
+func mustQuery(t *testing.T, ts *httptest.Server, body string) sprofile.KeyedQueryResult[string] {
+	t.Helper()
+	resp, res, errRes := postQuery(t, ts, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/query %s = %d %+v", body, resp.StatusCode, errRes)
+	}
+	return res
+}
+
+// countOf reads one key's count through POST /v1/query.
+func countOf(t *testing.T, ts *httptest.Server, key string) int64 {
+	t.Helper()
+	body, err := json.Marshal(sprofile.KeyedQuery[string]{Count: []string{key}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustQuery(t, ts, string(body)).Counts[0].Frequency
+}
+
 // TestQueryEndpoint drives one composite query through POST /v1/query and
-// checks every requested statistic against the individual endpoints' truth.
+// checks every requested statistic against the ingested truth.
 func TestQueryEndpoint(t *testing.T) {
 	ts := newTestServer(t, 10)
 	for _, body := range []string{
@@ -98,91 +117,6 @@ func TestQueryEndpoint(t *testing.T) {
 	if total != res.Summary.Total {
 		t.Fatalf("distribution sums to %d but summary total is %d", total, res.Summary.Total)
 	}
-}
-
-// TestStatsRoutesProjectQuery pins every GET /v1/stats/* route as a
-// projection of POST /v1/query: after a fixed ingest, each route answers
-// exactly the matching field of one composite query. rank is checked against
-// the count and the distribution of that one answer, and ?k= above the
-// capacity answers the capacity's entries.
-func TestStatsRoutesProjectQuery(t *testing.T) {
-	const capacity = 8
-	// The one server mode keeps its subtest name.
-	t.Run("sync", func(t *testing.T) {
-		s, err := New(Config{Capacity: capacity, Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s)
-		t.Cleanup(ts.Close)
-		// a holds a strict majority; d is tracked but idle.
-		if resp, out := postEvents(t, ts, `[
-			{"object":"a","action":"add"},{"object":"a","action":"add"},{"object":"a","action":"add"},
-			{"object":"a","action":"add"},{"object":"a","action":"add"},{"object":"b","action":"add"},
-			{"object":"b","action":"add"},{"object":"c","action":"add"},{"object":"d","action":"add"},
-			{"object":"d","action":"remove"}]`); resp.StatusCode != http.StatusOK {
-			t.Fatalf("ingest = %d %+v", resp.StatusCode, out)
-		}
-		resp, res, errRes := postQuery(t, ts, `{"count":["a","ghost"],"mode":true,"min":true,
-			"top_k":100,"bottom_k":3,"median":true,"quantiles":[0.75],"majority":true,
-			"distribution":true,"summary":true}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("query = %d %+v", resp.StatusCode, errRes)
-		}
-		if len(res.TopK) != capacity || !res.Majority.Majority {
-			t.Fatalf("query answer %+v: want %d top entries and a majority", res, capacity)
-		}
-		entry := func(e sprofile.KeyedEntry[string], ties int) entryResponse {
-			return entryResponse{Object: e.Key, Frequency: e.Frequency, Ties: ties}
-		}
-		entries := func(es []sprofile.KeyedEntry[string]) []entryResponse {
-			out := make([]entryResponse, len(es))
-			for i, e := range es {
-				out[i] = entry(e, 0)
-			}
-			return out
-		}
-		rank := func(c sprofile.KeyedEntry[string]) rankResponse {
-			atLeast := 0
-			for _, fc := range res.Distribution {
-				if fc.Freq >= c.Frequency {
-					atLeast += fc.Count
-				}
-			}
-			return rankResponse{Object: c.Key, Frequency: c.Frequency, Rank: atLeast,
-				Percentile: float64(capacity-atLeast) / capacity}
-		}
-		type summaryResponse struct {
-			sprofile.Summary
-			Tracked int `json:"tracked"`
-		}
-		for _, tc := range []struct {
-			path      string
-			got, want any
-		}{
-			{"/v1/stats/mode", &entryResponse{}, entry(res.Mode.KeyedEntry, res.Mode.Ties)},
-			{"/v1/stats/min", &entryResponse{}, entry(res.Min.KeyedEntry, res.Min.Ties)},
-			{"/v1/stats/top?k=100", &[]entryResponse{}, entries(res.TopK)},
-			{"/v1/stats/bottom?k=3", &[]entryResponse{}, entries(res.BottomK)},
-			{"/v1/stats/count?object=a", &entryResponse{}, entry(res.Counts[0], 0)},
-			{"/v1/stats/count?object=ghost", &entryResponse{}, entry(res.Counts[1], 0)},
-			{"/v1/stats/median", &entryResponse{}, entry(*res.Median, 0)},
-			{"/v1/stats/quantile?q=0.75", &entryResponse{}, entry(res.Quantiles[0].KeyedEntry, 0)},
-			{"/v1/stats/majority", &majorityResponse{}, majorityResponse{
-				Object: res.Majority.Key, Frequency: res.Majority.Frequency, Majority: true}},
-			{"/v1/stats/distribution", &[]sprofile.FreqCount{}, res.Distribution},
-			{"/v1/stats/summary", &summaryResponse{}, summaryResponse{Summary: *res.Summary, Tracked: 4}},
-			{"/v1/stats/rank?object=a", &rankResponse{}, rank(res.Counts[0])},
-			{"/v1/stats/rank?object=ghost", &rankResponse{}, rank(res.Counts[1])},
-		} {
-			if resp := getJSON(t, ts, tc.path, tc.got); resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET %s = %d", tc.path, resp.StatusCode)
-			}
-			if got := reflect.ValueOf(tc.got).Elem().Interface(); !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("GET %s = %+v, want the query's %+v", tc.path, got, tc.want)
-			}
-		}
-	})
 }
 
 // TestQueryEndpointErrors pins the taxonomy → status code mapping of the

@@ -165,7 +165,7 @@ func TestServerReplicationFailover(t *testing.T) {
 	}
 
 	// A caught-up follower satisfies a generous staleness demand.
-	req, _ := http.NewRequest(http.MethodGet, fts.URL+"/v1/stats/mode", nil)
+	req, _ := http.NewRequest(http.MethodPost, fts.URL+"/v1/query", strings.NewReader(`{"mode":true}`))
 	req.Header.Set(HeaderMaxStaleness, "60000")
 	sresp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -198,7 +198,7 @@ func TestServerReplicationFailover(t *testing.T) {
 	// With the leader gone the staleness watermark grows without bound; a
 	// zero-tolerance read must now be refused.
 	time.Sleep(10 * time.Millisecond)
-	req, _ = http.NewRequest(http.MethodGet, fts.URL+"/v1/stats/mode", nil)
+	req, _ = http.NewRequest(http.MethodPost, fts.URL+"/v1/query", strings.NewReader(`{"mode":true}`))
 	req.Header.Set(HeaderMaxStaleness, "0")
 	sresp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -232,22 +232,18 @@ func TestServerReplicationFailover(t *testing.T) {
 	// Zero acked writes lost: every count the dead leader acknowledged is
 	// still answered, now by the promoted leader.
 	for k, v := range want {
-		var c entryResponse
-		getJSON(t, fts, "/v1/stats/count?object="+k, &c)
-		if c.Frequency != v {
-			t.Fatalf("after promote count(%s) = %d, want %d", k, c.Frequency, v)
+		if f := countOf(t, fts, k); f != v {
+			t.Fatalf("after promote count(%s) = %d, want %d", k, f, v)
 		}
 	}
 
 	// The promoted node accepts writes (appending to the very log it
 	// mirrored) and satisfies any staleness bound.
 	ingest(fts, "epsilon", "alpha")
-	var c entryResponse
-	getJSON(t, fts, "/v1/stats/count?object=alpha", &c)
-	if c.Frequency != want["alpha"] {
-		t.Fatalf("after promote+write count(alpha) = %d, want %d", c.Frequency, want["alpha"])
+	if f := countOf(t, fts, "alpha"); f != want["alpha"] {
+		t.Fatalf("after promote+write count(alpha) = %d, want %d", f, want["alpha"])
 	}
-	req, _ = http.NewRequest(http.MethodGet, fts.URL+"/v1/stats/mode", nil)
+	req, _ = http.NewRequest(http.MethodPost, fts.URL+"/v1/query", strings.NewReader(`{"mode":true}`))
 	req.Header.Set(HeaderMaxStaleness, "0")
 	sresp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -272,10 +268,8 @@ func TestServerReplicationFailover(t *testing.T) {
 	rts := httptest.NewServer(reborn)
 	defer rts.Close()
 	for k, v := range want {
-		var c entryResponse
-		getJSON(t, rts, "/v1/stats/count?object="+k, &c)
-		if c.Frequency != v {
-			t.Fatalf("after restart count(%s) = %d, want %d", k, c.Frequency, v)
+		if f := countOf(t, rts, k); f != v {
+			t.Fatalf("after restart count(%s) = %d, want %d", k, f, v)
 		}
 	}
 }

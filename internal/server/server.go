@@ -1,7 +1,7 @@
 // Package server exposes a keyed S-Profile over HTTP, realising the paper's
 // claim that the profiler "can be plugged into most of log streams in many
 // systems": producers POST (object, action) events as they happen, and
-// dashboards or alerting jobs GET the statistics — mode, top-K, quantiles,
+// dashboards or alerting jobs query the statistics — mode, top-K, quantiles,
 // the whole frequency distribution — at any time, each answered in constant
 // time from the maintained profile.
 //
@@ -13,29 +13,24 @@
 //	                             answered atomically from one cut
 //	POST /v1/admin/checkpoint    snapshot the profile and truncate the WAL
 //	POST /v1/admin/flush         durability barrier: sync the WAL
-//	GET  /v1/stats/mode          most frequent object
-//	GET  /v1/stats/top?k=10      top-K objects
-//	GET  /v1/stats/min           least frequent slot
-//	GET  /v1/stats/bottom?k=10   bottom-K slots
-//	GET  /v1/stats/count?object= frequency of one object
-//	GET  /v1/stats/median        median frequency
-//	GET  /v1/stats/quantile?q=   frequency quantile, q in [0,1]
-//	GET  /v1/stats/majority      strict-majority object, if any
-//	GET  /v1/stats/distribution  full frequency histogram
-//	GET  /v1/stats/summary       aggregate counters
-//	GET  /v1/stats/rank?object=  popularity rank of one object
+//	GET  /v1/export              every tracked object and its frequency
+//	POST /v1/import              add an export document's counts
 //	GET  /healthz                liveness probe
 //
-// Writes: /v1/events, /v1/events/bulk and /v1/import validate their events
-// and apply them through ApplyBatch in chunks of at most MaxBatch; one
-// /v1/events body is one chunk. An invalid event (bad action, empty or
-// oversized object) rejects its whole chunk with 400 and its taxonomy code,
-// while earlier chunks stay applied. Strict non-negativity is checked on
-// each key's net delta within a chunk, and a key that fails to apply leaves
-// only itself unapplied ("applied" counts the rest). Every write route
-// answers only after its chunks' group-commit fsync.
+// Writes: /v1/events and /v1/events/bulk validate their events and apply
+// them through ApplyBatch in chunks of at most MaxBatch; one /v1/events body
+// is one chunk. An invalid event (bad action, empty or oversized object)
+// rejects its whole chunk with 400 and its taxonomy code, while earlier
+// chunks stay applied. Strict non-negativity is checked on each key's net
+// delta within a chunk, and a key that fails to apply leaves only itself
+// unapplied ("applied" counts the rest). /v1/import validates every entry
+// first and then applies each as one ApplyDelta of its frequency, so its
+// cost does not grow with the frequencies; a failing entry leaves only
+// itself unapplied. Every write route answers only after its group-commit
+// fsync.
 //
-// Reads: each GET /v1/stats/* route is a projection of one QueryKeys call.
+// Reads: POST /v1/query is the one read route; every statistic, the number
+// of tracked keys included, is a field of one QueryKeys answer.
 //
 // Concurrency: the server holds no lock of its own. Handlers call a
 // sprofile.KeyedConcurrent directly — a chunk locks its keys' stripes and
@@ -375,9 +370,6 @@ func (s *Server) routes() {
 	s.mux.Handle("/v1/admin/flush", s.deadlineFunc(s.handleFlush))
 	if s.debugFailpoints {
 		s.mux.Handle("/v1/admin/failpoint", s.deadlineFunc(s.handleFailpoint))
-	}
-	for path, route := range statsRoutes {
-		s.mux.Handle(path, s.deadlineFunc(s.statsHandler(route.query, route.render)))
 	}
 	s.registerExportRoutes()
 	s.registerReplicationRoutes()
@@ -746,7 +738,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, eventsResponse{Applied: in.applied})
 }
 
-// chunkScratch is the pooled per-request buffer set of the write routes:
+// chunkScratch is the pooled per-request buffer set of the event routes:
 // the event chunk handed to ApplyBatch and, once the bulk route has used
 // it, the NDJSON line scanner's initial buffer. Pooling keeps the streaming
 // decode free of per-event allocations beyond the decoded key strings.
@@ -835,11 +827,15 @@ func (in *ingest) flush() error {
 }
 
 // fail answers a write that stopped on err, an invalid event or a chunk's
-// apply failure, with err's taxonomy status and code.
-func (in *ingest) fail(w http.ResponseWriter, err error) {
+// apply failure.
+func (in *ingest) fail(w http.ResponseWriter, err error) { writeIngestError(w, in.applied, err) }
+
+// writeIngestError answers a write that stopped on err, with err's taxonomy
+// status and code and the number of events applied before it.
+func writeIngestError(w http.ResponseWriter, applied int, err error) {
 	status, code := errorCode(err)
 	setRetryHint(w, err)
-	writeJSON(w, status, eventsResponse{Applied: in.applied, Error: err.Error(), Code: code})
+	writeJSON(w, status, eventsResponse{Applied: applied, Error: err.Error(), Code: code})
 }
 
 // badRequest answers a write whose body could not be read as events.

@@ -102,62 +102,46 @@ func TestIngestAndStats(t *testing.T) {
 		t.Fatalf("events: %d, %+v", resp.StatusCode, out)
 	}
 
-	var mode entryResponse
-	resp = getJSON(t, ts, "/v1/stats/mode", &mode)
-	if resp.StatusCode != http.StatusOK || mode.Object != "video-1" || mode.Frequency != 3 {
-		t.Fatalf("mode = %d %+v", resp.StatusCode, mode)
+	res := mustQuery(t, ts, `{"mode":true,"top_k":2,"count":["video-2","never-seen"],
+		"median":true,"quantiles":[1],"distribution":true}`)
+	if res.Mode.Key != "video-1" || res.Mode.Frequency != 3 {
+		t.Fatalf("mode = %+v", res.Mode)
+	}
+	if len(res.TopK) != 2 {
+		t.Fatalf("top = %+v", res.TopK)
+	}
+	if res.TopK[0].Key != "video-1" || res.TopK[0].Frequency != 3 {
+		t.Fatalf("top[0] = %+v", res.TopK[0])
+	}
+	if res.TopK[1].Key != "video-2" || res.TopK[1].Frequency != 2 {
+		t.Fatalf("top[1] = %+v", res.TopK[1])
+	}
+	if res.Counts[0].Frequency != 2 {
+		t.Fatalf("count = %+v", res.Counts[0])
+	}
+	if res.Counts[1].Frequency != 0 {
+		t.Fatalf("count of unknown object = %+v", res.Counts[1])
+	}
+	if res.Median == nil {
+		t.Fatalf("median missing: %+v", res)
+	}
+	if res.Quantiles[0].Frequency != 3 {
+		t.Fatalf("quantile(1) = %+v", res.Quantiles[0])
+	}
+	if len(res.Distribution) == 0 {
+		t.Fatalf("distribution = %+v", res.Distribution)
+	}
+	// tracked rides with the summary and only with it.
+	if res.Tracked != nil {
+		t.Fatalf("tracked = %d without the summary selected", *res.Tracked)
 	}
 
-	var top []entryResponse
-	resp = getJSON(t, ts, "/v1/stats/top?k=2", &top)
-	if resp.StatusCode != http.StatusOK || len(top) != 2 {
-		t.Fatalf("top = %d %+v", resp.StatusCode, top)
+	res = mustQuery(t, ts, `{"summary": true}`)
+	if res.Tracked == nil || *res.Tracked != 3 {
+		t.Fatalf("summary tracked = %v, want 3", res.Tracked)
 	}
-	if top[0].Object != "video-1" || top[0].Frequency != 3 {
-		t.Fatalf("top[0] = %+v", top[0])
-	}
-	if top[1].Object != "video-2" || top[1].Frequency != 2 {
-		t.Fatalf("top[1] = %+v", top[1])
-	}
-
-	var count entryResponse
-	resp = getJSON(t, ts, "/v1/stats/count?object=video-2", &count)
-	if resp.StatusCode != http.StatusOK || count.Frequency != 2 {
-		t.Fatalf("count = %d %+v", resp.StatusCode, count)
-	}
-	resp = getJSON(t, ts, "/v1/stats/count?object=never-seen", &count)
-	if resp.StatusCode != http.StatusOK || count.Frequency != 0 {
-		t.Fatalf("count of unknown object = %d %+v", resp.StatusCode, count)
-	}
-
-	var median entryResponse
-	resp = getJSON(t, ts, "/v1/stats/median", &median)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("median = %d", resp.StatusCode)
-	}
-
-	var quantile entryResponse
-	resp = getJSON(t, ts, "/v1/stats/quantile?q=1", &quantile)
-	if resp.StatusCode != http.StatusOK || quantile.Frequency != 3 {
-		t.Fatalf("quantile(1) = %d %+v", resp.StatusCode, quantile)
-	}
-
-	var dist []map[string]any
-	resp = getJSON(t, ts, "/v1/stats/distribution", &dist)
-	if resp.StatusCode != http.StatusOK || len(dist) == 0 {
-		t.Fatalf("distribution = %d %+v", resp.StatusCode, dist)
-	}
-
-	var summary map[string]any
-	resp = getJSON(t, ts, "/v1/stats/summary", &summary)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("summary = %d", resp.StatusCode)
-	}
-	if summary["tracked"].(float64) != 3 {
-		t.Fatalf("summary tracked = %v, want 3", summary["tracked"])
-	}
-	if summary["total"].(float64) != 5 {
-		t.Fatalf("summary total = %v, want 5", summary["total"])
+	if res.Summary.Total != 5 {
+		t.Fatalf("summary total = %v, want 5", res.Summary.Total)
 	}
 }
 
@@ -197,10 +181,8 @@ func TestIngestValidation(t *testing.T) {
 		t.Fatalf("partial batch: %d %+v, want 400 invalid_action with 0 applied", resp.StatusCode, out)
 	}
 	for _, object := range []string{"a", "b"} {
-		var count entryResponse
-		getJSON(t, ts, "/v1/stats/count?object="+object, &count)
-		if count.Frequency != 0 {
-			t.Fatalf("count(%s) = %d after a rejected body, want 0", object, count.Frequency)
+		if f := countOf(t, ts, object); f != 0 {
+			t.Fatalf("count(%s) = %d after a rejected body, want 0", object, f)
 		}
 	}
 }
@@ -217,10 +199,8 @@ func TestSingleEventForm(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || out.Applied != 1 {
 		t.Fatalf("array event = %d %+v", resp.StatusCode, out)
 	}
-	var count entryResponse
-	getJSON(t, ts, "/v1/stats/count?object=solo", &count)
-	if count.Frequency != 2 {
-		t.Fatalf("count after both forms = %+v", count)
+	if f := countOf(t, ts, "solo"); f != 2 {
+		t.Fatalf("count after both forms = %d", f)
 	}
 	// A single malformed object is still rejected.
 	resp, _ = postEvents(t, ts, `{"object":"solo","action":"add","extra":1}`)
@@ -245,51 +225,34 @@ func TestMinBottomMajority(t *testing.T) {
 		t.Fatalf("ingest = %d %+v", resp.StatusCode, out)
 	}
 
+	res := mustQuery(t, ts, `{"min":true,"bottom_k":3,"majority":true}`)
 	// Two of four slots are untracked, so the minimum frequency is zero with
 	// two ties.
-	var min entryResponse
-	if resp := getJSON(t, ts, "/v1/stats/min", &min); resp.StatusCode != http.StatusOK {
-		t.Fatalf("min = %d", resp.StatusCode)
+	if res.Min.Frequency != 0 || res.Min.Ties != 2 {
+		t.Fatalf("min = %+v, want frequency 0 with 2 ties", res.Min)
 	}
-	if min.Frequency != 0 || min.Ties != 2 {
-		t.Fatalf("min = %+v, want frequency 0 with 2 ties", min)
-	}
-
-	var bottom []entryResponse
-	if resp := getJSON(t, ts, "/v1/stats/bottom?k=3", &bottom); resp.StatusCode != http.StatusOK {
-		t.Fatalf("bottom = %d", resp.StatusCode)
-	}
-	if len(bottom) != 3 || bottom[0].Frequency != 0 || bottom[2].Frequency != 1 {
+	if bottom := res.BottomK; len(bottom) != 3 || bottom[0].Frequency != 0 || bottom[2].Frequency != 1 {
 		t.Fatalf("bottom = %+v", bottom)
 	}
-	if resp, err := http.Get(ts.URL + "/v1/stats/bottom?k=0"); err != nil || resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bottom with k=0 = %v %v", resp.StatusCode, err)
-	} else {
-		resp.Body.Close()
+	if resp, _, errRes := postQuery(t, ts, `{"bottom_k":-1}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bottom_k -1 = %d %+v", resp.StatusCode, errRes)
 	}
 
 	// a holds 3 of 4 counts: a strict majority.
-	var maj majorityResponse
-	if resp := getJSON(t, ts, "/v1/stats/majority", &maj); resp.StatusCode != http.StatusOK {
-		t.Fatalf("majority = %d", resp.StatusCode)
-	}
-	if !maj.Majority || maj.Object != "a" || maj.Frequency != 3 {
+	if maj := res.Majority; !maj.Majority || maj.Key != "a" || maj.Frequency != 3 {
 		t.Fatalf("majority = %+v", maj)
 	}
 
 	// Level the counts: no strict majority any more.
 	postEvents(t, ts, `[{"object":"b","action":"add"},{"object":"b","action":"add"}]`)
-	if resp := getJSON(t, ts, "/v1/stats/majority", &maj); resp.StatusCode != http.StatusOK {
-		t.Fatalf("majority after levelling = %d", resp.StatusCode)
-	}
-	if maj.Majority {
+	if maj := mustQuery(t, ts, `{"majority":true}`).Majority; maj.Majority {
 		t.Fatalf("majority after levelling = %+v, want none", maj)
 	}
 }
 
 // TestParallelIngestAndQuery hammers the mutex-free hot path from many
-// goroutines — writers on disjoint keys, readers across every stats route —
-// and then verifies no update was lost. With -race this doubles as the
+// goroutines — writers on disjoint keys, readers asking for every statistic
+// and the export — and then verifies no update was lost. With -race this doubles as the
 // server-layer concurrency conformance test.
 func TestParallelIngestAndQuery(t *testing.T) {
 	ts := newTestServer(t, 1000)
@@ -315,22 +278,30 @@ func TestParallelIngestAndQuery(t *testing.T) {
 			errCh <- nil
 		}(w)
 	}
-	routes := []string{
-		"/v1/stats/mode", "/v1/stats/min", "/v1/stats/top?k=5", "/v1/stats/bottom?k=5",
-		"/v1/stats/median", "/v1/stats/quantile?q=0.9", "/v1/stats/majority",
-		"/v1/stats/distribution", "/v1/stats/summary", "/v1/export",
+	// Each read is a query (POST) or the export (GET, empty body).
+	reads := []string{
+		`{"mode":true}`, `{"min":true}`, `{"top_k":5}`, `{"bottom_k":5}`,
+		`{"median":true}`, `{"quantiles":[0.9]}`, `{"majority":true}`,
+		`{"distribution":true}`, `{"summary":true}`, "",
 	}
 	for rdr := 0; rdr < readers; rdr++ {
 		go func(rdr int) {
 			for i := 0; i < 40; i++ {
-				resp, err := http.Get(ts.URL + routes[(rdr+i)%len(routes)])
+				read := reads[(rdr+i)%len(reads)]
+				var resp *http.Response
+				var err error
+				if read == "" {
+					resp, err = http.Get(ts.URL + "/v1/export")
+				} else {
+					resp, err = http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(read))
+				}
 				if err != nil {
 					errCh <- err
 					return
 				}
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					errCh <- fmt.Errorf("reader: %s -> %d", routes[(rdr+i)%len(routes)], resp.StatusCode)
+					errCh <- fmt.Errorf("reader: %q -> %d", read, resp.StatusCode)
 					return
 				}
 			}
@@ -342,12 +313,11 @@ func TestParallelIngestAndQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var summary map[string]any
-	getJSON(t, ts, "/v1/stats/summary", &summary)
-	if got := summary["adds"].(float64); got != writers*perWriter {
+	summary := mustQuery(t, ts, `{"summary":true}`).Summary
+	if got := summary.Adds; got != writers*perWriter {
 		t.Fatalf("adds = %v, want %d", got, writers*perWriter)
 	}
-	if got := summary["total"].(float64); got != writers*perWriter {
+	if got := summary.Total; got != writers*perWriter {
 		t.Fatalf("total = %v, want %d", got, writers*perWriter)
 	}
 }
@@ -385,22 +355,15 @@ func TestBatchLimit(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	ts := newTestServer(t, 10)
-	paths := []string{
-		"/v1/stats/mode", "/v1/stats/top", "/v1/stats/min", "/v1/stats/bottom",
-		"/v1/stats/majority", "/v1/stats/count", "/v1/stats/median",
-		"/v1/stats/quantile", "/v1/stats/distribution", "/v1/stats/summary", "/healthz",
+	resp, err := http.Post(ts.URL+"/healthz", "application/json", bytes.NewReader(nil))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, path := range paths {
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Fatalf("POST %s = %d, want 405", path, resp.StatusCode)
-		}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /healthz = %d, want 405", resp.StatusCode)
 	}
-	resp, err := http.Get(ts.URL + "/v1/events")
+	resp, err = http.Get(ts.URL + "/v1/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,36 +373,57 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-func TestQueryParamValidation(t *testing.T) {
+// TestFormerStatsRoutesAnswer404 pins that POST /v1/query is the only read
+// route: no path of the single-statistic GET routes it replaced is served,
+// and their requests count under the "other" route label.
+func TestFormerStatsRoutesAnswer404(t *testing.T) {
 	ts := newTestServer(t, 10)
 	postEvents(t, ts, `[{"object":"a","action":"add"}]`)
 	for _, path := range []string{
-		"/v1/stats/top?k=0",
-		"/v1/stats/top?k=-1",
-		"/v1/stats/top?k=abc",
-		"/v1/stats/count",
-		"/v1/stats/quantile?q=2",
-		"/v1/stats/quantile?q=abc",
-		"/v1/stats/quantile",
-		// k is bounded by MaxBatch (default 10 000), like the query lists.
-		"/v1/stats/top?k=10001",
-		"/v1/stats/bottom?k=10001",
+		"/v1/stats/mode", "/v1/stats/min", "/v1/stats/top?k=2", "/v1/stats/bottom?k=2",
+		"/v1/stats/count?object=a", "/v1/stats/median", "/v1/stats/quantile?q=0.5",
+		"/v1/stats/majority", "/v1/stats/distribution", "/v1/stats/summary",
+		"/v1/stats/rank?object=a",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("GET %s = %d, want 400", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
+		}
+		if label := routeLabel(strings.SplitN(path, "?", 2)[0]); label != "other" {
+			t.Errorf("route label of %s = %q, want other", path, label)
 		}
 	}
-	// k = MaxBatch answers, clamped to the capacity of 10.
-	for _, path := range []string{"/v1/stats/top?k=10000", "/v1/stats/bottom?k=10000"} {
-		var entries []entryResponse
-		if resp := getJSON(t, ts, path, &entries); resp.StatusCode != http.StatusOK || len(entries) != 10 {
-			t.Fatalf("GET %s = %d with %d entries, want 200 with 10", path, resp.StatusCode, len(entries))
+}
+
+// TestQueryParamValidation: k and q are query-document fields. A negative
+// or mistyped k and a mistyped q are refused with 400; a q outside [0, 1]
+// is clamped, as the Quantile getter clamps it.
+func TestQueryParamValidation(t *testing.T) {
+	ts := newTestServer(t, 10)
+	postEvents(t, ts, `[{"object":"a","action":"add"}]`)
+	for _, body := range []string{
+		`{"top_k":-1}`,
+		`{"top_k":"abc"}`,
+		`{"quantiles":["abc"]}`,
+		// k is bounded by MaxBatch (default 10 000), like the query lists.
+		`{"top_k":10001}`,
+		`{"bottom_k":10001}`,
+	} {
+		if resp, _, errRes := postQuery(t, ts, body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST /v1/query %s = %d %+v, want 400", body, resp.StatusCode, errRes)
 		}
+	}
+	if q := mustQuery(t, ts, `{"quantiles":[2]}`).Quantiles[0]; q.Q != 2 || q.Frequency != 1 {
+		t.Fatalf("q = 2 answered %+v, want the q = 1 entry", q)
+	}
+	// k = MaxBatch answers, clamped to the capacity of 10.
+	res := mustQuery(t, ts, `{"top_k":10000,"bottom_k":10000}`)
+	if len(res.TopK) != 10 || len(res.BottomK) != 10 {
+		t.Fatalf("k = MaxBatch answered %d top and %d bottom entries, want 10 each", len(res.TopK), len(res.BottomK))
 	}
 }
 
@@ -458,7 +442,7 @@ func TestConcurrentClients(t *testing.T) {
 				}
 				resp.Body.Close()
 				if i%10 == 0 {
-					r, err := http.Get(ts.URL + "/v1/stats/mode")
+					r, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(`{"mode":true}`))
 					if err != nil {
 						errCh <- err
 						return
@@ -474,9 +458,7 @@ func TestConcurrentClients(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var summary map[string]any
-	getJSON(t, ts, "/v1/stats/summary", &summary)
-	if got := summary["adds"].(float64); got != clients*50 {
+	if got := mustQuery(t, ts, `{"summary":true}`).Summary.Adds; got != clients*50 {
 		t.Fatalf("adds = %v, want %d", got, clients*50)
 	}
 }
@@ -517,13 +499,12 @@ func TestDecodersRejectTrailingData(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status = %d %+v, want %d", resp.StatusCode, out, tc.status)
 			}
-			var summary map[string]any
-			getJSON(t, ts, "/v1/stats/summary", &summary)
+			summary := mustQuery(t, ts, `{"summary":true}`).Summary
 			if tc.status != http.StatusOK {
 				if out.Code != "bad_request" {
 					t.Fatalf("code = %q, want bad_request", out.Code)
 				}
-				if total := summary["total"].(float64); total != 0 {
+				if total := summary.Total; total != 0 {
 					t.Fatalf("rejected body applied %v events", total)
 				}
 			}

@@ -53,15 +53,12 @@ func TestServerWALRecovery(t *testing.T) {
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
 
-	var mode entryResponse
-	getJSON(t, ts2, "/v1/stats/mode", &mode)
-	if mode.Object != "video-1" || mode.Frequency != 2 {
-		t.Fatalf("mode after recovery = %+v", mode)
+	res := mustQuery(t, ts2, `{"mode":true,"count":["video-2"]}`)
+	if res.Mode.Key != "video-1" || res.Mode.Frequency != 2 {
+		t.Fatalf("mode after recovery = %+v", res.Mode)
 	}
-	var count entryResponse
-	getJSON(t, ts2, "/v1/stats/count?object=video-2", &count)
-	if count.Frequency != 0 {
-		t.Fatalf("count(video-2) after recovery = %+v", count)
+	if res.Counts[0].Frequency != 0 {
+		t.Fatalf("count(video-2) after recovery = %+v", res.Counts[0])
 	}
 
 	// New events after recovery keep appending to the same log.
@@ -218,16 +215,11 @@ func TestServerCheckpointEndpoint(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
-	var count entryResponse
-	if resp := getJSON(t, ts2, "/v1/stats/count?object=video-1", &count); resp.StatusCode != http.StatusOK {
-		t.Fatalf("count status = %d", resp.StatusCode)
+	res := mustQuery(t, ts2, `{"count":["video-1"],"summary":true}`)
+	if res.Counts[0].Frequency != 2 {
+		t.Fatalf("recovered count(video-1) = %d, want 2", res.Counts[0].Frequency)
 	}
-	if count.Frequency != 2 {
-		t.Fatalf("recovered count(video-1) = %d, want 2", count.Frequency)
-	}
-	var summary map[string]any
-	getJSON(t, ts2, "/v1/stats/summary", &summary)
-	if got := summary["total"].(float64); got != 4 {
+	if got := res.Summary.Total; got != 4 {
 		t.Fatalf("recovered total = %v, want 4", got)
 	}
 }

@@ -79,6 +79,12 @@ func TestAppendBatchValidates(t *testing.T) {
 	if _, err := d.Append(Record{Key: huge, Action: core.ActionAdd}); err == nil {
 		t.Fatal("oversized key accepted by Append")
 	}
+	// Neither are counts past the bound a profile takes in one delta.
+	for _, e := range []BatchEntry{{Key: "x", Adds: core.MaxMagnitude + 1}, {Key: "x", Removes: 1 << 63}} {
+		if _, err := d.AppendBatch([]BatchEntry{e}); err == nil {
+			t.Fatalf("entry %+v accepted", e)
+		}
+	}
 	// Rejected batches must leave the stream clean for later appends.
 	if _, err := d.AppendBatch([]BatchEntry{{Key: "ok", Adds: 1}}); err != nil {
 		t.Fatal(err)

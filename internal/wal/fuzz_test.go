@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -26,8 +27,9 @@ import (
 //     prefix of whole physical records, so a batch is never split.
 //
 // The seeds are the codec cases of the unit tests: a clean segment, bad
-// magic, a short header, an absurd key length mid-stream, torn single and
-// batch records, and an SWL1 log.
+// magic, a short header, an absurd key length mid-stream, a batch entry
+// whose adds pass core.MaxMagnitude, torn single and batch records, and an
+// SWL1 log.
 func FuzzReplaySegment(f *testing.F) {
 	dir := f.TempDir()
 	d, err := OpenDir(dir, Options{}, nil, 1, 0)
@@ -51,6 +53,7 @@ func FuzzReplaySegment(f *testing.F) {
 		[]byte("NOPE"),
 		[]byte("SW"),
 		append(slices.Clone(clean), 0xFF, 0xFF, 0xFF, 0xFF, 0x7F),
+		append(binary.AppendUvarint(append(slices.Clone(clean), 0, 1, 1, 'x'), core.MaxMagnitude+1), 0),
 		append(slices.Clone(clean), 10, 'c', 'u', 't'),
 		append(slices.Clone(clean), 0, 3, 1, 'x', 5),
 		legacyLog,

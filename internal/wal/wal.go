@@ -24,6 +24,10 @@
 //	          adds    uvarint  gross add events coalesced for the key
 //	          removes uvarint  gross remove events coalesced for the key
 //
+// Neither count may exceed core.MaxMagnitude, the bound past which the
+// profile refuses a delta: an entry beyond it could never have been applied,
+// so the append side refuses it and the read side calls it corrupt.
+//
 // The stream lives in a directory of rotating "SWL2" segment files with
 // monotonic ids (Dir; see segment.go), which the checkpoint subsystem
 // (internal/checkpoint) combines with snapshots so recovery replays only the
@@ -67,8 +71,9 @@ type Record struct {
 }
 
 // BatchEntry is one coalesced (key, gross adds, gross removes) element of a
-// batch record. At least one of the counts must be nonzero; a pair of equal
-// counts is a valid record of events that cancelled out.
+// batch record. At least one of the counts must be nonzero and neither may
+// exceed core.MaxMagnitude; a pair of equal counts is a valid record of
+// events that cancelled out.
 type BatchEntry struct {
 	Key           string
 	Adds, Removes uint64
@@ -211,6 +216,9 @@ func readPhysicalRecord(br *bufio.Reader, scratch []Record) ([]Record, error) {
 			if adds == 0 && removes == 0 {
 				return nil, fmt.Errorf("%w: empty batch entry for key %q", ErrCorrupt, key)
 			}
+			if adds > core.MaxMagnitude || removes > core.MaxMagnitude {
+				return nil, fmt.Errorf("%w: batch entry for key %q records %d adds and %d removes", ErrCorrupt, key, adds, removes)
+			}
 			scratch = append(scratch, Record{Key: key, Batch: true, Adds: adds, Removes: removes})
 		}
 		return scratch, nil
@@ -314,6 +322,10 @@ func validateBatch(entries []BatchEntry) error {
 		}
 		if entries[i].Adds == 0 && entries[i].Removes == 0 {
 			return fmt.Errorf("wal: batch entry for key %q records no events", entries[i].Key)
+		}
+		if entries[i].Adds > core.MaxMagnitude || entries[i].Removes > core.MaxMagnitude {
+			return fmt.Errorf("wal: batch entry for key %q records %d adds and %d removes, past the %d a profile takes",
+				entries[i].Key, entries[i].Adds, entries[i].Removes, uint64(core.MaxMagnitude))
 		}
 	}
 	return nil

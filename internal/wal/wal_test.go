@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -168,6 +169,19 @@ func TestCorruptHeaderAndRecords(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("replayed %d records before corruption, want 1", n)
+	}
+
+	// So is a batch entry whose counts pass the bound no writer journals.
+	d, logDir = openTestDir(t, Options{})
+	mustAppend(t, d, Record{Key: "fine", Action: core.ActionAdd})
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	badBatch := segmentPath(logDir, 1)
+	appendRaw(t, badBatch, append(binary.AppendUvarint([]byte{0, 1, 1, 'x'}, core.MaxMagnitude+1), 0))
+	n, err = ReplaySegment(badBatch, true, func(Record) error { return nil })
+	if !errors.Is(err, ErrCorrupt) || n != 1 {
+		t.Fatalf("batch entry past the bound: replayed %d records, error %v; want 1 and ErrCorrupt", n, err)
 	}
 }
 

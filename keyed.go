@@ -48,10 +48,11 @@ type keyedQueries[K comparable] struct {
 	resolver keyResolver[K]
 }
 
-// keyResolver resolves a dense id back to its key; both idmap.Mapper and
-// idmap.Striped satisfy it.
+// keyResolver resolves a dense id back to its key and counts the keys
+// holding one; both idmap.Mapper and idmap.Striped satisfy it.
 type keyResolver[K comparable] interface {
 	Key(id int) (K, bool)
+	Len() int
 }
 
 // Cap returns the maximum number of concurrently tracked keys.
@@ -168,9 +169,10 @@ func (q *keyedQueries[K]) Summarize() Summary { return q.profile.Summarize() }
 func (q *keyedQueries[K]) Profile() Profiler { return NewReadOnly(q.profile) }
 
 // translateQueryResult resolves every dense id in a composite query answer
-// back to its key through the resolver. The caller guarantees the resolver
-// cannot change between the statistics and the translation (single
-// goroutine for Keyed, a quiesced mapper for KeyedConcurrent).
+// back to its key through the resolver, and sets Tracked beside a Summary.
+// The caller guarantees the resolver cannot change between the statistics
+// and the translation (single goroutine for Keyed, a quiesced mapper for
+// KeyedConcurrent).
 func (q *keyedQueries[K]) translateQueryResult(dr QueryResult) KeyedQueryResult[K] {
 	var out KeyedQueryResult[K]
 	if dr.Mode != nil {
@@ -199,7 +201,11 @@ func (q *keyedQueries[K]) translateQueryResult(dr QueryResult) KeyedQueryResult[
 		}
 	}
 	out.Distribution = dr.Distribution
-	out.Summary = dr.Summary
+	if dr.Summary != nil {
+		out.Summary = dr.Summary
+		tracked := q.resolver.Len()
+		out.Tracked = &tracked
+	}
 	return out
 }
 

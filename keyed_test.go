@@ -43,6 +43,14 @@ func TestKeyedBasicFlow(t *testing.T) {
 	if k.Total() != 3 {
 		t.Fatalf("Total() = %d, want 3", k.Total())
 	}
+	// A composite query reports the tracked keys beside the summary only.
+	res, err := k.QueryKeys(sprofile.KeyedQuery[string]{Summary: true})
+	if err != nil || res.Tracked == nil || *res.Tracked != 3 || res.Summary.Total != 3 {
+		t.Fatalf("QueryKeys(summary) = (%+v, tracked %v, %v)", res.Summary, res.Tracked, err)
+	}
+	if res, err := k.QueryKeys(sprofile.KeyedQuery[string]{Mode: true}); err != nil || res.Tracked != nil {
+		t.Fatalf("QueryKeys(mode) = (tracked %v, %v), want no tracked count", res.Tracked, err)
+	}
 	if k.Cap() != 8 {
 		t.Fatalf("Cap() = %d, want 8", k.Cap())
 	}

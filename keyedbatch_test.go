@@ -3,6 +3,7 @@ package sprofile_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -319,6 +320,36 @@ func TestKeyedApplyDeltaSingleKey(t *testing.T) {
 	}
 	if k.Tracked() != 1 {
 		t.Fatalf("no-op delta tracked a key: %d", k.Tracked())
+	}
+}
+
+// TestKeyedApplyDeltaBoundsCounts: counts above MaxInt64, and a step that
+// would take a count past the profile's bound of MaxInt64/2, fail with
+// ErrOutOfRange and leave the key, the tracked keys and the counters as they
+// were. WAL replay and the replication stream drive this path with counts
+// read from bytes.
+func TestKeyedApplyDeltaBoundsCounts(t *testing.T) {
+	const bound = math.MaxInt64 / 2
+	k := sprofile.MustBuildKeyed[string](4, sprofile.Synchronized())
+	if err := k.ApplyDelta("x", math.MaxInt64, 0); !errors.Is(err, sprofile.ErrOutOfRange) {
+		t.Fatalf("MaxInt64 adds = %v, want ErrOutOfRange", err)
+	}
+	if k.Tracked() != 0 {
+		t.Fatalf("a refused first delta tracked its key: %d", k.Tracked())
+	}
+	if err := k.ApplyDelta("x", bound, 0); err != nil {
+		t.Fatalf("adds at the bound: %v", err)
+	}
+	for _, d := range []struct{ adds, removes uint64 }{{10, 0}, {1 << 63, 1 << 63}, {0, math.MaxUint64}} {
+		if err := k.ApplyDelta("x", d.adds, d.removes); !errors.Is(err, sprofile.ErrOutOfRange) {
+			t.Fatalf("ApplyDelta(x, %d, %d) = %v, want ErrOutOfRange", d.adds, d.removes, err)
+		}
+	}
+	if f, _ := k.Count("x"); f != bound {
+		t.Fatalf("count(x) = %d, want %d", f, int64(bound))
+	}
+	if s := k.Summarize(); s.Total != bound || s.Adds != bound || s.Removes != 0 {
+		t.Fatalf("summary %+v after refused deltas, want total and adds %d", s, int64(bound))
 	}
 }
 

@@ -334,10 +334,10 @@ func (k *KeyedConcurrent[K]) CheckpointError() error {
 // The capture quiesces writers by holding every mapper stripe lock (each
 // update path takes one first), which yields an exact cut: the snapshot
 // covers precisely the events journaled before the rotation it performs.
-// Readers are never blocked — queries synchronise only on the profile's
-// shard locks, which the capture holds just long enough to clone the dense
-// state. Serialisation and fsync of the snapshot happen entirely outside the
-// update path, and one checkpoint runs at a time.
+// With every stripe lock held the dense profile cannot change, so the
+// capture reads each key's count from it in place. Serialisation and fsync
+// of the snapshot happen entirely outside the update path, and one
+// checkpoint runs at a time.
 func (k *KeyedConcurrent[K]) Checkpoint() error {
 	if k.store == nil {
 		return errNoWAL
@@ -348,17 +348,12 @@ func (k *KeyedConcurrent[K]) Checkpoint() error {
 			if err != nil {
 				return
 			}
-			var snap *Profile
-			snap, err = k.dense.Snapshot()
-			if err != nil {
-				return
-			}
-			adds, removes := snap.Events()
+			adds, removes := k.dense.events()
 			n := k.ids.Len()
 			keys := make([]string, 0, n)
 			counts := make([]int64, 0, n)
 			k.ids.RangeLocked(func(key K, id int) bool {
-				f, cerr := snap.Count(id)
+				f, cerr := k.dense.Count(id)
 				if cerr != nil {
 					err = cerr
 					return false
@@ -440,10 +435,11 @@ func (k *KeyedConcurrent[K]) Apply(key K, action Action) error {
 
 // QueryKeys answers a keyed composite query from ONE quiesced cut: every
 // mapper stripe lock is held for the duration (writers wait, readers of
-// other structures proceed), so the dense statistics, the per-key counts and
-// the id→key translation all describe the same instant — a translated key
-// can never have been recycled between a statistic and its resolution, which
-// the individual getters cannot promise under concurrent ingest.
+// other structures proceed), so the dense statistics, the per-key counts,
+// the tracked-key count and the id→key translation all describe the same
+// instant — a translated key can never have been recycled between a
+// statistic and its resolution, which the individual getters cannot promise
+// under concurrent ingest.
 //
 // The dense evaluation is Sharded.Query: one read-locked cut evaluated by
 // core.EvalQuery, on the shard's own profile when there is one shard and on
@@ -707,7 +703,9 @@ func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 // adds-removes in one step. A key whose events cancel out is still acquired
 // (and left idle), exactly as the per-event sequence would. A key unknown
 // to the profile is acquired only when the delta records at least one add
-// event; otherwise it fails like Remove.
+// event; otherwise it fails like Remove. Counts that would take the key's
+// frequency or its shard's adds or removes counter past math.MaxInt64/2
+// fail with ErrOutOfRange and change nothing.
 func (k *KeyedConcurrent[K]) ApplyDelta(key K, adds, removes uint64) error {
 	if adds == 0 && removes == 0 {
 		return nil

@@ -121,6 +121,9 @@ type KeyedQueryResult[K comparable] struct {
 	Majority     *KeyedMajority[K]  `json:"majority,omitempty"`
 	Distribution []FreqCount        `json:"distribution,omitempty"`
 	Summary      *Summary           `json:"summary,omitempty"`
+	// Tracked is the number of keys holding a dense id (the Tracked getter),
+	// read from the same cut as Summary and set exactly when Summary is.
+	Tracked *int `json:"tracked,omitempty"`
 
 	// Replication, when the query was answered by a replicated server,
 	// carries the staleness watermark of the node that answered: the WAL

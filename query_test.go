@@ -201,9 +201,9 @@ func TestQueryAtomicSharded(t *testing.T) {
 
 // TestQueryAtomicKeyedConcurrent pins that QueryKeys on KeyedConcurrent is
 // one quiesced cut under concurrent keyed ingest: beyond the dense
-// invariants, a single-writer key's mode must equal the total (only adds of
-// tracked keys ever happen), which individual Mode()+Summarize() calls can
-// tear.
+// invariants, the per-key counts must sum to the total and the tracked-key
+// count must equal the keys counted so far (only adds of four keys ever
+// happen), which individual getter calls can tear.
 func TestQueryAtomicKeyedConcurrent(t *testing.T) {
 	k := sprofile.MustBuildKeyed[string](64, sprofile.WithSharding(4))
 	keys := []string{"alpha", "beta", "gamma", "delta"}
@@ -261,6 +261,15 @@ func TestQueryAtomicKeyedConcurrent(t *testing.T) {
 		}
 		if keySum != res.Summary.Total {
 			t.Fatalf("torn cut: key counts sum to %d, summary total %d", keySum, res.Summary.Total)
+		}
+		seen := 0
+		for _, e := range res.Counts {
+			if e.Frequency > 0 {
+				seen++
+			}
+		}
+		if res.Tracked == nil || *res.Tracked != seen {
+			t.Fatalf("torn cut: tracked %v, %d keys counted", res.Tracked, seen)
 		}
 	}
 	stop.Store(true)

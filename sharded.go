@@ -350,6 +350,19 @@ func (s *Sharded) Total() int64 {
 	return s.merged().Total()
 }
 
+// events returns the adds and removes counters summed over one cut of every
+// shard.
+func (s *Sharded) events() (adds, removes uint64) {
+	s.rlockAll()
+	defer s.runlockAll()
+	for i := range s.shards {
+		a, r := s.shards[i].p.Events()
+		adds += a
+		removes += r
+	}
+	return adds, removes
+}
+
 // rlockAll takes every shard's read lock, in index order, so that a global
 // read sees one cut of the whole profile; runlockAll releases them.
 func (s *Sharded) rlockAll() {
@@ -605,8 +618,10 @@ func (s *Sharded) Snapshot() (*Profile, error) {
 // totals. Each shard receives its id range plus the minimal event counts
 // that produce it; the surplus of the historical counters over that minimum
 // is attributed to shard 0, so Summarize sums back to exactly the totals
-// given. Validation runs before any shard is mutated; the shards then load
-// concurrently, on at most GOMAXPROCS goroutines.
+// given. Every shard's counters must stay within math.MaxInt64/2, the bound
+// each shard's delta path keeps. Validation runs before any shard is
+// mutated; the shards then load concurrently, on at most GOMAXPROCS
+// goroutines.
 func (s *Sharded) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 	if len(freqs) != s.m {
 		return fmt.Errorf("%w: %d frequencies for capacity %d", core.ErrBadSnapshot, len(freqs), s.m)
@@ -617,25 +632,44 @@ func (s *Sharded) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 	var totalAdds, totalRemoves uint64
 	for i := range s.shards {
 		sh := &s.shards[i]
+		var a, r uint64
 		for x, f := range freqs[sh.base : sh.base+sh.p.Cap()] {
-			switch {
-			case f > 0:
-				synthAdds[i] += uint64(f)
-			case f < 0:
-				if strict {
-					return fmt.Errorf("%w: object %d has frequency %d", core.ErrNegativeFrequency, sh.base+x, f)
-				}
-				synthRemoves[i] += uint64(-f)
+			if f < 0 && strict {
+				return fmt.Errorf("%w: object %d has frequency %d", core.ErrNegativeFrequency, sh.base+x, f)
+			}
+			// Both sums are within the bound before the step and a
+			// magnitude is at most 2^63, so neither wraps. The bound is
+			// 2^62-1, so the one comparison of their OR checks both.
+			if f >= 0 {
+				a += uint64(f)
+			} else {
+				r += uint64(-f)
+			}
+			if a|r > core.MaxMagnitude {
+				return fmt.Errorf("%w: frequency %d of object %d takes its shard's counters past %d",
+					core.ErrBadSnapshot, f, sh.base+x, uint64(core.MaxMagnitude))
 			}
 		}
-		totalAdds += synthAdds[i]
-		totalRemoves += synthRemoves[i]
+		synthAdds[i], synthRemoves[i] = a, r
+		// Historical counters can only exceed the minimal ones (extra
+		// add/remove pairs that cancelled out); checking as the sums grow
+		// keeps them from wrapping.
+		if a > adds-totalAdds || r > removes-totalRemoves {
+			return fmt.Errorf("%w: %d adds - %d removes does not produce the loaded frequencies",
+				core.ErrBadSnapshot, adds, removes)
+		}
+		totalAdds += a
+		totalRemoves += r
 	}
-	// Historical counters can only exceed the minimal ones (extra add/remove
-	// pairs that cancelled out), and must net to the same total.
-	if adds < totalAdds || removes < totalRemoves || adds-totalAdds != removes-totalRemoves {
+	// The surplus must net to zero and fit in shard 0's counters.
+	surplus := adds - totalAdds
+	if surplus != removes-totalRemoves {
 		return fmt.Errorf("%w: %d adds - %d removes does not produce the loaded frequencies",
 			core.ErrBadSnapshot, adds, removes)
+	}
+	if surplus > core.MaxMagnitude-max(synthAdds[0], synthRemoves[0]) {
+		return fmt.Errorf("%w: %d adds and %d removes take shard 0's counters past %d",
+			core.ErrBadSnapshot, adds, removes, uint64(core.MaxMagnitude))
 	}
 	s.lockAll()
 	defer s.unlockAll()
@@ -643,8 +677,8 @@ func (s *Sharded) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 		sh := &s.shards[i]
 		a, r := synthAdds[i], synthRemoves[i]
 		if i == 0 {
-			a += adds - totalAdds
-			r += removes - totalRemoves
+			a += surplus
+			r += surplus
 		}
 		return sh.p.LoadFrequencies(freqs[sh.base:sh.base+sh.p.Cap()], a, r)
 	})

@@ -2,6 +2,8 @@ package sprofile_test
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -418,6 +420,46 @@ func TestShardedSnapshotPreservesBookkeeping(t *testing.T) {
 	}
 	if snapSum, shardedSum := snap.Summarize(), s.Summarize(); snapSum != shardedSum {
 		t.Fatalf("snapshot summary %+v != sharded summary %+v", snapSum, shardedSum)
+	}
+}
+
+// TestShardedLoadFrequenciesBoundsCounts: a load that would take a shard's
+// frequencies or counters past MaxInt64/2, the bound each shard's delta
+// path keeps, is ErrBadSnapshot before any shard is touched. Each shard may
+// reach the bound on its own.
+func TestShardedLoadFrequenciesBoundsCounts(t *testing.T) {
+	const bound = math.MaxInt64 / 2
+	s := sprofile.MustNewSharded(4, 2) // shard 0 holds ids 0-1, shard 1 ids 2-3
+	if err := s.Add(3); err != nil {
+		t.Fatal(err)
+	}
+	before, freqs := s.Summarize(), []int64{0, 0, 0, 1}
+	for _, tc := range []struct {
+		name          string
+		freqs         []int64
+		adds, removes uint64
+	}{
+		{"sum wrapping int64", []int64{math.MaxInt64, math.MaxInt64, 2, 0}, 0, 0},
+		{"one shard past the bound", []int64{0, 0, bound, 1}, bound + 1, 0},
+		{"MinInt64", []int64{0, 0, math.MinInt64, 0}, 0, 1 << 63},
+		{"surplus past shard 0", []int64{bound, 0, 0, 0}, bound + 1, 1},
+	} {
+		if err := s.LoadFrequencies(tc.freqs, tc.adds, tc.removes); !errors.Is(err, sprofile.ErrBadSnapshot) {
+			t.Errorf("%s: load = %v, want ErrBadSnapshot", tc.name, err)
+		}
+		got := make([]int64, 4)
+		for x := range got {
+			got[x], _ = s.Count(x)
+		}
+		if after := s.Summarize(); after != before || !slices.Equal(got, freqs) {
+			t.Errorf("%s: refused load changed the profile to %+v %v", tc.name, after, got)
+		}
+	}
+	if err := s.LoadFrequencies([]int64{bound, 0, bound, 0}, 2*bound, 0); err != nil {
+		t.Fatalf("both shards at the bound: %v", err)
+	}
+	if f, _ := s.Count(2); f != bound {
+		t.Fatalf("Count(2) = %d, want %d", f, int64(bound))
 	}
 }
 
