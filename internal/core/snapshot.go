@@ -155,11 +155,11 @@ func (p *Profile) StrictNonNegative() bool { return p.opts.StrictNonNegative }
 // historical totals (they must net out to the summed frequencies). It is the
 // restore half of checkpointing — unlike FromFrequencies it preserves the
 // original event bookkeeping instead of synthesising a minimal one — and
-// costs O(m). The counters, the sum of the positive frequencies and the sum
-// of the negative ones must each lie within MaxMagnitude, as they do in any
-// profile the checked delta path built (its adds counter bounds the first
-// sum, its removes counter the second). Validation happens before any
-// mutation, so a failed load leaves the profile untouched.
+// costs O(m). The counters and FrequencySums must lie within MaxMagnitude,
+// as they do in any profile the checked delta path built (its adds counter
+// bounds the positive sum, its removes counter the negative one).
+// Validation happens before any mutation, so a failed load leaves the
+// profile untouched.
 func (p *Profile) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 	if len(freqs) != int(p.m) {
 		return fmt.Errorf("%w: %d frequencies for capacity %d", ErrBadSnapshot, len(freqs), p.m)
@@ -167,10 +167,29 @@ func (p *Profile) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 	if adds > MaxMagnitude || removes > MaxMagnitude {
 		return fmt.Errorf("%w: %d adds and %d removes exceed %d", ErrBadSnapshot, adds, removes, uint64(MaxMagnitude))
 	}
-	var pos, neg uint64 // the magnitudes of the positive and the negative frequencies' sums
+	pos, neg, err := FrequencySums(freqs, p.opts.StrictNonNegative, 0)
+	if err != nil {
+		return err
+	}
+	if net := int64(pos) - int64(neg); int64(adds)-int64(removes) != net {
+		return fmt.Errorf("%w: %d adds - %d removes does not net to total %d",
+			ErrBadSnapshot, adds, removes, net)
+	}
+	p.loadFrequencies(freqs)
+	p.adds = adds
+	p.removes = removes
+	return nil
+}
+
+// FrequencySums returns the sum of the positive frequencies in freqs and
+// the magnitude of the sum of the negative ones: the fewest adds and
+// removes that produce them. It fails with ErrBadSnapshot when either sum
+// passes MaxMagnitude, or when strict and a frequency is negative; base is
+// the id of freqs[0], to name the object in the error.
+func FrequencySums(freqs []int64, strict bool, base int) (pos, neg uint64, err error) {
 	for x, f := range freqs {
-		if f < 0 && p.opts.StrictNonNegative {
-			return fmt.Errorf("%w: %w: object %d has frequency %d", ErrBadSnapshot, ErrNegativeFrequency, x, f)
+		if f < 0 && strict {
+			return 0, 0, fmt.Errorf("%w: %w: object %d has frequency %d", ErrBadSnapshot, ErrNegativeFrequency, base+x, f)
 		}
 		// Both sums are within MaxMagnitude before the step and a magnitude
 		// is at most 2^63, so neither wraps. MaxMagnitude is 2^62-1, so the
@@ -181,18 +200,11 @@ func (p *Profile) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 			neg += uint64(-f)
 		}
 		if pos|neg > MaxMagnitude {
-			return fmt.Errorf("%w: frequency %d of object %d takes the frequencies' sums past %d",
-				ErrBadSnapshot, f, x, uint64(MaxMagnitude))
+			return 0, 0, fmt.Errorf("%w: frequency %d of object %d takes the frequencies' sums past %d",
+				ErrBadSnapshot, f, base+x, uint64(MaxMagnitude))
 		}
 	}
-	if net := int64(pos) - int64(neg); int64(adds)-int64(removes) != net {
-		return fmt.Errorf("%w: %d adds - %d removes does not net to total %d",
-			ErrBadSnapshot, adds, removes, net)
-	}
-	p.loadFrequencies(freqs)
-	p.adds = adds
-	p.removes = removes
-	return nil
+	return pos, neg, nil
 }
 
 // loadFrequencies overwrites the profile's state so that object x has

@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"sprofile"
+	"sprofile/internal/core"
 )
 
 // exportEntry is the wire form of one tracked object in an export document.
@@ -70,13 +71,16 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleImport adds an export document's counts to the server's profile.
-// Every entry is validated before any is applied; each is then one
-// ApplyDelta of its frequency, the per-key step WAL replay takes, so the
-// cost does not grow with the frequencies. As in ApplyBatch, an entry that
-// fails leaves only itself unapplied, and "applied" counts the events of
-// the others. One WAL sync makes the applied entries durable before the
-// answer. Existing state is kept; imported counts add on top of it, so
-// import into a fresh server for an exact restore.
+// Every entry is validated before any is applied: a negative frequency, or
+// one past core.MaxMagnitude, which no profile can hold, refuses the whole
+// document. Each entry is then one ApplyDelta of its frequency, the per-key
+// step WAL replay takes, so the cost does not grow with the frequencies. As
+// in ApplyBatch, an entry that fails (one that would take the profile's
+// adds past the bound among them) leaves only itself unapplied, and
+// "applied" counts the events of the others, which the bound keeps below
+// 2^62. One WAL sync makes the applied entries durable before the answer.
+// Existing state is kept; imported counts add on top of it, so import into
+// a fresh server for an exact restore.
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -96,10 +100,12 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if e.Frequency < 0 {
-			writeJSON(w, http.StatusBadRequest, eventsResponse{
-				Error: fmt.Sprintf("import entry %q has negative frequency %d", e.Object, e.Frequency),
-				Code:  statusCode(http.StatusBadRequest),
-			})
+			writeBadRequest(w, 0, "import entry %q has negative frequency %d", e.Object, e.Frequency)
+			return
+		}
+		if e.Frequency > core.MaxMagnitude {
+			writeIngestError(w, 0, fmt.Errorf("%w: import entry %q has frequency %d, past the %d a profile holds",
+				sprofile.ErrOutOfRange, e.Object, e.Frequency, int64(core.MaxMagnitude)))
 			return
 		}
 	}

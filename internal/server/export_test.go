@@ -2,12 +2,15 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestExportImportRoundTrip(t *testing.T) {
@@ -63,19 +66,24 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 func TestImportValidation(t *testing.T) {
 	ts := newTestServer(t, 10)
-	cases := map[string]string{
-		"not json":           `nope`,
-		"empty object":       `{"objects":[{"object":"","frequency":1}]}`,
-		"negative frequency": `{"objects":[{"object":"x","frequency":-2}]}`,
+	cases := map[string]struct{ body, code string }{
+		"not json":           {`nope`, "bad_request"},
+		"empty object":       {`{"objects":[{"object":"","frequency":1}]}`, "out_of_range"},
+		"negative frequency": {`{"objects":[{"object":"x","frequency":-2}]}`, "bad_request"},
+		// 2^62, one past MaxInt64/2: no profile can hold it, so the
+		// document is refused whole, the valid entry before it included.
+		"frequency past the bound": {`{"objects":[{"object":"x","frequency":1},{"object":"y","frequency":4611686018427387904}]}`, "out_of_range"},
 	}
-	for name, body := range cases {
-		resp, err := http.Post(ts.URL+"/v1/import", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	for name, tc := range cases {
+		resp, out := postJSON(t, ts.URL+"/v1/import", tc.body)
+		if resp.StatusCode != http.StatusBadRequest || out["code"] != tc.code {
+			t.Fatalf("%s: import = %d %+v, want 400 %s", name, resp.StatusCode, out, tc.code)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: import = %d, want 400", name, resp.StatusCode)
+		if applied, ok := out["applied"]; ok && applied != 0.0 {
+			t.Fatalf("%s: %v applied, want 0", name, applied)
+		}
+		if f := countOf(t, ts, "x"); f != 0 {
+			t.Fatalf("%s: count(x) = %d after a refused document, want 0", name, f)
 		}
 	}
 }
@@ -157,6 +165,73 @@ func TestImportLargeFrequencyIsOneFsync(t *testing.T) {
 	if f := countOf(t, ts, "big"); f != 1_000_000 {
 		t.Fatalf("count(big) = %d, want 10^6", f)
 	}
+}
+
+// TestImportAtTheBound: imports may fill the profile's adds counter to
+// the bound, MaxInt64/2, and no further. On a two-shard WAL server an
+// import to one below the bound, a checkpoint and an import of 1 apply;
+// later adds of any key, on either shard, are refused with 400
+// out_of_range; and the state still exports, replicates to a one-shard
+// follower (snapshot plus tail), checkpoints and comes back after a
+// restart.
+func TestImportAtTheBound(t *testing.T) {
+	const bound = math.MaxInt64 / 2
+	cfg := Config{Capacity: 8, Shards: 2, WALPath: filepath.Join(t.TempDir(), "wal")}
+	s, ts := newWALServer(t, cfg)
+	for _, step := range []struct{ path, body string }{
+		{"/v1/import", fmt.Sprintf(`{"objects":[{"object":"a","frequency":%d}]}`, bound-1)},
+		{"/v1/admin/checkpoint", ""},
+		{"/v1/import", `{"objects":[{"object":"b","frequency":1}]}`},
+	} {
+		if resp, out := postJSON(t, ts.URL+step.path, step.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s up to the bound = %d %+v", step.path, resp.StatusCode, out)
+		}
+	}
+	for i := range 6 {
+		key := fmt.Sprintf("k%d", i)
+		resp, out := postJSON(t, ts.URL+"/v1/import", `{"objects":[{"object":"`+key+`","frequency":1}]}`)
+		if resp.StatusCode != http.StatusBadRequest || out["code"] != "out_of_range" || out["applied"] != 0.0 {
+			t.Fatalf("import of %s past the bound = %d %+v, want 400 out_of_range with 0 applied", key, resp.StatusCode, out)
+		}
+	}
+	if resp, out := postEvents(t, ts, `[{"object":"c","action":"add"}]`); resp.StatusCode != http.StatusBadRequest || out.Code != "out_of_range" {
+		t.Fatalf("add past the bound = %d %+v, want 400 out_of_range", resp.StatusCode, out)
+	}
+	var doc exportDoc
+	if resp := getJSON(t, ts, "/v1/export", &doc); resp.StatusCode != http.StatusOK {
+		t.Fatalf("export at the bound = %d", resp.StatusCode)
+	}
+	if len(doc.Objects) != 2 || doc.Objects[0] != (exportEntry{Object: "a", Frequency: bound - 1}) || doc.Objects[1] != (exportEntry{Object: "b", Frequency: 1}) {
+		t.Fatalf("export at the bound = %+v, want a at %d and b at 1", doc.Objects, int64(bound-1))
+	}
+	atTheBound := func(stage string, ts *httptest.Server) {
+		t.Helper()
+		res := mustQuery(t, ts, `{"count":["a","b"],"summary":true}`)
+		if res.Counts[0].Frequency != bound-1 || res.Counts[1].Frequency != 1 || res.Summary.Total != bound || res.Summary.Adds != bound {
+			t.Fatalf("%s: counts %+v, summary %+v; want a at %d, b at 1, total and adds %d",
+				stage, res.Counts, res.Summary, int64(bound-1), int64(bound))
+		}
+	}
+	follower, err := New(Config{Capacity: 8, Shards: 1, WALPath: filepath.Join(t.TempDir(), "follower"), Follow: ts.URL, FollowPoll: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("one-shard follower at the bound: %v", err)
+	}
+	defer follower.Close()
+	fts := httptest.NewServer(follower)
+	defer fts.Close()
+	seg, off := leaderPosition(t, ts)
+	waitForCaughtUp(t, follower, seg, off)
+	atTheBound("one-shard follower", fts)
+
+	if resp, out := postJSON(t, ts.URL+"/v1/admin/checkpoint", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpoint at the bound = %d %+v", resp.StatusCode, out)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, ts2 := newWALServer(t, cfg)
+	defer s2.Close()
+	atTheBound("restart", ts2)
 }
 
 // TestRankEndpoint pins the README's recipe for an object's rank and

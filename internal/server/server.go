@@ -24,9 +24,10 @@
 // chunks stay applied. Strict non-negativity is checked on each key's net
 // delta within a chunk, and a key that fails to apply leaves only itself
 // unapplied ("applied" counts the rest). /v1/import validates every entry
-// first and then applies each as one ApplyDelta of its frequency, so its
-// cost does not grow with the frequencies; a failing entry leaves only
-// itself unapplied. Every write route answers only after its group-commit
+// first (a frequency past core.MaxMagnitude refuses the document) and then
+// applies each as one ApplyDelta of its frequency, so its cost does not
+// grow with the frequencies; a failing entry, one that would take the
+// profile's adds past the bound among them, leaves only itself unapplied. Every write route answers only after its group-commit
 // fsync.
 //
 // Reads: POST /v1/query is the one read route; every statistic, the number
@@ -838,9 +839,10 @@ func writeIngestError(w http.ResponseWriter, applied int, err error) {
 	writeJSON(w, status, eventsResponse{Applied: applied, Error: err.Error(), Code: code})
 }
 
-// badRequest answers a write whose body could not be read as events.
-func (in *ingest) badRequest(w http.ResponseWriter, format string, args ...any) {
-	writeJSON(w, http.StatusBadRequest, eventsResponse{Applied: in.applied, Error: fmt.Sprintf(format, args...), Code: statusCode(http.StatusBadRequest)})
+// writeBadRequest answers a write whose body could not be read as valid
+// events, with the number of events applied before it.
+func writeBadRequest(w http.ResponseWriter, applied int, format string, args ...any) {
+	writeJSON(w, http.StatusBadRequest, eventsResponse{Applied: applied, Error: fmt.Sprintf(format, args...), Code: statusCode(http.StatusBadRequest)})
 }
 
 // handleBulk ingests an NDJSON stream — one {"object", "action"} event per
@@ -873,7 +875,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 		}
 		var e Event
 		if err := strictDecode(data, &e); err != nil {
-			in.badRequest(w, "line %d: %v", lineNo, err)
+			writeBadRequest(w, in.applied, "line %d: %v", lineNo, err)
 			return
 		}
 		t, err := parseEvent(e.Object, e.Action)
@@ -888,7 +890,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := scanner.Err(); err != nil {
 		// Apply nothing further: the partial chunk may be mid-stream garbage.
-		in.badRequest(w, "reading stream at line %d: %v", lineNo, err)
+		writeBadRequest(w, in.applied, "reading stream at line %d: %v", lineNo, err)
 		return
 	}
 	if err := in.flush(); err != nil {

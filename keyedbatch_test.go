@@ -353,6 +353,74 @@ func TestKeyedApplyDeltaBoundsCounts(t *testing.T) {
 	}
 }
 
+// TestKeyedBoundHoldsAcrossShards: the bound on counts is the whole
+// profile's, not a shard's. Which shard a key lands in follows a hash seed
+// drawn per process, so a bound kept per shard would accept writes that a
+// restart or a follower with another layout refuses. With the adds counter
+// one below the bound on two shards, one more add fits and every other
+// key's add is refused; the log alone then replays on one shard, and a
+// checkpoint of that state restores on two.
+func TestKeyedBoundHoldsAcrossShards(t *testing.T) {
+	const bound = math.MaxInt64 / 2
+	dir := filepath.Join(t.TempDir(), "wal")
+	build := func(shards int) *sprofile.KeyedConcurrent[string] {
+		t.Helper()
+		k, err := sprofile.BuildKeyed[string](8, sprofile.WithSharding(shards), sprofile.WithWAL(dir))
+		if err != nil {
+			t.Fatalf("building on %d shards: %v", shards, err)
+		}
+		return k
+	}
+	check := func(stage string, k *sprofile.KeyedConcurrent[string]) {
+		t.Helper()
+		for key, want := range map[string]int64{"a": bound - 2, "b": 1, "c0": 0} {
+			if f, _ := k.Count(key); f != want {
+				t.Fatalf("%s: count(%s) = %d, want %d", stage, key, f, want)
+			}
+		}
+		if s := k.Summarize(); s.Total != bound-1 || s.Adds != bound || s.Removes != 1 || k.Tracked() != 2 {
+			t.Fatalf("%s: summary %+v with %d keys, want total %d, adds %d, 1 remove, 2 keys",
+				stage, s, k.Tracked(), int64(bound-1), int64(bound))
+		}
+	}
+
+	k := build(2)
+	if err := k.ApplyDelta("a", bound-1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Add("b"); err != nil {
+		t.Fatalf("the add that reaches the bound: %v", err)
+	}
+	for i := range 6 {
+		key := fmt.Sprintf("c%d", i)
+		if err := k.Add(key); !errors.Is(err, sprofile.ErrOutOfRange) {
+			t.Fatalf("Add(%s) past the profile's bound = %v, want ErrOutOfRange", key, err)
+		}
+	}
+	if err := k.Remove("a"); err != nil {
+		t.Fatal(err)
+	}
+	check("writer", k)
+	if err := k.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	k = build(1)
+	check("log replayed on one shard", k)
+	if err := k.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Close(); err != nil {
+		t.Fatal(err)
+	}
+	k = build(2)
+	defer k.Close()
+	if k.Replayed() != 0 {
+		t.Fatalf("Replayed = %d after a checkpoint of the whole log, want 0", k.Replayed())
+	}
+	check("checkpoint restored on two shards", k)
+}
+
 // TestKeyedApplyBatchDurable round-trips batch-journaled state through a
 // restart, including keys whose events cancelled out.
 func TestKeyedApplyBatchDurable(t *testing.T) {

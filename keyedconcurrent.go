@@ -703,9 +703,9 @@ func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 // adds-removes in one step. A key whose events cancel out is still acquired
 // (and left idle), exactly as the per-event sequence would. A key unknown
 // to the profile is acquired only when the delta records at least one add
-// event; otherwise it fails like Remove. Counts that would take the key's
-// frequency or its shard's adds or removes counter past math.MaxInt64/2
-// fail with ErrOutOfRange and change nothing.
+// event; otherwise it fails like Remove. Counts that would take the
+// profile's adds or removes counter, summed over every key, past
+// math.MaxInt64/2 fail with ErrOutOfRange and change nothing.
 func (k *KeyedConcurrent[K]) ApplyDelta(key K, adds, removes uint64) error {
 	if adds == 0 && removes == 0 {
 		return nil

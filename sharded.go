@@ -24,10 +24,25 @@ import (
 // O(total number of distinct frequencies) — still far below O(m), but no
 // longer constant; a composite Query merges once for all its rank
 // statistics.
+//
+// The bound on counts, core.MaxMagnitude, holds for the profile as a whole:
+// the delta path (AddN, RemoveN, ApplyDelta, ApplyDeltas) refuses a step
+// that would take the adds or removes counter of all shards together past
+// it, and LoadFrequencies refuses such a state. A keyed profile's id-to-
+// shard layout follows a hash seed drawn per process, so a bound kept per
+// shard could accept in one process what another refuses on replay.
 type Sharded struct {
 	shards    []shardedShard
 	shardSize int
 	m         int
+
+	// adds and removes count, over every shard, the events the delta path
+	// has applied on top of the last load's counters; they never pass
+	// core.MaxMagnitude. The ±1 path (Add, Remove, ApplyAll) is not
+	// counted: from the bound it takes 2^62 more events to wrap anything.
+	// Every write of a keyed profile takes the delta path, so there they
+	// are the summed shard counters.
+	adds, removes atomic.Uint64
 
 	// batches recycles the per-shard partition scratch of ApplyDeltas, so
 	// steady-state batch ingestion allocates nothing.
@@ -197,37 +212,126 @@ func (s *Sharded) ApplyAll(tuples []Tuple) (int, error) {
 // AddN raises the frequency of object x by k in one step under its shard's
 // lock.
 func (s *Sharded) AddN(x int, k int64) error {
-	sh, local, err := s.locate(x)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.p.AddN(local, k)
+	return s.bounded(x, uint64(max(k, 0)), 0, func(p *core.Profile, local int) error { return p.AddN(local, k) })
 }
 
 // RemoveN lowers the frequency of object x by k in one step under its
 // shard's lock.
 func (s *Sharded) RemoveN(x int, k int64) error {
-	sh, local, err := s.locate(x)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.p.RemoveN(local, k)
+	return s.bounded(x, 0, uint64(max(k, 0)), func(p *core.Profile, local int) error { return p.RemoveN(local, k) })
 }
 
 // ApplyDelta applies one coalesced delta under its shard's lock.
 func (s *Sharded) ApplyDelta(d Delta) error {
-	sh, local, err := s.locate(d.Object)
+	adds, removes := d.Gross()
+	return s.bounded(d.Object, adds, removes, func(p *core.Profile, local int) error {
+		d.Object = local
+		return p.ApplyDelta(d)
+	})
+}
+
+// bounded runs one delta-path step on object x's shard under its lock,
+// after counting its adds and removes toward the profile's counters, and
+// hands them back if the step fails.
+func (s *Sharded) bounded(x int, adds, removes uint64, step func(p *core.Profile, local int) error) error {
+	sh, local, err := s.locate(x)
 	if err != nil {
 		return err
 	}
-	d.Object = local
+	if !s.reserve(adds, removes) {
+		return errPastBound(x, adds, removes)
+	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.p.ApplyDelta(d)
+	err = step(sh.p, local)
+	sh.mu.Unlock()
+	if err != nil {
+		s.release(adds, removes)
+	}
+	return err
+}
+
+// applyGroup applies one shard's share of ApplyDeltas under the shard's
+// lock, in order up to the first delta that fails, the profile's bound
+// included.
+func (s *Sharded) applyGroup(sh *shardedShard, group []core.Delta) (int, error) {
+	n, err := s.reserveRun(sh.base, group)
+	sh.mu.Lock()
+	applied, aerr := sh.p.ApplyDeltas(group[:n])
+	sh.mu.Unlock()
+	for _, d := range group[applied:n] {
+		s.release(d.Gross())
+	}
+	if aerr != nil {
+		return applied, aerr
+	}
+	return applied, err
+}
+
+// reserveRun counts the longest prefix of group that fits toward the
+// profile's counters, in one step when the whole group does, and returns
+// its length and the refusal of the delta after it; base is the id of the
+// group's local object 0.
+func (s *Sharded) reserveRun(base int, group []core.Delta) (int, error) {
+	var adds, removes uint64
+	for _, d := range group {
+		a, r := d.Gross()
+		if a > core.MaxMagnitude-adds || r > core.MaxMagnitude-removes {
+			adds = core.MaxMagnitude + 1 // too much for one step
+			break
+		}
+		adds, removes = adds+a, removes+r
+	}
+	if s.reserve(adds, removes) {
+		return len(group), nil
+	}
+	for i, d := range group {
+		a, r := d.Gross()
+		if !s.reserve(a, r) {
+			return i, errPastBound(base+d.Object, a, r)
+		}
+	}
+	return len(group), nil
+}
+
+// reserve counts adds and removes events toward the profile's counters,
+// unless either would pass core.MaxMagnitude; then it counts nothing.
+func (s *Sharded) reserve(adds, removes uint64) bool {
+	if !take(&s.adds, adds) {
+		return false
+	}
+	if !take(&s.removes, removes) {
+		s.adds.Add(-adds)
+		return false
+	}
+	return true
+}
+
+// release hands back events that reserve counted for a step that failed.
+func (s *Sharded) release(adds, removes uint64) {
+	s.adds.Add(-adds)
+	s.removes.Add(-removes)
+}
+
+func errPastBound(x int, adds, removes uint64) error {
+	return fmt.Errorf("%w: %d adds and %d removes for object %d take the profile's event counters past %d",
+		ErrOutOfRange, adds, removes, x, uint64(core.MaxMagnitude))
+}
+
+// take adds n to c unless that would pass core.MaxMagnitude, which c never
+// does.
+func take(c *atomic.Uint64, n uint64) bool {
+	if n == 0 {
+		return true
+	}
+	for {
+		old := c.Load()
+		if n > core.MaxMagnitude-old {
+			return false
+		}
+		if c.CompareAndSwap(old, old+n) {
+			return true
+		}
+	}
 }
 
 // ApplyDeltas partitions a coalesced batch by shard and applies each shard's
@@ -298,10 +402,7 @@ func (s *Sharded) ApplyDeltas(deltas []Delta) (int, error) {
 			wg.Add(1)
 			go func(i, idx int) {
 				defer wg.Done()
-				sh := &s.shards[idx]
-				sh.mu.Lock()
-				counts[i], errs[i] = sh.p.ApplyDeltas(b.groups[idx])
-				sh.mu.Unlock()
+				counts[i], errs[i] = s.applyGroup(&s.shards[idx], b.groups[idx])
 			}(i, idx)
 		}
 		wg.Wait()
@@ -315,10 +416,7 @@ func (s *Sharded) ApplyDeltas(deltas []Delta) (int, error) {
 	}
 
 	for _, idx := range b.touched {
-		sh := &s.shards[idx]
-		sh.mu.Lock()
-		n, err := sh.p.ApplyDeltas(b.groups[idx])
-		sh.mu.Unlock()
+		n, err := s.applyGroup(&s.shards[idx], b.groups[idx])
 		applied += n
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -618,61 +716,45 @@ func (s *Sharded) Snapshot() (*Profile, error) {
 // totals. Each shard receives its id range plus the minimal event counts
 // that produce it; the surplus of the historical counters over that minimum
 // is attributed to shard 0, so Summarize sums back to exactly the totals
-// given. Every shard's counters must stay within math.MaxInt64/2, the bound
-// each shard's delta path keeps. Validation runs before any shard is
-// mutated; the shards then load concurrently, on at most GOMAXPROCS
-// goroutines.
+// given. The counters and the frequencies' sums over the whole profile must
+// lie within core.MaxMagnitude, and the loaded counters are where the delta
+// path's bound starts. Validation runs before any shard is mutated; the
+// shards then load concurrently, on at most GOMAXPROCS goroutines.
 func (s *Sharded) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 	if len(freqs) != s.m {
 		return fmt.Errorf("%w: %d frequencies for capacity %d", core.ErrBadSnapshot, len(freqs), s.m)
 	}
+	if adds > core.MaxMagnitude || removes > core.MaxMagnitude {
+		return fmt.Errorf("%w: %d adds and %d removes exceed %d", core.ErrBadSnapshot, adds, removes, uint64(core.MaxMagnitude))
+	}
 	strict := s.shards[0].p.StrictNonNegative()
 	synthAdds := make([]uint64, len(s.shards))
 	synthRemoves := make([]uint64, len(s.shards))
-	var totalAdds, totalRemoves uint64
+	var pos, neg uint64
 	for i := range s.shards {
 		sh := &s.shards[i]
-		var a, r uint64
-		for x, f := range freqs[sh.base : sh.base+sh.p.Cap()] {
-			if f < 0 && strict {
-				return fmt.Errorf("%w: object %d has frequency %d", core.ErrNegativeFrequency, sh.base+x, f)
-			}
-			// Both sums are within the bound before the step and a
-			// magnitude is at most 2^63, so neither wraps. The bound is
-			// 2^62-1, so the one comparison of their OR checks both.
-			if f >= 0 {
-				a += uint64(f)
-			} else {
-				r += uint64(-f)
-			}
-			if a|r > core.MaxMagnitude {
-				return fmt.Errorf("%w: frequency %d of object %d takes its shard's counters past %d",
-					core.ErrBadSnapshot, f, sh.base+x, uint64(core.MaxMagnitude))
-			}
+		a, r, err := core.FrequencySums(freqs[sh.base:sh.base+sh.p.Cap()], strict, sh.base)
+		if err != nil {
+			return err
 		}
 		synthAdds[i], synthRemoves[i] = a, r
-		// Historical counters can only exceed the minimal ones (extra
-		// add/remove pairs that cancelled out); checking as the sums grow
-		// keeps them from wrapping.
-		if a > adds-totalAdds || r > removes-totalRemoves {
-			return fmt.Errorf("%w: %d adds - %d removes does not produce the loaded frequencies",
-				core.ErrBadSnapshot, adds, removes)
+		// Each term and each running sum is within the bound, so the sums
+		// cannot wrap before the check.
+		if pos, neg = pos+a, neg+r; pos|neg > core.MaxMagnitude {
+			return fmt.Errorf("%w: the frequencies' sums pass %d", core.ErrBadSnapshot, uint64(core.MaxMagnitude))
 		}
-		totalAdds += a
-		totalRemoves += r
 	}
-	// The surplus must net to zero and fit in shard 0's counters.
-	surplus := adds - totalAdds
-	if surplus != removes-totalRemoves {
+	// Historical counters can only exceed the minimal ones, by the same
+	// surplus of add/remove pairs that cancelled out.
+	if adds < pos || removes < neg || adds-pos != removes-neg {
 		return fmt.Errorf("%w: %d adds - %d removes does not produce the loaded frequencies",
 			core.ErrBadSnapshot, adds, removes)
 	}
-	if surplus > core.MaxMagnitude-max(synthAdds[0], synthRemoves[0]) {
-		return fmt.Errorf("%w: %d adds and %d removes take shard 0's counters past %d",
-			core.ErrBadSnapshot, adds, removes, uint64(core.MaxMagnitude))
-	}
+	surplus := adds - pos
 	s.lockAll()
 	defer s.unlockAll()
+	s.adds.Store(adds)
+	s.removes.Store(removes)
 	return parallelEach(len(s.shards), func(i int) error {
 		sh := &s.shards[i]
 		a, r := synthAdds[i], synthRemoves[i]

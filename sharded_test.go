@@ -423,10 +423,10 @@ func TestShardedSnapshotPreservesBookkeeping(t *testing.T) {
 	}
 }
 
-// TestShardedLoadFrequenciesBoundsCounts: a load that would take a shard's
-// frequencies or counters past MaxInt64/2, the bound each shard's delta
-// path keeps, is ErrBadSnapshot before any shard is touched. Each shard may
-// reach the bound on its own.
+// TestShardedLoadFrequenciesBoundsCounts: a load whose counters, or whose
+// frequencies' positive or negative sum, pass MaxInt64/2 over the whole
+// profile is ErrBadSnapshot before any shard is touched. A load at the
+// bound counts toward the delta path's bound.
 func TestShardedLoadFrequenciesBoundsCounts(t *testing.T) {
 	const bound = math.MaxInt64 / 2
 	s := sprofile.MustNewSharded(4, 2) // shard 0 holds ids 0-1, shard 1 ids 2-3
@@ -441,8 +441,10 @@ func TestShardedLoadFrequenciesBoundsCounts(t *testing.T) {
 	}{
 		{"sum wrapping int64", []int64{math.MaxInt64, math.MaxInt64, 2, 0}, 0, 0},
 		{"one shard past the bound", []int64{0, 0, bound, 1}, bound + 1, 0},
+		{"shards together past the bound", []int64{bound, 0, 1, 0}, bound + 1, 0},
+		{"negative sums together past the bound", []int64{-bound, 0, -1, 0}, 0, bound + 1},
 		{"MinInt64", []int64{0, 0, math.MinInt64, 0}, 0, 1 << 63},
-		{"surplus past shard 0", []int64{bound, 0, 0, 0}, bound + 1, 1},
+		{"surplus past the bound", []int64{bound, 0, 0, 0}, bound + 1, 1},
 	} {
 		if err := s.LoadFrequencies(tc.freqs, tc.adds, tc.removes); !errors.Is(err, sprofile.ErrBadSnapshot) {
 			t.Errorf("%s: load = %v, want ErrBadSnapshot", tc.name, err)
@@ -455,11 +457,64 @@ func TestShardedLoadFrequenciesBoundsCounts(t *testing.T) {
 			t.Errorf("%s: refused load changed the profile to %+v %v", tc.name, after, got)
 		}
 	}
-	if err := s.LoadFrequencies([]int64{bound, 0, bound, 0}, 2*bound, 0); err != nil {
-		t.Fatalf("both shards at the bound: %v", err)
+	if err := s.LoadFrequencies([]int64{bound - 2, 0, 1, 0}, bound, 1); err != nil {
+		t.Fatalf("load at the bound over both shards: %v", err)
 	}
-	if f, _ := s.Count(2); f != bound {
-		t.Fatalf("Count(2) = %d, want %d", f, int64(bound))
+	if f, _ := s.Count(0); f != bound-2 {
+		t.Fatalf("Count(0) = %d, want %d", f, int64(bound-2))
+	}
+	if err := s.AddN(3, 1); !errors.Is(err, sprofile.ErrOutOfRange) {
+		t.Fatalf("AddN on the other shard after a load at the bound = %v, want ErrOutOfRange", err)
+	}
+	if err := s.RemoveN(2, 1); err != nil {
+		t.Fatalf("RemoveN below the removes bound: %v", err)
+	}
+}
+
+// TestShardedDeltaPathBoundsProfile: the delta path's bound of MaxInt64/2
+// covers the whole profile, so a step on one shard is refused when the
+// events of every shard together would pass it, through AddN, ApplyDelta
+// and ApplyDeltas alike; a step that fails for another reason hands its
+// events back, and the merged counters stay loadable.
+func TestShardedDeltaPathBoundsProfile(t *testing.T) {
+	const bound = math.MaxInt64 / 2
+	// Shard 0 holds ids 0-1, shard 1 ids 2-3.
+	s := sprofile.MustNewSharded(4, 2, sprofile.WithStrictNonNegative())
+	if err := s.AddN(0, bound-3); err != nil {
+		t.Fatal(err)
+	}
+	// Strict violations: the events they counted are handed back.
+	if err := s.ApplyDelta(sprofile.Delta{Object: 1, Delta: -1, Adds: 1, Removes: 2}); !errors.Is(err, sprofile.ErrNegativeFrequency) {
+		t.Fatalf("strict violation = %v, want ErrNegativeFrequency", err)
+	}
+	n, err := s.ApplyDeltas([]sprofile.Delta{{Object: 0, Delta: -1}, {Object: 1, Delta: -1}, {Object: 1, Delta: 1}})
+	if n != 1 || !errors.Is(err, sprofile.ErrNegativeFrequency) {
+		t.Fatalf("ApplyDeltas with a strict violation = (%d, %v), want (1, ErrNegativeFrequency)", n, err)
+	}
+	if err := s.AddN(3, 3); err != nil {
+		t.Fatalf("AddN up to the bound after refused steps: %v", err)
+	}
+	before := s.Summarize()
+	if err := s.AddN(2, 1); !errors.Is(err, sprofile.ErrOutOfRange) {
+		t.Fatalf("AddN past the profile's bound = %v, want ErrOutOfRange", err)
+	}
+	if err := s.ApplyDelta(sprofile.Delta{Object: 1, Delta: 1}); !errors.Is(err, sprofile.ErrOutOfRange) {
+		t.Fatalf("ApplyDelta past the profile's bound = %v, want ErrOutOfRange", err)
+	}
+	if n, err := s.ApplyDeltas([]sprofile.Delta{{Object: 2, Delta: 1}, {Object: 1, Delta: 1}}); n != 0 || !errors.Is(err, sprofile.ErrOutOfRange) {
+		t.Fatalf("ApplyDeltas past the profile's bound = (%d, %v), want (0, ErrOutOfRange)", n, err)
+	}
+	if after := s.Summarize(); after != before {
+		t.Fatalf("refused steps changed the profile to %+v, want %+v", after, before)
+	}
+	if err := s.RemoveN(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if sum := s.Summarize(); sum.Total != bound-2 || sum.Adds != bound || sum.Removes != 2 {
+		t.Fatalf("summary %+v, want total %d, adds %d, removes 2", sum, int64(bound-2), int64(bound))
+	}
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatalf("snapshot at the bound: %v", err)
 	}
 }
 
