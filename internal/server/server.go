@@ -27,8 +27,8 @@
 // first (a frequency past core.MaxMagnitude refuses the document) and then
 // applies each as one ApplyDelta of its frequency, so its cost does not
 // grow with the frequencies; a failing entry, one that would take the
-// profile's adds past the bound among them, leaves only itself unapplied. Every write route answers only after its group-commit
-// fsync.
+// profile's adds past the bound among them, leaves only itself unapplied.
+// Every write route answers only after its group-commit fsync.
 //
 // Reads: POST /v1/query is the one read route; every statistic, the number
 // of tracked keys included, is a field of one QueryKeys answer.

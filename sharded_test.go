@@ -518,6 +518,56 @@ func TestShardedDeltaPathBoundsProfile(t *testing.T) {
 	}
 }
 
+// TestShardedBoundUnderConcurrentDeltas: writers on every shard race for
+// the last 1000 adds under the profile's bound while others take steps that
+// fail and hand their events back. No more than the bound is accepted, and
+// once they are done the bound's count matches the shards' counters: the
+// exact remainder still fits and one add more does not.
+func TestShardedBoundUnderConcurrentDeltas(t *testing.T) {
+	const bound = math.MaxInt64 / 2
+	s := sprofile.MustNewSharded(64, 4, sprofile.WithStrictNonNegative())
+	if err := s.AddN(0, bound-1000); err != nil {
+		t.Fatal(err)
+	}
+	var accepted atomic.Int64
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				x := 8*g + i%8
+				if g%2 == 1 {
+					// A strict violation: it counts an add, then fails.
+					if err := s.ApplyDelta(sprofile.Delta{Object: x, Delta: -1, Adds: 1, Removes: 2}); err == nil {
+						t.Error("strict violation applied")
+					}
+					continue
+				}
+				switch err := s.AddN(x, 1); {
+				case err == nil:
+					accepted.Add(1)
+				case !errors.Is(err, sprofile.ErrOutOfRange):
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	adds := s.Summarize().Adds
+	if adds > bound || int64(adds) != bound-1000+accepted.Load() {
+		t.Fatalf("adds %d after %d accepted steps, want %d", adds, accepted.Load(), bound-1000+accepted.Load())
+	}
+	if rest := int64(bound - adds); rest > 0 {
+		if err := s.AddN(63, rest); err != nil {
+			t.Fatalf("the last %d adds under the bound: %v", rest, err)
+		}
+	}
+	if err := s.AddN(63, 1); !errors.Is(err, sprofile.ErrOutOfRange) {
+		t.Fatalf("AddN past the bound = %v, want ErrOutOfRange", err)
+	}
+}
+
 // TestShardedLoadFrequencies round-trips Snapshot → LoadFrequencies into a
 // fresh sharded profile with a different shard count.
 func TestShardedLoadFrequencies(t *testing.T) {
