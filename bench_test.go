@@ -779,11 +779,12 @@ func BenchmarkCoreQueries(b *testing.B) {
 
 // BenchmarkQueryComposite measures the query plane's selling point: ONE
 // composite Query{Mode, TopK(10), Quantile(.99), Summary} against the
-// equivalent sequence of four individual getter calls, on each concurrency
-// variant. The composite pays one lock acquisition (Synchronized, one
-// shard), one lock-all plus one merged distribution (Sharded-8), or one
-// quiesce (KeyedConcurrent) where the sequence pays four of each — and only
-// the composite's answers are guaranteed to come from one cut.
+// equivalent sequence of four individual getter calls, on each dense
+// concurrency variant. The composite pays one lock acquisition (Synchronized, one
+// shard) or one lock-all plus one merged distribution (Sharded-8) where the
+// sequence pays four of each — and only the composite's answers are
+// guaranteed to come from one cut. KeyedConcurrent-8 times the keyed
+// composite, QueryKeys (one quiesce).
 func BenchmarkQueryComposite(b *testing.B) {
 	const m = 100_000
 	q := sprofile.Query{Mode: true, TopK: 10, Quantiles: []float64{0.99}, Summary: true}
@@ -885,8 +886,8 @@ func BenchmarkQueryComposite(b *testing.B) {
 	run("Synchronized", sprofile.MustBuild(m, sprofile.Synchronized()))
 	run("Sharded-8", sprofile.MustNewSharded(m, 8))
 
-	// The keyed variant goes through QueryKeys (one quiesced cut) versus the
-	// keyed getters.
+	// The keyed variant has one read, QueryKeys (one quiesced cut), so it has
+	// no getter sequence to compare against.
 	keyed := sprofile.MustBuildKeyed[int64](m, sprofile.WithSharding(8))
 	kq := sprofile.KeyedQuery[int64]{Mode: true, TopK: 10, Quantiles: []float64{0.99}, Summary: true}
 	keyedFill := sync.OnceFunc(func() {
@@ -914,21 +915,6 @@ func BenchmarkQueryComposite(b *testing.B) {
 				b.Fatal(err)
 			}
 			benchSink += res.Mode.Frequency + res.Summary.Total
-		}
-	})
-	b.Run("KeyedConcurrent-8/individual", func(b *testing.B) {
-		keyedFill()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e, _, err := keyed.Mode()
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchSink += int64(len(keyed.TopK(10)))
-			if _, err := keyed.Quantile(0.99); err != nil {
-				b.Fatal(err)
-			}
-			benchSink += e.Frequency + keyed.Summarize().Total
 		}
 	})
 }

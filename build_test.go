@@ -324,7 +324,7 @@ func TestDenseLogReadsAsDecimalKeys(t *testing.T) {
 			t.Errorf("Count(%q) = %d, %v; want %d", key, got, err, want)
 		}
 	}
-	if sum := k.Summarize(); sum.Adds != 8 || sum.Removes != 1 {
+	if sum := keyedSummary(t, k); sum.Adds != 8 || sum.Removes != 1 {
 		t.Errorf("adds/removes = %d/%d, want 8/1", sum.Adds, sum.Removes)
 	}
 }

@@ -186,64 +186,105 @@ func keyedEntryToEntry(e sprofile.KeyedEntry[int]) sprofile.Entry {
 	return sprofile.Entry{Object: e.Key, Frequency: e.Frequency}
 }
 
+func keyedEntriesToEntries(entries []sprofile.KeyedEntry[int]) []sprofile.Entry {
+	if entries == nil {
+		return nil
+	}
+	out := make([]sprofile.Entry, len(entries))
+	for i, e := range entries {
+		out[i] = keyedEntryToEntry(e)
+	}
+	return out
+}
+
+// mustQuery answers a selection QueryKeys cannot refuse (a positive TopK or
+// BottomK, Distribution, Summary), for the getters that return no error.
+func (a *keyedAdapter) mustQuery(q sprofile.KeyedQuery[int]) sprofile.KeyedQueryResult[int] {
+	res, err := a.k.QueryKeys(q)
+	if err != nil {
+		panic(fmt.Sprintf("keyedAdapter: QueryKeys(%+v): %v", q, err))
+	}
+	return res
+}
+
+// The getters below each answer one statistic through QueryKeys, the one
+// read a keyed profile offers, so the battery checks the read that ships.
+
 func (a *keyedAdapter) Mode() (sprofile.Entry, int, error) {
-	e, ties, err := a.k.Mode()
-	return keyedEntryToEntry(e), ties, err
+	res, err := a.k.QueryKeys(sprofile.KeyedQuery[int]{Mode: true})
+	if err != nil {
+		return sprofile.Entry{}, 0, err
+	}
+	return keyedEntryToEntry(res.Mode.KeyedEntry), res.Mode.Ties, nil
 }
 
 func (a *keyedAdapter) Min() (sprofile.Entry, int, error) {
-	e, ties, err := a.k.Min()
-	return keyedEntryToEntry(e), ties, err
+	res, err := a.k.QueryKeys(sprofile.KeyedQuery[int]{Min: true})
+	if err != nil {
+		return sprofile.Entry{}, 0, err
+	}
+	return keyedEntryToEntry(res.Min.KeyedEntry), res.Min.Ties, nil
 }
 
+// TopK answers nil for k <= 0, as the getters do: QueryKeys reads a zero k
+// as "not requested" and refuses a negative one.
 func (a *keyedAdapter) TopK(k int) []sprofile.Entry {
-	entries := a.k.TopK(k)
-	if entries == nil {
+	if k <= 0 {
 		return nil
 	}
-	out := make([]sprofile.Entry, len(entries))
-	for i, e := range entries {
-		out[i] = keyedEntryToEntry(e)
-	}
-	return out
+	return keyedEntriesToEntries(a.mustQuery(sprofile.KeyedQuery[int]{TopK: k}).TopK)
 }
 
+// BottomK answers nil for k <= 0, like TopK.
 func (a *keyedAdapter) BottomK(k int) []sprofile.Entry {
-	entries := a.k.BottomK(k)
-	if entries == nil {
+	if k <= 0 {
 		return nil
 	}
-	out := make([]sprofile.Entry, len(entries))
-	for i, e := range entries {
-		out[i] = keyedEntryToEntry(e)
-	}
-	return out
+	return keyedEntriesToEntries(a.mustQuery(sprofile.KeyedQuery[int]{BottomK: k}).BottomK)
 }
 
 func (a *keyedAdapter) KthLargest(k int) (sprofile.Entry, error) {
-	e, err := a.k.KthLargest(k)
-	return keyedEntryToEntry(e), err
+	res, err := a.k.QueryKeys(sprofile.KeyedQuery[int]{KthLargest: []int{k}})
+	if err != nil {
+		return sprofile.Entry{}, err
+	}
+	return keyedEntryToEntry(res.KthLargest[0]), nil
 }
 
 func (a *keyedAdapter) Median() (sprofile.Entry, error) {
-	e, err := a.k.Median()
-	return keyedEntryToEntry(e), err
+	res, err := a.k.QueryKeys(sprofile.KeyedQuery[int]{Median: true})
+	if err != nil {
+		return sprofile.Entry{}, err
+	}
+	return keyedEntryToEntry(*res.Median), nil
 }
 
 func (a *keyedAdapter) Quantile(q float64) (sprofile.Entry, error) {
-	e, err := a.k.Quantile(q)
-	return keyedEntryToEntry(e), err
+	res, err := a.k.QueryKeys(sprofile.KeyedQuery[int]{Quantiles: []float64{q}})
+	if err != nil {
+		return sprofile.Entry{}, err
+	}
+	return keyedEntryToEntry(res.Quantiles[0].KeyedEntry), nil
 }
 
 func (a *keyedAdapter) Majority() (sprofile.Entry, bool, error) {
-	e, ok, err := a.k.Majority()
-	return keyedEntryToEntry(e), ok, err
+	res, err := a.k.QueryKeys(sprofile.KeyedQuery[int]{Majority: true})
+	if err != nil || !res.Majority.Majority {
+		return sprofile.Entry{}, false, err
+	}
+	return keyedEntryToEntry(res.Majority.KeyedEntry), true, nil
 }
 
-func (a *keyedAdapter) Distribution() []sprofile.FreqCount { return a.k.Distribution() }
-func (a *keyedAdapter) Summarize() sprofile.Summary        { return a.k.Summarize() }
-func (a *keyedAdapter) Cap() int                           { return a.k.Cap() }
-func (a *keyedAdapter) Total() int64                       { return a.k.Total() }
+func (a *keyedAdapter) Distribution() []sprofile.FreqCount {
+	return a.mustQuery(sprofile.KeyedQuery[int]{Distribution: true}).Distribution
+}
+
+func (a *keyedAdapter) Summarize() sprofile.Summary {
+	return *a.mustQuery(sprofile.KeyedQuery[int]{Summary: true}).Summary
+}
+
+func (a *keyedAdapter) Cap() int     { return a.k.Cap() }
+func (a *keyedAdapter) Total() int64 { return a.k.Total() }
 
 // TestRestoredProfilerConformance holds checkpoint recovery to the full
 // conformance battery: every query is answered by a profile rebuilt from
@@ -511,30 +552,9 @@ func (v intStringKeyed) Remove(x int) error                   { return v.k.Remov
 func (v intStringKeyed) Apply(x int, a sprofile.Action) error { return v.k.Apply(intKey(x), a) }
 func (v intStringKeyed) Track(x int) error                    { return v.k.Track(intKey(x)) }
 func (v intStringKeyed) Count(x int) (int64, error)           { return v.k.Count(intKey(x)) }
-func (v intStringKeyed) Distribution() []sprofile.FreqCount   { return v.k.Distribution() }
-func (v intStringKeyed) Summarize() sprofile.Summary          { return v.k.Summarize() }
 func (v intStringKeyed) Cap() int                             { return v.k.Cap() }
 func (v intStringKeyed) Tracked() int                         { return v.k.Tracked() }
 func (v intStringKeyed) Total() int64                         { return v.k.Total() }
-func (v intStringKeyed) Profile() sprofile.Profiler           { return v.k.Profile() }
-
-func (v intStringKeyed) Mode() (sprofile.KeyedEntry[int], int, error) {
-	e, ties, err := v.k.Mode()
-	return stringEntryToInt(e), ties, err
-}
-
-func (v intStringKeyed) Min() (sprofile.KeyedEntry[int], int, error) {
-	e, ties, err := v.k.Min()
-	return stringEntryToInt(e), ties, err
-}
-
-func (v intStringKeyed) TopK(k int) []sprofile.KeyedEntry[int] {
-	return stringEntriesToInt(v.k.TopK(k))
-}
-
-func (v intStringKeyed) BottomK(k int) []sprofile.KeyedEntry[int] {
-	return stringEntriesToInt(v.k.BottomK(k))
-}
 
 func stringEntriesToInt(entries []sprofile.KeyedEntry[string]) []sprofile.KeyedEntry[int] {
 	if entries == nil {
@@ -545,26 +565,6 @@ func stringEntriesToInt(entries []sprofile.KeyedEntry[string]) []sprofile.KeyedE
 		out[i] = stringEntryToInt(e)
 	}
 	return out
-}
-
-func (v intStringKeyed) KthLargest(k int) (sprofile.KeyedEntry[int], error) {
-	e, err := v.k.KthLargest(k)
-	return stringEntryToInt(e), err
-}
-
-func (v intStringKeyed) Median() (sprofile.KeyedEntry[int], error) {
-	e, err := v.k.Median()
-	return stringEntryToInt(e), err
-}
-
-func (v intStringKeyed) Quantile(q float64) (sprofile.KeyedEntry[int], error) {
-	e, err := v.k.Quantile(q)
-	return stringEntryToInt(e), err
-}
-
-func (v intStringKeyed) Majority() (sprofile.KeyedEntry[int], bool, error) {
-	e, ok, err := v.k.Majority()
-	return stringEntryToInt(e), ok, err
 }
 
 func (v intStringKeyed) QueryKeys(q sprofile.KeyedQuery[int]) (sprofile.KeyedQueryResult[int], error) {
@@ -588,18 +588,13 @@ func (v intStringKeyed) QueryKeys(q sprofile.KeyedQuery[int]) (sprofile.KeyedQue
 		return sprofile.KeyedQueryResult[int]{}, err
 	}
 	out := sprofile.KeyedQueryResult[int]{
+		Counts:       stringEntriesToInt(sres.Counts),
 		TopK:         stringEntriesToInt(sres.TopK),
 		BottomK:      stringEntriesToInt(sres.BottomK),
 		KthLargest:   stringEntriesToInt(sres.KthLargest),
 		Distribution: sres.Distribution,
 		Summary:      sres.Summary,
 		Tracked:      sres.Tracked,
-	}
-	if len(sres.Counts) > 0 {
-		out.Counts = make([]sprofile.KeyedEntry[int], len(sres.Counts))
-		for i, e := range sres.Counts {
-			out.Counts[i] = stringEntryToInt(e)
-		}
 	}
 	if sres.Mode != nil {
 		out.Mode = &sprofile.KeyedExtreme[int]{KeyedEntry: stringEntryToInt(sres.Mode.KeyedEntry), Ties: sres.Mode.Ties}
@@ -621,16 +616,6 @@ func (v intStringKeyed) QueryKeys(q sprofile.KeyedQuery[int]) (sprofile.KeyedQue
 		out.Majority = &sprofile.KeyedMajority[int]{KeyedEntry: stringEntryToInt(sres.Majority.KeyedEntry), Majority: sres.Majority.Majority}
 	}
 	return out, nil
-}
-
-func (v intStringKeyed) KeyOf(id int) (int, bool) {
-	s, ok := v.k.KeyOf(id)
-	if !ok {
-		return 0, false
-	}
-	var key int
-	fmt.Sscanf(s, "%d", &key)
-	return key, true
 }
 
 var _ sprofile.KeyedProfiler[int] = intStringKeyed{}

@@ -31,7 +31,7 @@ func errInvalidAction(a Action) error {
 //	ErrUnknownKey      — a keyed operation on a key with no dense id
 //	ErrInvalidAction   — a log tuple that is neither add nor remove
 //	ErrInvalidQuery    — a malformed composite Query
-//	ErrReadOnly        — an update through a read-only view
+//	ErrReadOnly        — a write sent to a replication follower
 //	ErrWALAppend       — applied in memory but not journaled (divergence)
 //
 // Specific sentinels (fine; each resolves to its class):
@@ -63,9 +63,8 @@ var (
 	// argument's class (usually ErrOutOfRange) is wrapped alongside it.
 	ErrInvalidQuery = core.ErrInvalidQuery
 
-	// ErrReadOnly reports an update attempted through a read-only profiler
-	// view, such as the one Keyed.Profile returns, or a write sent to a
-	// replication follower (which can only be driven by its leader's WAL).
+	// ErrReadOnly reports a write sent to a replication follower, which can
+	// only be driven by its leader's WAL.
 	ErrReadOnly = errors.New("sprofile: profiler view is read-only")
 
 	// ErrStaleRead reports a read refused because the answering follower

@@ -198,10 +198,9 @@ func main() {
 	}()
 
 	// Pane 1: after every completed batch, print a dashboard line. The whole
-	// line is ONE composite query answered under one lock acquisition, so
-	// the mode, both quantiles and the summary always describe the same
-	// instant — with individual getters, each would be a separate lock
-	// round-trip and the line could mix four different states of the stream.
+	// line is ONE composite query answered from one quiesced cut, so the
+	// mode, both quantiles and the summary always describe the same instant
+	// of the stream.
 	dashboard := sprofile.KeyedQuery[string]{
 		Mode:      true,
 		Quantiles: []float64{0.50, 0.99},

@@ -99,8 +99,12 @@ func pickChannel(rng *rand.Rand, event int) int {
 func report(event int, allTime *sprofile.Keyed[string], window sprofile.Profiler) {
 	fmt.Printf("=== after %d events ===\n", event)
 
+	top, err := allTime.QueryKeys(sprofile.KeyedQuery[string]{TopK: 5})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("all-time top 5:")
-	for rank, e := range allTime.TopK(5) {
+	for rank, e := range top.TopK {
 		fmt.Printf("  #%d %-12s %6d viewers-net\n", rank+1, e.Key, e.Frequency)
 	}
 

@@ -2,6 +2,10 @@ package sprofile
 
 import "fmt"
 
+// Dense returns k's dense profile, for tests that inspect its shards or its
+// invariants.
+func (k *KeyedConcurrent[K]) Dense() *Sharded { return k.dense }
+
 // CheckZeroSets verifies the recycling bookkeeping of k against its dense
 // profile on one quiesced cut: each stripe's idle list must hold exactly
 // that stripe's mapped ids whose dense Count is zero (and stay empty

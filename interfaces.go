@@ -68,12 +68,6 @@ type Reader interface {
 	Total() int64
 }
 
-// reader is Reader under an unexported name, for embedding: a wrapper whose
-// statistics come straight from the profile it wraps (ReadOnlyProfiler)
-// embeds one and has all thirteen getters promoted without exporting a
-// field.
-type reader = Reader
-
 // Profiler is the full contract: ingestion plus queries. Every dense-id
 // profile variant in this package satisfies it — *Profile, *Sharded (one
 // shard is the single-mutex profile), *Window and *TimeWindow — as does
@@ -120,13 +114,15 @@ type DeltaUpdater interface {
 	ApplyDeltas(deltas []Delta) (int, error)
 }
 
-// KeyedProfiler is the key-addressed counterpart of Profiler: the same
-// ingestion and query surface, addressed by arbitrary comparable keys
-// instead of dense ids. Both Keyed (single-goroutine, global recycling) and
+// KeyedProfiler is the key-addressed counterpart of Profiler, addressed by
+// arbitrary comparable keys instead of dense ids. Its one read of the
+// profile-wide statistics is QueryKeys, which answers any selection of them
+// from one consistent cut and translates every dense id back to its key
+// under that cut. Both Keyed (single-goroutine, global recycling) and
 // KeyedConcurrent (lock-striped, per-stripe recycling, safe for concurrent
 // use) satisfy it, so callers can swap one for the other without touching
-// query code. The HTTP server reads through it (every statistics route is
-// one QueryKeys call) and writes through KeyedConcurrent.ApplyBatch.
+// query code. The HTTP server reads through it (POST /v1/query is one
+// QueryKeys call) and writes through KeyedConcurrent.ApplyBatch.
 type KeyedProfiler[K comparable] interface {
 	// Add increments the frequency of key, assigning a dense id if needed
 	// and recycling an idle one when the profile is full.
@@ -140,43 +136,15 @@ type KeyedProfiler[K comparable] interface {
 
 	// Count returns the current frequency of key (zero for unknown keys).
 	Count(key K) (int64, error)
-	// Mode returns a key with maximum frequency, that frequency, and how
-	// many objects share it.
-	Mode() (KeyedEntry[K], int, error)
-	// Min returns a key with minimum frequency, that frequency, and how
-	// many objects share it.
-	Min() (KeyedEntry[K], int, error)
-	// TopK returns the k most frequent entries.
-	TopK(k int) []KeyedEntry[K]
-	// BottomK returns the k least frequent entries.
-	BottomK(k int) []KeyedEntry[K]
-	// KthLargest returns the entry holding the k-th largest frequency.
-	KthLargest(k int) (KeyedEntry[K], error)
-	// Median returns the lower-median entry of the frequency multiset.
-	Median() (KeyedEntry[K], error)
-	// Quantile returns the entry at quantile q in [0, 1].
-	Quantile(q float64) (KeyedEntry[K], error)
-	// Majority returns the key holding a strict majority of the total
-	// count, if one exists.
-	Majority() (KeyedEntry[K], bool, error)
-	// Distribution returns the frequency histogram.
-	Distribution() []FreqCount
-	// Summarize returns aggregate statistics of the profile.
-	Summarize() Summary
 	// Cap returns the maximum number of concurrently tracked keys.
 	Cap() int
 	// Tracked returns the number of keys currently holding a dense id.
 	Tracked() int
 	// Total returns the sum of all frequencies.
 	Total() int64
-	// KeyOf resolves a dense id back to its key, when one is assigned.
-	KeyOf(id int) (K, bool)
 	// QueryKeys answers a composite multi-statistic query atomically; see
-	// KeyedQuery and the KeyedQuerier capability.
+	// KeyedQuery.
 	QueryKeys(q KeyedQuery[K]) (KeyedQueryResult[K], error)
-	// Profile exposes the underlying dense-id profiler for advanced
-	// queries as a read-only view; updates through it return ErrReadOnly.
-	Profile() Profiler
 }
 
 // Compile-time checks that every variant honours the contract.
@@ -185,16 +153,11 @@ var (
 	_ Profiler = (*Sharded)(nil)
 	_ Profiler = (*Window)(nil)
 	_ Profiler = (*TimeWindow)(nil)
-	_ Profiler = (*ReadOnlyProfiler)(nil)
 
 	_ Querier = (*Profile)(nil)
 	_ Querier = (*Sharded)(nil)
 	_ Querier = (*Window)(nil)
 	_ Querier = (*TimeWindow)(nil)
-	_ Querier = (*ReadOnlyProfiler)(nil)
-
-	_ KeyedQuerier[string] = (*Keyed[string])(nil)
-	_ KeyedQuerier[string] = (*KeyedConcurrent[string])(nil)
 
 	_ Snapshotter = (*Profile)(nil)
 	_ Snapshotter = (*Sharded)(nil)

@@ -105,11 +105,6 @@ func encodeState(w io.Writer, st *State) error {
 		_, err := tw.Write(buf[:n])
 		return err
 	}
-	writeVarint := func(v int64) error {
-		n := binary.PutVarint(buf[:], v)
-		_, err := tw.Write(buf[:n])
-		return err
-	}
 	if err := writeUvarint(st.Seq); err != nil {
 		return err
 	}
@@ -131,14 +126,16 @@ func encodeState(w io.Writer, st *State) error {
 	if err := writeUvarint(uint64(len(st.Keys))); err != nil {
 		return err
 	}
+	// Each entry (key length, key, frequency) goes through one reused
+	// buffer in one Write. io.WriteString on the MultiWriter would copy
+	// every key into a fresh []byte, because the checksum side has no
+	// WriteString.
+	var entry []byte
 	for i, key := range st.Keys {
-		if err := writeUvarint(uint64(len(key))); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(tw, key); err != nil {
-			return err
-		}
-		if err := writeVarint(st.Freqs[i]); err != nil {
+		entry = binary.AppendUvarint(entry[:0], uint64(len(key)))
+		entry = append(entry, key...)
+		entry = binary.AppendVarint(entry, st.Freqs[i])
+		if _, err := tw.Write(entry); err != nil {
 			return err
 		}
 	}

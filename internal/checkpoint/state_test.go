@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"sprofile/internal/core"
@@ -88,6 +91,52 @@ func TestDecodeStateRejectsForgedDenseCapacity(t *testing.T) {
 	}
 	if allocated > 1<<20 {
 		t.Fatalf("decoding a %d-byte snapshot allocated %d bytes", len(data), allocated)
+	}
+}
+
+// TestEncodeStateLayout pins the keyed snapshot's bytes: the header, the
+// uvarint fields, then per key its uvarint length, its bytes and its varint
+// frequency, then the IEEE CRC-32 of everything before it.
+func TestEncodeStateLayout(t *testing.T) {
+	st := &State{
+		Capacity: 300, Adds: 1 << 40, Removes: 7, Seq: 3, SealedSeg: 200,
+		Keys:  []string{"alice", "", strings.Repeat("k", 200)},
+		Freqs: []int64{5, 0, -1 << 33},
+	}
+	want := append([]byte{}, snapMagic[:]...)
+	want = append(want, snapVersion, kindKeyed)
+	for _, v := range []uint64{st.Seq, st.SealedSeg, uint64(st.Capacity), st.Adds, st.Removes, uint64(len(st.Keys))} {
+		want = binary.AppendUvarint(want, v)
+	}
+	for i, key := range st.Keys {
+		want = binary.AppendUvarint(want, uint64(len(key)))
+		want = append(want, key...)
+		want = binary.AppendVarint(want, st.Freqs[i])
+	}
+	if got := encoded(t, st); !bytes.Equal(got, withCRC(want)) {
+		t.Fatalf("encodeState =\n%x\nwant\n%x", got, withCRC(want))
+	}
+}
+
+// TestEncodeStateAllocations pins that encoding a snapshot allocates a
+// fixed number of objects however many keys it holds: a key costs no
+// allocation of its own.
+func TestEncodeStateAllocations(t *testing.T) {
+	const bound = 16
+	for _, n := range []int{10, 10_000} {
+		st := &State{Capacity: n, Keys: make([]string, n), Freqs: make([]int64, n)}
+		for i := range st.Keys {
+			st.Keys[i] = fmt.Sprintf("object-%08d", i)
+			st.Freqs[i] = int64(i)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := encodeState(io.Discard, st); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > bound {
+			t.Errorf("encoding %d keys made %.0f allocations, want at most %d", n, allocs, bound)
+		}
 	}
 }
 

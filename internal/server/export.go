@@ -1,10 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"strings"
 
 	"sprofile"
 	"sprofile/internal/core"
@@ -32,41 +35,36 @@ func (s *Server) registerExportRoutes() {
 	s.mux.HandleFunc("/v1/import", s.handleImport)
 }
 
-// handleExport dumps every tracked object and its frequency. The document can
-// be re-imported into a fresh server to warm-start it after a restart. The
-// frequencies come from one consistent point-in-time snapshot of the sharded
-// profile; the id→key translation happens afterwards, so an object recycled
-// mid-export can (rarely) be skipped — re-export during a quiet moment for
-// an exact backup.
+// handleExport dumps every tracked object with a positive frequency, most
+// frequent first and ties by object, so the document is canonical for a
+// given state; imported into a fresh server it reproduces that state, a
+// warm start after a restart. The entries come from one quiesced cut
+// (KeyedConcurrent.Entries), so each object carries the frequency it held
+// at that instant even while ids are recycled. Filtering and sorting run
+// outside the locks.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	k := s.prof()
-	doc := exportDoc{Capacity: k.Cap()}
-	var p sprofile.Reader = k.Profile()
-	if snapper, ok := p.(sprofile.Snapshotter); ok {
-		snap, err := snapper.Snapshot()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "snapshotting profile: %v", err)
-			return
-		}
-		p = snap
+	entries, err := k.Entries()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "reading profile: %v", err)
+		return
 	}
-	// Walk ranks from the most frequent downwards; stop once frequencies hit
-	// zero (idle and unused slots contribute nothing to the export).
-	for rank := 1; rank <= p.Cap(); rank++ {
-		entry, err := p.KthLargest(rank)
-		if err != nil || entry.Frequency <= 0 {
-			break
+	doc := exportDoc{Capacity: k.Cap(), Objects: make([]exportEntry, 0, len(entries))}
+	for _, e := range entries {
+		if e.Frequency > 0 { // idle keys contribute nothing
+			doc.Objects = append(doc.Objects, exportEntry{Object: e.Key, Frequency: e.Frequency})
 		}
-		key, tracked := k.KeyOf(entry.Object)
-		if !tracked {
-			continue
-		}
-		doc.Objects = append(doc.Objects, exportEntry{Object: key, Frequency: entry.Frequency})
 	}
+	slices.SortFunc(doc.Objects, func(a, b exportEntry) int {
+		if c := cmp.Compare(b.Frequency, a.Frequency); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Object, b.Object)
+	})
 	writeJSON(w, http.StatusOK, doc)
 }
 

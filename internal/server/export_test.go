@@ -2,15 +2,24 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"sprofile"
 )
 
 func TestExportImportRoundTrip(t *testing.T) {
@@ -62,6 +71,161 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if res.Counts[0].Frequency != 2 {
 		t.Fatalf("count(b) after import = %+v", res.Counts[0])
 	}
+
+	// The putback law on a recycling profile: a seeded random state on a
+	// capacity-16, two-shard server whose stripes have evicted idle keys
+	// exports as its positive counts, most frequent first and ties by
+	// object; imported into a fresh server, it exports the same document,
+	// and every key ever written has the same count on both.
+	t.Run("recycling", func(t *testing.T) {
+		s, err := New(Config{Capacity: 16, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := httptest.NewServer(s)
+		defer src.Close()
+		rng := rand.New(rand.NewSource(25))
+		model := map[string]int64{}
+		var keys []string
+		for i := 0; i < 2000; i++ {
+			key := fmt.Sprintf("key-%02d", rng.Intn(48))
+			if _, seen := model[key]; !seen {
+				model[key] = 0
+				keys = append(keys, key)
+			}
+			if model[key] > 0 && rng.Intn(2) == 0 {
+				if err := s.prof().Remove(key); err != nil {
+					t.Fatalf("Remove(%s) at %d: %v", key, model[key], err)
+				}
+				model[key]--
+				continue
+			}
+			switch err := s.prof().Add(key); {
+			case err == nil:
+				model[key]++
+			case errors.Is(err, sprofile.ErrKeyedFull):
+				// The key's stripe had no idle key to evict; nothing changed.
+			default:
+				t.Fatalf("Add(%s): %v", key, err)
+			}
+		}
+		if len(keys) <= s.prof().Tracked() {
+			t.Fatalf("%d keys written and %d tracked: no key was evicted", len(keys), s.prof().Tracked())
+		}
+		var want []exportEntry
+		for _, key := range keys {
+			if f := model[key]; f > 0 {
+				want = append(want, exportEntry{Object: key, Frequency: f})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Frequency != want[j].Frequency {
+				return want[i].Frequency > want[j].Frequency
+			}
+			return want[i].Object < want[j].Object
+		})
+		var first exportDoc
+		getJSON(t, src, "/v1/export", &first)
+		if !slices.Equal(first.Objects, want) {
+			t.Fatalf("export = %+v\nwant the positive counts in order %+v", first.Objects, want)
+		}
+
+		dst := newTestServer(t, 16)
+		if resp, out := postJSON(t, dst.URL+"/v1/import", mustJSON(t, first)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("import = %d %+v", resp.StatusCode, out)
+		}
+		var second exportDoc
+		getJSON(t, dst, "/v1/export", &second)
+		if second.Capacity != first.Capacity || !slices.Equal(second.Objects, first.Objects) {
+			t.Fatalf("re-export after import = %+v\nwant %+v", second, first)
+		}
+		counts := mustJSON(t, sprofile.KeyedQuery[string]{Count: keys})
+		before, after := mustQuery(t, src, counts).Counts, mustQuery(t, dst, counts).Counts
+		for i, key := range keys {
+			if before[i].Frequency != model[key] || after[i].Frequency != model[key] {
+				t.Fatalf("count(%s) = %d exported, %d imported; want %d", key, before[i].Frequency, after[i].Frequency, model[key])
+			}
+		}
+	})
+}
+
+// TestExportUnderRecyclingChurn pins that an export pairs every object with
+// the frequency it held, while ids are recycled around the export: four
+// writers each add a fresh key "k<n>" with frequency n%1000+1 in one delta
+// and remove their key n-12 the same way, so every key holds 0 or its own
+// frequency and the full stripes of a capacity-64, two-shard server evict
+// idle keys all the time.
+func TestExportUnderRecyclingChurn(t *testing.T) {
+	const exports, writers, lag = 5000, 4, 12
+	s, err := New(Config{Capacity: 64, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(n int) string { return "k" + strconv.Itoa(n) }
+	freq := func(n int) uint64 { return uint64(n%1000 + 1) }
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	stop := func() {
+		done.Store(true)
+		wg.Wait()
+	}
+	defer stop()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			added := map[int]bool{}
+			for n := w; !done.Load(); n += writers {
+				switch err := s.prof().ApplyDelta(key(n), freq(n), 0); {
+				case err == nil:
+					added[n] = true
+				case !errors.Is(err, sprofile.ErrKeyedFull):
+					t.Errorf("add %s: %v", key(n), err)
+					return
+				}
+				if old := n - lag; added[old] {
+					delete(added, old)
+					if err := s.prof().ApplyDelta(key(old), 0, freq(old)); err != nil {
+						t.Errorf("remove %s: %v", key(old), err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wrong, listed := 0, 0
+	for i := 0; i < exports && !t.Failed(); i++ {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/export", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("export = %d %s", rec.Code, rec.Body)
+		}
+		var doc exportDoc
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range doc.Objects {
+			listed++
+			n, err := strconv.Atoi(strings.TrimPrefix(e.Object, "k"))
+			if err != nil || !strings.HasPrefix(e.Object, "k") || int64(freq(n)) != e.Frequency {
+				wrong++
+			}
+		}
+	}
+	stop()
+	if wrong > 0 {
+		t.Fatalf("%d of %d exported entries in %d exports carried a frequency their object never held", wrong, listed, exports)
+	}
+}
+
+// mustJSON encodes v as a request body.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestImportValidation(t *testing.T) {

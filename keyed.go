@@ -17,7 +17,7 @@ type KeyedEntry[K comparable] struct {
 // Keyed profiles objects identified by arbitrary comparable keys (user names,
 // URLs, sparse numeric ids). It combines an id mapper with an S-Profile: the
 // mapper assigns each live key a dense id, the profile tracks the dense ids,
-// and every query is translated back to keys.
+// and QueryKeys translates every answer back to keys.
 //
 // Capacity semantics: a Keyed profile can track at most m keys at once. With
 // recycling enabled (the default), a key whose frequency returns to zero has
@@ -38,11 +38,9 @@ type Keyed[K comparable] struct {
 	recycle bool
 }
 
-// keyedQueries is the read-side shared by Keyed and KeyedConcurrent: every
-// statistic is answered by the dense profiler and translated back to keys
-// through the resolver. Embedding it keeps the translation logic in one
-// place; the ingestion paths (and their locking disciplines) stay with the
-// concrete types.
+// keyedQueries is the read side shared by Keyed and KeyedConcurrent: Cap,
+// Total and the translation of a dense composite answer back to keys
+// through the resolver.
 type keyedQueries[K comparable] struct {
 	profile  Profiler
 	resolver keyResolver[K]
@@ -68,40 +66,6 @@ func (q *keyedQueries[K]) entryToKeyed(e Entry) KeyedEntry[K] {
 	return KeyedEntry[K]{Key: key, Frequency: e.Frequency}
 }
 
-// Mode returns a key with the maximum frequency, the frequency, and the
-// number of objects sharing it.
-func (q *keyedQueries[K]) Mode() (KeyedEntry[K], int, error) {
-	e, ties, err := q.profile.Mode()
-	if err != nil {
-		return KeyedEntry[K]{}, 0, err
-	}
-	return q.entryToKeyed(e), ties, nil
-}
-
-// Min returns a key with the minimum frequency, the frequency, and the
-// number of objects sharing it. Slots not currently bound to a key report
-// the zero value of K.
-func (q *keyedQueries[K]) Min() (KeyedEntry[K], int, error) {
-	e, ties, err := q.profile.Min()
-	if err != nil {
-		return KeyedEntry[K]{}, 0, err
-	}
-	return q.entryToKeyed(e), ties, nil
-}
-
-// TopK returns the n most frequent entries in non-increasing frequency
-// order. Untracked slots (frequency zero, never used) may appear when fewer
-// than n keys have been added; their Key field is the zero value.
-func (q *keyedQueries[K]) TopK(n int) []KeyedEntry[K] {
-	return q.translate(q.profile.TopK(n))
-}
-
-// BottomK returns the n least frequent entries in non-decreasing frequency
-// order, with the same untracked-slot caveat as TopK.
-func (q *keyedQueries[K]) BottomK(n int) []KeyedEntry[K] {
-	return q.translate(q.profile.BottomK(n))
-}
-
 func (q *keyedQueries[K]) translate(entries []Entry) []KeyedEntry[K] {
 	if len(entries) == 0 {
 		return nil
@@ -112,61 +76,6 @@ func (q *keyedQueries[K]) translate(entries []Entry) []KeyedEntry[K] {
 	}
 	return out
 }
-
-// KthLargest returns the keyed entry holding the k-th largest frequency
-// (1-based: k=1 is a mode representative).
-func (q *keyedQueries[K]) KthLargest(n int) (KeyedEntry[K], error) {
-	e, err := q.profile.KthLargest(n)
-	if err != nil {
-		return KeyedEntry[K]{}, err
-	}
-	return q.entryToKeyed(e), nil
-}
-
-// Median returns the lower-median keyed entry of the frequency multiset over
-// all m slots.
-func (q *keyedQueries[K]) Median() (KeyedEntry[K], error) {
-	e, err := q.profile.Median()
-	if err != nil {
-		return KeyedEntry[K]{}, err
-	}
-	return q.entryToKeyed(e), nil
-}
-
-// Quantile returns the keyed entry at quantile q in [0, 1] of the frequency
-// multiset over all m slots (nearest-rank definition).
-func (q *keyedQueries[K]) Quantile(quant float64) (KeyedEntry[K], error) {
-	e, err := q.profile.Quantile(quant)
-	if err != nil {
-		return KeyedEntry[K]{}, err
-	}
-	return q.entryToKeyed(e), nil
-}
-
-// Majority returns the key holding a strict majority of the total count, if
-// one exists.
-func (q *keyedQueries[K]) Majority() (KeyedEntry[K], bool, error) {
-	e, ok, err := q.profile.Majority()
-	if err != nil || !ok {
-		return KeyedEntry[K]{}, false, err
-	}
-	return q.entryToKeyed(e), true, nil
-}
-
-// Distribution returns the frequency histogram in ascending frequency order.
-func (q *keyedQueries[K]) Distribution() []FreqCount { return q.profile.Distribution() }
-
-// Summarize returns aggregate statistics of the underlying profile.
-func (q *keyedQueries[K]) Summarize() Summary { return q.profile.Summarize() }
-
-// Profile exposes the underlying dense-id profiler for advanced queries
-// (rank lookups, composite queries, snapshots via the Snapshotter
-// capability) as a read-only view: updates through it return ErrReadOnly,
-// because mutating the dense profile behind the mapper's back
-// desynchronises the key mapping and the recycling bookkeeping. Callers
-// that accept that hazard can get the writable profiler back with
-// (*ReadOnlyProfiler).Unwrap.
-func (q *keyedQueries[K]) Profile() Profiler { return NewReadOnly(q.profile) }
 
 // translateQueryResult resolves every dense id in a composite query answer
 // back to its key through the resolver, and sets Tracked beside a Summary.
@@ -209,16 +118,6 @@ func (q *keyedQueries[K]) translateQueryResult(dr QueryResult) KeyedQueryResult[
 	return out
 }
 
-// queryDense answers the dense half of a keyed composite query through the
-// inner profiler's own Querier capability when present (it always is for the
-// profiles NewKeyed and BuildKeyed construct).
-func (q *keyedQueries[K]) queryDense(dq Query) (QueryResult, error) {
-	return QueryProfiler(q.profile, dq)
-}
-
-// KeyOf resolves a dense id back to its key, when one is assigned.
-func (q *keyedQueries[K]) KeyOf(id int) (K, bool) { return q.resolver.Key(id) }
-
 // KeyedOption configures a Keyed profile.
 type KeyedOption func(*keyedOptions)
 
@@ -253,8 +152,9 @@ func NewKeyed[K comparable](m int, opts ...KeyedOption) (*Keyed[K], error) {
 }
 
 // NewKeyedOver returns a Keyed profile backed by an existing dense-id
-// profiler — typically one assembled with Build, so key-addressed callers
-// get sharding or durability by swapping the Build options. With recycling
+// profiler — typically one assembled with Build, e.g. a sharded or windowed
+// profile. Build profiles live in memory only; the durable key-addressed
+// profile is BuildKeyed with WithWAL. With recycling
 // enabled (the default) the profiler must have been built with
 // WithStrictNonNegative, or idle ids cannot be detected reliably. The caller
 // must stop using the profiler directly afterwards.
@@ -369,14 +269,15 @@ func (k *Keyed[K]) Apply(key K, action Action) error {
 	}
 }
 
-// QueryKeys answers a keyed composite query: the dense statistics are read
-// through the inner profiler's Querier capability, requested per-key counts
-// are resolved through the id mapping (unknown keys count as zero, like the
-// Count getter), and every dense id in the answer is translated back to its
-// key. A Keyed profile is single-goroutine, so the whole sequence is one
-// consistent cut by construction.
+// QueryKeys answers a keyed composite query, the only read of a keyed
+// profile: the dense statistics are read through QueryProfiler (the inner
+// profiler's Querier capability for every profile NewKeyed and Build
+// construct), requested per-key counts are resolved through the id mapping
+// (unknown keys count as zero, like Count), and every dense id in the answer
+// is translated back to its key. A Keyed profile is single-goroutine, so the
+// whole sequence is one consistent cut by construction.
 func (k *Keyed[K]) QueryKeys(q KeyedQuery[K]) (KeyedQueryResult[K], error) {
-	dres, err := k.queryDense(q.dense())
+	dres, err := QueryProfiler(k.profile, q.dense())
 	if err != nil {
 		return KeyedQueryResult[K]{}, err
 	}

@@ -7,6 +7,16 @@ import (
 	"sprofile"
 )
 
+// keyedSummary reads k's profile-wide summary through QueryKeys.
+func keyedSummary[K comparable](t testing.TB, k sprofile.KeyedProfiler[K]) sprofile.Summary {
+	t.Helper()
+	res, err := k.QueryKeys(sprofile.KeyedQuery[K]{Summary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return *res.Summary
+}
+
 func TestKeyedBasicFlow(t *testing.T) {
 	k := sprofile.MustNewKeyed[string](8)
 	events := []struct {
@@ -24,11 +34,11 @@ func TestKeyedBasicFlow(t *testing.T) {
 			t.Fatalf("Apply(%q, %v): %v", e.key, e.action, err)
 		}
 	}
-	mode, _, err := k.Mode()
+	mres, err := k.QueryKeys(sprofile.KeyedQuery[string]{Mode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mode.Key != "alice" || mode.Frequency != 2 {
+	if mode := mres.Mode; mode.Key != "alice" || mode.Frequency != 2 {
 		t.Fatalf("Mode = %+v", mode)
 	}
 	if f, err := k.Count("bob"); err != nil || f != 0 {
@@ -65,7 +75,11 @@ func TestKeyedTopK(t *testing.T) {
 		k.Add("y")
 	}
 	k.Add("z")
-	top := k.TopK(3)
+	res, err := k.QueryKeys(sprofile.KeyedQuery[string]{TopK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := res.TopK
 	if len(top) != 3 {
 		t.Fatalf("TopK(3) returned %d entries", len(top))
 	}
@@ -147,49 +161,21 @@ func TestKeyedMedianMajorityDistribution(t *testing.T) {
 		k.Add(42)
 	}
 	k.Add(7)
-	med, err := k.Median()
+	res, err := k.QueryKeys(sprofile.KeyedQuery[int]{Median: true, Majority: true, Distribution: true, Summary: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if med.Frequency != 1 {
-		t.Fatalf("Median frequency %d, want 1", med.Frequency)
+	if res.Median.Frequency != 1 {
+		t.Fatalf("Median frequency %d, want 1", res.Median.Frequency)
 	}
-	maj, ok, err := k.Majority()
-	if err != nil {
-		t.Fatal(err)
+	if maj := res.Majority; !maj.Majority || maj.Key != 42 {
+		t.Fatalf("Majority = %+v", maj)
 	}
-	if !ok || maj.Key != 42 {
-		t.Fatalf("Majority = %+v ok=%v", maj, ok)
+	if len(res.Distribution) != 3 {
+		t.Fatalf("Distribution = %+v", res.Distribution)
 	}
-	dist := k.Distribution()
-	if len(dist) != 3 {
-		t.Fatalf("Distribution = %+v", dist)
-	}
-	sum := k.Summarize()
-	if sum.Total != 6 || sum.MaxFrequency != 5 {
-		t.Fatalf("Summarize = %+v", sum)
-	}
-	if k.Profile() == nil {
-		t.Fatalf("Profile() returned nil")
-	}
-	// Profile() is a read-only view; the writable inner profiler of a
-	// NewKeyed profile is a plain Profile, and advanced per-object queries
-	// like Rank stay reachable through the explicit Unwrap escape hatch.
-	view, ok := k.Profile().(*sprofile.ReadOnlyProfiler)
-	if !ok {
-		t.Fatalf("Profile() = %T, want *sprofile.ReadOnlyProfiler", k.Profile())
-	}
-	inner, ok := view.Unwrap().(*sprofile.Profile)
-	if !ok {
-		t.Fatalf("Profile().Unwrap() = %T, want *sprofile.Profile", view.Unwrap())
-	}
-	id, err := inner.Rank(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = id
-	if key, ok := k.KeyOf(0); !ok || (key != 42 && key != 7) {
-		t.Fatalf("KeyOf(0) = %v ok=%v", key, ok)
+	if sum := res.Summary; sum.Total != 6 || sum.MaxFrequency != 5 {
+		t.Fatalf("Summary = %+v", sum)
 	}
 }
 

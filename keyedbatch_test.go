@@ -13,12 +13,6 @@ import (
 	"sprofile"
 )
 
-// writableDense unwraps the writable dense profiler behind the read-only
-// view Profile() returns.
-func writableDense[K comparable](k sprofile.KeyedProfiler[K]) sprofile.Profiler {
-	return k.Profile().(*sprofile.ReadOnlyProfiler).Unwrap()
-}
-
 // TestBuildKeyedSingleCoreDefaultsToOneStripe pins the adaptive default:
 // with GOMAXPROCS=1 and Shards unset, BuildKeyed must pick a single
 // shard/stripe so single-core ingest does not pay the striping overhead.
@@ -26,16 +20,12 @@ func TestBuildKeyedSingleCoreDefaultsToOneStripe(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	k := sprofile.MustBuildKeyed[string](100)
-	sh, ok := writableDense(k).(*sprofile.Sharded)
-	if !ok {
-		t.Fatalf("BuildKeyed built a %T dense profile", writableDense(k))
-	}
-	if sh.Shards() != 1 {
-		t.Fatalf("GOMAXPROCS=1 host got %d shards, want 1", sh.Shards())
+	if got := k.Dense().Shards(); got != 1 {
+		t.Fatalf("GOMAXPROCS=1 host got %d shards, want 1", got)
 	}
 	// An explicit WithSharding always wins over the adaptive default.
 	k4 := sprofile.MustBuildKeyed[string](100, sprofile.WithSharding(4))
-	if got := writableDense(k4).(*sprofile.Sharded).Shards(); got != 4 {
+	if got := k4.Dense().Shards(); got != 4 {
 		t.Fatalf("explicit sharding got %d shards, want 4", got)
 	}
 }
@@ -119,7 +109,7 @@ func testKeyedBatchEquivalence(t *testing.T, shards int, recycle bool) {
 				negativeSeen = true
 			}
 		}
-		sb, sp := batched.Summarize(), perEvent.Summarize()
+		sb, sp := keyedSummary(t, batched), keyedSummary(t, perEvent)
 		if sb != sp {
 			t.Fatalf("round %d: summaries diverge:\n batched  %+v\n perEvent %+v", round, sb, sp)
 		}
@@ -305,7 +295,7 @@ func TestKeyedApplyDeltaSingleKey(t *testing.T) {
 	if f, _ := k.Count("hot"); f != 498 {
 		t.Fatalf("hot at %d, want 498", f)
 	}
-	s := k.Summarize()
+	s := keyedSummary(t, k)
 	if s.Adds != 500 || s.Removes != 2 {
 		t.Fatalf("counters (%d,%d), want (500,2)", s.Adds, s.Removes)
 	}
@@ -348,7 +338,7 @@ func TestKeyedApplyDeltaBoundsCounts(t *testing.T) {
 	if f, _ := k.Count("x"); f != bound {
 		t.Fatalf("count(x) = %d, want %d", f, int64(bound))
 	}
-	if s := k.Summarize(); s.Total != bound || s.Adds != bound || s.Removes != 0 {
+	if s := keyedSummary(t, k); s.Total != bound || s.Adds != bound || s.Removes != 0 {
 		t.Fatalf("summary %+v after refused deltas, want total and adds %d", s, int64(bound))
 	}
 }
@@ -378,7 +368,7 @@ func TestKeyedBoundHoldsAcrossShards(t *testing.T) {
 				t.Fatalf("%s: count(%s) = %d, want %d", stage, key, f, want)
 			}
 		}
-		if s := k.Summarize(); s.Total != bound-1 || s.Adds != bound || s.Removes != 1 || k.Tracked() != 2 {
+		if s := keyedSummary(t, k); s.Total != bound-1 || s.Adds != bound || s.Removes != 1 || k.Tracked() != 2 {
 			t.Fatalf("%s: summary %+v with %d keys, want total %d, adds %d, 1 remove, 2 keys",
 				stage, s, k.Tracked(), int64(bound-1), int64(bound))
 		}
@@ -442,7 +432,7 @@ func TestKeyedApplyBatchDurable(t *testing.T) {
 	if err := k.ApplyDelta("alpha", 10, 0); err != nil {
 		t.Fatal(err)
 	}
-	before := k.Summarize()
+	before := keyedSummary(t, k)
 	if err := k.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +447,7 @@ func TestKeyedApplyBatchDurable(t *testing.T) {
 			t.Fatalf("key %s recovered at %d, want %d", key, f, want)
 		}
 	}
-	if after := k2.Summarize(); after != before {
+	if after := keyedSummary(t, k2); after != before {
 		t.Fatalf("summary diverged:\n before %+v\n after  %+v", before, after)
 	}
 	// The cancelled key is still tracked (it was acquired), like per-event.
@@ -503,21 +493,18 @@ func TestKeyedApplyBatchConcurrentChurn(t *testing.T) {
 					}
 					_ = k.Remove(key)
 				default: // reader
-					_, _, _ = k.Mode()
-					_ = k.TopK(4)
+					if _, err := k.QueryKeys(sprofile.KeyedQuery[string]{Mode: true, TopK: 4, Summary: true}); err != nil {
+						t.Errorf("QueryKeys: %v", err)
+						return
+					}
 					_, _ = k.Count(pool[rng.Intn(len(pool))])
-					_ = k.Summarize()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	// Sanity: the dense profile's invariants survived the churn.
-	s, ok := k.Profile().(sprofile.Snapshotter)
-	if !ok {
-		t.Fatalf("%T lost the Snapshotter capability", k.Profile())
-	}
-	snap, err := s.Snapshot()
+	snap, err := k.Dense().Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,20 +52,18 @@ var ErrWALAppend = errors.New("sprofile: event applied but not journaled")
 // hash-distributed keys the stripes stay balanced and the difference from
 // global eviction is marginal.
 //
-// Global queries (Mode, TopK, Median, ...) read the dense profile, which
-// locks its shards internally, and translate ids back to keys afterwards;
-// under concurrent ingestion each answer is a point-in-time snapshot, and a
-// translated key may in rare cases have been recycled between the statistic
-// and the translation. Per-key queries (Count) are stripe-consistent.
+// Reads: QueryKeys answers every statistic from one quiesced cut, so each
+// key it reports held the frequency beside it at that instant, even while
+// ids are recycled. Count reads one key under its stripe lock, and Entries
+// lists every tracked key's count from one quiesced cut.
 //
-// Construct with BuildKeyed. As with Keyed, mutating the underlying Profile()
-// directly desynchronises the bookkeeping and must be avoided.
+// Construct with BuildKeyed.
 type KeyedConcurrent[K comparable] struct {
 	keyedQueries[K]
 	ids     *idmap.Striped[K]
 	recycle bool
 	// dense is the dense profile (keyedQueries.profile), called directly by
-	// the write path, Checkpoint and restore.
+	// the write path, QueryKeys, Entries, Checkpoint and restore.
 	dense *Sharded
 	// batches recycles the coalescing scratch of ApplyBatch.
 	batches sync.Pool
@@ -352,15 +350,9 @@ func (k *KeyedConcurrent[K]) Checkpoint() error {
 			n := k.ids.Len()
 			keys := make([]string, 0, n)
 			counts := make([]int64, 0, n)
-			k.ids.RangeLocked(func(key K, id int) bool {
-				f, cerr := k.dense.Count(id)
-				if cerr != nil {
-					err = cerr
-					return false
-				}
+			err = k.rangeCountsLocked(func(key K, f int64) {
 				keys = append(keys, any(key).(string))
 				counts = append(counts, f)
-				return true
 			})
 			if err != nil {
 				return
@@ -375,6 +367,43 @@ func (k *KeyedConcurrent[K]) Checkpoint() error {
 		})
 		return st, sealed, err
 	})
+}
+
+// Entries returns every tracked key with its count, read from one quiesced
+// cut like QueryKeys: each key is paired with the frequency it held at that
+// instant, however ids are recycled around the call. Idle keys (count zero)
+// are listed too. The order is the mapper's, which is not stable across
+// processes; sort the result for a canonical listing.
+func (k *KeyedConcurrent[K]) Entries() ([]KeyedEntry[K], error) {
+	var out []KeyedEntry[K]
+	var err error
+	k.ids.Quiesce(func() {
+		out = make([]KeyedEntry[K], 0, k.ids.Len())
+		err = k.rangeCountsLocked(func(key K, f int64) {
+			out = append(out, KeyedEntry[K]{Key: key, Frequency: f})
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// rangeCountsLocked calls fn with every tracked key and its count. The
+// caller holds every stripe lock (Quiesce), so the dense profile cannot
+// change and each count is read in place.
+func (k *KeyedConcurrent[K]) rangeCountsLocked(fn func(key K, f int64)) error {
+	var err error
+	k.ids.RangeLocked(func(key K, id int) bool {
+		f, cerr := k.dense.Count(id)
+		if cerr != nil {
+			err = cerr
+			return false
+		}
+		fn(key, f)
+		return true
+	})
+	return err
 }
 
 // checkJournalableKey rejects keys the write-ahead log cannot record.
@@ -438,8 +467,7 @@ func (k *KeyedConcurrent[K]) Apply(key K, action Action) error {
 // other structures proceed), so the dense statistics, the per-key counts,
 // the tracked-key count and the id→key translation all describe the same
 // instant — a translated key can never have been recycled between a
-// statistic and its resolution, which the individual getters cannot promise
-// under concurrent ingest.
+// statistic and its resolution.
 //
 // The dense evaluation is Sharded.Query: one read-locked cut evaluated by
 // core.EvalQuery, on the shard's own profile when there is one shard and on
@@ -450,7 +478,7 @@ func (k *KeyedConcurrent[K]) QueryKeys(q KeyedQuery[K]) (KeyedQueryResult[K], er
 	var err error
 	k.ids.Quiesce(func() {
 		var dres QueryResult
-		dres, err = k.queryDense(q.dense())
+		dres, err = k.dense.Query(q.dense())
 		if err != nil {
 			return
 		}

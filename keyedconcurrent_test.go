@@ -41,26 +41,26 @@ func TestBuildKeyedBasics(t *testing.T) {
 	if c, _ := k.Count("ghost"); c != 0 {
 		t.Fatalf("Count(ghost) = %d, want 0", c)
 	}
-	mode, ties, err := k.Mode()
-	if err != nil || mode.Key != "alice" || mode.Frequency != 3 || ties != 1 {
-		t.Fatalf("Mode = (%+v, %d, %v)", mode, ties, err)
+	res, err := k.QueryKeys(sprofile.KeyedQuery[string]{
+		Mode: true, Min: true, TopK: 1, BottomK: 1, KthLargest: []int{1}, Majority: true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e, err := k.KthLargest(1); err != nil || e.Frequency != 3 {
-		t.Fatalf("KthLargest(1) = (%+v, %v)", e, err)
+	if mode := res.Mode; mode.Key != "alice" || mode.Frequency != 3 || mode.Ties != 1 {
+		t.Fatalf("Mode = %+v", mode)
 	}
-	top := k.TopK(1)
-	if len(top) != 1 || top[0].Key != "alice" {
+	if e := res.KthLargest[0]; e.Frequency != 3 {
+		t.Fatalf("KthLargest(1) = %+v", e)
+	}
+	if top := res.TopK; len(top) != 1 || top[0].Key != "alice" {
 		t.Fatalf("TopK = %+v", top)
 	}
-	bottom := k.BottomK(1)
-	if len(bottom) != 1 || bottom[0].Frequency != 0 {
+	if bottom := res.BottomK; len(bottom) != 1 || bottom[0].Frequency != 0 {
 		t.Fatalf("BottomK = %+v", bottom)
 	}
-	if _, _, err := k.Min(); err != nil {
-		t.Fatalf("Min: %v", err)
-	}
-	if _, _, err := k.Majority(); err != nil {
-		t.Fatalf("Majority: %v", err)
+	if res.Min == nil || res.Majority == nil {
+		t.Fatalf("Min = %+v, Majority = %+v", res.Min, res.Majority)
 	}
 	if k.Tracked() != 2 || k.Total() != 3 {
 		t.Fatalf("tracked=%d total=%d", k.Tracked(), k.Total())
@@ -466,14 +466,20 @@ func TestKeyedConcurrentChurnStress(t *testing.T) {
 								return
 							}
 						case 1:
-							if _, _, err := k.Mode(); err != nil {
+							if _, err := k.QueryKeys(sprofile.KeyedQuery[string]{Mode: true}); err != nil {
 								t.Error(err)
 								return
 							}
 						case 2:
-							k.TopK(3)
+							if _, err := k.QueryKeys(sprofile.KeyedQuery[string]{TopK: 3}); err != nil {
+								t.Error(err)
+								return
+							}
 						case 3:
-							k.Distribution()
+							if _, err := k.QueryKeys(sprofile.KeyedQuery[string]{Distribution: true}); err != nil {
+								t.Error(err)
+								return
+							}
 						case 4:
 							if err := k.Track(fmt.Sprintf("tracked-%d-%d", w, i%8)); err != nil && !errors.Is(err, sprofile.ErrKeyedFull) {
 								t.Error(err)
@@ -502,7 +508,7 @@ func TestKeyedConcurrentChurnStress(t *testing.T) {
 			if k.Tracked() > capacity {
 				t.Fatalf("Tracked = %d > capacity %d", k.Tracked(), capacity)
 			}
-			sum := k.Summarize()
+			sum := keyedSummary(t, k)
 			if sum.Negative != 0 {
 				t.Fatalf("strict profile reports %d negative frequencies", sum.Negative)
 			}
@@ -625,7 +631,7 @@ func TestKeyedRestoreLoadsStripesConcurrently(t *testing.T) {
 	if _, err := k1.ApplyBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	sum := k1.Summarize()
+	sum := keyedSummary(t, k1)
 	if err := k1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +652,7 @@ func TestKeyedRestoreLoadsStripesConcurrently(t *testing.T) {
 			t.Fatalf("Count(%s) = (%d, %v), want %d", key, got, err, n)
 		}
 	}
-	if got := k2.Summarize(); got != sum {
+	if got := keyedSummary(t, k2); got != sum {
 		t.Fatalf("Summarize = %+v, want %+v", got, sum)
 	}
 	if err := k2.CheckZeroSets(); err != nil {
@@ -773,27 +779,25 @@ func TestKeyedCheckpointRoundTrip(t *testing.T) {
 	if got := k2.Total(); got != 5 {
 		t.Errorf("Total = %d, want 5", got)
 	}
-	mode, ties, err := k2.Mode()
+	res, err := k2.QueryKeys(sprofile.KeyedQuery[string]{
+		Mode: true, TopK: 2, Median: true, Quantiles: []float64{0}, Summary: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mode.Frequency != 2 || ties != 2 {
-		t.Errorf("Mode = %+v ties %d, want frequency 2 with 2 ties", mode, ties)
+	if mode := res.Mode; mode.Frequency != 2 || mode.Ties != 2 {
+		t.Errorf("Mode = %+v, want frequency 2 with 2 ties", mode)
 	}
-	top := k2.TopK(2)
-	if len(top) != 2 || top[0].Frequency != 2 || top[1].Frequency != 2 {
+	if top := res.TopK; len(top) != 2 || top[0].Frequency != 2 || top[1].Frequency != 2 {
 		t.Errorf("TopK(2) = %+v, want two frequency-2 entries", top)
 	}
-	med, err := k2.Median()
-	if err != nil || med.Frequency != 2 {
-		t.Errorf("Median = %+v (%v), want frequency 2", med, err)
+	if med := res.Median; med.Frequency != 2 {
+		t.Errorf("Median = %+v, want frequency 2", med)
 	}
-	q, err := k2.Quantile(0)
-	if err != nil || q.Frequency != 1 {
-		t.Errorf("Quantile(0) = %+v (%v), want frequency 1", q, err)
+	if q := res.Quantiles[0]; q.Frequency != 1 {
+		t.Errorf("Quantile(0) = %+v, want frequency 1", q)
 	}
-	sum := k2.Summarize()
-	if sum.Adds != 7 || sum.Removes != 2 {
+	if sum := res.Summary; sum.Adds != 7 || sum.Removes != 2 {
 		t.Errorf("Summarize adds/removes = %d/%d, want 7/2 (historical counters preserved)", sum.Adds, sum.Removes)
 	}
 

@@ -55,7 +55,9 @@ type Querier interface {
 
 // KeyedQuery is the key-addressed counterpart of Query: the same statistic
 // selection, with Count listing caller keys instead of dense ids. Unknown
-// keys count as frequency zero, mirroring the keyed Count getter.
+// keys count as frequency zero, mirroring the keyed Count. It is the only
+// read of a keyed profile's profile-wide statistics: select any subset and
+// QueryKeys answers it from one cut.
 type KeyedQuery[K comparable] struct {
 	Count        []K       `json:"count,omitempty"`
 	Mode         bool      `json:"mode,omitempty"`
@@ -108,7 +110,9 @@ type KeyedMajority[K comparable] struct {
 
 // KeyedQueryResult is the key-addressed counterpart of QueryResult: every
 // entry's dense id has been resolved back to its key under the same cut the
-// statistics were read from.
+// statistics were read from. A slot bound to no key (frequency zero)
+// answers with the zero value of K, so TopK and BottomK on a profile
+// tracking fewer keys than asked for can list such entries.
 type KeyedQueryResult[K comparable] struct {
 	Counts       []KeyedEntry[K]    `json:"counts,omitempty"`
 	Mode         *KeyedExtreme[K]   `json:"mode,omitempty"`
@@ -130,13 +134,6 @@ type KeyedQueryResult[K comparable] struct {
 	// position it had applied and a wall-clock bound on how far behind the
 	// leader the answer may be. Nil outside a replicated deployment.
 	Replication *ReplicationStatus `json:"replication,omitempty"`
-}
-
-// KeyedQuerier is the keyed counterpart of the Querier capability; both
-// Keyed and KeyedConcurrent satisfy it (and the KeyedProfiler interface
-// includes it).
-type KeyedQuerier[K comparable] interface {
-	QueryKeys(q KeyedQuery[K]) (KeyedQueryResult[K], error)
 }
 
 // QueryProfiler answers a composite query against any Profiler. When p
@@ -162,50 +159,4 @@ func QueryProfiler(p Profiler, q Query) (QueryResult, error) {
 		return snap.Query(q)
 	}
 	return core.EvalQuery(p, q)
-}
-
-// ReadOnlyProfiler is a Profiler view that answers every query but refuses
-// every update with ErrReadOnly. Keyed.Profile and KeyedConcurrent.Profile
-// return one, so the dense profile backing a keyed mapping can be inspected
-// (rank lookups, snapshots, composite queries) but not driven out of sync
-// with the key table. Every statistic of the Reader contract (Count, Mode,
-// TopK, ..., Total) comes straight from the wrapped profile, and its
-// Snapshotter and Querier capabilities pass through.
-type ReadOnlyProfiler struct {
-	reader // the wrapped profile, answering every statistic
-	p      Profiler
-}
-
-// NewReadOnly wraps p in a read-only view.
-func NewReadOnly(p Profiler) *ReadOnlyProfiler { return &ReadOnlyProfiler{reader: p, p: p} }
-
-// Unwrap returns the underlying writable profiler. It is the explicit escape
-// hatch for callers that genuinely need to mutate (and accept the
-// desynchronisation hazard the read-only view exists to prevent).
-func (r *ReadOnlyProfiler) Unwrap() Profiler { return r.p }
-
-// Add refuses the update with ErrReadOnly.
-func (r *ReadOnlyProfiler) Add(x int) error { return ErrReadOnly }
-
-// Remove refuses the update with ErrReadOnly.
-func (r *ReadOnlyProfiler) Remove(x int) error { return ErrReadOnly }
-
-// Apply refuses the update with ErrReadOnly.
-func (r *ReadOnlyProfiler) Apply(t Tuple) error { return ErrReadOnly }
-
-// ApplyAll refuses the update with ErrReadOnly.
-func (r *ReadOnlyProfiler) ApplyAll(tuples []Tuple) (int, error) { return 0, ErrReadOnly }
-
-// Query answers a composite query through the underlying profiler's own
-// cut-pinning (see QueryProfiler).
-func (r *ReadOnlyProfiler) Query(q Query) (QueryResult, error) { return QueryProfiler(r.p, q) }
-
-// Snapshot returns a point-in-time copy when the underlying profiler offers
-// the Snapshotter capability, and ErrReadOnly otherwise (the view cannot
-// fabricate one without replaying updates).
-func (r *ReadOnlyProfiler) Snapshot() (*Profile, error) {
-	if s, ok := r.p.(Snapshotter); ok {
-		return s.Snapshot()
-	}
-	return nil, ErrReadOnly
 }

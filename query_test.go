@@ -2,6 +2,8 @@ package sprofile_test
 
 import (
 	"errors"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,61 +61,6 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 	if err := k.Remove("ghost"); !errors.Is(err, sprofile.ErrUnknownKey) {
 		t.Errorf("keyed unknown remove = %v, want ErrUnknownKey", err)
-	}
-}
-
-// TestReadOnlyProfileView pins the Keyed.Profile contract: the view answers
-// queries and passes capabilities through, but refuses every update with
-// ErrReadOnly, so the Query fallback (or any caller) cannot desynchronise
-// the keyed id mapping through it.
-func TestReadOnlyProfileView(t *testing.T) {
-	k := sprofile.MustNewKeyed[string](8)
-	for _, key := range []string{"a", "a", "b"} {
-		if err := k.Add(key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	view := k.Profile()
-
-	if err := view.Add(0); !errors.Is(err, sprofile.ErrReadOnly) {
-		t.Errorf("view.Add = %v, want ErrReadOnly", err)
-	}
-	if err := view.Remove(0); !errors.Is(err, sprofile.ErrReadOnly) {
-		t.Errorf("view.Remove = %v, want ErrReadOnly", err)
-	}
-	if err := view.Apply(sprofile.Tuple{Object: 0, Action: sprofile.ActionAdd}); !errors.Is(err, sprofile.ErrReadOnly) {
-		t.Errorf("view.Apply = %v, want ErrReadOnly", err)
-	}
-	if n, err := view.ApplyAll([]sprofile.Tuple{{Object: 0, Action: sprofile.ActionAdd}}); n != 0 || !errors.Is(err, sprofile.ErrReadOnly) {
-		t.Errorf("view.ApplyAll = (%d, %v), want (0, ErrReadOnly)", n, err)
-	}
-	if k.Total() != 3 {
-		t.Fatalf("refused updates leaked into the profile: total %d", k.Total())
-	}
-
-	// Reads and composite queries flow through.
-	if total := view.Total(); total != 3 {
-		t.Errorf("view.Total = %d, want 3", total)
-	}
-	res, err := sprofile.QueryProfiler(view, sprofile.Query{Mode: true, Summary: true})
-	if err != nil {
-		t.Fatalf("view query: %v", err)
-	}
-	if res.Mode.Frequency != 2 || res.Summary.Total != 3 {
-		t.Errorf("view query = %+v", res)
-	}
-
-	// The Snapshotter capability passes through, and Unwrap reaches the
-	// writable profiler for callers that accept the hazard.
-	ro, ok := view.(*sprofile.ReadOnlyProfiler)
-	if !ok {
-		t.Fatalf("Profile() = %T, want *ReadOnlyProfiler", view)
-	}
-	if snap, err := ro.Snapshot(); err != nil || snap.Total() != 3 {
-		t.Errorf("view.Snapshot = (%v, %v)", snap, err)
-	}
-	if _, ok := ro.Unwrap().(*sprofile.Profile); !ok {
-		t.Errorf("Unwrap = %T, want *sprofile.Profile", ro.Unwrap())
 	}
 }
 
@@ -274,6 +221,68 @@ func TestQueryAtomicKeyedConcurrent(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestQueryKeysUnderRecyclingChurn pins that QueryKeys translates ids under
+// the cut it reads while ids are recycled, which the fixed keys of
+// TestQueryAtomicKeyedConcurrent never are: four writers each add a fresh
+// key "k<n>" with frequency n%1000+1 in one delta and remove their key
+// n-12 the same way, so every key holds 0 or its own frequency and the full
+// stripes of a capacity-64, two-shard profile evict idle keys all the time.
+// Every positive TopK entry must carry its key's own frequency.
+func TestQueryKeysUnderRecyclingChurn(t *testing.T) {
+	const reads, writers, lag = 5000, 4, 12
+	k := sprofile.MustBuildKeyed[string](64, sprofile.WithSharding(2))
+	key := func(n int) string { return "k" + strconv.Itoa(n) }
+	freq := func(n int) uint64 { return uint64(n%1000 + 1) }
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			added := map[int]bool{}
+			for n := w; !stop.Load(); n += writers {
+				switch err := k.ApplyDelta(key(n), freq(n), 0); {
+				case err == nil:
+					added[n] = true
+				case !errors.Is(err, sprofile.ErrKeyedFull):
+					t.Errorf("add %s: %v", key(n), err)
+					return
+				}
+				if old := n - lag; added[old] {
+					delete(added, old)
+					if err := k.ApplyDelta(key(old), 0, freq(old)); err != nil {
+						t.Errorf("remove %s: %v", key(old), err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wrong, listed := 0, 0
+	for i := 0; i < reads && !t.Failed(); i++ {
+		res, err := k.QueryKeys(sprofile.KeyedQuery[string]{TopK: 48})
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		for _, e := range res.TopK {
+			if e.Frequency == 0 {
+				continue
+			}
+			listed++
+			n, err := strconv.Atoi(strings.TrimPrefix(e.Key, "k"))
+			if err != nil || !strings.HasPrefix(e.Key, "k") || int64(freq(n)) != e.Frequency {
+				wrong++
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if wrong > 0 {
+		t.Fatalf("%d of %d positive TopK entries in %d reads carried a frequency their key never held", wrong, listed, reads)
+	}
 }
 
 // TestTimeWindowQueryAt pins that QueryAt runs the expiry sweep before
