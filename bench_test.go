@@ -996,7 +996,9 @@ func BenchmarkQueryKeys(b *testing.B) {
 // case is the cold start the end-to-end benchmark times as setup_s on
 // ingest-events-uniform: a 1M-key snapshot at capacity 1<<20 on the default
 // shards, with no log tail, so it times the snapshot decode and restore
-// alone.
+// alone. The snapshot-sparse case does the same for the 100k-key snapshots
+// of ingest-bulk-zipf and mixed-dashboard, where most of the capacity holds
+// no key.
 func BenchmarkRecovery(b *testing.B) {
 	const (
 		m            = 100_000
@@ -1065,27 +1067,29 @@ func BenchmarkRecovery(b *testing.B) {
 		dir, snapshotted := buildDir(b, true)
 		coldStart(b, dir, m, snapshotted, n-checkpointAt)
 	})
-	b.Run("snapshot-only", func(b *testing.B) {
-		const keys, capacity = 1_000_000, 1 << 20
+	// snapshotDir writes a checkpointed log of keys keys at capacity
+	// 1<<20: every key once, then extra adds of the keys draw picks, in
+	// bodies of 4096, with no tail after the checkpoint.
+	snapshotDir := func(b *testing.B, keys, extra int, draw func(rng *stream.RNG) int) string {
+		b.Helper()
 		dir := filepath.Join(b.TempDir(), "wal")
-		k, err := sprofile.BuildKeyed[string](capacity, sprofile.WithWAL(dir))
+		k, err := sprofile.BuildKeyed[string](1<<20, sprofile.WithWAL(dir))
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Every key once, then as many uniform adds again, in bodies of 4096.
 		names := make([]string, keys)
 		for i := range names {
 			names[i] = fmt.Sprintf("object-%08d", i)
 		}
 		rng := stream.NewRNG(20190326)
 		batch := make([]sprofile.KeyedTuple[string], 0, 4096)
-		for i := 0; i < 2*keys; i++ {
+		for i := 0; i < keys+extra; i++ {
 			key := names[i%keys]
 			if i >= keys {
-				key = names[rng.Intn(keys)]
+				key = names[draw(rng)]
 			}
 			batch = append(batch, sprofile.KeyedTuple[string]{Key: key, Action: sprofile.ActionAdd})
-			if len(batch) == cap(batch) || i == 2*keys-1 {
+			if len(batch) == cap(batch) || i == keys+extra-1 {
 				if _, err := k.ApplyBatch(batch); err != nil {
 					b.Fatal(err)
 				}
@@ -1099,7 +1103,24 @@ func BenchmarkRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		runtime.GC()
-		coldStart(b, dir, capacity, keys, 0)
+		return dir
+	}
+	b.Run("snapshot-only", func(b *testing.B) {
+		const keys = 1_000_000
+		dir := snapshotDir(b, keys, keys, func(rng *stream.RNG) int { return rng.Intn(keys) })
+		coldStart(b, dir, 1<<20, keys, 0)
+	})
+	// The preload shape of ingest-bulk-zipf and mixed-dashboard: 100k keys,
+	// a tenth of the capacity, drawn zipf(s=1.1) for 1M events in all.
+	b.Run("snapshot-sparse", func(b *testing.B) {
+		const keys = 100_000
+		zipf, err := stream.NewZipf(keys, 1.1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dir := snapshotDir(b, keys, 9*keys, zipf.Sample)
+		b.ReportAllocs()
+		coldStart(b, dir, 1<<20, keys, 0)
 	})
 }
 

@@ -6,6 +6,21 @@ import "fmt"
 // invariants.
 func (k *KeyedConcurrent[K]) Dense() *Sharded { return k.dense }
 
+// CheckInvariants checks every shard's core invariants (core.Profile's
+// CheckInvariants) under that shard's read lock.
+func (s *Sharded) CheckInvariants() error {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		err := sh.p.CheckInvariants()
+		sh.mu.RUnlock()
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // CheckZeroSets verifies the recycling bookkeeping of k against its dense
 // profile on one quiesced cut: each stripe's idle list must hold exactly
 // that stripe's mapped ids whose dense Count is zero (and stay empty

@@ -12,7 +12,7 @@ import (
 
 // The recovery experiment's methods: cold-starting a durable keyed profile
 // from a full, never-checkpointed log (every event replayed one by one)
-// versus from a checkpointed log (snapshot restored in one O(m) bulk load,
+// versus from a checkpointed log (snapshot restored in one bulk load,
 // then only the tail replayed). The gap is the whole point of the checkpoint
 // subsystem: replay-full grows linearly with the ingest history, while
 // snapshot-tail is bounded by the checkpoint cadence.

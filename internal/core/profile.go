@@ -116,11 +116,9 @@ func New(m int, opts ...Option) (*Profile, error) {
 	if m < 0 || m > MaxCapacity {
 		return nil, fmt.Errorf("%w: %d", ErrCapacity, m)
 	}
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return newProfile(int32(m), o), nil
+	p := newProfile(int32(m), options(opts))
+	p.initZero()
+	return p, nil
 }
 
 // MustNew is New for callers with a known-good capacity; it panics on error.
@@ -132,12 +130,23 @@ func MustNew(m int, opts ...Option) *Profile {
 	return p
 }
 
+// options applies opts to the zero Options.
+func options(opts []Option) Options {
+	var o Options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
+// newProfile allocates a profile of m slots whose state is undefined until
+// initZero or LoadEntries sets it.
 func newProfile(m int32, o Options) *Profile {
 	hint := o.BlockHint
 	if hint <= 0 {
 		hint = 16
 	}
-	p := &Profile{
+	return &Profile{
 		m:     m,
 		opts:  o,
 		fToT:  make([]int32, m),
@@ -145,8 +154,6 @@ func newProfile(m int32, o Options) *Profile {
 		ptrB:  make([]int32, m),
 		arena: newBlockArena(hint),
 	}
-	p.initZero()
-	return p
 }
 
 // initZero sets every frequency to zero: identity permutations and a single

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Snapshot format:
@@ -17,9 +19,10 @@ import (
 //	freqs   m × svarint (zigzag), in object-id order
 //
 // The block structure is not serialised; WriteSnapshot stores only the
-// frequencies and ReadSnapshot rebuilds the sorted profile in time linear in
-// m (a radix sort, see rankOrder) rather than complicating the O(1) hot
-// path.
+// frequencies and ReadSnapshot rebuilds the sorted profile with one bulk
+// load (LoadEntries): ranking costs time linear in the nonzero frequencies,
+// plus one sequential pass over the m slots, rather than complicating the
+// O(1) hot path.
 
 var snapshotMagic = [4]byte{'S', 'P', 'F', '1'}
 
@@ -95,54 +98,52 @@ func ReadSnapshot(r io.Reader) (*Profile, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	// The header alone may claim up to MaxCapacity slots; let the
-	// frequencies actually read, not the claim, size the slice.
-	freqs := make([]int64, 0, min(mu, 1<<12))
+	// frequencies actually read, not the claim, size the entries.
+	var es []Entry
 	for i := uint64(0); i < mu; i++ {
 		f, err := binary.ReadVarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("%w: frequency %d: %v", ErrBadSnapshot, i, err)
 		}
-		freqs = append(freqs, f)
+		if f != 0 {
+			es = append(es, Entry{Object: int(i), Frequency: f})
+		}
 	}
-	var opts Options
-	if flags&1 != 0 {
-		opts.StrictNonNegative = true
-	}
-	p := newProfile(int32(mu), opts)
-	if err := p.LoadFrequencies(freqs, adds, removes); err != nil {
+	strict := flags&1 != 0
+	if err := checkLoad(es, strict, adds, removes); err != nil {
 		return nil, err
 	}
+	p := newProfile(int32(mu), Options{StrictNonNegative: strict})
+	p.LoadEntries(es, adds, removes)
 	return p, nil
 }
 
 // FromFrequencies builds a profile whose object x starts at frequency
 // freqs[x]. It is equivalent to applying |freqs[x]| add/remove events per
-// object but costs O(m) regardless of the magnitudes.
+// object, the fewest that produce freqs, but costs one load (LoadEntries)
+// regardless of the magnitudes. Frequencies whose positive or negative sum
+// passes MaxMagnitude are refused with ErrOutOfRange, as those events would
+// be, and a negative one under WithStrictNonNegative with
+// ErrNegativeFrequency.
 func FromFrequencies(freqs []int64, opts ...Option) (*Profile, error) {
-	if len(freqs) > MaxCapacity {
-		return nil, fmt.Errorf("%w: %d", ErrCapacity, len(freqs))
+	es := Nonzero(freqs)
+	adds, removes, err := EntrySums(es, options(opts).StrictNonNegative, 0)
+	if err != nil {
+		return nil, err
 	}
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
+	return NewLoaded(len(freqs), es, adds, removes, opts...)
+}
+
+// NewLoaded returns a profile of m object slots holding es, as LoadEntries
+// leaves one; LoadEntries says what es and the counters must satisfy. It
+// allocates the rank arrays without the zero fill of New, which the load
+// would overwrite.
+func NewLoaded(m int, es []Entry, adds, removes uint64, opts ...Option) (*Profile, error) {
+	if m < 0 || m > MaxCapacity {
+		return nil, fmt.Errorf("%w: %d", ErrCapacity, m)
 	}
-	if o.StrictNonNegative {
-		for x, f := range freqs {
-			if f < 0 {
-				return nil, fmt.Errorf("%w: object %d has frequency %d", ErrNegativeFrequency, x, f)
-			}
-		}
-	}
-	p := newProfile(int32(len(freqs)), o)
-	p.loadFrequencies(freqs)
-	// Attribute the initial state to synthetic events for bookkeeping.
-	for _, f := range freqs {
-		if f > 0 {
-			p.adds += uint64(f)
-		} else {
-			p.removes += uint64(-f)
-		}
-	}
+	p := newProfile(int32(m), options(opts))
+	p.LoadEntries(es, adds, removes)
 	return p, nil
 }
 
@@ -154,42 +155,66 @@ func (p *Profile) StrictNonNegative() bool { return p.opts.StrictNonNegative }
 // frequency freqs[x] and the adds/removes counters are set to the given
 // historical totals (they must net out to the summed frequencies). It is the
 // restore half of checkpointing — unlike FromFrequencies it preserves the
-// original event bookkeeping instead of synthesising a minimal one — and
-// costs O(m). The counters and FrequencySums must lie within MaxMagnitude,
-// as they do in any profile the checked delta path built (its adds counter
-// bounds the positive sum, its removes counter the negative one).
-// Validation happens before any mutation, so a failed load leaves the
+// original event bookkeeping instead of synthesising a minimal one. It reads
+// freqs once and then costs what LoadEntries costs for its nonzero
+// frequencies. The counters and the frequencies' sums must lie within
+// MaxMagnitude, as they do in any profile the checked delta path built (its
+// adds counter bounds the positive sum, its removes counter the negative
+// one). Validation happens before any mutation, so a failed load leaves the
 // profile untouched.
 func (p *Profile) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 	if len(freqs) != int(p.m) {
 		return fmt.Errorf("%w: %d frequencies for capacity %d", ErrBadSnapshot, len(freqs), p.m)
 	}
+	es := Nonzero(freqs)
+	if err := checkLoad(es, p.opts.StrictNonNegative, adds, removes); err != nil {
+		return err
+	}
+	p.LoadEntries(es, adds, removes)
+	return nil
+}
+
+// checkLoad refuses, with ErrBadSnapshot, a load of the nonzero frequencies
+// es with the counters adds and removes into a profile that is strict or
+// not: counters past MaxMagnitude, frequencies EntrySums refuses, or
+// counters that do not net to the frequencies' sum.
+func checkLoad(es []Entry, strict bool, adds, removes uint64) error {
 	if adds > MaxMagnitude || removes > MaxMagnitude {
 		return fmt.Errorf("%w: %d adds and %d removes exceed %d", ErrBadSnapshot, adds, removes, uint64(MaxMagnitude))
 	}
-	pos, neg, err := FrequencySums(freqs, p.opts.StrictNonNegative, 0)
+	pos, neg, err := EntrySums(es, strict, 0)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
 	if net := int64(pos) - int64(neg); int64(adds)-int64(removes) != net {
 		return fmt.Errorf("%w: %d adds - %d removes does not net to total %d",
 			ErrBadSnapshot, adds, removes, net)
 	}
-	p.loadFrequencies(freqs)
-	p.adds = adds
-	p.removes = removes
 	return nil
 }
 
-// FrequencySums returns the sum of the positive frequencies in freqs and
-// the magnitude of the sum of the negative ones: the fewest adds and
-// removes that produce them. It fails with ErrBadSnapshot when either sum
-// passes MaxMagnitude, or when strict and a frequency is negative; base is
-// the id of freqs[0], to name the object in the error.
-func FrequencySums(freqs []int64, strict bool, base int) (pos, neg uint64, err error) {
+// Nonzero returns the nonzero frequencies of freqs as entries, object x for
+// freqs[x], in object order.
+func Nonzero(freqs []int64) []Entry {
+	var es []Entry
 	for x, f := range freqs {
+		if f != 0 {
+			es = append(es, Entry{Object: x, Frequency: f})
+		}
+	}
+	return es
+}
+
+// EntrySums returns the sum of the positive frequencies in es and the
+// magnitude of the sum of the negative ones: the fewest adds and removes
+// that produce them. It fails with ErrOutOfRange when either sum passes
+// MaxMagnitude, and with ErrNegativeFrequency when strict and a frequency is
+// negative; base is added to an entry's object to name it in the error.
+func EntrySums(es []Entry, strict bool, base int) (pos, neg uint64, err error) {
+	for _, e := range es {
+		f := e.Frequency
 		if f < 0 && strict {
-			return 0, 0, fmt.Errorf("%w: %w: object %d has frequency %d", ErrBadSnapshot, ErrNegativeFrequency, base+x, f)
+			return 0, 0, fmt.Errorf("%w: object %d has frequency %d", ErrNegativeFrequency, base+e.Object, f)
 		}
 		// Both sums are within MaxMagnitude before the step and a magnitude
 		// is at most 2^63, so neither wraps. MaxMagnitude is 2^62-1, so the
@@ -201,61 +226,42 @@ func FrequencySums(freqs []int64, strict bool, base int) (pos, neg uint64, err e
 		}
 		if pos|neg > MaxMagnitude {
 			return 0, 0, fmt.Errorf("%w: frequency %d of object %d takes the frequencies' sums past %d",
-				ErrBadSnapshot, f, base+x, uint64(MaxMagnitude))
+				ErrOutOfRange, f, base+e.Object, uint64(MaxMagnitude))
 		}
 	}
 	return pos, neg, nil
 }
 
-// loadFrequencies overwrites the profile's state so that object x has
-// frequency freqs[x]; len(freqs) must equal p.m. It runs in time linear in
-// m: rankOrder sorts the ids, and one walk over the ranks rebuilds the
-// blocks.
-func (p *Profile) loadFrequencies(freqs []int64) {
-	m := int(p.m)
-	rankOrder(freqs, p.tToF)
-
-	p.arena.reset()
-	p.total = 0
-	p.active = 0
-	p.negative = 0
-	for r, x := range p.tToF {
-		p.fToT[x] = int32(r)
+// LoadEntries replaces the profile's state: the object of each entry of es
+// ends at its frequency, every other object at zero, and the adds and
+// removes counters at the values given. It checks none of this, and may
+// reorder es: the entries must have nonzero frequencies and distinct objects
+// in [0, Cap()), EntrySums must accept them under the profile's strictness,
+// and the counters must be what LoadFrequencies accepts for them.
+//
+// The ranks are those of a stable sort by (frequency, object id), and they
+// cost time linear in len(es) plus one sequential pass over the m slots.
+// The entries are ranked by an LSD radix sort of their positions in es,
+// which must then be in object order (es is sorted first if it is not), so
+// ties stay in id order. The sort runs in the rank arrays, which the load
+// overwrites anyway, so it allocates nothing. The objects es skips take the
+// block of zeros between the negative and the positive frequencies, laid
+// down in id order.
+func (p *Profile) LoadEntries(es []Entry, adds, removes uint64) {
+	key := func(i int32) uint64 { return uint64(es[i].Frequency) ^ 1<<63 }
+	inOrder, neg := true, 0
+	var diff uint64 // the bits in which some key differs from the first
+	for i, e := range es {
+		if i > 0 && e.Object < es[i-1].Object {
+			inOrder = false
+		}
+		if e.Frequency < 0 {
+			neg++
+		}
+		diff |= key(int32(i)) ^ key(0)
 	}
-	for r := 0; r < m; {
-		f := freqs[p.tToF[r]]
-		end := r
-		for end+1 < m && freqs[p.tToF[end+1]] == f {
-			end++
-		}
-		h := p.arena.alloc(int32(r), int32(end), f)
-		for i := r; i <= end; i++ {
-			p.ptrB[i] = h
-		}
-		count := int64(end - r + 1)
-		p.total += f * count
-		if f > 0 {
-			p.active += int32(count)
-		}
-		if f < 0 {
-			p.negative += int32(count)
-		}
-		r = end + 1
-	}
-}
-
-// rankOrder writes to order the ids 0..len(freqs)-1 sorted by frequency,
-// ties by id: the rank order of a profile holding freqs. It is a stable LSD
-// radix sort of the identity order on the sign-flipped frequency (which
-// orders as an unsigned integer exactly as the frequency does as a signed
-// one), so ties stay in id order. It makes one counting pass per 8-bit
-// digit and skips the digits every frequency shares: at most eight passes,
-// two when every frequency is in [0, 2^16), none when all are equal.
-func rankOrder(freqs []int64, order []int32) {
-	const flip = 1 << 63
-	var diff uint64 // the bits in which some frequency differs from the first
-	for _, f := range freqs {
-		diff |= uint64(f ^ freqs[0])
+	if !inOrder {
+		slices.SortFunc(es, func(a, b Entry) int { return cmp.Compare(a.Object, b.Object) })
 	}
 	var shifts []uint
 	for s := uint(0); s < 64; s += 8 {
@@ -263,9 +269,10 @@ func rankOrder(freqs []int64, order []int32) {
 			shifts = append(shifts, s)
 		}
 	}
-	// The passes alternate between order and one scratch slice, starting
-	// from whichever makes the last pass land in order.
-	src, dst := order, make([]int32, len(freqs))
+	// The passes alternate between ptrB and tToF, starting from whichever
+	// makes the last pass land in ptrB: the placement below writes tToF and
+	// fToT, and ptrB only once it has read every position.
+	src, dst := p.ptrB[:len(es)], p.tToF[:len(es)]
 	if len(shifts)%2 == 1 {
 		src, dst = dst, src
 	}
@@ -274,20 +281,73 @@ func rankOrder(freqs []int64, order []int32) {
 	}
 	for _, s := range shifts {
 		var offsets [256]int
-		for _, f := range freqs {
-			offsets[(uint64(f)^flip)>>s&0xff]++
+		for i := range es {
+			offsets[key(int32(i))>>s&0xff]++
 		}
 		sum := 0
 		for d, c := range offsets {
 			offsets[d] = sum
 			sum += c
 		}
-		for _, x := range src {
-			d := (uint64(freqs[x]) ^ flip) >> s & 0xff
-			dst[offsets[d]] = x
+		for _, i := range src {
+			d := key(i) >> s & 0xff
+			dst[offsets[d]] = i
 			offsets[d]++
 		}
 		src, dst = dst, src
+	}
+
+	zeros := int(p.m) - len(es)
+	p.arena.reset()
+	p.total, p.active, p.negative = 0, 0, 0
+	p.adds, p.removes = adds, removes
+	p.place(es, src[:neg], 0)
+	if zeros > 0 {
+		p.arena.alloc(int32(neg), int32(neg+zeros-1), 0)
+		r, x := int32(neg), int32(0)
+		for i := 0; i <= len(es); i++ {
+			next := p.m
+			if i < len(es) {
+				next = int32(es[i].Object)
+			}
+			for ; x < next; x++ {
+				p.tToF[r], p.fToT[x] = x, r
+				r++
+			}
+			x++
+		}
+	}
+	p.place(es, src[neg:], int32(neg+zeros))
+	// The blocks were allocated in rank order, so handle h covers the h-th
+	// run of ranks.
+	for h, b := range p.arena.slab {
+		for r := b.l; r <= b.r; r++ {
+			p.ptrB[r] = int32(h)
+		}
+	}
+}
+
+// place gives the entries es[i] for i in order, which lists them by
+// frequency, the ranks from first on, and allocates one block per run of
+// equal frequencies. It sets tToF and fToT but not ptrB, where order lives.
+func (p *Profile) place(es []Entry, order []int32, first int32) {
+	for i := 0; i < len(order); {
+		f := es[order[i]].Frequency
+		l := first + int32(i)
+		for ; i < len(order) && es[order[i]].Frequency == f; i++ {
+			x := int32(es[order[i]].Object)
+			r := first + int32(i)
+			p.tToF[r], p.fToT[x] = x, r
+		}
+		r := first + int32(i) - 1
+		p.arena.alloc(l, r, f)
+		n := r - l + 1
+		p.total += f * int64(n)
+		if f > 0 {
+			p.active += n
+		} else {
+			p.negative += n
+		}
 	}
 }
 

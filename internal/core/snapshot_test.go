@@ -130,6 +130,66 @@ func TestReadSnapshotRejectsCorruptInput(t *testing.T) {
 	}
 }
 
+// FuzzReadSnapshot holds the SPF1 decoder behind sprofile.ReadSnapshot to
+// the putback laws on arbitrary bytes: it never panics, a refusal wraps
+// ErrBadSnapshot, and an accepted profile is consistent, ranks its objects
+// by (frequency, id), and reads back from its own WriteSnapshot with the
+// same frequencies and summary. Most seeds are zero-dominated, the shape
+// whose zero block the load lays down in one pass.
+func FuzzReadSnapshot(f *testing.F) {
+	snapshot := func(flags byte, adds, removes uint64, freqs []int64) []byte {
+		data := append([]byte("SPF1"), flags)
+		data = binary.AppendUvarint(data, uint64(len(freqs)))
+		data = binary.AppendUvarint(data, adds)
+		data = binary.AppendUvarint(data, removes)
+		for _, f := range freqs {
+			data = binary.AppendVarint(data, f)
+		}
+		return data
+	}
+	sparse := make([]int64, 200)
+	sparse[3], sparse[150], sparse[199] = 7, 2, 7
+	f.Add(snapshot(1, 16, 0, sparse))
+	f.Add(snapshot(0, 2, 3, []int64{0, 0, -2, 0, 0, 1, 0, 0, -1, 0, 1, 0}))
+	f.Add(snapshot(1, 0, 0, make([]int64, 64)))
+	f.Add(snapshot(0, 1, 0, append(make([]int64, 99), 1)))
+	f.Add(snapshot(0, 9, 4, []int64{3, -1, 2, -3, 4}))
+	f.Add(snapshot(0, MaxMagnitude, MaxMagnitude, []int64{MaxMagnitude, -MaxMagnitude, 0}))
+	f.Add(snapshot(0, 0, 0, nil))
+	f.Add([]byte("SPF1"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("refusal %v does not wrap ErrBadSnapshot", err)
+			}
+			return
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("accepted snapshot: %v", err)
+		}
+		for r := 1; r < p.Cap(); r++ {
+			a, _ := p.AtRank(r - 1)
+			b, _ := p.AtRank(r)
+			if a.Frequency > b.Frequency || a.Frequency == b.Frequency && a.Object > b.Object {
+				t.Fatalf("rank %d holds %+v after %+v, not in (frequency, id) order", r, b, a)
+			}
+		}
+		var buf bytes.Buffer
+		if err := p.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		q, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("reading back its own snapshot: %v", err)
+		}
+		if !slices.Equal(q.Frequencies(nil), p.Frequencies(nil)) || q.Summarize() != p.Summarize() ||
+			q.StrictNonNegative() != p.StrictNonNegative() {
+			t.Fatalf("read back %+v, want %+v", q.Summarize(), p.Summarize())
+		}
+	})
+}
+
 // TestLoadFrequenciesBoundsCounts pins MaxMagnitude on loads: counters past
 // it, or frequencies whose positive or negative sum passes it, are
 // ErrBadSnapshot and leave the profile as it was; loads at the bound work.
@@ -180,6 +240,31 @@ func TestLoadFrequenciesBoundsCounts(t *testing.T) {
 func TestFromFrequenciesValidation(t *testing.T) {
 	if _, err := FromFrequencies([]int64{1, -1}, WithStrictNonNegative()); !errors.Is(err, ErrNegativeFrequency) {
 		t.Errorf("strict FromFrequencies with negative input error = %v, want ErrNegativeFrequency", err)
+	}
+	// Frequencies whose sums pass MaxMagnitude: the events they stand for
+	// would be refused, and so would the profile's own snapshot.
+	for _, freqs := range [][]int64{
+		{math.MaxInt64, 1},
+		{MaxMagnitude, 1},
+		{-MaxMagnitude, 0, -1},
+		{math.MinInt64},
+	} {
+		if _, err := FromFrequencies(freqs); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("FromFrequencies(%v) error = %v, want ErrOutOfRange", freqs, err)
+		}
+	}
+	for _, freqs := range [][]int64{{MaxMagnitude, 0}, {MaxMagnitude, -MaxMagnitude}} {
+		p, err := FromFrequencies(freqs)
+		if err != nil {
+			t.Fatalf("FromFrequencies(%v) at the bound: %v", freqs, err)
+		}
+		var buf bytes.Buffer
+		if err := p.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadSnapshot(&buf); err != nil {
+			t.Errorf("FromFrequencies(%v): reading its own snapshot: %v", freqs, err)
+		}
 	}
 	p, err := FromFrequencies(nil)
 	if err != nil {
@@ -294,7 +379,10 @@ func TestLoadFrequencies(t *testing.T) {
 
 // TestLoadRankOrderMatchesComparisonSort pins the radix rank order of a load
 // to the order a comparison sort by (frequency, object id) gives, across
-// signs, the int64 extremes, all-equal and duplicate-heavy frequencies.
+// signs, the int64 extremes, all-equal and duplicate-heavy frequencies, and
+// zero-dominated ones, whose zero block the load lays down in one pass. Each
+// case loads its entries in object order and shuffled, which must rank the
+// same.
 func TestLoadRankOrderMatchesComparisonSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	random := func(m int, draw func() int64) []int64 {
@@ -304,6 +392,8 @@ func TestLoadRankOrderMatchesComparisonSort(t *testing.T) {
 		}
 		return freqs
 	}
+	lastOnly := make([]int64, 1000)
+	lastOnly[len(lastOnly)-1] = 3
 	cases := map[string][]int64{
 		"empty":          {},
 		"single":         {-7},
@@ -316,6 +406,25 @@ func TestLoadRankOrderMatchesComparisonSort(t *testing.T) {
 		"wide range":     random(1000, func() int64 { return rng.Int63n(1<<40) - 1<<39 }),
 		"full int64":     random(1000, func() int64 { return int64(rng.Uint64()) }),
 		"one high digit": random(300, func() int64 { return int64(rng.Intn(3)) << 56 }),
+		"1% nonzero of 2^16": random(1<<16, func() int64 {
+			if rng.Intn(100) != 0 {
+				return 0
+			}
+			return 1 + rng.Int63n(1<<20)
+		}),
+		"last id only": lastOnly,
+		"negatives among zeros": random(2000, func() int64 {
+			if rng.Intn(10) != 0 {
+				return 0
+			}
+			return int64(rng.Intn(7)) - 3
+		}),
+		"no zeros": random(1000, func() int64 {
+			if f := int64(rng.Intn(9)) - 4; f != 0 {
+				return f
+			}
+			return 5
+		}),
 	}
 	for name, freqs := range cases {
 		want := make([]int32, len(freqs))
@@ -328,17 +437,21 @@ func TestLoadRankOrderMatchesComparisonSort(t *testing.T) {
 			}
 			return cmp.Compare(a, b)
 		})
-		p := newProfile(int32(len(freqs)), Options{})
-		p.loadFrequencies(freqs)
-		if !slices.Equal(p.tToF, want) {
-			t.Fatalf("%s: rank order %v, want %v", name, p.tToF, want)
-		}
-		if err := p.CheckInvariants(); err != nil {
-			t.Fatalf("%s: invariants after load: %v", name, err)
-		}
-		for x, f := range freqs {
-			if got, _ := p.Count(x); got != f {
-				t.Fatalf("%s: Count(%d) = %d, want %d", name, x, got, f)
+		shuffled := Nonzero(freqs)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for order, es := range map[string][]Entry{"in object order": Nonzero(freqs), "shuffled": shuffled} {
+			p := newProfile(int32(len(freqs)), Options{})
+			p.LoadEntries(es, 0, 0)
+			if !slices.Equal(p.tToF, want) {
+				t.Fatalf("%s, %s: rank order %v, want %v", name, order, p.tToF, want)
+			}
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatalf("%s, %s: invariants after load: %v", name, order, err)
+			}
+			for x, f := range freqs {
+				if got, _ := p.Count(x); got != f {
+					t.Fatalf("%s, %s: Count(%d) = %d, want %d", name, order, x, got, f)
+				}
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"sprofile/internal/checkpoint"
+	"sprofile/internal/core"
 	"sprofile/internal/idmap"
 	"sprofile/internal/wal"
 )
@@ -103,6 +104,41 @@ type KeyedConcurrent[K comparable] struct {
 // WithWALSyncEvery and WithCheckpoints require WithWAL.
 func BuildKeyed[K comparable](m int, opts ...BuildOption) (*KeyedConcurrent[K], error) {
 	cfg := newBuildConfig(opts)
+	kc, err := newKeyed[K](m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.walPath == "" {
+		if err := kc.load(nil, cfg); err != nil {
+			return nil, err
+		}
+		return kc, nil
+	}
+	store, err := checkpoint.Open(cfg.walPath, checkpoint.Options{SyncEvery: cfg.walSyncEvery})
+	if err != nil {
+		return nil, fmt.Errorf("sprofile: opening WAL %s: %w", cfg.walPath, err)
+	}
+	if err := kc.load(store.TakeState(), cfg); err != nil {
+		return nil, fmt.Errorf("sprofile: restoring snapshot from %s: %w", cfg.walPath, err)
+	}
+	replayed, err := store.ReplayTail(kc.applyWALRecord)
+	if err != nil {
+		return nil, fmt.Errorf("sprofile: replaying WAL %s: %w", cfg.walPath, err)
+	}
+	kc.replayed = replayed
+	kc.stats = recoveryStats(store.Stats())
+	kc.store = store
+	if cfg.ckptSet && cfg.ckpt.Enabled() {
+		kc.ckpt = checkpoint.Start(checkpoint.Policy{Every: cfg.ckpt.Every, EveryBytes: cfg.ckpt.EveryBytes},
+			kc.Checkpoint, store.TailBytes)
+	}
+	return kc, nil
+}
+
+// newKeyed checks cfg as BuildKeyed describes and returns a keyed profile
+// of capacity m with its id map but no dense profile yet: load builds that,
+// so a restore need not zero-fill one first.
+func newKeyed[K comparable](m int, cfg buildConfig) (*KeyedConcurrent[K], error) {
 	if cfg.windowSet || cfg.spanSet {
 		return nil, fmt.Errorf("%w: window adapters are single-goroutine; BuildKeyed cannot maintain them concurrently", ErrBuildConfig)
 	}
@@ -118,14 +154,6 @@ func BuildKeyed[K comparable](m int, opts ...BuildOption) (*KeyedConcurrent[K], 
 			return nil, fmt.Errorf("%w: WithWAL requires string keys (the log stores keys as strings), got %T", ErrBuildConfig, zero)
 		}
 	}
-	recycle := !cfg.noKeyRecycle
-	profileOpts := cfg.profileOpts
-	if recycle {
-		// Recycled ids must start from a clean zero frequency, so the dense
-		// profile has to reject negative frequencies.
-		profileOpts = append(profileOpts, WithStrictNonNegative())
-	}
-
 	shards := cfg.shards
 	switch {
 	case cfg.shardsSet:
@@ -134,45 +162,45 @@ func BuildKeyed[K comparable](m int, opts ...BuildOption) (*KeyedConcurrent[K], 
 	default:
 		shards = defaultShards()
 	}
-	dense, err := NewSharded(m, shards, profileOpts...)
+	// The dense profile load builds takes the stripe count, so its shards
+	// and the mapper stripes cover the same id ranges (both clamp the count
+	// for small m the same way).
+	ids, err := idmap.NewStriped[K](m, shards)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrCapacity, err)
 	}
-	// Align mapper stripes with the shards actually materialised (NewSharded
-	// clamps the count for small m).
-	ids, err := idmap.NewStriped[K](m, dense.Shards())
-	if err != nil {
-		return nil, err
+	return &KeyedConcurrent[K]{ids: ids, recycle: !cfg.noKeyRecycle}, nil
+}
+
+// load gives k, fresh from newKeyed, its dense profile, sharded like its id
+// map: the checkpoint snapshot st as restore maps it, or every frequency
+// zero when st is nil.
+func (k *KeyedConcurrent[K]) load(st *checkpoint.State, cfg buildConfig) error {
+	opts := cfg.profileOpts
+	if k.recycle {
+		// Recycled ids must start from a clean zero frequency, so the dense
+		// profile has to reject negative frequencies.
+		opts = append(opts, WithStrictNonNegative())
 	}
-	kc := &KeyedConcurrent[K]{
-		keyedQueries: keyedQueries[K]{profile: dense, resolver: ids},
-		ids:          ids,
-		recycle:      recycle,
-		dense:        dense,
-	}
-	if cfg.walPath != "" {
-		store, err := checkpoint.Open(cfg.walPath, checkpoint.Options{SyncEvery: cfg.walSyncEvery})
+	m, ns := k.ids.Cap(), k.ids.NumStripes()
+	var dense *Sharded
+	if st == nil {
+		var err error
+		if dense, err = NewSharded(m, ns, opts...); err != nil {
+			return err
+		}
+	} else {
+		parts, err := k.restore(st)
 		if err != nil {
-			return nil, fmt.Errorf("sprofile: opening WAL %s: %w", cfg.walPath, err)
+			return err
 		}
-		if st := store.TakeState(); st != nil {
-			if err := kc.restore(st); err != nil {
-				return nil, fmt.Errorf("sprofile: restoring snapshot from %s: %w", cfg.walPath, err)
-			}
-		}
-		replayed, err := store.ReplayTail(kc.applyWALRecord)
-		if err != nil {
-			return nil, fmt.Errorf("sprofile: replaying WAL %s: %w", cfg.walPath, err)
-		}
-		kc.replayed = replayed
-		kc.stats = recoveryStats(store.Stats())
-		kc.store = store
-		if cfg.ckptSet && cfg.ckpt.Enabled() {
-			kc.ckpt = checkpoint.Start(checkpoint.Policy{Every: cfg.ckpt.Every, EveryBytes: cfg.ckpt.EveryBytes},
-				kc.Checkpoint, store.TailBytes)
+		if dense, err = newLoadedSharded(m, ns, parts, st.Adds, st.Removes, opts...); err != nil {
+			return err
 		}
 	}
-	return kc, nil
+	k.dense = dense
+	k.keyedQueries = keyedQueries[K]{profile: dense, resolver: k.ids}
+	return nil
 }
 
 // applyWALRecord replays one durable record into the profile. Stripe
@@ -201,20 +229,21 @@ func (k *KeyedConcurrent[K]) applyWALRecord(rec wal.Record) error {
 	return err
 }
 
-// restore reinstates a checkpoint snapshot as one bulk load into the
-// freshly built profile, before BuildKeyed or a follower publishes it. The
-// snapshotted keys are grouped by stripe with the counting sort ApplyBatch
-// uses, and the stripes load concurrently, on at most GOMAXPROCS
-// goroutines: each maps its group with one StripeTxn.Load (ids are
-// reassigned — stripe hashing is seeded per process, so the original ids
-// are meaningless here), then writes the frequencies of its own ids and
-// marks the keys at frequency zero idle. The dense profile is then loaded
-// with the frequencies in one linear-time LoadFrequencies. A key the
-// snapshot lists twice makes it invalid.
-func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) error {
-	m := k.dense.Cap()
-	if len(st.Keys) > m {
-		return fmt.Errorf("snapshot tracks %d keys but the profile has capacity %d: %w", len(st.Keys), m, ErrBadSnapshot)
+// restore maps the keys of the checkpoint snapshot st into k's empty id
+// map and returns their nonzero frequencies under the new ids, parts[i]
+// holding those of stripe i's id range by id within the range: the load of
+// the dense profile's shard i. The snapshotted keys are grouped by stripe
+// with the counting sort ApplyBatch uses, and the stripes load
+// concurrently, on at most GOMAXPROCS goroutines: each maps its group with
+// one StripeTxn.Load (ids are reassigned — stripe hashing is seeded per
+// process, so the original ids are meaningless here), then lists the
+// frequencies of the ids in its own range and marks the keys at frequency
+// zero idle. The few keys whose ids a full stripe borrowed from another
+// range join that range's part afterwards. A key the snapshot lists twice
+// makes it invalid.
+func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) ([][]core.Entry, error) {
+	if m := k.ids.Cap(); len(st.Keys) > m {
+		return nil, fmt.Errorf("snapshot tracks %d keys but the profile has capacity %d: %w", len(st.Keys), m, ErrBadSnapshot)
 	}
 	keys := any(st.Keys).([]K) // BuildKeyed only opens a WAL for K = string
 	ns := k.ids.NumStripes()
@@ -224,27 +253,44 @@ func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) error {
 	}
 	var g stripeGroups
 	g.sort(ns, len(keys), func(i int) int32 { return int32(k.ids.StripeOfHash(hashes[i])) })
-	freqs := make([]int64, m)
+	parts := make([][]core.Entry, ns)
+	borrowed := make([][]core.Entry, ns) // by global id
 	err := parallelEach(ns, func(si int) error {
 		group := g.group(si)
 		ids := make([]int, len(group))
+		base, size := k.ids.StripeRange(si)
 		return k.ids.BatchFunc(si, func(t idmap.StripeTxn[K]) error {
 			if err := t.Load(keys, hashes, group, ids); err != nil {
 				return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 			}
+			part := make([]core.Entry, 0, len(group))
 			for j, i := range group {
-				freqs[ids[j]] = st.Freqs[i]
-				if k.recycle && st.Freqs[i] == 0 {
-					t.SetIdle(ids[j], true)
+				switch id, f := ids[j], st.Freqs[i]; {
+				case f == 0:
+					if k.recycle {
+						t.SetIdle(id, true)
+					}
+				case id >= base && id < base+size:
+					part = append(part, core.Entry{Object: id - base, Frequency: f})
+				default:
+					borrowed[si] = append(borrowed[si], core.Entry{Object: id, Frequency: f})
 				}
 			}
+			parts[si] = part
 			return nil
 		})
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return k.dense.LoadFrequencies(freqs, st.Adds, st.Removes)
+	_, stripeSize := k.ids.StripeRange(0)
+	for _, es := range borrowed {
+		for _, e := range es {
+			si := e.Object / stripeSize
+			parts[si] = append(parts[si], core.Entry{Object: e.Object - si*stripeSize, Frequency: e.Frequency})
+		}
+	}
+	return parts, nil
 }
 
 // MustBuildKeyed is BuildKeyed for callers with a known-good configuration;

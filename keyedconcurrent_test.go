@@ -593,6 +593,9 @@ func TestKeyedRestoreRebuildsIdleKeys(t *testing.T) {
 	if err := k2.CheckZeroSets(); err != nil {
 		t.Fatalf("after restore: %v", err)
 	}
+	if err := k2.Dense().CheckInvariants(); err != nil {
+		t.Fatalf("dense profile after restore: %v", err)
+	}
 	if err := k2.Add("d"); err != nil {
 		t.Fatalf("Add at capacity with idle keys restored: %v", err)
 	}
@@ -604,8 +607,9 @@ func TestKeyedRestoreRebuildsIdleKeys(t *testing.T) {
 // TestKeyedRestoreLoadsStripesConcurrently: restore loads the stripes of a
 // snapshot at once. A full 4-stripe profile whose every fourth key is at
 // frequency zero must come back with each key at its count and the same
-// summary, with every stripe's idle list rebuilt, and must then admit new
-// keys by evicting idle ones.
+// summary, with every stripe's idle list rebuilt and every shard's
+// invariants intact (a full profile's stripes borrow ids from each other's
+// ranges), and must then admit new keys by evicting idle ones.
 func TestKeyedRestoreLoadsStripesConcurrently(t *testing.T) {
 	const capacity = 4096
 	dir := filepath.Join(t.TempDir(), "wal")
@@ -657,6 +661,9 @@ func TestKeyedRestoreLoadsStripesConcurrently(t *testing.T) {
 	}
 	if err := k2.CheckZeroSets(); err != nil {
 		t.Fatalf("after restore: %v", err)
+	}
+	if err := k2.Dense().CheckInvariants(); err != nil {
+		t.Fatalf("dense profile after restore: %v", err)
 	}
 	for i := range capacity / 8 {
 		if err := k2.Add(fmt.Sprintf("new-%d", i)); err != nil {

@@ -224,14 +224,13 @@ func (kf *KeyedFollower) buildReplica(ctx context.Context, wipe bool) error {
 	if err != nil {
 		return fmt.Errorf("sprofile: opening mirror %s: %w", kf.cfg.Dir, err)
 	}
-	profile, err := BuildKeyed[string](kf.cfg.Capacity, kf.cfg.Build...)
+	cfg := newBuildConfig(kf.cfg.Build)
+	profile, err := newKeyed[string](kf.cfg.Capacity, cfg)
 	if err != nil {
 		return err
 	}
-	if st := store.TakeState(); st != nil {
-		if err := profile.restore(st); err != nil {
-			return fmt.Errorf("sprofile: restoring mirror snapshot: %w", err)
-		}
+	if err := profile.load(store.TakeState(), cfg); err != nil {
+		return fmt.Errorf("sprofile: restoring mirror snapshot: %w", err)
 	}
 	_, pos, err := store.ReplayTailReadOnly(profile.applyWALRecord)
 	if err != nil {

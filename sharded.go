@@ -67,6 +67,53 @@ type shardedShard struct {
 // NewSharded returns a sharded profile over m dense object ids split across
 // numShards shards. Object x lives in shard x / ceil(m/numShards).
 func NewSharded(m, numShards int, opts ...Option) (*Sharded, error) {
+	s, err := layoutSharded(m, numShards)
+	if err != nil {
+		return nil, err
+	}
+	for i := range s.shards {
+		if s.shards[i].p, err = core.New(s.shardCap(i), opts...); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// newLoadedSharded returns the sharded profile NewSharded(m, numShards,
+// opts...) would, but holding parts[i], in any order, as the nonzero
+// frequencies of shard i, by id within the shard, and the profile-wide
+// counters adds and removes. It checks the load as LoadFrequencies does;
+// the shards then allocate and load concurrently, without the zero fill
+// of NewSharded.
+func newLoadedSharded(m, numShards int, parts [][]core.Entry, adds, removes uint64, opts ...Option) (*Sharded, error) {
+	s, err := layoutSharded(m, numShards)
+	if err != nil {
+		return nil, err
+	}
+	var o core.Options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	counters, err := s.checkLoad(parts, o.StrictNonNegative, adds, removes)
+	if err != nil {
+		return nil, err
+	}
+	s.adds.Store(adds)
+	s.removes.Store(removes)
+	err = parallelEach(len(s.shards), func(i int) error {
+		var err error
+		s.shards[i].p, err = core.NewLoaded(s.shardCap(i), parts[i], counters[i].adds, counters[i].removes, opts...)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// layoutSharded returns a sharded profile over m ids and numShards shards
+// whose shards have their id ranges but no profiles yet.
+func layoutSharded(m, numShards int) (*Sharded, error) {
 	if m < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrCapacity, m)
 	}
@@ -84,22 +131,15 @@ func NewSharded(m, numShards int, opts ...Option) (*Sharded, error) {
 		shardSize = 1
 	}
 	s := &Sharded{shardSize: shardSize, m: m}
-	for base := 0; base < m || (m == 0 && base == 0); base += shardSize {
-		size := shardSize
-		if base+size > m {
-			size = m - base
-		}
-		p, err := core.New(size, opts...)
-		if err != nil {
-			return nil, err
-		}
-		s.shards = append(s.shards, shardedShard{p: p, base: base})
-		if m == 0 {
-			break
-		}
+	s.shards = make([]shardedShard, max(1, (m+shardSize-1)/shardSize))
+	for i := range s.shards {
+		s.shards[i].base = i * shardSize
 	}
 	return s, nil
 }
+
+// shardCap returns the number of ids shard i holds.
+func (s *Sharded) shardCap(i int) int { return min(s.shardSize, s.m-s.shards[i].base) }
 
 // MustNewSharded is NewSharded for callers with known-good arguments; it
 // panics on error.
@@ -718,52 +758,77 @@ func (s *Sharded) Snapshot() (*Profile, error) {
 // is attributed to shard 0, so Summarize sums back to exactly the totals
 // given. The counters and the frequencies' sums over the whole profile must
 // lie within core.MaxMagnitude, and the loaded counters are where the delta
-// path's bound starts. Validation runs before any shard is mutated; the
-// shards then load concurrently, on at most GOMAXPROCS goroutines.
+// path's bound starts. Each shard reads and sums its range once, and
+// validation finishes before any shard is mutated; the shards then load
+// their nonzero frequencies (core.Profile.LoadEntries). Both steps run the
+// shards concurrently, on at most GOMAXPROCS goroutines.
 func (s *Sharded) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 	if len(freqs) != s.m {
 		return fmt.Errorf("%w: %d frequencies for capacity %d", core.ErrBadSnapshot, len(freqs), s.m)
 	}
-	if adds > core.MaxMagnitude || removes > core.MaxMagnitude {
-		return fmt.Errorf("%w: %d adds and %d removes exceed %d", core.ErrBadSnapshot, adds, removes, uint64(core.MaxMagnitude))
+	parts := make([][]core.Entry, len(s.shards))
+	_ = parallelEach(len(s.shards), func(i int) error {
+		parts[i] = core.Nonzero(freqs[s.shards[i].base : s.shards[i].base+s.shardCap(i)])
+		return nil
+	})
+	counters, err := s.checkLoad(parts, s.shards[0].p.StrictNonNegative(), adds, removes)
+	if err != nil {
+		return err
 	}
-	strict := s.shards[0].p.StrictNonNegative()
-	synthAdds := make([]uint64, len(s.shards))
-	synthRemoves := make([]uint64, len(s.shards))
-	var pos, neg uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		a, r, err := core.FrequencySums(freqs[sh.base:sh.base+sh.p.Cap()], strict, sh.base)
-		if err != nil {
-			return err
-		}
-		synthAdds[i], synthRemoves[i] = a, r
-		// Each term and each running sum is within the bound, so the sums
-		// cannot wrap before the check.
-		if pos, neg = pos+a, neg+r; pos|neg > core.MaxMagnitude {
-			return fmt.Errorf("%w: the frequencies' sums pass %d", core.ErrBadSnapshot, uint64(core.MaxMagnitude))
-		}
-	}
-	// Historical counters can only exceed the minimal ones, by the same
-	// surplus of add/remove pairs that cancelled out.
-	if adds < pos || removes < neg || adds-pos != removes-neg {
-		return fmt.Errorf("%w: %d adds - %d removes does not produce the loaded frequencies",
-			core.ErrBadSnapshot, adds, removes)
-	}
-	surplus := adds - pos
 	s.lockAll()
 	defer s.unlockAll()
 	s.adds.Store(adds)
 	s.removes.Store(removes)
 	return parallelEach(len(s.shards), func(i int) error {
-		sh := &s.shards[i]
-		a, r := synthAdds[i], synthRemoves[i]
-		if i == 0 {
-			a += surplus
-			r += surplus
-		}
-		return sh.p.LoadFrequencies(freqs[sh.base:sh.base+sh.p.Cap()], a, r)
+		s.shards[i].p.LoadEntries(parts[i], counters[i].adds, counters[i].removes)
+		return nil
 	})
+}
+
+// shardCounters are the adds and removes counters one shard loads.
+type shardCounters struct{ adds, removes uint64 }
+
+// checkLoad checks a load of the whole profile, parts[i] holding shard i's
+// nonzero frequencies by id within the shard. It refuses with
+// ErrBadSnapshot counters past core.MaxMagnitude, frequencies
+// core.EntrySums refuses, sums over the whole profile past the bound, and
+// counters that cannot produce the frequencies. It returns each shard's
+// counters: the fewest adds and removes that produce its part, plus, on
+// shard 0, the surplus of the counters over the profile-wide minimum. The
+// parts are summed concurrently, on at most GOMAXPROCS goroutines.
+func (s *Sharded) checkLoad(parts [][]core.Entry, strict bool, adds, removes uint64) ([]shardCounters, error) {
+	if adds > core.MaxMagnitude || removes > core.MaxMagnitude {
+		return nil, fmt.Errorf("%w: %d adds and %d removes exceed %d", core.ErrBadSnapshot, adds, removes, uint64(core.MaxMagnitude))
+	}
+	counters := make([]shardCounters, len(s.shards))
+	err := parallelEach(len(s.shards), func(i int) error {
+		a, r, err := core.EntrySums(parts[i], strict, s.shards[i].base)
+		if err != nil {
+			return fmt.Errorf("%w: %w", core.ErrBadSnapshot, err)
+		}
+		counters[i] = shardCounters{a, r}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var pos, neg uint64
+	for _, c := range counters {
+		// Each term and each running sum is within the bound, so the sums
+		// cannot wrap before the check.
+		if pos, neg = pos+c.adds, neg+c.removes; pos|neg > core.MaxMagnitude {
+			return nil, fmt.Errorf("%w: the frequencies' sums pass %d", core.ErrBadSnapshot, uint64(core.MaxMagnitude))
+		}
+	}
+	// Historical counters can only exceed the minimal ones, by the same
+	// surplus of add/remove pairs that cancelled out.
+	if adds < pos || removes < neg || adds-pos != removes-neg {
+		return nil, fmt.Errorf("%w: %d adds - %d removes does not produce the loaded frequencies",
+			core.ErrBadSnapshot, adds, removes)
+	}
+	counters[0].adds += adds - pos
+	counters[0].removes += removes - neg
+	return counters, nil
 }
 
 // parallelEach calls fn(i) for every i in [0, n) on at most GOMAXPROCS

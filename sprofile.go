@@ -121,7 +121,10 @@ func New(m int, opts ...Option) (*Profile, error) { return core.New(m, opts...) 
 func MustNew(m int, opts ...Option) *Profile { return core.MustNew(m, opts...) }
 
 // FromFrequencies builds a profile whose object x starts with frequency
-// freqs[x]; it costs O(m) once instead of replaying every event.
+// freqs[x]; it costs one bulk load, a sort of the nonzero frequencies plus
+// one pass over m, instead of replaying every event. Frequencies whose
+// positive or negative sum passes 2^62-1, the bound on every count, are
+// refused with ErrOutOfRange.
 func FromFrequencies(freqs []int64, opts ...Option) (*Profile, error) {
 	return core.FromFrequencies(freqs, opts...)
 }
