@@ -6,6 +6,20 @@ import "fmt"
 // invariants.
 func (k *KeyedConcurrent[K]) Dense() *Sharded { return k.dense }
 
+// MemoryFootprint sums the shards' core.Profile.MemoryFootprint, each read
+// under its shard's read lock: the bytes of their rank arrays and block
+// slabs.
+func (s *Sharded) MemoryFootprint() int64 {
+	var total int64
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		total += sh.p.MemoryFootprint()
+		sh.mu.RUnlock()
+	}
+	return total
+}
+
 // CheckInvariants checks every shard's core invariants (core.Profile's
 // CheckInvariants) under that shard's read lock.
 func (s *Sharded) CheckInvariants() error {

@@ -84,7 +84,7 @@ func (d Delta) Gross() (adds, removes uint64) {
 // calls would but at cost O(blocks crossed) instead of O(k). k must be
 // non-negative and within MaxMagnitude; k = 0 is a no-op.
 func (p *Profile) AddN(x int, k int64) error {
-	if x < 0 || int32(x) >= p.m {
+	if x < 0 || x >= int(p.m) {
 		return errObjectRange(x, int(p.m))
 	}
 	if k < 0 {
@@ -93,9 +93,10 @@ func (p *Profile) AddN(x int, k int64) error {
 	if k == 0 {
 		return nil
 	}
-	if err := p.checkStep(x, p.arena.at(p.ptrB[p.fToT[x]]).f, k, uint64(k), 0); err != nil {
+	if err := p.checkStep(x, p.freq(int32(x)), k, uint64(k), 0); err != nil {
 		return err
 	}
+	p.materialise(int32(x))
 	p.addN(int32(x), k)
 	return nil
 }
@@ -107,7 +108,7 @@ func (p *Profile) AddN(x int, k int64) error {
 // the profile unchanged. k must be non-negative and within MaxMagnitude;
 // k = 0 is a no-op.
 func (p *Profile) RemoveN(x int, k int64) error {
-	if x < 0 || int32(x) >= p.m {
+	if x < 0 || x >= int(p.m) {
 		return errObjectRange(x, int(p.m))
 	}
 	if k < 0 {
@@ -116,13 +117,14 @@ func (p *Profile) RemoveN(x int, k int64) error {
 	if k == 0 {
 		return nil
 	}
-	f := p.arena.at(p.ptrB[p.fToT[x]]).f
+	f := p.freq(int32(x))
 	if err := p.checkStep(x, f, -k, 0, uint64(k)); err != nil {
 		return err
 	}
 	if p.opts.StrictNonNegative && f-k < 0 {
 		return fmt.Errorf("%w: object %d has frequency %d, removing %d", ErrNegativeFrequency, x, f, k)
 	}
+	p.materialise(int32(x))
 	p.removeN(int32(x), k)
 	return nil
 }
@@ -135,14 +137,14 @@ func (p *Profile) RemoveN(x int, k int64) error {
 // ErrOutOfRange.
 func (p *Profile) ApplyDelta(d Delta) error {
 	x := d.Object
-	if x < 0 || int32(x) >= p.m {
+	if x < 0 || x >= int(p.m) {
 		return errObjectRange(x, int(p.m))
 	}
 	adds, removes := d.Gross()
 	if adds == 0 && removes == 0 {
 		return nil
 	}
-	f := p.arena.at(p.ptrB[p.fToT[x]]).f
+	f := p.freq(int32(x))
 	if err := p.checkStep(x, f, d.Delta, adds, removes); err != nil {
 		return err
 	}
@@ -150,13 +152,15 @@ func (p *Profile) ApplyDelta(d Delta) error {
 		return fmt.Errorf("core: delta for object %d nets %+d but records %d adds and %d removes",
 			x, d.Delta, adds, removes)
 	}
+	if p.opts.StrictNonNegative && f+d.Delta < 0 {
+		return fmt.Errorf("%w: object %d has frequency %d, delta %+d", ErrNegativeFrequency, x, f, d.Delta)
+	}
 	switch {
 	case d.Delta > 0:
+		p.materialise(int32(x))
 		p.addN(int32(x), d.Delta)
 	case d.Delta < 0:
-		if p.opts.StrictNonNegative && f+d.Delta < 0 {
-			return fmt.Errorf("%w: object %d has frequency %d, delta %+d", ErrNegativeFrequency, x, f, d.Delta)
-		}
+		p.materialise(int32(x))
 		p.removeN(int32(x), -d.Delta)
 	}
 	// The structural move counted only the net events; credit the cancelled
@@ -188,12 +192,12 @@ func (p *Profile) ApplyDeltas(deltas []Delta) (int, error) {
 	return len(deltas), nil
 }
 
-// addN is the generalised Algorithm 1 "add" branch: the frequency of object
-// x rises from f to f+k in one pass. x is detached from its block and then
-// walked right across whole blocks whose frequency is below the target —
-// each crossing is O(1), swapping x with the crossed block's rightmost
-// member and shifting the block one rank left — before landing by joining an
-// existing f+k block or opening a fresh singleton.
+// addN is the generalised Algorithm 1 "add" branch, on the materialised
+// object x: its frequency rises from f to f+k in one pass. x is detached
+// from its block and then walked right across whole blocks whose frequency
+// is below the target — each crossing is O(1), swapping x with the crossed
+// block's rightmost member and shifting the block one rank left — before
+// landing by joining an existing f+k block or opening a fresh singleton.
 func (p *Profile) addN(x int32, k int64) {
 	r0 := p.fToT[x]
 	bh := p.ptrB[r0]
@@ -215,7 +219,7 @@ func (p *Profile) addN(x int32, k int64) {
 	}
 
 	pos := last
-	for pos < p.m-1 {
+	for pos < p.n-1 {
 		nh := p.ptrB[pos+1]
 		nb := p.arena.at(nh)
 		if nb.f >= target {
@@ -235,7 +239,7 @@ func (p *Profile) addN(x int32, k int64) {
 		pos = r
 	}
 
-	if pos < p.m-1 && p.arena.at(p.ptrB[pos+1]).f == target {
+	if pos < p.n-1 && p.arena.at(p.ptrB[pos+1]).f == target {
 		nh := p.ptrB[pos+1]
 		p.arena.at(nh).l = pos
 		p.ptrB[pos] = nh
@@ -255,9 +259,9 @@ func (p *Profile) addN(x int32, k int64) {
 	}
 }
 
-// removeN is the mirror image of addN: the frequency of object x drops from
-// f to f-k, walking x left across whole blocks whose frequency is above the
-// target.
+// removeN is the mirror image of addN: the frequency of the materialised
+// object x drops from f to f-k, walking x left across whole blocks whose
+// frequency is above the target.
 func (p *Profile) removeN(x int32, k int64) {
 	r0 := p.fToT[x]
 	bh := p.ptrB[r0]

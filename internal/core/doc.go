@@ -11,7 +11,10 @@
 // through three permutation/pointer arrays and a set of "blocks" (maximal
 // runs of equal frequency in T). Every update touches a constant number of
 // array cells and at most two blocks, so the worst-case cost per event is
-// O(1) and the space is O(m).
+// O(1) and the space is O(m). The arrays need not cover every id: a profile
+// from NewLoaded holds only the ids in use and grows geometrically, so the
+// first update of an id costs amortised O(1) more and the space follows the
+// largest id in use.
 //
 // With the profile maintained, order-statistic queries over the frequency
 // multiset — mode, minimum, K-th largest, median, arbitrary quantiles,

@@ -3,24 +3,29 @@ package core
 import "fmt"
 
 // CheckInvariants validates the internal consistency of the profile from
-// first principles. It is O(m) and intended for tests and debugging; the
-// production hot path never calls it.
+// first principles. It is O(n), n the materialised ids, and intended for
+// tests and debugging; the production hot path never calls it.
 //
 // The checked properties are exactly the block-set definition from the paper
-// plus the bookkeeping counters:
+// over the materialised ids, plus the bookkeeping counters; the implicit
+// zeros need no check beyond n <= m, since every read derives their ranks
+// from n and the active count:
 //
-//  1. fToT and tToF are inverse permutations of [0, m).
+//  1. fToT and tToF, of length n <= m, are inverse permutations of [0, n).
 //  2. Every rank's block covers that rank (PtrB[i].l <= i <= PtrB[i].r).
-//  3. Blocks partition [0, m) into contiguous, non-overlapping runs.
+//  3. Blocks partition [0, n) into contiguous, non-overlapping runs.
 //  4. Block frequencies are strictly increasing left to right (so the
 //     conceptual array T is sorted and blocks are maximal).
 //  5. The number of live arena blocks equals the number of distinct blocks
 //     reachable from ptrB.
 //  6. total, active and negative match the frequencies implied by the blocks.
 func (p *Profile) CheckInvariants() error {
-	m := int(p.m)
+	m := int(p.n)
+	if p.n < 0 || p.n > p.m {
+		return fmt.Errorf("core: %d ids materialised of m=%d", p.n, p.m)
+	}
 	if len(p.fToT) != m || len(p.tToF) != m || len(p.ptrB) != m {
-		return fmt.Errorf("core: array lengths %d/%d/%d do not match m=%d",
+		return fmt.Errorf("core: array lengths %d/%d/%d do not match n=%d",
 			len(p.fToT), len(p.tToF), len(p.ptrB), m)
 	}
 
@@ -60,7 +65,7 @@ func (p *Profile) CheckInvariants() error {
 			return fmt.Errorf("core: block at rank %d starts at %d", r, b.l)
 		}
 		if b.r < b.l || int(b.r) >= m {
-			return fmt.Errorf("core: block [%d,%d] malformed (m=%d)", b.l, b.r, m)
+			return fmt.Errorf("core: block [%d,%d] malformed (n=%d)", b.l, b.r, m)
 		}
 		if havePrev && b.f <= prevF {
 			return fmt.Errorf("core: block frequency %d not greater than previous %d", b.f, prevF)
@@ -87,7 +92,7 @@ func (p *Profile) CheckInvariants() error {
 	}
 
 	// 5. Live block accounting.
-	if m > 0 && len(seen) != p.arena.liveBlocks() {
+	if len(seen) != p.arena.liveBlocks() {
 		return fmt.Errorf("core: %d blocks reachable, arena reports %d live",
 			len(seen), p.arena.liveBlocks())
 	}

@@ -88,19 +88,25 @@ func WithBlockHint(hint int) Option {
 // identifiers onto dense ids is the job of package idmap (and of the public
 // sprofile.Keyed wrapper).
 //
+// The rank arrays cover a materialised prefix of the ids, [0, n), and grow
+// with the ids in use (see prefix.go): the ids in [n, m) are implicit zeros
+// that cost no memory. Every read answers over all m slots.
+//
 // A Profile is not safe for concurrent use; lock it or shard it (see
 // sprofile.Sharded) if multiple goroutines must update it.
 type Profile struct {
 	m    int32
+	n    int32 // the materialised prefix: ids [0, n) are in the rank arrays
 	opts Options
 
-	// fToT[x] is the rank of object x in the conceptual ascending-sorted
-	// frequency array T; tToF[r] is the object at rank r. They are inverse
-	// permutations of each other.
+	// fToT[x] is the rank of object x < n among the materialised ids (its
+	// physical rank) in the conceptual ascending-sorted frequency array T;
+	// tToF[r] is the object at physical rank r. They are inverse
+	// permutations of [0, n).
 	fToT []int32
 	tToF []int32
 
-	// ptrB[r] is the arena handle of the block covering rank r.
+	// ptrB[r] is the arena handle of the block covering physical rank r.
 	ptrB  []int32
 	arena *blockArena
 
@@ -111,13 +117,16 @@ type Profile struct {
 	removes  uint64 // count of applied remove events
 }
 
-// New returns a Profile for m object slots, all starting at frequency zero.
+// New returns a Profile for m object slots, all starting at frequency zero,
+// with every id materialised up front: its updates never grow the rank
+// arrays. NewLoaded(m, nil, 0, 0) returns the same profile with nothing
+// materialised, whose memory follows the ids it is given.
 func New(m int, opts ...Option) (*Profile, error) {
 	if m < 0 || m > MaxCapacity {
 		return nil, fmt.Errorf("%w: %d", ErrCapacity, m)
 	}
 	p := newProfile(int32(m), options(opts))
-	p.initZero()
+	p.grow(p.m)
 	return p, nil
 }
 
@@ -139,47 +148,25 @@ func options(opts []Option) Options {
 	return o
 }
 
-// newProfile allocates a profile of m slots whose state is undefined until
-// initZero or LoadEntries sets it.
+// newProfile returns a profile of m slots, every frequency zero, with no id
+// materialised.
 func newProfile(m int32, o Options) *Profile {
 	hint := o.BlockHint
 	if hint <= 0 {
 		hint = 16
 	}
-	return &Profile{
-		m:     m,
-		opts:  o,
-		fToT:  make([]int32, m),
-		tToF:  make([]int32, m),
-		ptrB:  make([]int32, m),
-		arena: newBlockArena(hint),
-	}
-}
-
-// initZero sets every frequency to zero: identity permutations and a single
-// block covering every rank.
-func (p *Profile) initZero() {
-	for i := int32(0); i < p.m; i++ {
-		p.fToT[i] = i
-		p.tToF[i] = i
-	}
-	p.arena.reset()
-	if p.m > 0 {
-		h := p.arena.alloc(0, p.m-1, 0)
-		for i := int32(0); i < p.m; i++ {
-			p.ptrB[i] = h
-		}
-	}
-	p.total = 0
-	p.active = 0
-	p.negative = 0
-	p.adds = 0
-	p.removes = 0
+	return &Profile{m: m, opts: o, arena: newBlockArena(hint)}
 }
 
 // Reset restores the profile to its initial all-zero state without releasing
-// its memory.
-func (p *Profile) Reset() { p.initZero() }
+// its memory: the ids it had materialised stay materialised.
+func (p *Profile) Reset() {
+	n := p.n
+	p.n = 0
+	p.arena.reset()
+	p.total, p.active, p.negative, p.adds, p.removes = 0, 0, 0, 0, 0
+	p.grow(n)
+}
 
 // Cap returns m, the number of object slots.
 func (p *Profile) Cap() int { return int(p.m) }
@@ -198,41 +185,68 @@ func (p *Profile) NegativeCount() int { return int(p.negative) }
 // reset.
 func (p *Profile) Events() (adds, removes uint64) { return p.adds, p.removes }
 
-// Blocks returns the number of live blocks, i.e. the number of distinct
+// Blocks returns the number of blocks, i.e. the number of distinct
 // frequency values currently present.
-func (p *Profile) Blocks() int { return p.arena.liveBlocks() }
+func (p *Profile) Blocks() int {
+	n := p.arena.liveBlocks()
+	if p.n < p.m && p.zeroBlock() == noBlock {
+		n++ // the zero block of implicit zeros alone
+	}
+	return n
+}
 
 // MemoryFootprint returns an estimate, in bytes, of the heap memory retained
-// by the profile (the three rank arrays plus the block slab).
+// by the profile: the three rank arrays, 12 bytes per materialised id (or
+// per id a Reset keeps room for), plus the block slab. A profile from New
+// holds all m ids; one from NewLoaded holds the ids up to the largest it
+// loaded and grows geometrically from there.
 func (p *Profile) MemoryFootprint() int64 {
 	const int32Size, blockSize = 4, 16
-	return int64(len(p.fToT)+len(p.tToF)+len(p.ptrB))*int32Size +
+	return int64(cap(p.fToT)+cap(p.tToF)+cap(p.ptrB))*int32Size +
 		int64(p.arena.capBlocks())*blockSize
+}
+
+// freq returns the frequency of object x in [0, m).
+func (p *Profile) freq(x int32) int64 {
+	if x >= p.n {
+		return 0
+	}
+	return p.arena.at(p.ptrB[p.fToT[x]]).f
 }
 
 // Count returns the current frequency of object x.
 func (p *Profile) Count(x int) (int64, error) {
-	if x < 0 || int32(x) >= p.m {
+	if x < 0 || x >= int(p.m) {
 		return 0, errObjectRange(x, int(p.m))
 	}
-	return p.arena.at(p.ptrB[p.fToT[x]]).f, nil
+	return p.freq(int32(x)), nil
 }
 
 // Rank returns the 0-based position of object x in the ascending-sorted
 // frequency array. Objects sharing a frequency occupy an arbitrary but
 // consistent order inside their block.
 func (p *Profile) Rank(x int) (int, error) {
-	if x < 0 || int32(x) >= p.m {
+	if x < 0 || x >= int(p.m) {
 		return 0, errObjectRange(x, int(p.m))
 	}
-	return int(p.fToT[x]), nil
+	if int32(x) >= p.n {
+		return x - int(p.active), nil
+	}
+	r := p.fToT[x]
+	if r >= p.n-p.active {
+		r += p.m - p.n
+	}
+	return int(r), nil
 }
 
 // Add applies an "add" event for object x: its frequency increases by one.
 // The amortised and worst-case cost is O(1).
 func (p *Profile) Add(x int) error {
-	if x < 0 || int32(x) >= p.m {
-		return errObjectRange(x, int(p.m))
+	if uint(x) >= uint(p.n) {
+		if x < 0 || x >= int(p.m) {
+			return errObjectRange(x, int(p.m))
+		}
+		p.materialise(int32(x))
 	}
 	p.add(int32(x))
 	return nil
@@ -242,14 +256,15 @@ func (p *Profile) Add(x int) error {
 // one. In strict mode removing an object with frequency zero (or less)
 // returns ErrNegativeFrequency and leaves the profile unchanged.
 func (p *Profile) Remove(x int) error {
-	if x < 0 || int32(x) >= p.m {
+	if x < 0 || x >= int(p.m) {
 		return errObjectRange(x, int(p.m))
 	}
 	if p.opts.StrictNonNegative {
-		if f := p.arena.at(p.ptrB[p.fToT[x]]).f; f <= 0 {
+		if f := p.freq(int32(x)); f <= 0 {
 			return fmt.Errorf("%w: object %d has frequency %d", ErrNegativeFrequency, x, f)
 		}
 	}
+	p.materialise(int32(x))
 	p.remove(int32(x))
 	return nil
 }
@@ -277,10 +292,11 @@ func (p *Profile) ApplyAll(tuples []Tuple) (int, error) {
 	return len(tuples), nil
 }
 
-// add is Algorithm 1, "add" branch. The frequency of object x rises from f
-// to f+1: x is swapped to the right end of its block, the block shrinks by
-// one, and the vacated rank joins the right neighbour block (if it already
-// holds f+1) or becomes a fresh single-rank block.
+// add is Algorithm 1, "add" branch, on the materialised object x. The
+// frequency of x rises from f to f+1: x is swapped to the right end of its
+// block, the block shrinks by one, and the vacated rank joins the right
+// neighbour block (if it already holds f+1) or becomes a fresh single-rank
+// block. The ranks are physical, so the paper's bound m is n here.
 func (p *Profile) add(x int32) {
 	r0 := p.fToT[x]
 	bh := p.ptrB[r0]
@@ -299,7 +315,7 @@ func (p *Profile) add(x int32) {
 	b.r--
 	emptied := b.r < b.l
 
-	if last < p.m-1 && p.arena.at(p.ptrB[last+1]).f == f+1 {
+	if last < p.n-1 && p.arena.at(p.ptrB[last+1]).f == f+1 {
 		nh := p.ptrB[last+1]
 		p.arena.at(nh).l = last
 		p.ptrB[last] = nh
@@ -322,10 +338,10 @@ func (p *Profile) add(x int32) {
 	}
 }
 
-// remove is Algorithm 1, "remove" branch, the mirror image of add: x is
-// swapped to the left end of its block, the block shrinks by one, and the
-// vacated rank joins the left neighbour block (if it already holds f-1) or
-// becomes a fresh single-rank block.
+// remove is Algorithm 1, "remove" branch, the mirror image of add on the
+// materialised object x: x is swapped to the left end of its block, the
+// block shrinks by one, and the vacated rank joins the left neighbour block
+// (if it already holds f-1) or becomes a fresh single-rank block.
 func (p *Profile) remove(x int32) {
 	r0 := p.fToT[x]
 	bh := p.ptrB[r0]

@@ -26,8 +26,16 @@ func (p *Profile) Mode() (Entry, int, error) {
 	if p.m == 0 {
 		return Entry{}, 0, ErrEmptyProfile
 	}
-	b := p.arena.at(p.ptrB[p.m-1])
-	return Entry{Object: int(p.tToF[p.m-1]), Frequency: b.f}, b.size(), nil
+	if p.active == 0 && p.n < p.m {
+		// The implicit zeros top the order, id m-1 highest among them, and
+		// tie with every zero.
+		return Entry{Object: int(p.m - 1)}, int(p.m - p.negative), nil
+	}
+	// Otherwise the top materialised block holds the mode. The read stays
+	// within the inlining budget: the paper's benchmark reads Mode after
+	// every tuple.
+	b := p.arena.slab[p.ptrB[p.n-1]]
+	return Entry{Object: int(p.tToF[p.n-1]), Frequency: b.f}, b.size(), nil
 }
 
 // ModeAll returns every object whose frequency equals the maximum, along
@@ -36,12 +44,8 @@ func (p *Profile) ModeAll() ([]int, int64, error) {
 	if p.m == 0 {
 		return nil, 0, ErrEmptyProfile
 	}
-	b := p.arena.at(p.ptrB[p.m-1])
-	objs := make([]int, 0, b.size())
-	for r := b.l; r <= b.r; r++ {
-		objs = append(objs, int(p.tToF[r]))
-	}
-	return objs, b.f, nil
+	objs, f := p.objects(p.m - 1)
+	return objs, f, nil
 }
 
 // Min returns one object with the minimum frequency, that frequency, and the
@@ -50,8 +54,8 @@ func (p *Profile) Min() (Entry, int, error) {
 	if p.m == 0 {
 		return Entry{}, 0, ErrEmptyProfile
 	}
-	b := p.arena.at(p.ptrB[0])
-	return Entry{Object: int(p.tToF[0]), Frequency: b.f}, b.size(), nil
+	l, h, _ := p.span(0)
+	return p.entry(0), int(h-l) + 1, nil
 }
 
 // MinAll returns every object whose frequency equals the minimum, along with
@@ -60,12 +64,19 @@ func (p *Profile) MinAll() ([]int, int64, error) {
 	if p.m == 0 {
 		return nil, 0, ErrEmptyProfile
 	}
-	b := p.arena.at(p.ptrB[0])
-	objs := make([]int, 0, b.size())
-	for r := b.l; r <= b.r; r++ {
-		objs = append(objs, int(p.tToF[r]))
+	objs, f := p.objects(0)
+	return objs, f, nil
+}
+
+// objects returns the objects of the block holding rank r, in rank order,
+// and its frequency.
+func (p *Profile) objects(r int32) ([]int, int64) {
+	l, h, f := p.span(r)
+	objs := make([]int, 0, h-l+1)
+	for r := l; r <= h; r++ {
+		objs = append(objs, p.entry(r).Object)
 	}
-	return objs, b.f, nil
+	return objs, f
 }
 
 // Max is an alias for Mode's frequency: the largest frequency currently held
@@ -74,37 +85,40 @@ func (p *Profile) Max() (int64, error) {
 	if p.m == 0 {
 		return 0, ErrEmptyProfile
 	}
-	return p.arena.at(p.ptrB[p.m-1]).f, nil
+	return p.entry(p.m - 1).Frequency, nil
 }
 
 // KthLargest returns the object holding the k-th largest frequency
 // (1-based: k=1 is the mode representative). Ties within a block are broken
 // by block position.
 func (p *Profile) KthLargest(k int) (Entry, error) {
-	if k < 1 || int32(k) > p.m {
+	if k < 1 || k > int(p.m) {
 		return Entry{}, errBadRank(k, int(p.m))
 	}
-	r := p.m - int32(k)
-	return Entry{Object: int(p.tToF[r]), Frequency: p.arena.at(p.ptrB[r]).f}, nil
+	return p.entry(p.m - int32(k)), nil
 }
 
 // KthSmallest returns the object holding the k-th smallest frequency
 // (1-based: k=1 is the minimum representative).
 func (p *Profile) KthSmallest(k int) (Entry, error) {
-	if k < 1 || int32(k) > p.m {
+	if k < 1 || k > int(p.m) {
 		return Entry{}, errBadRank(k, int(p.m))
 	}
-	r := int32(k) - 1
-	return Entry{Object: int(p.tToF[r]), Frequency: p.arena.at(p.ptrB[r]).f}, nil
+	return p.entry(int32(k) - 1), nil
 }
 
 // AtRank returns the entry at 0-based rank r of the ascending-sorted
 // frequency array (rank 0 is the minimum, rank m-1 the maximum).
 func (p *Profile) AtRank(r int) (Entry, error) {
-	if r < 0 || int32(r) >= p.m {
+	if r < 0 || r >= int(p.m) {
 		return Entry{}, errBadRank(r, int(p.m))
 	}
-	return Entry{Object: int(p.tToF[r]), Frequency: p.arena.at(p.ptrB[int32(r)]).f}, nil
+	if p.n < p.m {
+		return p.entry(int32(r)), nil
+	}
+	// With every id materialised the rank is physical: the paper's read,
+	// spelled out, since Median follows every tuple in its benchmark.
+	return Entry{Object: int(p.tToF[r]), Frequency: p.arena.at(p.ptrB[r]).f}, nil
 }
 
 // TopK returns the k objects with the largest frequencies in non-increasing
@@ -113,13 +127,10 @@ func (p *Profile) TopK(k int) []Entry {
 	if k <= 0 || p.m == 0 {
 		return nil
 	}
-	if int32(k) > p.m {
-		k = int(p.m)
-	}
+	k = min(k, int(p.m))
 	out := make([]Entry, 0, k)
-	for i := 0; i < k; i++ {
-		r := p.m - 1 - int32(i)
-		out = append(out, Entry{Object: int(p.tToF[r]), Frequency: p.arena.at(p.ptrB[r]).f})
+	for i := range int32(k) {
+		out = append(out, p.entry(p.m-1-i))
 	}
 	return out
 }
@@ -130,12 +141,10 @@ func (p *Profile) BottomK(k int) []Entry {
 	if k <= 0 || p.m == 0 {
 		return nil
 	}
-	if int32(k) > p.m {
-		k = int(p.m)
-	}
+	k = min(k, int(p.m))
 	out := make([]Entry, 0, k)
-	for i := int32(0); i < int32(k); i++ {
-		out = append(out, Entry{Object: int(p.tToF[i]), Frequency: p.arena.at(p.ptrB[i]).f})
+	for i := range int32(k) {
+		out = append(out, p.entry(i))
 	}
 	return out
 }
@@ -211,16 +220,31 @@ func (p *Profile) Majority() (Entry, bool, error) {
 }
 
 // Distribution returns the frequency histogram in ascending frequency order:
-// one FreqCount per distinct frequency currently present. Cost O(#blocks).
+// one FreqCount per distinct frequency currently present. Cost O(#blocks):
+// it walks the materialised blocks and counts the implicit zeros with the
+// zero block, which they form alone when no materialised id is zero.
 func (p *Profile) Distribution() []FreqCount {
 	if p.m == 0 {
 		return nil
 	}
-	out := make([]FreqCount, 0, p.arena.liveBlocks())
-	for r := int32(0); r < p.m; {
+	out := make([]FreqCount, 0, p.Blocks())
+	implicit := int(p.m - p.n) // the implicit zeros not yet counted
+	for r := int32(0); r < p.n; {
 		b := p.arena.at(p.ptrB[r])
-		out = append(out, FreqCount{Freq: b.f, Count: b.size()})
+		c := b.size()
+		switch {
+		case b.f == 0:
+			c += implicit
+			implicit = 0
+		case b.f > 0 && implicit > 0:
+			out = append(out, FreqCount{Count: implicit})
+			implicit = 0
+		}
+		out = append(out, FreqCount{Freq: b.f, Count: c})
 		r = b.r + 1
+	}
+	if implicit > 0 {
+		out = append(out, FreqCount{Count: implicit})
 	}
 	return out
 }
@@ -228,11 +252,11 @@ func (p *Profile) Distribution() []FreqCount {
 // CountWithFrequencyAtLeast returns how many objects currently have
 // frequency >= f. Cost O(#blocks) via a scan of the block chain from the top.
 func (p *Profile) CountWithFrequencyAtLeast(f int64) int {
-	if p.m == 0 {
-		return 0
-	}
 	n := 0
-	for r := p.m - 1; r >= 0; {
+	if f <= 0 {
+		n = int(p.m - p.n) // the implicit zeros
+	}
+	for r := p.n - 1; r >= 0; {
 		b := p.arena.at(p.ptrB[r])
 		if b.f < f {
 			break
@@ -247,11 +271,11 @@ func (p *Profile) CountWithFrequencyAtLeast(f int64) int {
 // frequency <= f. Cost O(#blocks) via a scan of the block chain from the
 // bottom.
 func (p *Profile) CountWithFrequencyAtMost(f int64) int {
-	if p.m == 0 {
-		return 0
-	}
 	n := 0
-	for r := int32(0); r < p.m; {
+	if f >= 0 {
+		n = int(p.m - p.n) // the implicit zeros
+	}
+	for r := int32(0); r < p.n; {
 		b := p.arena.at(p.ptrB[r])
 		if b.f > f {
 			break
@@ -272,8 +296,8 @@ func (p *Profile) CountWithFrequencyInRange(lo, hi int64) int {
 }
 
 // DistinctFrequencies returns the number of distinct frequency values
-// currently present (equal to the number of live blocks).
-func (p *Profile) DistinctFrequencies() int { return p.arena.liveBlocks() }
+// currently present (equal to the number of blocks).
+func (p *Profile) DistinctFrequencies() int { return p.Blocks() }
 
 // Snapshot of summary statistics; cheap to produce and useful for logging.
 // The JSON form is the one the composite-query wire format uses.
@@ -296,13 +320,13 @@ func (p *Profile) Summarize() Summary {
 		Total:               p.total,
 		Active:              int(p.active),
 		Negative:            int(p.negative),
-		DistinctFrequencies: p.arena.liveBlocks(),
+		DistinctFrequencies: p.Blocks(),
 		Adds:                p.adds,
 		Removes:             p.removes,
 	}
 	if p.m > 0 {
-		s.MaxFrequency = p.arena.at(p.ptrB[p.m-1]).f
-		s.MinFrequency = p.arena.at(p.ptrB[0]).f
+		s.MaxFrequency = p.entry(p.m - 1).Frequency
+		s.MinFrequency = p.entry(0).Frequency
 	}
 	return s
 }
@@ -315,10 +339,27 @@ func (p *Profile) Frequencies(dst []int64) []int64 {
 		dst = make([]int64, p.m)
 	}
 	dst = dst[:p.m]
-	for r := int32(0); r < p.m; {
+	for r := int32(0); r < p.n; {
 		b := p.arena.at(p.ptrB[r])
 		for i := b.l; i <= b.r; i++ {
 			dst[p.tToF[i]] = b.f
+		}
+		r = b.r + 1
+	}
+	clear(dst[p.n:])
+	return dst
+}
+
+// AppendNonzero appends to dst an entry for every object of nonzero
+// frequency, in rank order, with base added to its object, and returns the
+// extended slice. Cost O(nonzero objects + blocks), whatever m is.
+func (p *Profile) AppendNonzero(dst []Entry, base int) []Entry {
+	for r := int32(0); r < p.n; {
+		b := p.arena.at(p.ptrB[r])
+		if b.f != 0 {
+			for i := b.l; i <= b.r; i++ {
+				dst = append(dst, Entry{Object: base + int(p.tToF[i]), Frequency: b.f})
+			}
 		}
 		r = b.r + 1
 	}

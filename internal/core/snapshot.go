@@ -20,9 +20,11 @@ import (
 //
 // The block structure is not serialised; WriteSnapshot stores only the
 // frequencies and ReadSnapshot rebuilds the sorted profile with one bulk
-// load (LoadEntries): ranking costs time linear in the nonzero frequencies,
-// plus one sequential pass over the m slots, rather than complicating the
-// O(1) hot path.
+// load (NewLoaded): ranking costs time linear in the nonzero frequencies,
+// plus one sequential pass over the ids up to the largest nonzero one,
+// rather than complicating the O(1) hot path. The ids past it stay implicit
+// zeros, so a sparse snapshot reads back in memory proportional to its ids
+// in use; the bytes of m slots are written and read either way.
 
 var snapshotMagic = [4]byte{'S', 'P', 'F', '1'}
 
@@ -110,7 +112,7 @@ func ReadSnapshot(r io.Reader) (*Profile, error) {
 		}
 	}
 	strict := flags&1 != 0
-	if err := checkLoad(es, strict, adds, removes); err != nil {
+	if err := CheckLoad(es, strict, adds, removes); err != nil {
 		return nil, err
 	}
 	p := newProfile(int32(mu), Options{StrictNonNegative: strict})
@@ -136,8 +138,10 @@ func FromFrequencies(freqs []int64, opts ...Option) (*Profile, error) {
 
 // NewLoaded returns a profile of m object slots holding es, as LoadEntries
 // leaves one; LoadEntries says what es and the counters must satisfy. It
-// allocates the rank arrays without the zero fill of New, which the load
-// would overwrite.
+// materialises only the ids up to the largest object in es, so its memory
+// follows the ids loaded rather than m, and the ids past them materialise
+// as updates reach them. NewLoaded(m, nil, 0, 0) is the all-zero profile
+// of m slots with nothing materialised.
 func NewLoaded(m int, es []Entry, adds, removes uint64, opts ...Option) (*Profile, error) {
 	if m < 0 || m > MaxCapacity {
 		return nil, fmt.Errorf("%w: %d", ErrCapacity, m)
@@ -167,18 +171,20 @@ func (p *Profile) LoadFrequencies(freqs []int64, adds, removes uint64) error {
 		return fmt.Errorf("%w: %d frequencies for capacity %d", ErrBadSnapshot, len(freqs), p.m)
 	}
 	es := Nonzero(freqs)
-	if err := checkLoad(es, p.opts.StrictNonNegative, adds, removes); err != nil {
+	if err := CheckLoad(es, p.opts.StrictNonNegative, adds, removes); err != nil {
 		return err
 	}
 	p.LoadEntries(es, adds, removes)
 	return nil
 }
 
-// checkLoad refuses, with ErrBadSnapshot, a load of the nonzero frequencies
+// CheckLoad refuses, with ErrBadSnapshot, a load of the nonzero frequencies
 // es with the counters adds and removes into a profile that is strict or
 // not: counters past MaxMagnitude, frequencies EntrySums refuses, or
-// counters that do not net to the frequencies' sum.
-func checkLoad(es []Entry, strict bool, adds, removes uint64) error {
+// counters that do not net to the frequencies' sum. It is the check of
+// LoadFrequencies and ReadSnapshot, for callers of NewLoaded that hold
+// entries rather than frequencies.
+func CheckLoad(es []Entry, strict bool, adds, removes uint64) error {
 	if adds > MaxMagnitude || removes > MaxMagnitude {
 		return fmt.Errorf("%w: %d adds and %d removes exceed %d", ErrBadSnapshot, adds, removes, uint64(MaxMagnitude))
 	}
@@ -240,16 +246,19 @@ func EntrySums(es []Entry, strict bool, base int) (pos, neg uint64, err error) {
 // and the counters must be what LoadFrequencies accepts for them.
 //
 // The ranks are those of a stable sort by (frequency, object id), and they
-// cost time linear in len(es) plus one sequential pass over the m slots.
-// The entries are ranked by an LSD radix sort of their positions in es,
-// which must then be in object order (es is sorted first if it is not), so
-// ties stay in id order. The sort runs in the rank arrays, which the load
-// overwrites anyway, so it allocates nothing. The objects es skips take the
-// block of zeros between the negative and the positive frequencies, laid
-// down in id order.
+// cost time linear in len(es) plus one sequential pass over the
+// materialised ids. The load keeps materialised the ids the profile already
+// had and materialises those up to the largest object in es; the rest stay
+// implicit zeros. The entries are ranked by an LSD radix sort of their
+// positions in es, which must then be in object order (es is sorted first
+// if it is not), so ties stay in id order. The sort runs in the rank
+// arrays, which the load overwrites anyway, so it allocates nothing beyond
+// their growth. The materialised objects es skips take the block of zeros
+// between the negative and the positive frequencies, laid down in id order,
+// and the implicit zeros follow them.
 func (p *Profile) LoadEntries(es []Entry, adds, removes uint64) {
 	key := func(i int32) uint64 { return uint64(es[i].Frequency) ^ 1<<63 }
-	inOrder, neg := true, 0
+	inOrder, neg, n := true, 0, p.n
 	var diff uint64 // the bits in which some key differs from the first
 	for i, e := range es {
 		if i > 0 && e.Object < es[i-1].Object {
@@ -258,8 +267,13 @@ func (p *Profile) LoadEntries(es []Entry, adds, removes uint64) {
 		if e.Frequency < 0 {
 			neg++
 		}
+		n = max(n, int32(e.Object)+1)
 		diff |= key(int32(i)) ^ key(0)
 	}
+	p.n = n
+	p.fToT = resize(p.fToT, n)
+	p.tToF = resize(p.tToF, n)
+	p.ptrB = resize(p.ptrB, n)
 	if !inOrder {
 		slices.SortFunc(es, func(a, b Entry) int { return cmp.Compare(a.Object, b.Object) })
 	}
@@ -297,7 +311,7 @@ func (p *Profile) LoadEntries(es []Entry, adds, removes uint64) {
 		src, dst = dst, src
 	}
 
-	zeros := int(p.m) - len(es)
+	zeros := int(p.n) - len(es)
 	p.arena.reset()
 	p.total, p.active, p.negative = 0, 0, 0
 	p.adds, p.removes = adds, removes
@@ -306,7 +320,7 @@ func (p *Profile) LoadEntries(es []Entry, adds, removes uint64) {
 		p.arena.alloc(int32(neg), int32(neg+zeros-1), 0)
 		r, x := int32(neg), int32(0)
 		for i := 0; i <= len(es); i++ {
-			next := p.m
+			next := p.n
 			if i < len(es) {
 				next = int32(es[i].Object)
 			}
@@ -360,6 +374,7 @@ func (p *Profile) Snapshot() (*Profile, error) { return p.Clone(), nil }
 func (p *Profile) Clone() *Profile {
 	q := &Profile{
 		m:        p.m,
+		n:        p.n,
 		opts:     p.opts,
 		fToT:     append([]int32(nil), p.fToT...),
 		tToF:     append([]int32(nil), p.tToF...),

@@ -442,8 +442,13 @@ func TestLoadRankOrderMatchesComparisonSort(t *testing.T) {
 		for order, es := range map[string][]Entry{"in object order": Nonzero(freqs), "shuffled": shuffled} {
 			p := newProfile(int32(len(freqs)), Options{})
 			p.LoadEntries(es, 0, 0)
-			if !slices.Equal(p.tToF, want) {
-				t.Fatalf("%s, %s: rank order %v, want %v", name, order, p.tToF, want)
+			got := make([]int32, len(freqs))
+			for r := range got {
+				e, _ := p.AtRank(r)
+				got[r] = int32(e.Object)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, %s: rank order %v, want %v", name, order, got, want)
 			}
 			if err := p.CheckInvariants(); err != nil {
 				t.Fatalf("%s, %s: invariants after load: %v", name, order, err)

@@ -174,7 +174,9 @@ func newKeyed[K comparable](m int, cfg buildConfig) (*KeyedConcurrent[K], error)
 
 // load gives k, fresh from newKeyed, its dense profile, sharded like its id
 // map: the checkpoint snapshot st as restore maps it, or every frequency
-// zero when st is nil.
+// zero when st is nil. Each shard materialises only the ids loaded into it
+// and grows with the ids its stripe hands out, low ids first, so the dense
+// profile's memory follows the keys tracked rather than the capacity.
 func (k *KeyedConcurrent[K]) load(st *checkpoint.State, cfg buildConfig) error {
 	opts := cfg.profileOpts
 	if k.recycle {
@@ -183,20 +185,18 @@ func (k *KeyedConcurrent[K]) load(st *checkpoint.State, cfg buildConfig) error {
 		opts = append(opts, WithStrictNonNegative())
 	}
 	m, ns := k.ids.Cap(), k.ids.NumStripes()
-	var dense *Sharded
-	if st == nil {
+	parts := make([][]core.Entry, ns)
+	var adds, removes uint64
+	if st != nil {
 		var err error
-		if dense, err = NewSharded(m, ns, opts...); err != nil {
+		if parts, err = k.restore(st); err != nil {
 			return err
 		}
-	} else {
-		parts, err := k.restore(st)
-		if err != nil {
-			return err
-		}
-		if dense, err = newLoadedSharded(m, ns, parts, st.Adds, st.Removes, opts...); err != nil {
-			return err
-		}
+		adds, removes = st.Adds, st.Removes
+	}
+	dense, err := newLoadedSharded(m, ns, parts, adds, removes, opts...)
+	if err != nil {
+		return err
 	}
 	k.dense = dense
 	k.keyedQueries = keyedQueries[K]{profile: dense, resolver: k.ids}
@@ -232,8 +232,9 @@ func (k *KeyedConcurrent[K]) applyWALRecord(rec wal.Record) error {
 // restore maps the keys of the checkpoint snapshot st into k's empty id
 // map and returns their nonzero frequencies under the new ids, parts[i]
 // holding those of stripe i's id range by id within the range: the load of
-// the dense profile's shard i. The snapshotted keys are grouped by stripe
-// with the counting sort ApplyBatch uses, and the stripes load
+// the dense profile's shard i. The snapshotted keys are hashed in chunks on
+// at most GOMAXPROCS goroutines, grouped by stripe with the counting sort
+// ApplyBatch uses, and the stripes load
 // concurrently, on at most GOMAXPROCS goroutines: each maps its group with
 // one StripeTxn.Load (ids are reassigned — stripe hashing is seeded per
 // process, so the original ids are meaningless here), then lists the
@@ -248,9 +249,13 @@ func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) ([][]core.Entry, erro
 	keys := any(st.Keys).([]K) // BuildKeyed only opens a WAL for K = string
 	ns := k.ids.NumStripes()
 	hashes := make([]uint64, len(keys))
-	for i, key := range keys {
-		hashes[i] = k.ids.Hash(key)
-	}
+	const chunk = 1 << 14
+	_ = parallelEach((len(keys)+chunk-1)/chunk, func(c int) error {
+		for i := c * chunk; i < min(len(keys), (c+1)*chunk); i++ {
+			hashes[i] = k.ids.Hash(keys[i])
+		}
+		return nil
+	})
 	var g stripeGroups
 	g.sort(ns, len(keys), func(i int) int32 { return int32(k.ids.StripeOfHash(hashes[i])) })
 	parts := make([][]core.Entry, ns)
@@ -396,13 +401,10 @@ func (k *KeyedConcurrent[K]) Checkpoint() error {
 			n := k.ids.Len()
 			keys := make([]string, 0, n)
 			counts := make([]int64, 0, n)
-			err = k.rangeCountsLocked(func(key K, f int64) {
+			k.rangeCountsLocked(func(key K, f int64) {
 				keys = append(keys, any(key).(string))
 				counts = append(counts, f)
 			})
-			if err != nil {
-				return
-			}
 			st = &checkpoint.State{
 				Capacity: k.dense.Cap(),
 				Adds:     adds,
@@ -422,34 +424,23 @@ func (k *KeyedConcurrent[K]) Checkpoint() error {
 // processes; sort the result for a canonical listing.
 func (k *KeyedConcurrent[K]) Entries() ([]KeyedEntry[K], error) {
 	var out []KeyedEntry[K]
-	var err error
 	k.ids.Quiesce(func() {
 		out = make([]KeyedEntry[K], 0, k.ids.Len())
-		err = k.rangeCountsLocked(func(key K, f int64) {
+		k.rangeCountsLocked(func(key K, f int64) {
 			out = append(out, KeyedEntry[K]{Key: key, Frequency: f})
 		})
 	})
-	if err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
 // rangeCountsLocked calls fn with every tracked key and its count. The
 // caller holds every stripe lock (Quiesce), so the dense profile cannot
-// change and each count is read in place.
-func (k *KeyedConcurrent[K]) rangeCountsLocked(fn func(key K, f int64)) error {
-	var err error
+// change and each count is read in place, without its shard's lock.
+func (k *KeyedConcurrent[K]) rangeCountsLocked(fn func(key K, f int64)) {
 	k.ids.RangeLocked(func(key K, id int) bool {
-		f, cerr := k.dense.Count(id)
-		if cerr != nil {
-			err = cerr
-			return false
-		}
-		fn(key, f)
+		fn(key, k.dense.countQuiesced(id))
 		return true
 	})
-	return err
 }
 
 // checkJournalableKey rejects keys the write-ahead log cannot record.
@@ -537,9 +528,7 @@ func (k *KeyedConcurrent[K]) QueryKeys(q KeyedQuery[K]) (KeyedQueryResult[K], er
 			var f int64
 			// LookupLocked, not DenseID: the stripe locks are already held.
 			if id, ok := k.ids.LookupLocked(key); ok {
-				if f, err = k.dense.Count(id); err != nil {
-					return
-				}
+				f = k.dense.countQuiesced(id)
 			}
 			out.Counts[i] = KeyedEntry[K]{Key: key, Frequency: f}
 		}

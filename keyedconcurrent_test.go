@@ -714,6 +714,56 @@ func TestIdleSetAllocation(t *testing.T) {
 	}
 }
 
+// TestKeyedDenseFollowsKeys pins that a keyed profile's dense shards hold
+// memory for the ids in use, not for the capacity: 1,000 keys at capacity
+// 1<<20 on two shards, built by adds and then restored from a checkpoint,
+// keep the shards' summed footprint under 1 MiB, where materialising every
+// slot takes 12 MiB.
+func TestKeyedDenseFollowsKeys(t *testing.T) {
+	const capacity, n, limit = 1 << 20, 1000, 1 << 20
+	dir := filepath.Join(t.TempDir(), "wal")
+	built := sprofile.MustBuildKeyed[string](capacity, sprofile.WithSharding(2))
+	durable := sprofile.MustBuildKeyed[string](capacity, sprofile.WithSharding(2), sprofile.WithWAL(dir))
+	batch := make([]sprofile.KeyedTuple[string], 0, 2*n)
+	for i := range n {
+		for range 1 + i%2 {
+			batch = append(batch, sprofile.KeyedTuple[string]{Key: fmt.Sprintf("key-%d", i), Action: sprofile.ActionAdd})
+		}
+	}
+	for _, k := range []*sprofile.KeyedConcurrent[string]{built, durable} {
+		if _, err := k.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := durable.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored := sprofile.MustBuildKeyed[string](capacity, sprofile.WithSharding(2), sprofile.WithWAL(dir))
+	defer restored.Close()
+	if got := restored.Recovery().SnapshotObjects; got != n {
+		t.Fatalf("restored %d snapshot keys, want %d", got, n)
+	}
+	for name, k := range map[string]*sprofile.KeyedConcurrent[string]{"built": built, "restored": restored} {
+		if got := k.Dense().MemoryFootprint(); got >= limit {
+			t.Errorf("%s: the shards hold %d bytes for %d keys at capacity %d, want < %d", name, got, n, capacity, limit)
+		}
+		if err := k.Dense().CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := k.QueryKeys(sprofile.KeyedQuery[string]{Count: []string{"key-0", "key-1"}, Summary: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Summary
+		if res.Counts[0].Frequency != 1 || res.Counts[1].Frequency != 2 || s.Total != 3*n/2 || s.Active != n || s.Capacity != capacity {
+			t.Fatalf("%s: counts %v, summary %+v", name, res.Counts, *s)
+		}
+	}
+}
+
 // TestKeyedCheckpointRoundTrip is the checkpoint round trip for the keyed
 // pipeline, with forced key recycling in the history: snapshot → restore must
 // preserve every query and the key↔dense-id mapping even though dense ids are

@@ -83,8 +83,8 @@ func NewSharded(m, numShards int, opts ...Option) (*Sharded, error) {
 // opts...) would, but holding parts[i], in any order, as the nonzero
 // frequencies of shard i, by id within the shard, and the profile-wide
 // counters adds and removes. It checks the load as LoadFrequencies does;
-// the shards then allocate and load concurrently, without the zero fill
-// of NewSharded.
+// the shards then load concurrently, each materialising only the ids up to
+// the largest it holds (core.NewLoaded), where NewSharded materialises all.
 func newLoadedSharded(m, numShards int, parts [][]core.Entry, adds, removes uint64, opts ...Option) (*Sharded, error) {
 	s, err := layoutSharded(m, numShards)
 	if err != nil {
@@ -476,6 +476,16 @@ func (s *Sharded) Count(x int) (int64, error) {
 	return sh.p.Count(local)
 }
 
+// countQuiesced returns the count of object x in [0, m) without taking its
+// shard's lock. The caller must exclude every writer of the shards: a keyed
+// profile's writers each hold a mapper stripe lock, so its quiesce, which
+// holds them all, does.
+func (s *Sharded) countQuiesced(x int) int64 {
+	sh := &s.shards[x/s.shardSize]
+	f, _ := sh.p.Count(x - sh.base)
+	return f
+}
+
 // Total returns the sum of all frequencies, read from one cut of every shard.
 func (s *Sharded) Total() int64 {
 	if sh := s.single(); sh != nil {
@@ -715,9 +725,12 @@ func (s *Sharded) Query(q Query) (QueryResult, error) {
 	return core.EvalQuery(s.view(), q)
 }
 
-// Snapshot merges every shard into one consistent standalone Profile (cost
-// O(m); a one-shard profile is cloned); use it when a burst of rank queries
-// must see a single state.
+// Snapshot merges every shard into one consistent standalone Profile; use
+// it when a burst of rank queries must see a single state. A one-shard
+// profile is cloned. With several, the shards' nonzero frequencies load
+// into a profile that materialises the ids up to the largest of them (cost
+// O(nonzero objects + blocks), not O(m)), refused like LoadFrequencies
+// refuses them.
 // The snapshot preserves the true adds/removes counters and the strict-mode
 // flag, so it is also a faithful checkpoint image, not just a query view.
 func (s *Sharded) Snapshot() (*Profile, error) {
@@ -727,28 +740,24 @@ func (s *Sharded) Snapshot() (*Profile, error) {
 		return sh.p.Clone(), nil
 	}
 
-	freqs := make([]int64, s.m)
+	var es []core.Entry
 	var adds, removes uint64
 	for i := range s.shards {
 		sh := &s.shards[i]
-		local := sh.p.Frequencies(nil)
-		copy(freqs[sh.base:sh.base+len(local)], local)
+		es = sh.p.AppendNonzero(es, sh.base)
 		a, r := sh.p.Events()
 		adds += a
 		removes += r
 	}
+	strict := s.shards[0].p.StrictNonNegative()
+	if err := core.CheckLoad(es, strict, adds, removes); err != nil {
+		return nil, err
+	}
 	var opts []Option
-	if s.shards[0].p.StrictNonNegative() {
+	if strict {
 		opts = append(opts, WithStrictNonNegative())
 	}
-	p, err := core.New(s.m, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.LoadFrequencies(freqs, adds, removes); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return core.NewLoaded(s.m, es, adds, removes, opts...)
 }
 
 // LoadFrequencies replaces the whole sharded state: object x ends at
