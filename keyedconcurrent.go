@@ -232,9 +232,8 @@ func (k *KeyedConcurrent[K]) applyWALRecord(rec wal.Record) error {
 // restore maps the keys of the checkpoint snapshot st into k's empty id
 // map and returns their nonzero frequencies under the new ids, parts[i]
 // holding those of stripe i's id range by id within the range: the load of
-// the dense profile's shard i. The snapshotted keys are hashed in chunks on
-// at most GOMAXPROCS goroutines, grouped by stripe with the counting sort
-// ApplyBatch uses, and the stripes load
+// the dense profile's shard i. The snapshotted keys are grouped by stripe
+// with the counting sort ApplyBatch uses, and the stripes load
 // concurrently, on at most GOMAXPROCS goroutines: each maps its group with
 // one StripeTxn.Load (ids are reassigned — stripe hashing is seeded per
 // process, so the original ids are meaningless here), then lists the
@@ -249,13 +248,9 @@ func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) ([][]core.Entry, erro
 	keys := any(st.Keys).([]K) // BuildKeyed only opens a WAL for K = string
 	ns := k.ids.NumStripes()
 	hashes := make([]uint64, len(keys))
-	const chunk = 1 << 14
-	_ = parallelEach((len(keys)+chunk-1)/chunk, func(c int) error {
-		for i := c * chunk; i < min(len(keys), (c+1)*chunk); i++ {
-			hashes[i] = k.ids.Hash(keys[i])
-		}
-		return nil
-	})
+	for i, key := range keys {
+		hashes[i] = k.ids.Hash(key)
+	}
 	var g stripeGroups
 	g.sort(ns, len(keys), func(i int) int32 { return int32(k.ids.StripeOfHash(hashes[i])) })
 	parts := make([][]core.Entry, ns)
