@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -888,16 +889,16 @@ func BenchmarkQueryComposite(b *testing.B) {
 
 	// The keyed variant has one read, QueryKeys (one quiesced cut), so it has
 	// no getter sequence to compare against.
-	keyed := sprofile.MustBuildKeyed[int64](m, sprofile.WithSharding(8))
-	kq := sprofile.KeyedQuery[int64]{Mode: true, TopK: 10, Quantiles: []float64{0.99}, Summary: true}
+	keyed := sprofile.MustBuildKeyed[string](m, sprofile.WithSharding(8))
+	kq := sprofile.KeyedQuery[string]{Mode: true, TopK: 10, Quantiles: []float64{0.99}, Summary: true}
 	keyedFill := sync.OnceFunc(func() {
 		g := paperStream(b, 1, m)
 		for i := 0; i < 500_000; i++ {
 			t := g.Next()
 			var err error
 			if t.Action == sprofile.ActionAdd {
-				err = keyed.Add(int64(t.Object))
-			} else if err = keyed.Remove(int64(t.Object)); errors.Is(err, sprofile.ErrUnknownKey) ||
+				err = keyed.Add(strconv.Itoa(t.Object))
+			} else if err = keyed.Remove(strconv.Itoa(t.Object)); errors.Is(err, sprofile.ErrUnknownKey) ||
 				errors.Is(err, sprofile.ErrStrictViolation) {
 				err = nil // the raw stream can remove before adding; skip
 			}

@@ -94,22 +94,22 @@ func TestProfilerConformance(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		k, err := sprofile.NewKeyedOver[int](p, sprofile.WithoutRecycling())
+		k, err := sprofile.NewKeyedOver[string](p, sprofile.WithoutRecycling())
 		if err != nil {
 			return nil, err
 		}
-		return newKeyedAdapter(k, m)
+		return newKeyedAdapter(intStringKeyed{k}, m)
 	})
 	for _, shards := range []int{1, 4} {
 		profilertest.Run(t, fmt.Sprintf("BuildKeyed-%d", shards), func(m int, opts ...sprofile.Option) (sprofile.Profiler, error) {
-			k, err := sprofile.BuildKeyed[int](m,
+			k, err := sprofile.BuildKeyed[string](m,
 				sprofile.WithSharding(shards),
 				sprofile.WithoutKeyRecycling(),
 				sprofile.WithOptions(opts...))
 			if err != nil {
 				return nil, err
 			}
-			return newKeyedAdapter(k, m)
+			return newKeyedAdapter(intStringKeyed{k}, m)
 		})
 	}
 }
@@ -533,8 +533,8 @@ func (r *restoredProfiler) Total() int64 {
 }
 
 // intStringKeyed adapts a string-keyed profile to the int-keyed interface
-// the conformance adapter wants, so WAL-backed keyed profiles, whose log
-// stores string keys, can run the dense-id battery.
+// the conformance adapter wants, so the keyed profiles, whose keys are
+// strings, can run the dense-id battery.
 type intStringKeyed struct {
 	k sprofile.KeyedProfiler[string]
 }

@@ -6,6 +6,10 @@ import "fmt"
 // invariants.
 func (k *KeyedConcurrent[K]) Dense() *Sharded { return k.dense }
 
+// DenseFootprint returns the MemoryFootprint of the plain Profile NewKeyed
+// built under k.
+func (k *Keyed[K]) DenseFootprint() int64 { return k.profile.(*Profile).MemoryFootprint() }
+
 // MemoryFootprint sums the shards' core.Profile.MemoryFootprint, each read
 // under its shard's read lock: the bytes of their rank arrays and block
 // slabs.
@@ -46,21 +50,21 @@ func (k *KeyedConcurrent[K]) CheckZeroSets() error {
 		lists, pos := k.ids.IdleLocked()
 		idle := make([]int, len(lists))
 		mapped := make([]bool, len(pos))
-		k.ids.RangeLocked(func(key K, id int) bool {
+		k.ids.RangeLocked(func(key []byte, id int) bool {
 			mapped[id] = true
 			f, cerr := k.dense.Count(id)
 			if cerr != nil {
 				err = cerr
 				return false
 			}
-			si := k.ids.StripeOfHash(k.ids.Hash(key))
+			si := k.ids.StripeOfHash(k.ids.HashBytes(key))
 			switch p := pos[id]; {
 			case f != 0 || !k.recycle:
 				if p >= 0 {
-					err = fmt.Errorf("id %d of %v (count %d) is marked idle at position %d", id, key, f, p)
+					err = fmt.Errorf("id %d of %q (count %d) is marked idle at position %d", id, key, f, p)
 				}
 			case p < 0 || p >= len(lists[si]) || lists[si][p] != id:
-				err = fmt.Errorf("stripe %d: idle id %d of %v is not on its idle list at its recorded position %d", si, id, key, p)
+				err = fmt.Errorf("stripe %d: idle id %d of %q is not on its idle list at its recorded position %d", si, id, key, p)
 			default:
 				idle[si]++
 			}

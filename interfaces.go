@@ -167,6 +167,4 @@ var (
 
 	_ KeyedProfiler[string] = (*Keyed[string])(nil)
 	_ KeyedProfiler[string] = (*KeyedConcurrent[string])(nil)
-	_ KeyedProfiler[int64]  = (*Keyed[int64])(nil)
-	_ KeyedProfiler[int64]  = (*KeyedConcurrent[int64])(nil)
 )

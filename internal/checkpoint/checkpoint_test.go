@@ -48,8 +48,7 @@ func (f *fakeProfile) state() *checkpoint.State {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		st.Keys = append(st.Keys, k)
-		st.Freqs = append(st.Freqs, f.counts[k])
+		st.Append([]byte(k), f.counts[k])
 	}
 	return st
 }

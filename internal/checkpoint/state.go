@@ -69,11 +69,14 @@ const (
 // profile at a checkpoint, sufficient to rebuild it without replaying the
 // events the snapshot covers.
 type State struct {
-	// Keys and Freqs are parallel: key Keys[i] held frequency Freqs[i].
-	// Dense ids are deliberately absent — restore assigns the keys new ones,
+	// KeyBytes holds every key's bytes back to back, one pointer-free run
+	// instead of a string per key: key i ends at KeyEnds[i] and starts
+	// where key i-1 ends (key 0 at 0). Key i held frequency Freqs[i]. Dense
+	// ids are deliberately absent — restore assigns the keys new ones,
 	// because the stripe hashing that places keys is seeded per process.
-	Keys  []string
-	Freqs []int64
+	KeyBytes []byte
+	KeyEnds  []int
+	Freqs    []int64
 
 	// Capacity, Adds and Removes mirror the profile's bookkeeping so a
 	// restore reproduces Summarize() exactly, not just the frequencies.
@@ -85,6 +88,35 @@ type State struct {
 	// written: its sequence number and the last WAL segment it covers.
 	Seq       uint64
 	SealedSeg uint64
+}
+
+// Len returns the number of keys.
+func (st *State) Len() int { return len(st.KeyEnds) }
+
+// Key returns the bytes of key i, a view into KeyBytes.
+func (st *State) Key(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = st.KeyEnds[i-1]
+	}
+	return st.KeyBytes[start:st.KeyEnds[i]:st.KeyEnds[i]]
+}
+
+// Keys yields every key's index and a string copy of its bytes, so
+// `for i, key := range st.Keys` walks the keys as strings.
+func (st *State) Keys(yield func(int, string) bool) {
+	for i := range st.KeyEnds {
+		if !yield(i, string(st.Key(i))) {
+			return
+		}
+	}
+}
+
+// Append adds key, held at frequency f.
+func (st *State) Append(key []byte, f int64) {
+	st.KeyBytes = append(st.KeyBytes, key...)
+	st.KeyEnds = append(st.KeyEnds, len(st.KeyBytes))
+	st.Freqs = append(st.Freqs, f)
 }
 
 // encodeState writes the snapshot file body (header, payload, checksum).
@@ -111,8 +143,8 @@ func encodeState(w io.Writer, st *State) error {
 	if err := writeUvarint(st.SealedSeg); err != nil {
 		return err
 	}
-	if len(st.Keys) != len(st.Freqs) {
-		return fmt.Errorf("checkpoint: %d keys but %d frequencies", len(st.Keys), len(st.Freqs))
+	if st.Len() != len(st.Freqs) {
+		return fmt.Errorf("checkpoint: %d keys but %d frequencies", st.Len(), len(st.Freqs))
 	}
 	if err := writeUvarint(uint64(st.Capacity)); err != nil {
 		return err
@@ -123,7 +155,7 @@ func encodeState(w io.Writer, st *State) error {
 	if err := writeUvarint(st.Removes); err != nil {
 		return err
 	}
-	if err := writeUvarint(uint64(len(st.Keys))); err != nil {
+	if err := writeUvarint(uint64(st.Len())); err != nil {
 		return err
 	}
 	// Each entry (key length, key, frequency) goes through one reused
@@ -131,7 +163,8 @@ func encodeState(w io.Writer, st *State) error {
 	// every key into a fresh []byte, because the checksum side has no
 	// WriteString.
 	var entry []byte
-	for i, key := range st.Keys {
+	for i := range st.KeyEnds {
+		key := st.Key(i)
 		entry = binary.AppendUvarint(entry[:0], uint64(len(key)))
 		entry = append(entry, key...)
 		entry = binary.AppendVarint(entry, st.Freqs[i])
@@ -148,8 +181,8 @@ func encodeState(w io.Writer, st *State) error {
 }
 
 // decodeState parses a snapshot file body, verifying the checksum first. It
-// walks the byte slice directly — recovery decodes hundreds of thousands of
-// keys, and a reader interface would double the per-key allocations.
+// walks the byte slice directly and copies the keys into one byte run, so
+// decoding makes three allocations however many keys the snapshot holds.
 func decodeState(data []byte) (*State, error) {
 	if len(data) < 4+2+4 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrBadSnapshot, len(data))
@@ -213,7 +246,10 @@ func decodeState(data []byte) (*State, error) {
 	if count > uint64(len(rest))/2 {
 		return nil, fmt.Errorf("%w: %d keys cannot fit in %d bytes", ErrBadSnapshot, count, len(rest))
 	}
-	st.Keys = make([]string, 0, count)
+	// The key bytes are what is left once each entry's first length byte
+	// and first frequency byte are taken.
+	st.KeyBytes = make([]byte, 0, uint64(len(rest))-2*count)
+	st.KeyEnds = make([]int, 0, count)
 	st.Freqs = make([]int64, 0, count)
 	for i := uint64(0); i < count; i++ {
 		keyLen, err := readUvarint()
@@ -223,15 +259,14 @@ func decodeState(data []byte) (*State, error) {
 		if keyLen > uint64(len(rest)) {
 			return nil, fmt.Errorf("%w: key length %d", ErrBadSnapshot, keyLen)
 		}
-		key := string(rest[:keyLen])
+		key := rest[:keyLen]
 		rest = rest[keyLen:]
 		f, n := binary.Varint(rest)
 		if n <= 0 {
 			return nil, fmt.Errorf("%w: frequency of key %d", ErrBadSnapshot, i)
 		}
 		rest = rest[n:]
-		st.Keys = append(st.Keys, key)
-		st.Freqs = append(st.Freqs, f)
+		st.Append(key, f)
 	}
 	return st, nil
 }

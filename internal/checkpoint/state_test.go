@@ -94,18 +94,23 @@ func TestDecodeStateRejectsForgedDenseCapacity(t *testing.T) {
 	}
 }
 
+// withKeys appends keys to st, key i at frequency freqs[i], and returns st.
+func withKeys(st *State, keys []string, freqs []int64) *State {
+	for i, key := range keys {
+		st.Append([]byte(key), freqs[i])
+	}
+	return st
+}
+
 // TestEncodeStateLayout pins the keyed snapshot's bytes: the header, the
 // uvarint fields, then per key its uvarint length, its bytes and its varint
 // frequency, then the IEEE CRC-32 of everything before it.
 func TestEncodeStateLayout(t *testing.T) {
-	st := &State{
-		Capacity: 300, Adds: 1 << 40, Removes: 7, Seq: 3, SealedSeg: 200,
-		Keys:  []string{"alice", "", strings.Repeat("k", 200)},
-		Freqs: []int64{5, 0, -1 << 33},
-	}
+	st := withKeys(&State{Capacity: 300, Adds: 1 << 40, Removes: 7, Seq: 3, SealedSeg: 200},
+		[]string{"alice", "", strings.Repeat("k", 200)}, []int64{5, 0, -1 << 33})
 	want := append([]byte{}, snapMagic[:]...)
 	want = append(want, snapVersion, kindKeyed)
-	for _, v := range []uint64{st.Seq, st.SealedSeg, uint64(st.Capacity), st.Adds, st.Removes, uint64(len(st.Keys))} {
+	for _, v := range []uint64{st.Seq, st.SealedSeg, uint64(st.Capacity), st.Adds, st.Removes, uint64(st.Len())} {
 		want = binary.AppendUvarint(want, v)
 	}
 	for i, key := range st.Keys {
@@ -124,10 +129,9 @@ func TestEncodeStateLayout(t *testing.T) {
 func TestEncodeStateAllocations(t *testing.T) {
 	const bound = 16
 	for _, n := range []int{10, 10_000} {
-		st := &State{Capacity: n, Keys: make([]string, n), Freqs: make([]int64, n)}
-		for i := range st.Keys {
-			st.Keys[i] = fmt.Sprintf("object-%08d", i)
-			st.Freqs[i] = int64(i)
+		st := &State{Capacity: n}
+		for i := range n {
+			st.Append(fmt.Appendf(nil, "object-%08d", i), int64(i))
 		}
 		allocs := testing.AllocsPerRun(5, func() {
 			if err := encodeState(io.Discard, st); err != nil {
@@ -136,6 +140,29 @@ func TestEncodeStateAllocations(t *testing.T) {
 		})
 		if allocs > bound {
 			t.Errorf("encoding %d keys made %.0f allocations, want at most %d", n, allocs, bound)
+		}
+	}
+}
+
+// TestDecodeStateAllocations pins that decoding a snapshot makes the same
+// few allocations however many keys it holds: the keys land in one byte
+// run, not a string each.
+func TestDecodeStateAllocations(t *testing.T) {
+	const bound = 4
+	for _, n := range []int{10, 10_000} {
+		st := &State{Capacity: n}
+		for i := range n {
+			st.Append(fmt.Appendf(nil, "object-%08d", i), int64(i))
+		}
+		data := encoded(t, st)
+		allocs := testing.AllocsPerRun(5, func() {
+			got, err := decodeState(data)
+			if err != nil || got.Len() != n {
+				t.Fatalf("decodeState: %v", err)
+			}
+		})
+		if allocs > bound {
+			t.Errorf("decoding %d keys made %.0f allocations, want at most %d", n, allocs, bound)
 		}
 	}
 }
@@ -154,7 +181,7 @@ func encoded(tb testing.TB, st *State) []byte {
 func equalStates(a, b *State) bool {
 	return a.Seq == b.Seq && a.SealedSeg == b.SealedSeg &&
 		a.Capacity == b.Capacity && a.Adds == b.Adds && a.Removes == b.Removes &&
-		slices.Equal(a.Keys, b.Keys) && slices.Equal(a.Freqs, b.Freqs)
+		bytes.Equal(a.KeyBytes, b.KeyBytes) && slices.Equal(a.KeyEnds, b.KeyEnds) && slices.Equal(a.Freqs, b.Freqs)
 }
 
 // denseFile is a dense-id snapshot file as commit ce8033a wrote it: the
@@ -178,11 +205,8 @@ func denseFile(tb testing.TB, p *core.Profile, seq, sealed uint64) []byte {
 // and decodes to the same value (values, not bytes: varints are not
 // canonical).
 func FuzzDecodeState(f *testing.F) {
-	keyed := encoded(f, &State{
-		Capacity: 16, Adds: 9, Removes: 3, Seq: 4, SealedSeg: 7,
-		Keys:  []string{"alice", "bob", "", "carol"},
-		Freqs: []int64{3, 0, 1, 2},
-	})
+	keyed := encoded(f, withKeys(&State{Capacity: 16, Adds: 9, Removes: 3, Seq: 4, SealedSeg: 7},
+		[]string{"alice", "bob", "", "carol"}, []int64{3, 0, 1, 2}))
 	p := core.MustNew(6, core.WithStrictNonNegative())
 	for _, x := range []int{0, 2, 2, 5, 5, 5} {
 		if err := p.Add(x); err != nil {

@@ -215,7 +215,7 @@ func Open(path string, opts Options) (*Store, error) {
 
 	if s.state != nil {
 		s.stats.SnapshotSeq = s.seq
-		s.stats.SnapshotObjects = len(s.state.Keys)
+		s.stats.SnapshotObjects = s.state.Len()
 		s.stats.SnapshotEvents = s.state.Adds + s.state.Removes
 		mRecoverySnapshotEvents.Add(s.stats.SnapshotEvents)
 		mSnapshotSeq.Set(float64(s.seq))

@@ -37,31 +37,28 @@ var ErrDuplicateKey = errors.New("idmap: key listed twice")
 // Mapper assigns dense ids in [0, cap) to keys of type K. The zero value is
 // not usable; call New. A Mapper is not safe for concurrent use.
 //
-// Ids are handed out low-first (never-used ids first, then released ones),
-// so the id→key table holds chunks only for the most keys held at once; see
-// Striped for the per-key cost.
-type Mapper[K comparable] struct {
-	capacity int
-	toDense  map[K]int
-	keys     keyTable[K]
-	freeIDs  []int
-	nextID   int
+// It is a one-stripe Striped: ids are handed out low-first (never-used ids
+// first, then released ones, last released first), so the id→key table
+// holds chunks only for the most keys held at once, and the keys' bytes
+// live in pages; see Striped for the per-key cost.
+type Mapper[K ~string] struct {
+	s *Striped[K]
 }
 
 // New returns a Mapper that can hold up to capacity concurrent keys.
-func New[K comparable](capacity int) (*Mapper[K], error) {
+func New[K ~string](capacity int) (*Mapper[K], error) {
 	if capacity < 0 {
 		return nil, fmt.Errorf("idmap: negative capacity %d", capacity)
 	}
-	return &Mapper[K]{
-		capacity: capacity,
-		toDense:  make(map[K]int),
-		keys:     newKeyTable[K](capacity),
-	}, nil
+	s, err := NewStriped[K](capacity, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &Mapper[K]{s: s}, nil
 }
 
 // MustNew is New for callers with a known-good capacity; it panics on error.
-func MustNew[K comparable](capacity int) *Mapper[K] {
+func MustNew[K ~string](capacity int) *Mapper[K] {
 	m, err := New[K](capacity)
 	if err != nil {
 		panic(err)
@@ -70,85 +67,35 @@ func MustNew[K comparable](capacity int) *Mapper[K] {
 }
 
 // Cap returns the maximum number of concurrently mapped keys.
-func (m *Mapper[K]) Cap() int { return m.capacity }
+func (m *Mapper[K]) Cap() int { return m.s.Cap() }
 
 // Len returns the number of keys currently mapped.
-func (m *Mapper[K]) Len() int { return len(m.toDense) }
+func (m *Mapper[K]) Len() int { return m.s.Len() }
 
 // Acquire returns the dense id for key, assigning a new one if the key is not
 // yet mapped. isNew reports whether the id was freshly assigned. When every
 // id is taken, Acquire returns ErrFull.
-func (m *Mapper[K]) Acquire(key K) (id int, isNew bool, err error) {
-	if id, ok := m.toDense[key]; ok {
-		return id, false, nil
-	}
-	switch {
-	case len(m.freeIDs) > 0:
-		id = m.freeIDs[len(m.freeIDs)-1]
-		m.freeIDs = m.freeIDs[:len(m.freeIDs)-1]
-	case m.nextID < m.capacity:
-		id = m.nextID
-		m.nextID++
-	default:
-		return 0, false, fmt.Errorf("%w: capacity %d", ErrFull, m.capacity)
-	}
-	m.toDense[key] = id
-	m.keys.set(id, key)
-	return id, true, nil
-}
+func (m *Mapper[K]) Acquire(key K) (id int, isNew bool, err error) { return m.s.Acquire(key) }
 
 // DenseID returns the dense id of key without assigning one.
-func (m *Mapper[K]) DenseID(key K) (int, error) {
-	id, ok := m.toDense[key]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrUnknownKey, key)
-	}
-	return id, nil
-}
+func (m *Mapper[K]) DenseID(key K) (int, error) { return m.s.DenseID(key) }
 
 // Contains reports whether key currently has a dense id.
-func (m *Mapper[K]) Contains(key K) bool {
-	_, ok := m.toDense[key]
-	return ok
-}
+func (m *Mapper[K]) Contains(key K) bool { return m.s.Contains(key) }
 
 // Key returns the key mapped to the dense id.
-func (m *Mapper[K]) Key(id int) (K, bool) {
-	if id < 0 || id >= m.capacity {
-		var zero K
-		return zero, false
-	}
-	return m.keys.get(id)
-}
+func (m *Mapper[K]) Key(id int) (K, bool) { return m.s.Key(id) }
 
 // Release frees the dense id held by key so it can be reused. Callers must
 // ensure the corresponding profile frequency is back to its neutral value
 // before releasing, otherwise the recycled id inherits the old frequency.
-func (m *Mapper[K]) Release(key K) (int, error) {
-	id, ok := m.toDense[key]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrUnknownKey, key)
-	}
-	delete(m.toDense, key)
-	m.keys.clear(id)
-	m.freeIDs = append(m.freeIDs, id)
-	return id, nil
-}
+func (m *Mapper[K]) Release(key K) (int, error) { return m.s.Release(key) }
 
 // Keys returns every currently mapped key; the order is unspecified.
-func (m *Mapper[K]) Keys() []K {
-	out := make([]K, 0, len(m.toDense))
-	for k := range m.toDense {
-		out = append(out, k)
-	}
-	return out
-}
+func (m *Mapper[K]) Keys() []K { return m.s.Keys() }
 
-// Range calls fn for every (key, dense id) pair until fn returns false.
+// Range calls fn for every (key, dense id) pair until fn returns false. fn
+// may read the Mapper but must not change it.
 func (m *Mapper[K]) Range(fn func(key K, id int) bool) {
-	for k, id := range m.toDense {
-		if !fn(k, id) {
-			return
-		}
-	}
+	m.s.rangeStripe(&m.s.stripes[0], func(key []byte, id int) bool { return fn(K(key), id) })
 }

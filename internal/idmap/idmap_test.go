@@ -2,6 +2,7 @@ package idmap
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -43,14 +44,14 @@ func TestAcquireIsIdempotent(t *testing.T) {
 }
 
 func TestAcquireFull(t *testing.T) {
-	m := MustNew[int](2)
-	m.Acquire(10)
-	m.Acquire(20)
-	if _, _, err := m.Acquire(30); !errors.Is(err, ErrFull) {
+	m := MustNew[string](2)
+	m.Acquire("10")
+	m.Acquire("20")
+	if _, _, err := m.Acquire("30"); !errors.Is(err, ErrFull) {
 		t.Fatalf("Acquire on full mapper: %v", err)
 	}
 	// An existing key still resolves when the mapper is full.
-	if _, _, err := m.Acquire(10); err != nil {
+	if _, _, err := m.Acquire("10"); err != nil {
 		t.Fatalf("Acquire of existing key on full mapper failed: %v", err)
 	}
 }
@@ -112,8 +113,8 @@ func TestDenseIDAndKey(t *testing.T) {
 }
 
 func TestKeysAndRange(t *testing.T) {
-	m := MustNew[int](4)
-	for _, k := range []int{100, 200, 300} {
+	m := MustNew[string](4)
+	for _, k := range []string{"100", "200", "300"} {
 		m.Acquire(k)
 	}
 	keys := m.Keys()
@@ -121,10 +122,10 @@ func TestKeysAndRange(t *testing.T) {
 		t.Fatalf("Keys() returned %d keys, want 3", len(keys))
 	}
 	visited := 0
-	m.Range(func(key int, id int) bool {
+	m.Range(func(key string, id int) bool {
 		got, err := m.DenseID(key)
 		if err != nil || got != id {
-			t.Fatalf("Range pair (%d,%d) inconsistent with DenseID", key, id)
+			t.Fatalf("Range pair (%q,%d) inconsistent with DenseID", key, id)
 		}
 		visited++
 		return true
@@ -134,7 +135,7 @@ func TestKeysAndRange(t *testing.T) {
 	}
 	// Early termination.
 	visited = 0
-	m.Range(func(int, int) bool { visited++; return false })
+	m.Range(func(string, int) bool { visited++; return false })
 	if visited != 1 {
 		t.Fatalf("Range with early stop visited %d pairs, want 1", visited)
 	}
@@ -168,10 +169,10 @@ func TestZeroCapacityMapper(t *testing.T) {
 func TestPropertyNeverExceedsCapacityAndStaysConsistent(t *testing.T) {
 	f := func(ops []uint16, rawCap uint8) bool {
 		capacity := int(rawCap)%16 + 1
-		m := MustNew[uint16](capacity)
-		live := map[uint16]int{}
+		m := MustNew[string](capacity)
+		live := map[string]int{}
 		for _, op := range ops {
-			key := op % 64
+			key := strconv.Itoa(int(op % 64))
 			if _, ok := live[key]; ok && op%3 == 0 {
 				id, err := m.Release(key)
 				if err != nil || id != live[key] {

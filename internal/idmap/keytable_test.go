@@ -14,7 +14,8 @@ import (
 // TestMapperAllocationTracksKeys: a mapper allocates for the keys it
 // tracks, not for its capacity. Building a mapper of 1<<20 ids and
 // acquiring 10,000 keys must allocate under 2 MiB; a flat id→key table of
-// one string header and one 4-byte state word per id alone would take 20 MiB.
+// one 8-byte location and one 4-byte state word per id alone would take
+// 12 MiB.
 func TestMapperAllocationTracksKeys(t *testing.T) {
 	const capacity, n, limit = 1 << 20, 10_000, 2 << 20
 	type mapper interface {
@@ -61,7 +62,7 @@ func TestMapperAllocationTracksKeys(t *testing.T) {
 }
 
 // allocatedChunks lists the indexes of s's key-table chunks that exist.
-func allocatedChunks[K comparable](s *Striped[K]) []int {
+func allocatedChunks[K ~string](s *Striped[K]) []int {
 	var out []int
 	for i := range s.keys.chunks {
 		if s.keys.chunks[i].Load() != nil {
@@ -73,9 +74,9 @@ func allocatedChunks[K comparable](s *Striped[K]) []int {
 
 // keyOfStripe returns the first key from *next on that hashes to stripe si
 // (or, with other set, to any other stripe) and advances *next past it.
-func keyOfStripe(s *Striped[int], next *int, si int, other bool) int {
+func keyOfStripe(s *Striped[string], next *int, si int, other bool) string {
 	for {
-		key := *next
+		key := ik(*next)
 		*next++
 		if (stripeOf(s, key) == si) != other {
 			return key
@@ -95,8 +96,8 @@ func keyOfStripe(s *Striped[int], next *int, si int, other bool) int {
 // every step.
 func TestStripedChunkEdges(t *testing.T) {
 	const capacity = 3*chunkSize + 5
-	s := MustNewStriped[int](capacity, 3)
-	model := make(map[int]int)
+	s := MustNewStriped[string](capacity, 3)
+	model := make(map[string]int)
 	if s.NumStripes() != 3 || len(s.keys.chunks) != 4 {
 		t.Fatalf("geometry: %d stripes, %d chunks", s.NumStripes(), len(s.keys.chunks))
 	}
@@ -116,7 +117,7 @@ func TestStripedChunkEdges(t *testing.T) {
 
 	for _, id := range edges {
 		if key, ok := s.Key(id); ok {
-			t.Fatalf("Key(%d) = %d on an empty mapper", id, key)
+			t.Fatalf("Key(%d) = %q on an empty mapper", id, key)
 		}
 	}
 	if got := allocatedChunks(s); len(got) != 0 {
@@ -130,7 +131,7 @@ func TestStripedChunkEdges(t *testing.T) {
 	for want := 0; want < 4098+2000; want++ {
 		key := keyOfStripe(s, &next, 0, false)
 		if id := s.MustAcquire(t, key); id != want {
-			t.Fatalf("stripe 0's key %d took id %d, want %d", key, id, want)
+			t.Fatalf("stripe 0's key %q took id %d, want %d", key, id, want)
 		}
 		model[key] = want
 	}
@@ -140,41 +141,41 @@ func TestStripedChunkEdges(t *testing.T) {
 	checkStriped(t, s, model, nil)
 	// Keys of every stripe fill the rest; stripe 0's overflow keeps borrowing.
 	for len(model) < capacity {
-		key := next
+		key := ik(next)
 		next++
 		model[key] = s.MustAcquire(t, key)
 	}
 	checkStriped(t, s, model, nil)
 
-	holder := func(id int) int {
+	holder := func(id int) string {
 		for key, kid := range model {
 			if kid == id {
 				return key
 			}
 		}
 		t.Fatalf("no key holds id %d", id)
-		return 0
+		return ""
 	}
 	rangeOf := func(id int) int { return id / 4098 }
 	for _, edge := range edges {
 		// Release frees exactly the edge id.
 		key := holder(edge)
 		if id, err := s.Release(key); err != nil || id != edge {
-			t.Fatalf("Release(%d) = (%d, %v), want %d", key, id, err, edge)
+			t.Fatalf("Release(%q) = (%d, %v), want %d", key, id, err, edge)
 		}
 		delete(model, key)
 		if k, ok := s.Key(edge); ok {
-			t.Fatalf("Key(%d) = %d after its release", edge, k)
+			t.Fatalf("Key(%d) = %q after its release", edge, k)
 		}
 		checkStriped(t, s, model, nil)
 
 		// A fresh acquisition rolled back in its transaction frees it again.
 		key = keyOfStripe(s, &next, rangeOf(edge), false)
 		h := s.Hash(key)
-		_ = s.BatchFunc(s.StripeOfHash(h), func(txn StripeTxn[int]) error {
+		_ = s.BatchFunc(s.StripeOfHash(h), func(txn StripeTxn[string]) error {
 			id, isNew, err := txn.Acquire(key, h, false)
 			if err != nil || !isNew || id != edge {
-				t.Fatalf("acquire %d = (%d, %v, %v), want fresh id %d", key, id, isNew, err, edge)
+				t.Fatalf("acquire %q = (%d, %v, %v), want fresh id %d", key, id, isNew, err, edge)
 			}
 			txn.Rollback(key, h, id)
 			return nil
@@ -184,11 +185,11 @@ func TestStripedChunkEdges(t *testing.T) {
 		// A key of another stripe borrows it from the edge's range.
 		key = keyOfStripe(s, &next, rangeOf(edge), true)
 		if id := s.MustAcquire(t, key); id != edge {
-			t.Fatalf("borrowing acquire %d took id %d, want %d", key, id, edge)
+			t.Fatalf("borrowing acquire %q took id %d, want %d", key, id, edge)
 		}
 		model[key] = edge
 		checkStriped(t, s, model, nil)
-		if _, _, err := s.Acquire(next); !errors.Is(err, ErrFull) {
+		if _, _, err := s.Acquire(ik(next)); !errors.Is(err, ErrFull) {
 			t.Fatalf("Acquire at capacity = %v, want ErrFull", err)
 		}
 
@@ -197,11 +198,11 @@ func TestStripedChunkEdges(t *testing.T) {
 		victim, si := key, stripeOf(s, key)
 		key = keyOfStripe(s, &next, si, false)
 		h = s.Hash(key)
-		_ = s.BatchFunc(si, func(txn StripeTxn[int]) error {
+		_ = s.BatchFunc(si, func(txn StripeTxn[string]) error {
 			txn.SetIdle(edge, true)
 			id, isNew, err := txn.Acquire(key, h, true)
 			if err != nil || !isNew || id != edge {
-				t.Fatalf("evicting acquire %d = (%d, %v, %v), want id %d", key, id, isNew, err, edge)
+				t.Fatalf("evicting acquire %q = (%d, %v, %v), want id %d", key, id, isNew, err, edge)
 			}
 			return nil
 		})
@@ -222,34 +223,34 @@ func TestStripedChunkEdges(t *testing.T) {
 func TestStripedConcurrentFill(t *testing.T) {
 	const capacity, rounds = 2*chunkSize + 3, 20
 	for round := 0; round < rounds; round++ {
-		s := MustNewStriped[int](capacity, 7)
-		var homeKeys []int
+		s := MustNewStriped[string](capacity, 7)
+		var homeKeys []string
 		for si, key := 0, -1; si < s.NumStripes(); key-- {
-			if stripeOf(s, key) == si {
-				homeKeys = append(homeKeys, key)
+			if stripeOf(s, ik(key)) == si {
+				homeKeys = append(homeKeys, ik(key))
 				si++
 			}
 		}
 		start, done := make(chan struct{}), make(chan struct{})
 		var counter atomic.Int64
 		var writers, readers sync.WaitGroup
-		// acquired[w] holds writer w's successful acquisitions as key, id.
-		acquired := make([][][2]int, len(homeKeys))
+		// acquired[w] holds writer w's successful acquisitions.
+		acquired := make([][]keyID, len(homeKeys))
 		for w, home := range homeKeys {
 			writers.Add(1)
-			go func(key int) {
+			go func(key string) {
 				defer writers.Done()
 				<-start
 				for {
 					id, _, err := s.Acquire(key)
 					if err != nil {
 						if !errors.Is(err, ErrFull) {
-							t.Errorf("Acquire(%d): %v", key, err)
+							t.Errorf("Acquire(%q): %v", key, err)
 						}
 						return
 					}
-					acquired[w] = append(acquired[w], [2]int{key, id})
-					key = int(counter.Add(1))
+					acquired[w] = append(acquired[w], keyID{key, id})
+					key = ik(int(counter.Add(1)))
 				}
 			}(home)
 		}
@@ -266,7 +267,7 @@ func TestStripedConcurrentFill(t *testing.T) {
 				id := rng.Intn(capacity)
 				if key, ok := s.Key(id); ok {
 					if got, err := s.DenseID(key); err != nil || got != id {
-						t.Errorf("Key(%d) = %d, but DenseID(%d) = (%d, %v)", id, key, key, got, err)
+						t.Errorf("Key(%d) = %q, but DenseID(%q) = (%d, %v)", id, key, key, got, err)
 						return
 					}
 				}
@@ -280,14 +281,14 @@ func TestStripedConcurrentFill(t *testing.T) {
 					return
 				default:
 				}
-				var pairs [][2]int
-				s.Range(func(key, id int) bool {
-					pairs = append(pairs, [2]int{key, id})
+				var pairs []keyID
+				s.Range(func(key string, id int) bool {
+					pairs = append(pairs, keyID{key, id})
 					return true
 				})
 				for _, p := range pairs {
-					if key, ok := s.Key(p[1]); !ok || key != p[0] {
-						t.Errorf("Range yielded (%d, %d), but Key(%d) = (%d, %v)", p[0], p[1], p[1], key, ok)
+					if key, ok := s.Key(p.id); !ok || key != p.key {
+						t.Errorf("Range yielded (%q, %d), but Key(%d) = (%q, %v)", p.key, p.id, p.id, key, ok)
 						return
 					}
 				}
@@ -301,8 +302,8 @@ func TestStripedConcurrentFill(t *testing.T) {
 			return
 		}
 
-		model := make(map[int]int)
-		s.Range(func(key, id int) bool {
+		model := make(map[string]int)
+		s.Range(func(key string, id int) bool {
 			model[key] = id
 			return true
 		})
@@ -311,8 +312,8 @@ func TestStripedConcurrentFill(t *testing.T) {
 		}
 		for _, pairs := range acquired {
 			for _, p := range pairs {
-				if id, ok := model[p[0]]; !ok || id != p[1] {
-					t.Fatalf("round %d: key %d acquired id %d, now maps to (%d, %v)", round, p[0], p[1], id, ok)
+				if id, ok := model[p.key]; !ok || id != p.id {
+					t.Fatalf("round %d: key %q acquired id %d, now maps to (%d, %v)", round, p.key, p.id, id, ok)
 				}
 			}
 		}

@@ -3,42 +3,63 @@ package idmap
 import (
 	"errors"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 )
 
+// ik is the decimal key of n.
+func ik(n int) string { return strconv.Itoa(n) }
+
+// keyID is one key and the id it maps to.
+type keyID struct {
+	key string
+	id  int
+}
+
 // stripeOf returns the stripe key hashes to.
-func stripeOf[K comparable](s *Striped[K], key K) int {
+func stripeOf[K ~string](s *Striped[K], key K) int {
 	return s.StripeOfHash(s.Hash(key))
 }
 
-// weakIntHash is fixedIntHash with the fingerprint, the hash's high 32
-// bits, forced onto the 8 values just below 1<<32: distinct keys share
+// weakHash is fixedHash with the fingerprint, the hash's high 32 bits,
+// forced onto the 8 values just below 1<<32: distinct keys share
 // fingerprints, and every key's home is among its index's last 8 slots, so
 // probe runs wrap past the end.
-func weakIntHash(key int) uint64 {
-	h := fixedIntHash(key)
+func weakHash(key string) uint64 {
+	h := fixedHash(key)
 	return (0xfffffff8|h>>32&7)<<32 | h&0xffffffff
 }
 
 // loadStriped maps keys on the empty mapper s with one StripeTxn.Load per
 // stripe, the stripes loading at once when concurrent is set, and returns
-// each key's id.
-func loadStriped[K comparable](s *Striped[K], keys []K, concurrent bool) (map[K]int, error) {
+// each key's id. The keys reach Load as one byte run, as restore hands a
+// snapshot's keys over.
+func loadStriped[K ~string](s *Striped[K], keys []K, concurrent bool) (map[K]int, error) {
 	ns := s.NumStripes()
 	groups := make([][]int32, ns)
 	hashes := make([]uint64, len(keys))
+	var run []byte
+	ends := make([]int, len(keys))
 	for i, key := range keys {
-		hashes[i] = s.Hash(key)
+		run = append(run, key...)
+		ends[i] = len(run)
+		hashes[i] = s.HashBytes(run[len(run)-len(key):])
 		si := s.StripeOfHash(hashes[i])
 		groups[si] = append(groups[si], int32(i))
+	}
+	key := func(i int) []byte {
+		if i == 0 {
+			return run[:ends[0]]
+		}
+		return run[ends[i-1]:ends[i]]
 	}
 	ids := make([][]int, ns)
 	errs := make([]error, ns)
 	load := func(si int) {
 		ids[si] = make([]int, len(groups[si]))
 		errs[si] = s.BatchFunc(si, func(txn StripeTxn[K]) error {
-			return txn.Load(keys, hashes, groups[si], ids[si])
+			return txn.Load(key, hashes, groups[si], ids[si])
 		})
 	}
 	var wg sync.WaitGroup
@@ -68,12 +89,12 @@ func loadStriped[K comparable](s *Striped[K], keys []K, concurrent bool) (map[K]
 
 // acquireEach maps keys on s with one Acquire each, the reference a load is
 // held to, and reports whether a key repeated.
-func acquireEach(t *testing.T, s *Striped[int], keys []int) (repeated bool) {
+func acquireEach(t *testing.T, s *Striped[string], keys []string) (repeated bool) {
 	t.Helper()
 	for _, key := range keys {
 		_, isNew, err := s.Acquire(key)
 		if err != nil {
-			t.Fatalf("Acquire(%d): %v", key, err)
+			t.Fatalf("Acquire(%.20q): %v", key, err)
 		}
 		repeated = repeated || !isNew
 	}
@@ -81,22 +102,22 @@ func acquireEach(t *testing.T, s *Striped[int], keys []int) (repeated bool) {
 }
 
 // sameKeys fails t unless the loaded mapper and the reference map the same
-// keys from [0, keySpace).
-func sameKeys(t *testing.T, loaded, ref *Striped[int], keySpace int) {
+// keys opKey(k) for k in [0, keySpace).
+func sameKeys(t *testing.T, loaded, ref *Striped[string], keySpace int) {
 	t.Helper()
 	if loaded.Len() != ref.Len() {
 		t.Fatalf("loaded mapper holds %d keys, per-key Acquire %d", loaded.Len(), ref.Len())
 	}
-	for key := range keySpace {
-		if loaded.Contains(key) != ref.Contains(key) {
-			t.Fatalf("key %d: loaded mapper has it %v, per-key Acquire %v", key, loaded.Contains(key), ref.Contains(key))
+	for k := range keySpace {
+		if key := opKey(k); loaded.Contains(key) != ref.Contains(key) {
+			t.Fatalf("key %d: loaded mapper has it %v, per-key Acquire %v", k, loaded.Contains(key), ref.Contains(key))
 		}
 	}
 }
 
 // wrappedSlots counts the index entries that sit before their home slot:
 // the ones whose probe run wrapped past the last slot.
-func wrappedSlots[K comparable](s *Striped[K]) int {
+func wrappedSlots[K ~string](s *Striped[K]) int {
 	n := 0
 	for si := range s.stripes {
 		ms := &s.stripes[si]
@@ -112,7 +133,7 @@ func wrappedSlots[K comparable](s *Striped[K]) int {
 
 // borrowedIDs counts the loaded keys holding an id outside their stripe's
 // range.
-func borrowedIDs(s *Striped[int], model map[int]int) int {
+func borrowedIDs(s *Striped[string], model map[string]int) int {
 	n := 0
 	for key, id := range model {
 		if base, size := s.StripeRange(stripeOf(s, key)); id < base || id >= base+size {
@@ -127,17 +148,18 @@ func borrowedIDs(s *Striped[int], model map[int]int) int {
 // through a churn of Acquire, Release, SetIdle, evictions and ReleaseIdle.
 // The cases fill the mapper: over 3 ranges that share key-table chunks
 // (3 chunks + 5 ids); with one stripe's group half again its range, so it
-// borrows; and with weakIntHash, whose probe runs wrap. Keys start at 128,
-// so the churn's keys below it are new ones that evict.
+// borrows; and with weakHash, whose probe runs wrap. Keys are opKey(k) from
+// k = 128 on, long ones among them, so the churn's keys below it are new
+// ones that evict.
 func TestStripedLoadMatchesAcquire(t *testing.T) {
 	const first = 128
-	fill := func(s *Striped[int], keys []int) []int {
-		seen := make(map[int]bool, len(keys))
+	fill := func(s *Striped[string], keys []string) []string {
+		seen := make(map[string]bool, len(keys))
 		for _, key := range keys {
 			seen[key] = true
 		}
-		for key := first; len(keys) < s.Cap(); key++ {
-			if !seen[key] {
+		for k := first; len(keys) < s.Cap(); k++ {
+			if key := opKey(k); !seen[key] {
 				keys = append(keys, key)
 			}
 		}
@@ -146,24 +168,24 @@ func TestStripedLoadMatchesAcquire(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		capacity, stripes int
-		hash              func(int) uint64
-		keys              func(s *Striped[int]) []int
-		check             func(t *testing.T, s *Striped[int], model map[int]int)
+		hash              func(string) uint64
+		keys              func(s *Striped[string]) []string
+		check             func(t *testing.T, s *Striped[string], model map[string]int)
 	}{
 		{
-			name: "shared-chunks", capacity: 3*chunkSize + 5, stripes: 3, hash: fixedIntHash,
-			keys: func(s *Striped[int]) []int { return fill(s, nil) },
+			name: "shared-chunks", capacity: 3*chunkSize + 5, stripes: 3, hash: fixedHash,
+			keys: func(s *Striped[string]) []string { return fill(s, nil) },
 		},
 		{
-			name: "borrowing", capacity: 3*chunkSize + 5, stripes: 3, hash: fixedIntHash,
-			keys: func(s *Striped[int]) []int {
-				var keys []int
+			name: "borrowing", capacity: 3*chunkSize + 5, stripes: 3, hash: fixedHash,
+			keys: func(s *Striped[string]) []string {
+				var keys []string
 				for next := first; len(keys) < 6000; {
 					keys = append(keys, keyOfStripe(s, &next, 0, false))
 				}
 				return fill(s, keys)
 			},
-			check: func(t *testing.T, s *Striped[int], model map[int]int) {
+			check: func(t *testing.T, s *Striped[string], model map[string]int) {
 				_, size := s.StripeRange(0)
 				if n := borrowedIDs(s, model); n < 6000-size {
 					t.Fatalf("%d keys hold an id outside their stripe's range, want at least %d", n, 6000-size)
@@ -171,9 +193,9 @@ func TestStripedLoadMatchesAcquire(t *testing.T) {
 			},
 		},
 		{
-			name: "wrapping", capacity: 200, stripes: 2, hash: weakIntHash,
-			keys: func(s *Striped[int]) []int { return fill(s, nil) },
-			check: func(t *testing.T, s *Striped[int], _ map[int]int) {
+			name: "wrapping", capacity: 200, stripes: 2, hash: weakHash,
+			keys: func(s *Striped[string]) []string { return fill(s, nil) },
+			check: func(t *testing.T, s *Striped[string], _ map[string]int) {
 				if wrappedSlots(s) == 0 {
 					t.Fatal("no probe run wrapped past the last slot")
 				}
@@ -181,8 +203,8 @@ func TestStripedLoadMatchesAcquire(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			newMapper := func() *Striped[int] {
-				s := MustNewStriped[int](tc.capacity, tc.stripes)
+			newMapper := func() *Striped[string] {
+				s := MustNewStriped[string](tc.capacity, tc.stripes)
 				s.hash = tc.hash
 				return s
 			}
@@ -218,21 +240,21 @@ func TestStripedLoadMatchesAcquire(t *testing.T) {
 
 // TestStripedLoadDuplicate: a key listed twice fails the load with
 // ErrDuplicateKey, found by its stripe's Load alone, while distinct keys
-// that share a fingerprint (weakIntHash) load.
+// that share a fingerprint (weakHash) load.
 func TestStripedLoadDuplicate(t *testing.T) {
-	for _, hash := range []func(int) uint64{fixedIntHash, weakIntHash} {
-		keys := make([]int, 40)
+	for _, hash := range []func(string) uint64{fixedHash, weakHash} {
+		keys := make([]string, 40)
 		for i := range keys {
-			keys[i] = i
+			keys[i] = ik(i)
 		}
-		s := MustNewStriped[int](64, 4)
+		s := MustNewStriped[string](64, 4)
 		s.hash = hash
 		if _, err := loadStriped(s, keys, false); err != nil {
 			t.Fatalf("distinct keys: %v", err)
 		}
-		s = MustNewStriped[int](64, 4)
+		s = MustNewStriped[string](64, 4)
 		s.hash = hash
-		_, err := loadStriped(s, append(keys, 17), false)
+		_, err := loadStriped(s, append(keys, ik(17)), false)
 		if !errors.Is(err, ErrDuplicateKey) {
 			t.Fatalf("key 17 listed twice: Load = %v, want ErrDuplicateKey", err)
 		}
@@ -247,9 +269,9 @@ func TestStripedLoadDuplicate(t *testing.T) {
 func TestStripedLoadConcurrent(t *testing.T) {
 	const capacity, rounds = 2*chunkSize + 3, 10
 	for round := range rounds {
-		s := MustNewStriped[int](capacity, 7)
+		s := MustNewStriped[string](capacity, 7)
 		_, size := s.StripeRange(0)
-		var keys []int
+		var keys []string
 		next := round * capacity
 		for len(keys) < size+500 {
 			keys = append(keys, keyOfStripe(s, &next, 0, false))
@@ -273,9 +295,9 @@ func TestStripedLoadConcurrent(t *testing.T) {
 
 // FuzzStripedLoad holds StripeTxn.Load to per-key Acquire. The first byte
 // picks the capacity (1..64); the second the stripe count (1..8) and, by
-// bit 3, weakIntHash in place of fixedIntHash; each further byte is a key,
-// the list cut at the capacity as restore refuses a snapshot of more keys
-// than ids. A mapper loaded stripe by stripe and one that acquired the keys
+// bit 3, weakHash in place of fixedHash; each further byte b is the key
+// opKey(b) (the empty key and long keys among them), the list cut at the
+// capacity as restore refuses a snapshot of more keys than ids. A mapper loaded stripe by stripe and one that acquired the keys
 // one at a time must agree on Len, on each key's presence and on whether a
 // key repeats, and a load that succeeds must pass checkStriped.
 func FuzzStripedLoad(f *testing.F) {
@@ -302,28 +324,28 @@ func FuzzStripedLoad(f *testing.F) {
 			return
 		}
 		capacity := 1 + int(data[0])%64
-		newMapper := func() *Striped[int] {
-			s := MustNewStriped[int](capacity, 1+int(data[1])%8)
-			s.hash = fixedIntHash
+		newMapper := func() *Striped[string] {
+			s := MustNewStriped[string](capacity, 1+int(data[1])%8)
+			s.hash = fixedHash
 			if data[1]&8 != 0 {
-				s.hash = weakIntHash
+				s.hash = weakHash
 			}
 			return s
 		}
-		keys := make([]int, 0, capacity)
+		keys := make([]string, 0, capacity)
 		for _, b := range data[2:min(len(data), 2+capacity)] {
-			keys = append(keys, int(b))
+			keys = append(keys, opKey(int(b)))
 		}
 		ref, s := newMapper(), newMapper()
 		repeated := acquireEach(t, ref, keys)
 		model, err := loadStriped(s, keys, false)
 		switch {
 		case repeated != errors.Is(err, ErrDuplicateKey):
-			t.Fatalf("keys %v: Load = %v, per-key Acquire saw a repeat: %v", keys, err, repeated)
+			t.Fatalf("keys %v: Load = %.40v, per-key Acquire saw a repeat: %v", data[2:], err, repeated)
 		case repeated:
 			return
 		case err != nil:
-			t.Fatalf("keys %v: %v", keys, err)
+			t.Fatalf("keys %v: %.40v", data[2:], err)
 		}
 		sameKeys(t, s, ref, 256)
 		checkStriped(t, s, model, nil)

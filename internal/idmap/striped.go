@@ -1,6 +1,7 @@
 package idmap
 
 import (
+	"bytes"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -23,21 +24,51 @@ import (
 // exhausted does Acquire borrow an id from another stripe's free range, so
 // the full capacity is always usable regardless of how keys hash.
 //
-// Each key is stored once, in the id-indexed key table, beside its id's
-// state word: free, mapped, or idle at a position of its stripe's idle list.
-// A stripe finds its keys through a pointer-free open-addressing index: one
-// []uint64 whose slots hold the high 32 bits of the key's hash (Hash, the
-// same hash that picks the stripe) above id+1, with 0 marking an empty slot.
-// Lookups probe linearly from the slot the fingerprint selects and confirm a
-// fingerprint match against the key table; the index doubles before it
-// passes 3/4 load, and a deletion shifts the rest of its probe run back, so
-// recycling ids leaves no tombstones. Restoring a snapshot fills each empty
-// stripe with one StripeTxn.Load, which places the entries in home-slot
-// order instead of probing for each key. Per tracked key that is 8 bytes of
-// index per slot at 3/8 to 3/4 load (11 to 21 bytes per key), plus its
-// key-table entry (20 bytes for a string header and the state word), plus
-// the key's own bytes, plus 4 bytes while it is idle; the garbage collector
-// never scans the index.
+// Each key's bytes are stored once, in the pages of its id's range, and its
+// id's key-table entry holds their location beside the id's state word:
+// free, mapped, or idle at a position of its stripe's idle list. A stripe
+// finds its keys through a pointer-free open-addressing index: one []uint64
+// whose slots hold the high 32 bits of the key's hash (Hash, the same hash
+// that picks the stripe) above id+1, with 0 marking an empty slot. Lookups
+// probe linearly from the slot the fingerprint selects and confirm a
+// fingerprint match against the key's page bytes; the index doubles before
+// it passes 3/4 load, and a deletion shifts the rest of its probe run back,
+// so recycling ids leaves no tombstones. Restoring a snapshot fills each
+// empty stripe with one StripeTxn.Load, which places the entries in
+// home-slot order instead of probing for each key. Per tracked key that is
+// 8 bytes of index per slot at 3/8 to 3/4 load (11 to 21 bytes per key),
+// plus its key-table entry (12 bytes: an 8-byte location and the state
+// word), plus the key's own bytes in a page, plus 4 bytes while it is idle.
+// None of it holds a pointer per key: the garbage collector sees one
+// pointer per key-table chunk and one per page.
+//
+// Pages. The keys of the ids in one range are written into that range's
+// pages, append-only byte slices of 1 KiB doubling to 64 KiB; a key longer
+// than 4 KiB gets a page of its own, and the empty key takes no bytes. Only
+// the paths that hand a key to a caller (Key, Keys, Range, ReleaseIdle)
+// build a string: lookups, eviction and Load hash and compare page bytes in
+// place. The rules that keep a reader from ever seeing a byte move:
+//
+//   - A key's bytes are written, and its id's location set, under both its
+//     map-stripe lock and its id's alloc lock, and read under either: find
+//     under the map-stripe lock, Key under the alloc lock. A stripe that
+//     borrows an id writes the key into the lending range's pages under
+//     that range's alloc lock while finds of the lending range's own keys
+//     read those pages under other stripe locks, so each range publishes
+//     its page list atomically, and a published list never changes.
+//   - A released key's bytes stay where they are; they are dead. An
+//     evicting Acquire writes the new key over the victim's bytes when it
+//     fits there: the transaction holds both locks the victim's readers
+//     take, and has unmapped it.
+//   - A range compacts once its dead bytes (released keys, the unused rest
+//     of an overwritten key, page tails too short for the next key) pass
+//     both its live bytes and one 64 KiB page, so its live plus dead bytes
+//     stay at most twice the live bytes plus one page. The compaction
+//     copies the range's live keys into fresh pages, reusing a key's own
+//     page, and rewrites their locations while holding every map-stripe
+//     lock (Quiesce) and the range's alloc lock. It runs after the write
+//     that crossed the threshold has released its own stripe lock: at the
+//     end of that BatchFunc, Acquire, Release or ReleaseIdle.
 //
 // Idle ids are the eviction candidates. A caller layering frequencies on the
 // mapping marks an id idle while its key's frequency is zero
@@ -65,23 +96,26 @@ import (
 // DenseID are one-key transactions over it. The callback must not call back
 // into the same Striped except through the transaction, or it will
 // self-deadlock.
-type Striped[K comparable] struct {
+type Striped[K ~string] struct {
 	seed maphash.Seed
 	// hash, when set, replaces the seeded maphash. Only this package's
 	// tests set it, so a fuzz input replays with the same stripe and slot
 	// assignment on every run.
-	hash       func(K) uint64
+	hash       func(string) uint64
 	capacity   int
 	stripeSize int
 	stripes    []mapStripe
 	allocs     []allocStripe
-	// keys maps dense ids back to keys. A mapped id's entry is written only
-	// under the stripe lock of the key that owns it, and always also under
-	// the alloc-stripe lock of id's range, so either lock makes a read safe:
-	// index lookups confirm fingerprints under the stripe lock, Key reads
-	// under the alloc lock.
-	keys   keyTable[K]
+	// keys maps dense ids back to key locations. A mapped id's entry is
+	// written only under the stripe lock of the key that owns it, and always
+	// also under the alloc-stripe lock of id's range, so either lock makes a
+	// read safe: index lookups confirm fingerprints under the stripe lock,
+	// Key reads under the alloc lock.
+	keys   keyTable
 	length atomic.Int64
+	// due is set, under the alloc lock of a range whose pages crossed the
+	// compaction threshold, for the next compactDue to act on.
+	due atomic.Bool
 }
 
 // mapStripe indexes the keys hashing to one stripe. Each nonzero slot is
@@ -102,7 +136,7 @@ const slotIDMask = 1<<32 - 1
 
 // find returns the slot index and dense id of key (hash h) in ms, or slot
 // -1 when the key is not mapped there. The caller holds ms's lock.
-func (s *Striped[K]) find(ms *mapStripe, key K, h uint64) (slot, id int) {
+func (s *Striped[K]) find(ms *mapStripe, key string, h uint64) (slot, id int) {
 	if len(ms.slots) == 0 {
 		return -1, 0
 	}
@@ -114,11 +148,30 @@ func (s *Striped[K]) find(ms *mapStripe, key K, h uint64) (slot, id int) {
 			return -1, 0
 		}
 		if e>>32 == fp {
-			if id := int(e&slotIDMask) - 1; s.keys.key(id) == key {
+			if id := int(e&slotIDMask) - 1; string(s.keyBytes(id)) == key {
 				return int(i), id
 			}
 		}
 	}
+}
+
+// slotOf returns the slot of ms holding id, whose key has hash h. The
+// caller holds ms's lock, and id is mapped there.
+func (ms *mapStripe) slotOf(h uint64, id int) int {
+	mask := uint64(len(ms.slots) - 1)
+	e := h>>32<<32 | uint64(id+1)
+	for i := e >> 32 & mask; ms.slots[i] != 0; i = (i + 1) & mask {
+		if ms.slots[i] == e {
+			return int(i)
+		}
+	}
+	panic(fmt.Sprintf("idmap: id %d is not indexed under its key's hash", id))
+}
+
+// keyBytes returns the bytes of mapped id's key, in its range's pages. The
+// caller holds the key's map-stripe lock or id's alloc lock.
+func (s *Striped[K]) keyBytes(id int) []byte {
+	return s.allocOf(id).pages.bytes(s.keys.loc(id))
 }
 
 // insert indexes id under hash h; the key must not be mapped yet.
@@ -180,13 +233,15 @@ func (ms *mapStripe) delete(i int) {
 	ms.used--
 }
 
-// allocStripe hands out the dense ids of one contiguous range.
+// allocStripe hands out the dense ids of one contiguous range and keeps
+// their keys' bytes.
 type allocStripe struct {
 	mu      sync.Mutex
 	base    int
 	size    int
 	freeIDs []int
 	nextID  int // next never-used id, relative offset from base
+	pages   keyPages
 }
 
 // NewStriped returns a concurrent mapper over capacity dense ids split across
@@ -194,7 +249,7 @@ type allocStripe struct {
 // (one stripe minimum, never more stripes than ids), mirroring how a sharded
 // profile clamps its shard count, so equal requested counts yield identical
 // id-range geometry.
-func NewStriped[K comparable](capacity, stripes int) (*Striped[K], error) {
+func NewStriped[K ~string](capacity, stripes int) (*Striped[K], error) {
 	if capacity < 0 || capacity > math.MaxInt32-idleBase {
 		return nil, fmt.Errorf("idmap: capacity %d outside [0, %d]", capacity, math.MaxInt32-idleBase)
 	}
@@ -223,7 +278,7 @@ func NewStriped[K comparable](capacity, stripes int) (*Striped[K], error) {
 		stripeSize: stripeSize,
 		stripes:    make([]mapStripe, stripes),
 		allocs:     make([]allocStripe, stripes),
-		keys:       newKeyTable[K](capacity),
+		keys:       newKeyTable(capacity),
 	}
 	for i := range s.allocs {
 		base := i * stripeSize
@@ -238,7 +293,7 @@ func NewStriped[K comparable](capacity, stripes int) (*Striped[K], error) {
 
 // MustNewStriped is NewStriped for callers with known-good arguments; it
 // panics on error.
-func MustNewStriped[K comparable](capacity, stripes int) *Striped[K] {
+func MustNewStriped[K ~string](capacity, stripes int) *Striped[K] {
 	s, err := NewStriped[K](capacity, stripes)
 	if err != nil {
 		panic(err)
@@ -261,9 +316,19 @@ func (s *Striped[K]) NumStripes() int { return len(s.stripes) }
 // deduplicating keys, say) passes the hash on instead of hashing again.
 func (s *Striped[K]) Hash(key K) uint64 {
 	if s.hash != nil {
-		return s.hash(key)
+		return s.hash(string(key))
 	}
-	return maphash.Comparable(s.seed, key)
+	return maphash.String(s.seed, string(key))
+}
+
+// HashBytes returns Hash of the key whose bytes are b, without making the
+// string: maphash.Bytes and maphash.String agree on every input under one
+// seed.
+func (s *Striped[K]) HashBytes(b []byte) uint64 {
+	if s.hash != nil {
+		return s.hash(string(b))
+	}
+	return maphash.Bytes(s.seed, b)
 }
 
 // StripeOfHash returns the stripe of a key whose Hash is h.
@@ -279,9 +344,10 @@ func (s *Striped[K]) StripeRange(i int) (base, size int) {
 	return a.base, a.size
 }
 
-// allocate hands out a free id, preferring the home stripe's range and
-// falling back to the other stripes' ranges in ring order.
-func (s *Striped[K]) allocate(home int, key K) (int, bool) {
+// allocate hands out a free id to key, preferring the home stripe's range
+// and falling back to the other stripes' ranges in ring order, and writes
+// key into the pages of the id's range.
+func allocate[K ~string, B ~string | ~[]byte](s *Striped[K], home int, key B) (int, bool) {
 	n := len(s.allocs)
 	for off := 0; off < n; off++ {
 		a := &s.allocs[(home+off)%n]
@@ -298,7 +364,8 @@ func (s *Striped[K]) allocate(home int, key K) (int, bool) {
 			a.mu.Unlock()
 			continue
 		}
-		s.keys.set(id, key)
+		s.keys.set(id, putKey(&a.pages, key, 0))
+		s.noteDue(a)
 		a.mu.Unlock()
 		return id, true
 	}
@@ -310,22 +377,63 @@ func (s *Striped[K]) allocOf(id int) *allocStripe {
 	return &s.allocs[id/s.stripeSize]
 }
 
-// free returns id to its owning range's free list.
+// free returns id to its owning range's free list; its key's bytes are
+// dead.
 func (s *Striped[K]) free(id int) {
 	a := s.allocOf(id)
 	a.mu.Lock()
+	a.pages.drop(s.keys.loc(id))
 	s.keys.clear(id)
 	a.freeIDs = append(a.freeIDs, id)
+	s.noteDue(a)
 	a.mu.Unlock()
 }
 
 // reassign hands victim's id straight to key without a free-list round trip,
-// so no other goroutine can claim it in between.
+// so no other goroutine can claim it in between. The caller has unmapped
+// the victim.
 func (s *Striped[K]) reassign(id int, key K) {
 	a := s.allocOf(id)
 	a.mu.Lock()
-	s.keys.set(id, key)
+	s.keys.set(id, a.pages.replace(s.keys.loc(id), string(key)))
+	s.noteDue(a)
 	a.mu.Unlock()
+}
+
+// noteDue flags a compaction when a's pages, whose alloc lock the caller
+// holds, have crossed the threshold.
+func (s *Striped[K]) noteDue(a *allocStripe) {
+	if a.pages.due() {
+		s.due.Store(true)
+	}
+}
+
+// compactDue compacts the pages of every range flagged due, holding every
+// map-stripe lock and the range's alloc lock. The caller holds no lock of
+// s.
+func (s *Striped[K]) compactDue() {
+	if !s.due.Load() {
+		return
+	}
+	s.Quiesce(func() {
+		if !s.due.Swap(false) {
+			return
+		}
+		for i := range s.allocs {
+			a := &s.allocs[i]
+			a.mu.Lock()
+			if a.pages.due() {
+				a.pages.compact(func(move func(uint64) uint64) {
+					for id := a.base; id < a.base+a.nextID; id++ {
+						if s.keys.mapped(id) {
+							s.keys.setLoc(id, move(s.keys.loc(id)))
+						}
+					}
+				})
+			}
+			a.mu.Unlock()
+		}
+	})
 }
 
 // Acquire returns the dense id for key, assigning a new one if the key is
@@ -344,7 +452,7 @@ func (s *Striped[K]) Acquire(key K) (id int, isNew bool, err error) {
 // Every method assumes the stripe's lock is held by the enclosing BatchFunc
 // and must only be used on keys hashing to that stripe (StripeOfHash); the
 // methods taking a key also take its Hash h.
-type StripeTxn[K comparable] struct {
+type StripeTxn[K ~string] struct {
 	s  *Striped[K]
 	si int
 }
@@ -355,8 +463,10 @@ type StripeTxn[K comparable] struct {
 // by the stripe happens as one atomic step; a batch of keys grouped by
 // stripe resolves them all under a single lock acquisition. fn must not call
 // back into the Striped except through the transaction, or it will
-// self-deadlock.
+// self-deadlock. A compaction the transaction made due runs after the
+// stripe is unlocked, before BatchFunc returns.
 func (s *Striped[K]) BatchFunc(si int, fn func(t StripeTxn[K]) error) error {
+	defer s.compactDue()
 	ms := &s.stripes[si]
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
@@ -365,7 +475,7 @@ func (s *Striped[K]) BatchFunc(si int, fn func(t StripeTxn[K]) error) error {
 
 // Get returns the dense id of key (hash h) without assigning one.
 func (t StripeTxn[K]) Get(key K, h uint64) (int, bool) {
-	slot, id := t.s.find(&t.s.stripes[t.si], key, h)
+	slot, id := t.s.find(&t.s.stripes[t.si], string(key), h)
 	return id, slot >= 0
 }
 
@@ -379,12 +489,12 @@ func (t StripeTxn[K]) Get(key K, h uint64) (int, bool) {
 func (t StripeTxn[K]) Acquire(key K, h uint64, evict bool) (id int, isNew bool, err error) {
 	s, si := t.s, t.si
 	ms := &s.stripes[si]
-	if slot, id := s.find(ms, key, h); slot >= 0 {
+	if slot, id := s.find(ms, string(key), h); slot >= 0 {
 		return id, false, nil
 	}
-	id, ok := s.allocate(si, key)
+	id, ok := allocate(s, si, string(key))
 	if !ok && evict && len(ms.idle) > 0 {
-		id, _ = s.unmapLastIdle(ms)
+		id = s.unmapLastIdle(ms)
 		s.reassign(id, key)
 		ok = true
 	}
@@ -401,8 +511,7 @@ func (t StripeTxn[K]) Acquire(key K, h uint64, evict bool) (id int, isNew bool, 
 // the same transaction.
 func (t StripeTxn[K]) Rollback(key K, h uint64, id int) {
 	ms := &t.s.stripes[t.si]
-	slot, _ := t.s.find(ms, key, h)
-	t.s.unmap(ms, slot, id)
+	t.s.unmap(ms, ms.slotOf(h, id), id)
 	t.s.free(id)
 }
 
@@ -443,27 +552,27 @@ func (s *Striped[K]) unmap(ms *mapStripe, slot, id int) {
 }
 
 // unmapLastIdle unmaps the key holding the last id on ms's nonempty idle
-// list and returns the id and the key; the caller frees or reassigns the id.
-func (s *Striped[K]) unmapLastIdle(ms *mapStripe) (int, K) {
+// list and returns the id, whose key's bytes stay in place; the caller
+// frees or reassigns the id.
+func (s *Striped[K]) unmapLastIdle(ms *mapStripe) int {
 	id := int(ms.idle[len(ms.idle)-1])
-	key := s.keys.key(id)
-	slot, _ := s.find(ms, key, s.Hash(key))
-	s.unmap(ms, slot, id)
-	return id, key
+	s.unmap(ms, ms.slotOf(s.HashBytes(s.keyBytes(id)), id), id)
+	return id
 }
 
-// Load maps keys[i] for each i in group on this stripe, which must hold no
-// key yet: the bulk form of Acquire that restoring a snapshot uses.
-// hashes[i] is the Hash of keys[i], and Load stores keys[group[j]]'s id in
-// ids[j]. The keys take the never-used ids of the stripe's own range in
-// group order, with their key-table entries, under one hold of the range's
-// alloc lock; only the keys past the end of the range borrow, one at a
-// time, as Acquire does. The index is then sized for all of them once and
-// filled in home-slot order, so the load makes sequential passes instead of
-// one random probe per key. A key listed twice returns ErrDuplicateKey, and
-// more keys than free ids ErrFull; after an error the mapper is half loaded
-// and must be discarded.
-func (t StripeTxn[K]) Load(keys []K, hashes []uint64, group []int32, ids []int) error {
+// Load maps key(i) for each i in group on this stripe, which must hold no
+// key yet: the bulk form of Acquire that restoring a snapshot uses. key(i)
+// returns the bytes of key i, which Load copies; hashes[i] is their
+// HashBytes, and Load stores key(group[j])'s id in ids[j]. The keys take
+// the never-used ids of the stripe's own range in group order, their bytes
+// copied into the range's pages in the same pass, under one hold of the
+// range's alloc lock; only the keys past the end of the range borrow, one
+// at a time, as Acquire does. The index is then sized for all of them once
+// and filled in home-slot order, so the load makes sequential passes
+// instead of one random probe per key. A key listed twice returns
+// ErrDuplicateKey, and more keys than free ids ErrFull; after an error the
+// mapper is half loaded and must be discarded.
+func (t StripeTxn[K]) Load(key func(i int) []byte, hashes []uint64, group []int32, ids []int) error {
 	s, si := t.s, t.si
 	ms := &s.stripes[si]
 	if ms.used != 0 {
@@ -480,11 +589,12 @@ func (t StripeTxn[K]) Load(keys []K, hashes []uint64, group []int32, ids []int) 
 	a.nextID += own
 	for j, i := range group[:own] {
 		ids[j] = first + j
-		s.keys.set(first+j, keys[i])
+		s.keys.set(first+j, putKey(&a.pages, key(int(i)), 0))
 	}
+	s.noteDue(a)
 	a.mu.Unlock()
 	for j := own; j < n; j++ {
-		id, ok := s.allocate(si, keys[group[j]])
+		id, ok := allocate(s, si, key(int(group[j])))
 		if !ok {
 			return fmt.Errorf("%w: capacity %d", ErrFull, s.capacity)
 		}
@@ -510,8 +620,8 @@ func (t StripeTxn[K]) Load(keys []K, hashes []uint64, group []int32, ids []int) 
 		home := e >> 32 & mask
 		for p := j - 1; p >= 0 && entries[p]>>32&mask == home; p-- {
 			if entries[p]>>32 == e>>32 {
-				if key := s.keys.key(int(e&slotIDMask) - 1); s.keys.key(int(entries[p]&slotIDMask)-1) == key {
-					return fmt.Errorf("%w: %v", ErrDuplicateKey, key)
+				if b := s.keyBytes(int(e&slotIDMask) - 1); bytes.Equal(s.keyBytes(int(entries[p]&slotIDMask)-1), b) {
+					return fmt.Errorf("%w: %q", ErrDuplicateKey, b)
 				}
 			}
 		}
@@ -584,25 +694,28 @@ func (s *Striped[K]) Contains(key K) (ok bool) {
 // answer is a point-in-time snapshot: the id may be released or reassigned
 // the moment the call returns.
 func (s *Striped[K]) Key(id int) (K, bool) {
-	var zero K
 	if id < 0 || id >= s.capacity {
-		return zero, false
+		return "", false
 	}
 	a := s.allocOf(id)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return s.keys.get(id)
+	if !s.keys.mapped(id) {
+		return "", false
+	}
+	return K(s.keyBytes(id)), true
 }
 
 // Release frees the dense id held by key so it can be reused. Callers must
 // ensure any state keyed by the id (a profile frequency, say) is back to its
 // neutral value first, otherwise the recycled id inherits it.
 func (s *Striped[K]) Release(key K) (int, error) {
+	defer s.compactDue()
 	h := s.Hash(key)
 	ms := &s.stripes[s.StripeOfHash(h)]
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	slot, id := s.find(ms, key, h)
+	slot, id := s.find(ms, string(key), h)
 	if slot < 0 {
 		return 0, fmt.Errorf("%w: %v", ErrUnknownKey, key)
 	}
@@ -617,12 +730,13 @@ func (s *Striped[K]) Release(key K) (int, error) {
 // own stripe has no idle key to evict uses it to make room (WAL replay,
 // whose stripe assignment differs from the run that wrote the log).
 func (s *Striped[K]) ReleaseIdle() (key K, ok bool) {
+	defer s.compactDue()
 	for i := range s.stripes {
 		ms := &s.stripes[i]
 		ms.mu.Lock()
 		if ok = len(ms.idle) > 0; ok {
-			var id int
-			id, key = s.unmapLastIdle(ms)
+			id := s.unmapLastIdle(ms)
+			key = K(s.keyBytes(id))
 			s.free(id)
 		}
 		ms.mu.Unlock()
@@ -651,7 +765,8 @@ func (s *Striped[K]) Keys() []K {
 // Keys, Range or BatchFunc call can make progress, so fn observes — and can
 // let a caller capture — a globally consistent mapping together with any
 // per-stripe state layered on top of it. fn must not call back into the
-// Striped except through RangeLocked, or it will self-deadlock.
+// Striped except through the methods named Locked, or it will
+// self-deadlock.
 //
 // This is the write-exclusion barrier checkpointing uses: queries against
 // other structures proceed, while every keyed update (all of which take a
@@ -673,7 +788,7 @@ func (s *Striped[K]) Quiesce(fn func()) {
 // race.
 func (s *Striped[K]) LookupLocked(key K) (int, bool) {
 	h := s.Hash(key)
-	slot, id := s.find(&s.stripes[s.StripeOfHash(h)], key, h)
+	slot, id := s.find(&s.stripes[s.StripeOfHash(h)], string(key), h)
 	return id, slot >= 0
 }
 
@@ -698,15 +813,32 @@ func (s *Striped[K]) IdleLocked() (lists [][]int, pos []int) {
 	return lists, pos
 }
 
-// RangeLocked is Range for callers already inside Quiesce: it visits every
-// (key, dense id) pair without taking any locks. Calling it anywhere else is
-// a data race.
-func (s *Striped[K]) RangeLocked(fn func(key K, id int) bool) {
-	for i := range s.stripes {
-		if !s.rangeStripe(&s.stripes[i], fn) {
-			return
+// RangeLocked is Range for callers already inside Quiesce, without taking
+// any locks and without making strings: fn gets each key's bytes in its
+// page, valid until Quiesce returns and not to be modified. It visits the
+// pairs in id order, so a caller reading per-id state alongside (a
+// checkpoint capture) and the key bytes themselves walk memory in the
+// order it was filled. Calling it anywhere else is a data race.
+func (s *Striped[K]) RangeLocked(fn func(key []byte, id int) bool) {
+	for i := range s.allocs {
+		a := &s.allocs[i]
+		for id := a.base; id < a.base+a.nextID; id++ {
+			if s.keys.mapped(id) && !fn(a.pages.bytes(s.keys.loc(id)), id) {
+				return
+			}
 		}
 	}
+}
+
+// KeyBytesLocked returns the summed length of every mapped key, for callers
+// already inside Quiesce that copy the keys out (RangeLocked). Calling it
+// anywhere else is a data race.
+func (s *Striped[K]) KeyBytesLocked() int {
+	n := 0
+	for i := range s.allocs {
+		n += s.allocs[i].pages.live
+	}
+	return n
 }
 
 // Range calls fn for every (key, dense id) pair until fn returns false, with
@@ -716,7 +848,7 @@ func (s *Striped[K]) Range(fn func(key K, id int) bool) {
 	for i := range s.stripes {
 		ms := &s.stripes[i]
 		ms.mu.Lock()
-		more := s.rangeStripe(ms, fn)
+		more := s.rangeStripe(ms, func(key []byte, id int) bool { return fn(K(key), id) })
 		ms.mu.Unlock()
 		if !more {
 			return
@@ -726,13 +858,13 @@ func (s *Striped[K]) Range(fn func(key K, id int) bool) {
 
 // rangeStripe calls fn for the pairs of one stripe, whose lock the caller
 // holds, and reports whether fn asked for more.
-func (s *Striped[K]) rangeStripe(ms *mapStripe, fn func(key K, id int) bool) bool {
+func (s *Striped[K]) rangeStripe(ms *mapStripe, fn func(key []byte, id int) bool) bool {
 	for _, e := range ms.slots {
 		if e == 0 {
 			continue
 		}
 		id := int(e&slotIDMask) - 1
-		if !fn(s.keys.key(id), id) {
+		if !fn(s.keyBytes(id), id) {
 			return false
 		}
 	}

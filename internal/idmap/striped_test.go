@@ -82,7 +82,7 @@ func TestStripedGeometryMatchesSharding(t *testing.T) {
 	for _, tc := range []struct{ capacity, stripes int }{
 		{8, 4}, {10, 3}, {1, 4}, {7, 7}, {100, 16},
 	} {
-		s := MustNewStriped[int](tc.capacity, tc.stripes)
+		s := MustNewStriped[string](tc.capacity, tc.stripes)
 		clamped := tc.stripes
 		if clamped > tc.capacity {
 			clamped = tc.capacity
@@ -109,15 +109,16 @@ func TestStripedGeometryMatchesSharding(t *testing.T) {
 func TestStripedHomeStripeAllocation(t *testing.T) {
 	// With plenty of headroom, a key's id must come from its own stripe's
 	// range — the property shard-aligned keyed profiles rely on.
-	s := MustNewStriped[int](64, 4)
-	for key := 0; key < 16; key++ {
+	s := MustNewStriped[string](64, 4)
+	for k := 0; k < 16; k++ {
+		key := ik(k)
 		id, _, err := s.Acquire(key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		base, size := s.StripeRange(stripeOf(s, key))
 		if id < base || id >= base+size {
-			t.Fatalf("key %d (stripe %d) got id %d outside [%d, %d)", key, stripeOf(s, key), id, base, base+size)
+			t.Fatalf("key %q (stripe %d) got id %d outside [%d, %d)", key, stripeOf(s, key), id, base, base+size)
 		}
 	}
 }
@@ -143,11 +144,11 @@ func TestStripedZeroCapacity(t *testing.T) {
 }
 
 func TestStripedKeysAndRange(t *testing.T) {
-	s := MustNewStriped[int](16, 4)
-	want := map[int]bool{}
+	s := MustNewStriped[string](16, 4)
+	want := map[string]bool{}
 	for i := 0; i < 10; i++ {
-		s.MustAcquire(t, i)
-		want[i] = true
+		s.MustAcquire(t, ik(i))
+		want[ik(i)] = true
 	}
 	keys := s.Keys()
 	if len(keys) != 10 {
@@ -155,13 +156,13 @@ func TestStripedKeysAndRange(t *testing.T) {
 	}
 	for _, k := range keys {
 		if !want[k] {
-			t.Fatalf("Keys returned unexpected key %d", k)
+			t.Fatalf("Keys returned unexpected key %q", k)
 		}
 	}
 	seen := 0
-	s.Range(func(key, id int) bool {
+	s.Range(func(key string, id int) bool {
 		if got, _ := s.DenseIDUnlockedForTest(key); got != id {
-			t.Fatalf("Range pair (%d, %d) disagrees with DenseID %d", key, id, got)
+			t.Fatalf("Range pair (%q, %d) disagrees with DenseID %d", key, id, got)
 		}
 		seen++
 		return seen < 5
@@ -181,14 +182,14 @@ func TestStripedConcurrentChurn(t *testing.T) {
 	const capacity = 64
 	const workers = 8
 	const iters = 2000
-	s := MustNewStriped[int](capacity, 8)
+	s := MustNewStriped[string](capacity, 8)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				key := w*1000 + i%32
+				key := ik(w*1000 + i%32)
 				id, _, err := s.Acquire(key)
 				if err != nil {
 					if errors.Is(err, ErrFull) {
@@ -198,7 +199,7 @@ func TestStripedConcurrentChurn(t *testing.T) {
 					return
 				}
 				if got, err := s.DenseID(key); err != nil || got != id {
-					t.Errorf("DenseID(%d) = (%d, %v), want %d", key, got, err, id)
+					t.Errorf("DenseID(%q) = (%d, %v), want %d", key, got, err, id)
 					return
 				}
 				s.Key(id)
@@ -215,7 +216,7 @@ func TestStripedConcurrentChurn(t *testing.T) {
 	}
 	// Every id must be free again.
 	for i := 0; i < capacity; i++ {
-		if _, _, err := s.Acquire(100_000 + i); err != nil {
+		if _, _, err := s.Acquire(ik(100_000 + i)); err != nil {
 			t.Fatalf("Acquire after churn: %v", err)
 		}
 	}
@@ -225,7 +226,7 @@ func TestStripedConcurrentChurn(t *testing.T) {
 // every mapped pair exactly once, while concurrent writers are held off (the
 // race detector guards the exclusion claim).
 func TestQuiesceSeesConsistentMapping(t *testing.T) {
-	s := MustNewStriped[int](128, 4)
+	s := MustNewStriped[string](128, 4)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -238,9 +239,9 @@ func TestQuiesceSeesConsistentMapping(t *testing.T) {
 					return
 				default:
 				}
-				key := w*32 + i%32
+				key := ik(w*32 + i%32)
 				if _, _, err := s.Acquire(key); err != nil {
-					t.Errorf("Acquire(%d): %v", key, err)
+					t.Errorf("Acquire(%q): %v", key, err)
 					return
 				}
 				if i%3 == 0 {
@@ -251,11 +252,12 @@ func TestQuiesceSeesConsistentMapping(t *testing.T) {
 	}
 	for round := 0; round < 50; round++ {
 		s.Quiesce(func() {
-			seen := make(map[int]bool)
+			seen := make(map[string]bool)
 			ids := make(map[int]bool)
-			s.RangeLocked(func(key, id int) bool {
+			s.RangeLocked(func(b []byte, id int) bool {
+				key := string(b)
 				if seen[key] {
-					t.Errorf("key %d visited twice", key)
+					t.Errorf("key %q visited twice", key)
 				}
 				if ids[id] {
 					t.Errorf("id %d bound to two keys", id)
@@ -277,33 +279,33 @@ func TestQuiesceSeesConsistentMapping(t *testing.T) {
 // bits share an index fingerprint and a probe start, so only the comparison
 // against the stored key tells them apart.
 func TestStripedFingerprintCollision(t *testing.T) {
-	s := MustNewStriped[int](8, 1)
-	byFP := make(map[uint64]int)
-	a, b := -1, -1
-	for k := 0; a < 0; k++ {
-		fp := s.Hash(k) >> 32
+	s := MustNewStriped[string](8, 1)
+	byFP := make(map[uint64]string)
+	var a, b string
+	for k := 0; a == ""; k++ {
+		fp := s.Hash(ik(k)) >> 32
 		if other, ok := byFP[fp]; ok {
-			a, b = other, k
+			a, b = other, ik(k)
 		}
-		byFP[fp] = k
+		byFP[fp] = ik(k)
 	}
 	idA := s.MustAcquire(t, a)
 	idB := s.MustAcquire(t, b)
 	if idA == idB {
-		t.Fatalf("colliding keys %d and %d share id %d", a, b, idA)
+		t.Fatalf("colliding keys %q and %q share id %d", a, b, idA)
 	}
-	for key, want := range map[int]int{a: idA, b: idB} {
+	for key, want := range map[string]int{a: idA, b: idB} {
 		if got, err := s.DenseID(key); err != nil || got != want {
-			t.Fatalf("DenseID(%d) = (%d, %v), want %d", key, got, err, want)
+			t.Fatalf("DenseID(%q) = (%d, %v), want %d", key, got, err, want)
 		}
 	}
 	if _, err := s.Release(a); err != nil {
 		t.Fatal(err)
 	}
 	if s.Contains(a) {
-		t.Fatalf("released key %d still mapped", a)
+		t.Fatalf("released key %q still mapped", a)
 	}
 	if got, err := s.DenseID(b); err != nil || got != idB {
-		t.Fatalf("DenseID(%d) after releasing its collider = (%d, %v), want %d", b, got, err, idB)
+		t.Fatalf("DenseID(%q) after releasing its collider = (%d, %v), want %d", b, got, err, idB)
 	}
 }

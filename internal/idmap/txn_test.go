@@ -117,7 +117,7 @@ func TestBatchFuncEviction(t *testing.T) {
 // key of its stripe if evict is set) and runs fn under the stripe lock,
 // rolling a fresh assignment back if fn fails: the way a caller layering
 // per-key state on the mapping uses StripeTxn.
-func acquireFunc[K comparable](s *Striped[K], key K, evict bool, fn func(id int, isNew bool) error) (id int, isNew bool, err error) {
+func acquireFunc[K ~string](s *Striped[K], key K, evict bool, fn func(id int, isNew bool) error) (id int, isNew bool, err error) {
 	h := s.Hash(key)
 	err = s.BatchFunc(s.StripeOfHash(h), func(txn StripeTxn[K]) error {
 		if id, isNew, err = txn.Acquire(key, h, evict); err != nil {

@@ -49,8 +49,7 @@ func (c *counts) state() *checkpoint.State {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		st.Keys = append(st.Keys, k)
-		st.Freqs = append(st.Freqs, c.m[k])
+		st.Append([]byte(k), c.m[k])
 	}
 	return st
 }

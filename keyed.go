@@ -14,8 +14,8 @@ type KeyedEntry[K comparable] struct {
 	Frequency int64 `json:"frequency"`
 }
 
-// Keyed profiles objects identified by arbitrary comparable keys (user names,
-// URLs, sparse numeric ids). It combines an id mapper with an S-Profile: the
+// Keyed profiles objects identified by string keys (user names, URLs, sparse
+// numeric ids in decimal form). It combines an id mapper with an S-Profile: the
 // mapper assigns each live key a dense id, the profile tracks the dense ids,
 // and QueryKeys translates every answer back to keys.
 //
@@ -32,7 +32,7 @@ type KeyedEntry[K comparable] struct {
 // concurrent use; serialise Keyed access in the caller even when the inner
 // profiler is synchronized, or use BuildKeyed's KeyedConcurrent, which is
 // safe for concurrent use end to end.
-type Keyed[K comparable] struct {
+type Keyed[K ~string] struct {
 	keyedQueries[K]
 	ids     *idmap.Mapper[K]
 	recycle bool
@@ -134,8 +134,8 @@ func WithoutRecycling() KeyedOption {
 }
 
 // NewKeyed returns a Keyed profile able to track up to m concurrent keys,
-// backed by a plain Profile.
-func NewKeyed[K comparable](m int, opts ...KeyedOption) (*Keyed[K], error) {
+// backed by a plain Profile that materialises only the ids its keys use.
+func NewKeyed[K ~string](m int, opts ...KeyedOption) (*Keyed[K], error) {
 	o := keyedOptions{recycle: true}
 	for _, opt := range opts {
 		opt(&o)
@@ -144,7 +144,7 @@ func NewKeyed[K comparable](m int, opts ...KeyedOption) (*Keyed[K], error) {
 	if o.recycle {
 		coreOpts = append(coreOpts, WithStrictNonNegative())
 	}
-	p, err := core.New(m, coreOpts...)
+	p, err := core.NewLoaded(m, nil, 0, 0, coreOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +158,7 @@ func NewKeyed[K comparable](m int, opts ...KeyedOption) (*Keyed[K], error) {
 // enabled (the default) the profiler must have been built with
 // WithStrictNonNegative, or idle ids cannot be detected reliably. The caller
 // must stop using the profiler directly afterwards.
-func NewKeyedOver[K comparable](p Profiler, opts ...KeyedOption) (*Keyed[K], error) {
+func NewKeyedOver[K ~string](p Profiler, opts ...KeyedOption) (*Keyed[K], error) {
 	if p == nil {
 		return nil, errNilProfiler
 	}
@@ -169,7 +169,7 @@ func NewKeyedOver[K comparable](p Profiler, opts ...KeyedOption) (*Keyed[K], err
 	return newKeyedOver[K](p, o)
 }
 
-func newKeyedOver[K comparable](p Profiler, o keyedOptions) (*Keyed[K], error) {
+func newKeyedOver[K ~string](p Profiler, o keyedOptions) (*Keyed[K], error) {
 	ids, err := idmap.New[K](p.Cap())
 	if err != nil {
 		return nil, err
@@ -183,7 +183,7 @@ func newKeyedOver[K comparable](p Profiler, o keyedOptions) (*Keyed[K], error) {
 
 // MustNewKeyed is NewKeyed for callers with a known-good capacity; it panics
 // on error.
-func MustNewKeyed[K comparable](m int, opts ...KeyedOption) *Keyed[K] {
+func MustNewKeyed[K ~string](m int, opts ...KeyedOption) *Keyed[K] {
 	k, err := NewKeyed[K](m, opts...)
 	if err != nil {
 		panic(err)

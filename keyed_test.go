@@ -156,19 +156,19 @@ func TestKeyedWithoutRecyclingAllowsNegative(t *testing.T) {
 }
 
 func TestKeyedMedianMajorityDistribution(t *testing.T) {
-	k := sprofile.MustNewKeyed[int](3)
+	k := sprofile.MustNewKeyed[string](3)
 	for i := 0; i < 5; i++ {
-		k.Add(42)
+		k.Add("42")
 	}
-	k.Add(7)
-	res, err := k.QueryKeys(sprofile.KeyedQuery[int]{Median: true, Majority: true, Distribution: true, Summary: true})
+	k.Add("7")
+	res, err := k.QueryKeys(sprofile.KeyedQuery[string]{Median: true, Majority: true, Distribution: true, Summary: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Median.Frequency != 1 {
 		t.Fatalf("Median frequency %d, want 1", res.Median.Frequency)
 	}
-	if maj := res.Majority; !maj.Majority || maj.Key != 42 {
+	if maj := res.Majority; !maj.Majority || maj.Key != "42" {
 		t.Fatalf("Majority = %+v", maj)
 	}
 	if len(res.Distribution) != 3 {

@@ -59,7 +59,7 @@ var ErrWALAppend = errors.New("sprofile: event applied but not journaled")
 // lists every tracked key's count from one quiesced cut.
 //
 // Construct with BuildKeyed.
-type KeyedConcurrent[K comparable] struct {
+type KeyedConcurrent[K ~string] struct {
 	keyedQueries[K]
 	ids     *idmap.Striped[K]
 	recycle bool
@@ -88,7 +88,8 @@ type KeyedConcurrent[K comparable] struct {
 //	k, err := sprofile.BuildKeyed[string](m)                          // sharded per CPU
 //	k, err := sprofile.BuildKeyed[string](m, sprofile.WithSharding(16))
 //	k, err := sprofile.BuildKeyed[string](m, sprofile.WithSharding(16), sprofile.WithWAL("events.wal"))
-//	k, err := sprofile.BuildKeyed[int64](m, sprofile.WithoutKeyRecycling())
+//	k, err := sprofile.BuildKeyed[string](m, sprofile.WithoutKeyRecycling())
+//	k, err := sprofile.BuildKeyed[UserID](m) // type UserID string
 //
 // The result is always safe for concurrent use. WithSharding sets both the
 // profile shard count and the mapper stripe count (they are kept aligned);
@@ -98,11 +99,15 @@ type KeyedConcurrent[K comparable] struct {
 //
 // Id recycling is on by default, which forces WithStrictNonNegative on the
 // dense profile exactly like NewKeyed; WithoutKeyRecycling turns it off and
-// permits negative frequencies. WithWAL makes ingestion durable and is
-// supported for K = string (the log stores string keys); the log is
+// permits negative frequencies. WithWAL makes ingestion durable; the log is
 // replayed before BuildKeyed returns, and Sync/Close flush it.
 // WithWALSyncEvery and WithCheckpoints require WithWAL.
-func BuildKeyed[K comparable](m int, opts ...BuildOption) (*KeyedConcurrent[K], error) {
+//
+// Keys are strings, or any type whose underlying type is string: the id map
+// keeps every tracked key's bytes in pointer-free pages (see idmap.Striped),
+// and the log stores them as they are. A numeric id is keyed by its decimal
+// (or binary) form.
+func BuildKeyed[K ~string](m int, opts ...BuildOption) (*KeyedConcurrent[K], error) {
 	cfg := newBuildConfig(opts)
 	kc, err := newKeyed[K](m, cfg)
 	if err != nil {
@@ -138,7 +143,7 @@ func BuildKeyed[K comparable](m int, opts ...BuildOption) (*KeyedConcurrent[K], 
 // newKeyed checks cfg as BuildKeyed describes and returns a keyed profile
 // of capacity m with its id map but no dense profile yet: load builds that,
 // so a restore need not zero-fill one first.
-func newKeyed[K comparable](m int, cfg buildConfig) (*KeyedConcurrent[K], error) {
+func newKeyed[K ~string](m int, cfg buildConfig) (*KeyedConcurrent[K], error) {
 	if cfg.windowSet || cfg.spanSet {
 		return nil, fmt.Errorf("%w: window adapters are single-goroutine; BuildKeyed cannot maintain them concurrently", ErrBuildConfig)
 	}
@@ -147,12 +152,6 @@ func newKeyed[K comparable](m int, cfg buildConfig) (*KeyedConcurrent[K], error)
 	}
 	if opt := cfg.journalOption(); opt != "" && cfg.walPath == "" {
 		return nil, fmt.Errorf("%w: %s requires WithWAL", ErrBuildConfig, opt)
-	}
-	if cfg.walPath != "" {
-		var zero K
-		if _, ok := any(zero).(string); !ok {
-			return nil, fmt.Errorf("%w: WithWAL requires string keys (the log stores keys as strings), got %T", ErrBuildConfig, zero)
-		}
 	}
 	shards := cfg.shards
 	switch {
@@ -213,7 +212,7 @@ func (k *KeyedConcurrent[K]) load(st *checkpoint.State, cfg buildConfig) error {
 // (recovery, or a follower without an append head), so the apply paths
 // rebuild state without re-journaling the records being replayed.
 func (k *KeyedConcurrent[K]) applyWALRecord(rec wal.Record) error {
-	key := any(rec.Key).(K)
+	key := K(rec.Key)
 	apply := func() error {
 		if rec.Batch {
 			return k.ApplyDelta(key, rec.Adds, rec.Removes)
@@ -232,27 +231,28 @@ func (k *KeyedConcurrent[K]) applyWALRecord(rec wal.Record) error {
 // restore maps the keys of the checkpoint snapshot st into k's empty id
 // map and returns their nonzero frequencies under the new ids, parts[i]
 // holding those of stripe i's id range by id within the range: the load of
-// the dense profile's shard i. The snapshotted keys are grouped by stripe
-// with the counting sort ApplyBatch uses, and the stripes load
-// concurrently, on at most GOMAXPROCS goroutines: each maps its group with
-// one StripeTxn.Load (ids are reassigned — stripe hashing is seeded per
+// the dense profile's shard i. The snapshotted keys are hashed from their
+// bytes in st, grouped by stripe with the counting sort ApplyBatch uses,
+// and the stripes load concurrently, on at most GOMAXPROCS goroutines: each
+// maps its group with one StripeTxn.Load, which copies the keys' bytes into
+// its range's pages (ids are reassigned — stripe hashing is seeded per
 // process, so the original ids are meaningless here), then lists the
 // frequencies of the ids in its own range and marks the keys at frequency
 // zero idle. The few keys whose ids a full stripe borrowed from another
-// range join that range's part afterwards. A key the snapshot lists twice
-// makes it invalid.
+// range join that range's part afterwards. No string is made for any key.
+// A key the snapshot lists twice makes it invalid.
 func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) ([][]core.Entry, error) {
-	if m := k.ids.Cap(); len(st.Keys) > m {
-		return nil, fmt.Errorf("snapshot tracks %d keys but the profile has capacity %d: %w", len(st.Keys), m, ErrBadSnapshot)
+	n := st.Len()
+	if m := k.ids.Cap(); n > m {
+		return nil, fmt.Errorf("snapshot tracks %d keys but the profile has capacity %d: %w", n, m, ErrBadSnapshot)
 	}
-	keys := any(st.Keys).([]K) // BuildKeyed only opens a WAL for K = string
 	ns := k.ids.NumStripes()
-	hashes := make([]uint64, len(keys))
-	for i, key := range keys {
-		hashes[i] = k.ids.Hash(key)
+	hashes := make([]uint64, n)
+	for i := range hashes {
+		hashes[i] = k.ids.HashBytes(st.Key(i))
 	}
 	var g stripeGroups
-	g.sort(ns, len(keys), func(i int) int32 { return int32(k.ids.StripeOfHash(hashes[i])) })
+	g.sort(ns, n, func(i int) int32 { return int32(k.ids.StripeOfHash(hashes[i])) })
 	parts := make([][]core.Entry, ns)
 	borrowed := make([][]core.Entry, ns) // by global id
 	err := parallelEach(ns, func(si int) error {
@@ -260,7 +260,7 @@ func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) ([][]core.Entry, erro
 		ids := make([]int, len(group))
 		base, size := k.ids.StripeRange(si)
 		return k.ids.BatchFunc(si, func(t idmap.StripeTxn[K]) error {
-			if err := t.Load(keys, hashes, group, ids); err != nil {
+			if err := t.Load(st.Key, hashes, group, ids); err != nil {
 				return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 			}
 			part := make([]core.Entry, 0, len(group))
@@ -295,7 +295,7 @@ func (k *KeyedConcurrent[K]) restore(st *checkpoint.State) ([][]core.Entry, erro
 
 // MustBuildKeyed is BuildKeyed for callers with a known-good configuration;
 // it panics on error.
-func MustBuildKeyed[K comparable](m int, opts ...BuildOption) *KeyedConcurrent[K] {
+func MustBuildKeyed[K ~string](m int, opts ...BuildOption) *KeyedConcurrent[K] {
 	k, err := BuildKeyed[K](m, opts...)
 	if err != nil {
 		panic(err)
@@ -379,9 +379,11 @@ func (k *KeyedConcurrent[K]) CheckpointError() error {
 // update path takes one first), which yields an exact cut: the snapshot
 // covers precisely the events journaled before the rotation it performs.
 // With every stripe lock held the dense profile cannot change, so the
-// capture reads each key's count from it in place. Serialisation and fsync
-// of the snapshot happen entirely outside the update path, and one
-// checkpoint runs at a time.
+// capture reads each key's count from it in place, and copies the keys'
+// bytes from the id map's pages into the snapshot's one byte run, sized
+// up front: three allocations however many keys are tracked. Serialisation
+// and fsync of the snapshot happen entirely outside the update path, and
+// one checkpoint runs at a time.
 func (k *KeyedConcurrent[K]) Checkpoint() error {
 	if k.store == nil {
 		return errNoWAL
@@ -394,19 +396,15 @@ func (k *KeyedConcurrent[K]) Checkpoint() error {
 			}
 			adds, removes := k.dense.events()
 			n := k.ids.Len()
-			keys := make([]string, 0, n)
-			counts := make([]int64, 0, n)
-			k.rangeCountsLocked(func(key K, f int64) {
-				keys = append(keys, any(key).(string))
-				counts = append(counts, f)
-			})
 			st = &checkpoint.State{
 				Capacity: k.dense.Cap(),
 				Adds:     adds,
 				Removes:  removes,
-				Keys:     keys,
-				Freqs:    counts,
+				KeyBytes: make([]byte, 0, k.ids.KeyBytesLocked()),
+				KeyEnds:  make([]int, 0, n),
+				Freqs:    make([]int64, 0, n),
 			}
+			k.rangeCountsLocked(st.Append)
 		})
 		return st, sealed, err
 	})
@@ -421,18 +419,19 @@ func (k *KeyedConcurrent[K]) Entries() ([]KeyedEntry[K], error) {
 	var out []KeyedEntry[K]
 	k.ids.Quiesce(func() {
 		out = make([]KeyedEntry[K], 0, k.ids.Len())
-		k.rangeCountsLocked(func(key K, f int64) {
-			out = append(out, KeyedEntry[K]{Key: key, Frequency: f})
+		k.rangeCountsLocked(func(key []byte, f int64) {
+			out = append(out, KeyedEntry[K]{Key: K(key), Frequency: f})
 		})
 	})
 	return out, nil
 }
 
-// rangeCountsLocked calls fn with every tracked key and its count. The
-// caller holds every stripe lock (Quiesce), so the dense profile cannot
-// change and each count is read in place, without its shard's lock.
-func (k *KeyedConcurrent[K]) rangeCountsLocked(fn func(key K, f int64)) {
-	k.ids.RangeLocked(func(key K, id int) bool {
+// rangeCountsLocked calls fn with every tracked key's bytes, valid while
+// the caller stays inside Quiesce, and its count. The caller holds every
+// stripe lock (Quiesce), so the dense profile cannot change and each count
+// is read in place, without its shard's lock.
+func (k *KeyedConcurrent[K]) rangeCountsLocked(fn func(key []byte, f int64)) {
+	k.ids.RangeLocked(func(key []byte, id int) bool {
 		fn(key, k.dense.countQuiesced(id))
 		return true
 	})
@@ -453,13 +452,13 @@ func checkJournalableKey(key string) error {
 	return nil
 }
 
-// checkKey is checkJournalableKey for a profile with a WAL (where K is
-// string by the BuildKeyed construction check); without one any key is fine.
+// checkKey is checkJournalableKey for a profile with a WAL; without one
+// any key is fine.
 func (k *KeyedConcurrent[K]) checkKey(key K) error {
 	if k.store == nil {
 		return nil
 	}
-	return checkJournalableKey(any(key).(string))
+	return checkJournalableKey(string(key))
 }
 
 // Add increments the frequency of key, assigning it a dense id if needed.
@@ -546,7 +545,7 @@ type KeyedTuple[K comparable] struct {
 // through next. firstIsAdd records whether the key's first event in the
 // batch was an add — the per-event path acquires an unknown key exactly
 // then, so the batch path preserves that decision.
-type keyedDelta[K comparable] struct {
+type keyedDelta[K ~string] struct {
 	key           K
 	hash          uint64
 	adds, removes uint64
@@ -561,7 +560,7 @@ type keyedDelta[K comparable] struct {
 // once per event and reused for stripe selection and the mapper's own
 // lookup — because an integer-keyed map is markedly cheaper than re-hashing
 // arbitrary K inside a generic map.
-type keyedBatch[K comparable] struct {
+type keyedBatch[K ~string] struct {
 	index   map[uint64]int32
 	entries []keyedDelta[K]
 	stripeGroups
@@ -729,7 +728,7 @@ func (k *KeyedConcurrent[K]) ApplyBatch(events []KeyedTuple[K]) (int, error) {
 				}
 				applied += int(en.adds + en.removes)
 				if k.store != nil {
-					b.wrecs = append(b.wrecs, wal.BatchEntry{Key: any(en.key).(string), Adds: en.adds, Removes: en.removes})
+					b.wrecs = append(b.wrecs, wal.BatchEntry{Key: string(en.key), Adds: en.adds, Removes: en.removes})
 				}
 			}
 			// The stripe's applied entries are journaled even when one of
@@ -806,9 +805,9 @@ func (k *KeyedConcurrent[K]) applyKey(key K, adds, removes uint64, acquire bool)
 			if adds == 1 {
 				a = ActionAdd
 			}
-			syncDue, jerr = k.store.Append(wal.Record{Key: any(key).(string), Action: a})
+			syncDue, jerr = k.store.Append(wal.Record{Key: string(key), Action: a})
 		} else {
-			rec := [1]wal.BatchEntry{{Key: any(key).(string), Adds: adds, Removes: removes}}
+			rec := [1]wal.BatchEntry{{Key: string(key), Adds: adds, Removes: removes}}
 			syncDue, jerr = k.store.AppendBatch(rec[:])
 		}
 		if jerr != nil {

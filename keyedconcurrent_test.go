@@ -3,9 +3,11 @@ package sprofile_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -184,9 +186,6 @@ func TestBuildKeyedConfigErrors(t *testing.T) {
 	}
 	if _, err := sprofile.BuildKeyed[string](8, sprofile.WithSharding(0)); !errors.Is(err, sprofile.ErrBuildConfig) {
 		t.Fatalf("BuildKeyed with zero shards = %v, want ErrBuildConfig", err)
-	}
-	if _, err := sprofile.BuildKeyed[int](8, sprofile.WithWAL("x.wal")); !errors.Is(err, sprofile.ErrBuildConfig) {
-		t.Fatalf("BuildKeyed[int] with WAL = %v, want ErrBuildConfig", err)
 	}
 	if _, err := sprofile.Build(8, sprofile.WithoutKeyRecycling()); !errors.Is(err, sprofile.ErrBuildConfig) {
 		t.Fatalf("Build with WithoutKeyRecycling = %v, want ErrBuildConfig", err)
@@ -544,7 +543,9 @@ func TestBuildKeyedRejectsDuplicateSnapshotKeys(t *testing.T) {
 	}
 	if err := store.Checkpoint(func() (*checkpoint.State, uint64, error) {
 		sealed, err := store.Rotate()
-		st := &checkpoint.State{Capacity: 8, Adds: 1, Keys: []string{"a", "a"}, Freqs: []int64{1, 1}}
+		st := &checkpoint.State{Capacity: 8, Adds: 1}
+		st.Append([]byte("a"), 1)
+		st.Append([]byte("a"), 1)
 		return st, sealed, err
 	}); err != nil {
 		t.Fatal(err)
@@ -718,7 +719,7 @@ func TestIdleSetAllocation(t *testing.T) {
 // memory for the ids in use, not for the capacity: 1,000 keys at capacity
 // 1<<20 on two shards, built by adds and then restored from a checkpoint,
 // keep the shards' summed footprint under 1 MiB, where materialising every
-// slot takes 12 MiB.
+// slot takes 12 MiB, and so does the single-goroutine Keyed of NewKeyed.
 func TestKeyedDenseFollowsKeys(t *testing.T) {
 	const capacity, n, limit = 1 << 20, 1000, 1 << 20
 	dir := filepath.Join(t.TempDir(), "wal")
@@ -762,6 +763,202 @@ func TestKeyedDenseFollowsKeys(t *testing.T) {
 			t.Fatalf("%s: counts %v, summary %+v", name, res.Counts, *s)
 		}
 	}
+
+	single := sprofile.MustNewKeyed[string](capacity)
+	for _, e := range batch {
+		if err := single.Add(e.Key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := single.DenseFootprint(); got >= limit {
+		t.Errorf("NewKeyed: the profile holds %d bytes for %d keys at capacity %d, want < %d", got, n, capacity, limit)
+	}
+	res, err := single.QueryKeys(sprofile.KeyedQuery[string]{Count: []string{"key-0", "key-1"}, Summary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := res.Summary; res.Counts[0].Frequency != 1 || res.Counts[1].Frequency != 2 || s.Total != 3*n/2 || s.Active != n || s.Capacity != capacity {
+		t.Fatalf("NewKeyed: counts %v, summary %+v", res.Counts, *s)
+	}
+}
+
+// TestKeyedRestoresLongKey: a 300-byte key, past the length where
+// maphash.Comparable and maphash.String part ways, survives a checkpoint
+// and restore. Restore hashes the snapshot's bytes and Count and Add hash
+// the string, so both must find the one id: Count reads its frequency, and
+// Add moves it without tracking a second key.
+func TestKeyedRestoresLongKey(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	key := strings.Repeat("https://example.com/", 15)
+	k := sprofile.MustBuildKeyed[string](64, sprofile.WithSharding(2), sprofile.WithWAL(dir))
+	for range 3 {
+		if err := k.Add(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored := sprofile.MustBuildKeyed[string](64, sprofile.WithSharding(2), sprofile.WithWAL(dir))
+	defer restored.Close()
+	if got := restored.Recovery().SnapshotObjects; got != 1 {
+		t.Fatalf("restored %d snapshot keys, want 1", got)
+	}
+	if f, err := restored.Count(key); err != nil || f != 3 {
+		t.Fatalf("Count of the %d-byte key after restore = (%d, %v), want 3", len(key), f, err)
+	}
+	if err := restored.Add(key); err != nil {
+		t.Fatal(err)
+	}
+	if f, _ := restored.Count(key); f != 4 || restored.Tracked() != 1 {
+		t.Fatalf("after Add: Count %d, tracked %d, want 4 and 1", f, restored.Tracked())
+	}
+}
+
+// TestBuildKeyedKeysOfAnyLength: without a WAL a keyed profile takes keys
+// of any length, the empty key and one of 2 MiB (past the log's record
+// limit) included, and hands each back intact from its id map's pages
+// through Count, QueryKeys and Entries; evicting the long key leaves its
+// bytes dead, which compacts its range, and the other keys keep their
+// counts.
+func TestBuildKeyedKeysOfAnyLength(t *testing.T) {
+	keys := []string{"", "k0000001", strings.Repeat("u", 300), strings.Repeat("m", 2<<20)}
+	k := sprofile.MustBuildKeyed[string](len(keys), sprofile.WithSharding(1))
+	for i, key := range keys {
+		for range i + 1 {
+			if err := k.Add(key); err != nil {
+				t.Fatalf("Add of the %d-byte key: %v", len(key), err)
+			}
+		}
+	}
+	check := func(keys []string, counts []int64) {
+		t.Helper()
+		res, err := k.QueryKeys(sprofile.KeyedQuery[string]{TopK: len(keys), Count: keys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, key := range keys {
+			if got := res.Counts[i].Frequency; got != counts[i] {
+				t.Fatalf("QueryKeys count of the %d-byte key = %d, want %d", len(key), got, counts[i])
+			}
+			if f, err := k.Count(key); err != nil || f != counts[i] {
+				t.Fatalf("Count of the %d-byte key = (%d, %v), want %d", len(key), f, err, counts[i])
+			}
+		}
+		byKey := make(map[string]int64)
+		for _, e := range res.TopK {
+			byKey[e.Key] = e.Frequency
+		}
+		entries, err := k.Entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Frequency > 0 && byKey[e.Key] != e.Frequency {
+				t.Fatalf("Entries lists the %d-byte key at %d, TopK at %d", len(e.Key), e.Frequency, byKey[e.Key])
+			}
+		}
+		if len(byKey) != len(keys) || len(entries) != len(keys) {
+			t.Fatalf("TopK holds %d keys and Entries %d, want %d", len(byKey), len(entries), len(keys))
+		}
+	}
+	check(keys, []int64{1, 2, 3, 4})
+	long := keys[3]
+	for range 4 {
+		if err := k.Remove(long); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Add("evicts the long key"); err != nil {
+		t.Fatal(err)
+	}
+	keys[3] = "evicts the long key"
+	check(keys, []int64{1, 2, 3, 1})
+	if f, _ := k.Count(long); f != 0 || k.Tracked() != len(keys) {
+		t.Fatalf("the evicted key counts %d, %d keys tracked", f, k.Tracked())
+	}
+}
+
+// TestKeyedRestoreAllocations pins what the id map's pages remove from a
+// cold start: restoring 50,000 keys from a snapshot through BuildKeyed and
+// WithWAL makes fewer than one allocation per ten keys, where a string per
+// key made one each.
+func TestKeyedRestoreAllocations(t *testing.T) {
+	const n = 50_000
+	dir := filepath.Join(t.TempDir(), "wal")
+	k := sprofile.MustBuildKeyed[string](1<<17, sprofile.WithSharding(2), sprofile.WithWAL(dir))
+	batch := make([]sprofile.KeyedTuple[string], n)
+	for i := range batch {
+		batch[i] = sprofile.KeyedTuple[string]{Key: fmt.Sprintf("object-%08d", i), Action: sprofile.ActionAdd}
+	}
+	if _, err := k.ApplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var restored *sprofile.KeyedConcurrent[string]
+	allocs := testing.AllocsPerRun(1, func() {
+		var err error
+		if restored, err = sprofile.BuildKeyed[string](1<<17, sprofile.WithSharding(2), sprofile.WithWAL(dir)); err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := restored.Recovery().SnapshotObjects; got != n {
+		t.Fatalf("restored %d snapshot keys, want %d", got, n)
+	}
+	if allocs >= n/10 {
+		t.Fatalf("restoring %d keys made %.0f allocations, want fewer than %d", n, allocs, n/10)
+	}
+	t.Logf("restoring %d keys made %.0f allocations", n, allocs)
+}
+
+// TestCheckpointAllocationsFlat pins that a checkpoint's capture and encode
+// make as many allocations at 50,000 keys as at 10,000: the keys are copied
+// from the id map's pages into one byte run sized up front, not a string
+// each. The collector is off while it counts, so a cycle that empties a
+// sync.Pool cannot add allocations to one side, and each side counts its
+// fewest over five checkpoints, since anything else running in the process
+// can only add to a count. The sides may still differ by a few: under the
+// race detector the checkpoint's file-system calls made 85 to 89 at either
+// size. A string per key would add 40,000, and the three slices of the
+// byte run grown by appending instead of sized up front about 20.
+func TestCheckpointAllocationsFlat(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	count := func(n int) float64 {
+		k := sprofile.MustBuildKeyed[string](1<<17, sprofile.WithSharding(2), sprofile.WithWAL(filepath.Join(t.TempDir(), "wal")))
+		defer k.Close()
+		batch := make([]sprofile.KeyedTuple[string], n)
+		for i := range batch {
+			batch[i] = sprofile.KeyedTuple[string]{Key: fmt.Sprintf("object-%08d", i), Action: sprofile.ActionAdd}
+		}
+		if _, err := k.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		fewest := math.Inf(1)
+		for range 5 {
+			fewest = min(fewest, testing.AllocsPerRun(1, func() {
+				if err := k.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return fewest
+	}
+	small, large := count(10_000), count(50_000)
+	if large > small+4 {
+		t.Fatalf("a checkpoint made %.0f allocations at 10,000 keys and %.0f at 50,000, want at most 4 more", small, large)
+	}
+	t.Logf("a checkpoint made %.0f allocations at 10,000 keys and %.0f at 50,000", small, large)
 }
 
 // TestKeyedCheckpointRoundTrip is the checkpoint round trip for the keyed
