@@ -76,7 +76,7 @@ func main() {
 	fs := flag.NewFlagSet("sprofiled", flag.ExitOnError)
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
-		capacity    = fs.Int("capacity", 1_000_000, "maximum number of concurrently tracked objects; costs 8 B per 4096 slots up front (id map chunk pointers), 12 B per materialised id (dense profile rank arrays, grown geometrically with the ids in use), and 23-33 B per tracked object (an index slot plus a 12 B key-table entry) plus its key's bytes, plus 4 B while its count is zero")
+		capacity    = fs.Int("capacity", 1_000_000, "maximum number of concurrently tracked objects; costs 8 B per 4096 slots up front (id map chunk pointers), 12 B per materialised id (dense profile rank arrays, grown geometrically with the ids in use), and about 23-28 B per tracked object (10.7-16 B of index plus a 12 B key-table entry) plus its key's bytes, plus 4 B while its count is zero")
 		shards      = fs.Int("shards", 0, "split the profile across this many lock shards (0 = one per CPU)")
 		maxBatch    = fs.Int("max-batch", 10_000, "maximum number of events per POST")
 		walPath     = fs.String("wal", "", "write-ahead log directory; state is recovered from it on startup (a single-file log from an older version is refused: open it once with commit 3727a8a and checkpoint)")

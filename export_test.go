@@ -10,6 +10,10 @@ func (k *KeyedConcurrent[K]) Dense() *Sharded { return k.dense }
 // built under k.
 func (k *Keyed[K]) DenseFootprint() int64 { return k.profile.(*Profile).MemoryFootprint() }
 
+// IndexBytes returns the bytes of k's id-map stripe indexes
+// (idmap.Striped.IndexBytes).
+func (k *KeyedConcurrent[K]) IndexBytes() int { return k.ids.IndexBytes() }
+
 // MemoryFootprint sums the shards' core.Profile.MemoryFootprint, each read
 // under its shard's read lock: the bytes of their rank arrays and block
 // slabs.

@@ -3,6 +3,7 @@ package idmap
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -24,8 +25,8 @@ func stripeOf[K ~string](s *Striped[K], key K) int {
 
 // weakHash is fixedHash with the fingerprint, the hash's high 32 bits,
 // forced onto the 8 values just below 1<<32: distinct keys share
-// fingerprints, and every key's home is among its index's last 8 slots, so
-// probe runs wrap past the end.
+// fingerprints, and every key's home is its index's last slot, so probe
+// runs wrap past the end.
 func weakHash(key string) uint64 {
 	h := fixedHash(key)
 	return (0xfffffff8|h>>32&7)<<32 | h&0xffffffff
@@ -121,9 +122,8 @@ func wrappedSlots[K ~string](s *Striped[K]) int {
 	n := 0
 	for si := range s.stripes {
 		ms := &s.stripes[si]
-		mask := uint64(len(ms.slots) - 1)
 		for j, e := range ms.slots {
-			if e != 0 && e>>32&mask > uint64(j) {
+			if e != 0 && home(e>>32, len(ms.slots)) > j {
 				n++
 			}
 		}
@@ -235,6 +235,24 @@ func TestStripedLoadMatchesAcquire(t *testing.T) {
 				t.Fatalf("the churn reached %+v, want evictions", cov)
 			}
 		})
+	}
+}
+
+// TestStripedSortByHome: Load's radix sort orders entries as a stable
+// sort by home does, for tables whose homes take one, two and three
+// passes of digits.
+func TestStripedSortByHome(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, size := range []int{8, 2049, 666_667, 1<<24 + 5, 3_000_000_000} {
+		entries := make([]uint64, 20_000)
+		for i := range entries {
+			entries[i] = rng.Uint64()>>32<<32 | uint64(i+1)
+		}
+		want := slices.Clone(entries)
+		slices.SortStableFunc(want, func(a, b uint64) int { return home(a>>32, size) - home(b>>32, size) })
+		if got := sortByHome(entries, size); !slices.Equal(got, want) {
+			t.Fatalf("%d slots: sortByHome differs from a stable sort by home", size)
+		}
 	}
 }
 

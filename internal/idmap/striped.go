@@ -30,15 +30,17 @@ import (
 // finds its keys through a pointer-free open-addressing index: one []uint64
 // whose slots hold the high 32 bits of the key's hash (Hash, the same hash
 // that picks the stripe) above id+1, with 0 marking an empty slot. Lookups
-// probe linearly from the slot the fingerprint selects and confirm a
-// fingerprint match against the key's page bytes; the index doubles before
-// it passes 3/4 load, and a deletion shifts the rest of its probe run back,
-// so recycling ids leaves no tombstones. Restoring a snapshot fills each
-// empty stripe with one StripeTxn.Load, which places the entries in
-// home-slot order instead of probing for each key. Per tracked key that is
-// 8 bytes of index per slot at 3/8 to 3/4 load (11 to 21 bytes per key),
-// plus its key-table entry (12 bytes: an 8-byte location and the state
-// word), plus the key's own bytes in a page, plus 4 bytes while it is idle.
+// probe linearly from the slot the fingerprint selects (its home: the
+// fingerprint scaled onto the slot count, so the table takes any size) and
+// confirm a fingerprint match against the key's page bytes; the index grows
+// by half before it passes 3/4 load, and a deletion shifts the rest of its
+// probe run back, so recycling ids leaves no tombstones. Restoring a
+// snapshot fills each empty stripe with one StripeTxn.Load, which sizes the
+// index to its keys at 3/4 load and places the entries in home-slot order
+// instead of probing for each key. Per tracked key that is 8 bytes of index
+// per slot: 10.7 bytes after a restore, 10.7 to 16 once the index has
+// grown. Add its key-table entry (12 bytes: an 8-byte location and the
+// state word), the key's own bytes in a page, and 4 bytes while it is idle.
 // None of it holds a pointer per key: the garbage collector sees one
 // pointer per key-table chunk and one per page.
 //
@@ -120,10 +122,10 @@ type Striped[K ~string] struct {
 
 // mapStripe indexes the keys hashing to one stripe. Each nonzero slot is
 // fingerprint<<32 | id+1, where the fingerprint is the high 32 bits of the
-// key's hash and also selects the slot its probe starts from; len(slots) is
-// zero or a power of two, and at most 3/4 of the slots are used. idle lists
-// the ids of the stripe's keys marked idle; idle[p]'s state word is
-// idleBase+p.
+// key's hash and also selects the slot its probe starts from (home);
+// len(slots) is zero or at least 8, probes wrap from the last slot to the
+// first, and at most 3/4 of the slots are used. idle lists the ids of the
+// stripe's keys marked idle; idle[p]'s state word is idleBase+p.
 type mapStripe struct {
 	mu    sync.Mutex
 	slots []uint64
@@ -137,19 +139,19 @@ const slotIDMask = 1<<32 - 1
 // find returns the slot index and dense id of key (hash h) in ms, or slot
 // -1 when the key is not mapped there. The caller holds ms's lock.
 func (s *Striped[K]) find(ms *mapStripe, key string, h uint64) (slot, id int) {
-	if len(ms.slots) == 0 {
+	n := len(ms.slots)
+	if n == 0 {
 		return -1, 0
 	}
-	mask := uint64(len(ms.slots) - 1)
 	fp := h >> 32
-	for i := fp & mask; ; i = (i + 1) & mask {
+	for i := home(fp, n); ; i = next(i, n) {
 		e := ms.slots[i]
 		if e == 0 {
 			return -1, 0
 		}
 		if e>>32 == fp {
 			if id := int(e&slotIDMask) - 1; string(s.keyBytes(id)) == key {
-				return int(i), id
+				return i, id
 			}
 		}
 	}
@@ -158,11 +160,11 @@ func (s *Striped[K]) find(ms *mapStripe, key string, h uint64) (slot, id int) {
 // slotOf returns the slot of ms holding id, whose key has hash h. The
 // caller holds ms's lock, and id is mapped there.
 func (ms *mapStripe) slotOf(h uint64, id int) int {
-	mask := uint64(len(ms.slots) - 1)
+	n := len(ms.slots)
 	e := h>>32<<32 | uint64(id+1)
-	for i := e >> 32 & mask; ms.slots[i] != 0; i = (i + 1) & mask {
+	for i := home(h>>32, n); ms.slots[i] != 0; i = next(i, n) {
 		if ms.slots[i] == e {
-			return int(i)
+			return i
 		}
 	}
 	panic(fmt.Sprintf("idmap: id %d is not indexed under its key's hash", id))
@@ -181,10 +183,26 @@ func (ms *mapStripe) insert(h uint64, id int) {
 	ms.used++
 }
 
+// home returns the slot where the probe for fingerprint fp starts in an
+// index of n slots: fp*n>>32, the multiply-shift range reduction of the
+// 32-bit fingerprint onto [0, n), exact in 64 bits since n < 1<<32. It is
+// monotone in fp, so entries sorted by fingerprint are sorted by home.
+func home(fp uint64, n int) int {
+	return int(fp * uint64(n) >> 32)
+}
+
+// next returns the slot after i in an index of n slots, wrapping at n.
+func next(i, n int) int {
+	if i++; i == n {
+		return 0
+	}
+	return i
+}
+
 // put stores slot value e in the first free slot of its probe run.
 func (ms *mapStripe) put(e uint64) {
-	mask := uint64(len(ms.slots) - 1)
-	for i := e >> 32 & mask; ; i = (i + 1) & mask {
+	n := len(ms.slots)
+	for i := home(e>>32, n); ; i = next(i, n) {
 		if ms.slots[i] == 0 {
 			ms.slots[i] = e
 			return
@@ -192,24 +210,20 @@ func (ms *mapStripe) put(e uint64) {
 	}
 }
 
-// tableSize is the slot count of an index holding n keys: the least power
-// of two, and at least 8, that keeps them within 3/4 load.
+// tableSize is the slot count of an index holding n keys: the least, and
+// at least 8, that keeps them within 3/4 load.
 func tableSize(n int) int {
-	size := 8
-	for size*3 < n*4 {
-		size *= 2
-	}
-	return size
+	return max(8, (4*n+2)/3)
 }
 
-// reserve grows the table, if needed, so n keys fit within 3/4 load.
+// reserve grows the table, if needed, so n keys fit within 3/4 load: to
+// half again its size, or to tableSize(n) if that is larger.
 func (ms *mapStripe) reserve(n int) {
-	size := tableSize(n)
-	if size <= len(ms.slots) {
+	if n*4 <= len(ms.slots)*3 {
 		return
 	}
 	old := ms.slots
-	ms.slots = make([]uint64, size)
+	ms.slots = make([]uint64, max(tableSize(n), len(old)*3/2))
 	for _, e := range old {
 		if e != 0 {
 			ms.put(e)
@@ -221,10 +235,16 @@ func (ms *mapStripe) reserve(n int) {
 // back every entry whose probe start does not lie after the hole, so each
 // remaining key stays reachable from its start without tombstones.
 func (ms *mapStripe) delete(i int) {
-	mask := len(ms.slots) - 1
-	for j := (i + 1) & mask; ms.slots[j] != 0; j = (j + 1) & mask {
-		start := int(ms.slots[j]>>32) & mask
-		if (j-start)&mask >= (j-i)&mask {
+	n := len(ms.slots)
+	// dist is how many slots b lies past a, wrapping at n.
+	dist := func(a, b int) int {
+		if b < a {
+			b += n
+		}
+		return b - a
+	}
+	for j := next(i, n); ms.slots[j] != 0; j = next(j, n) {
+		if dist(home(ms.slots[j]>>32, n), j) >= dist(i, j) {
 			ms.slots[i] = ms.slots[j]
 			i = j
 		}
@@ -567,9 +587,10 @@ func (s *Striped[K]) unmapLastIdle(ms *mapStripe) int {
 // the never-used ids of the stripe's own range in group order, their bytes
 // copied into the range's pages in the same pass, under one hold of the
 // range's alloc lock; only the keys past the end of the range borrow, one
-// at a time, as Acquire does. The index is then sized for all of them once
-// and filled in home-slot order, so the load makes sequential passes
-// instead of one random probe per key. A key listed twice returns
+// at a time, as Acquire does. The index is then sized once, to the least
+// slot count (at least 8) that holds all of them within 3/4 load, and
+// filled in home-slot order, so the load makes sequential passes instead
+// of one random probe per key. A key listed twice returns
 // ErrDuplicateKey, and more keys than free ids ErrFull; after an error the
 // mapper is half loaded and must be discarded.
 func (t StripeTxn[K]) Load(key func(i int) []byte, hashes []uint64, group []int32, ids []int) error {
@@ -604,30 +625,33 @@ func (t StripeTxn[K]) Load(key func(i int) []byte, hashes []uint64, group []int3
 	if size := tableSize(n); size > len(ms.slots) {
 		ms.slots = make([]uint64, size)
 	}
-	mask := uint64(len(ms.slots) - 1)
+	size := len(ms.slots)
 	entries := make([]uint64, n)
 	for j, i := range group {
 		entries[j] = hashes[i]>>32<<32 | uint64(ids[j]+1)
 	}
-	entries = sortByHome(entries, mask)
+	entries = sortByHome(entries, size)
 	// Each entry goes to its home slot or, when an earlier entry took that,
 	// just past the last one placed, so every slot between an entry's home
 	// and its own is full. Entries pushed past the last slot wrap around
 	// through put. A key listed twice meets its copy among the entries of
-	// its home slot, which the sort keeps adjacent.
-	next := uint64(0)
+	// its home slot, which the sort keeps adjacent: entries[run:j].
+	end, run, prev := 0, 0, -1
 	for j, e := range entries {
-		home := e >> 32 & mask
-		for p := j - 1; p >= 0 && entries[p]>>32&mask == home; p-- {
-			if entries[p]>>32 == e>>32 {
-				if b := s.keyBytes(int(e&slotIDMask) - 1); bytes.Equal(s.keyBytes(int(entries[p]&slotIDMask)-1), b) {
+		h := home(e>>32, size)
+		if h != prev {
+			run, prev = j, h
+		}
+		for _, o := range entries[run:j] {
+			if o>>32 == e>>32 {
+				if b := s.keyBytes(int(e&slotIDMask) - 1); bytes.Equal(s.keyBytes(int(o&slotIDMask)-1), b) {
 					return fmt.Errorf("%w: %q", ErrDuplicateKey, b)
 				}
 			}
 		}
-		if pos := max(home, next); pos <= mask {
+		if pos := max(h, end); pos < size {
 			ms.slots[pos] = e
-			next = pos + 1
+			end = pos + 1
 		} else {
 			ms.put(e)
 		}
@@ -637,30 +661,35 @@ func (t StripeTxn[K]) Load(key func(i int) []byte, hashes []uint64, group []int3
 	return nil
 }
 
-// sortByHome sorts index entries by their home slot, the fingerprint's low
-// bits under mask, with a stable LSD radix sort of at most 11 bits a pass,
-// and returns the sorted entries (in entries or in a second buffer).
-func sortByHome(entries []uint64, mask uint64) []uint64 {
-	homeBits := bits.Len64(mask)
+// sortByHome sorts index entries by their home slot in an index of size
+// slots, with a stable LSD radix sort of the home's bits, at most 11 a
+// pass and so at most 3 passes, and returns the sorted entries (in entries
+// or in a second buffer). One read of the entries counts the digits of
+// every pass, since each home costs a multiply to compute.
+func sortByHome(entries []uint64, size int) []uint64 {
+	homeBits := bits.Len(uint(size - 1))
 	passes := (homeBits + 10) / 11
 	width := (homeBits + passes - 1) / passes
+	digits := 1<<width - 1
+	var counts [3][1 << 11]int
+	for _, e := range entries {
+		h := home(e>>32, size)
+		counts[0][h&digits]++
+		counts[1][h>>width&digits]++
+		counts[2][h>>(2*width)&digits]++
+	}
 	tmp := make([]uint64, len(entries))
-	var counts [1 << 11]int
-	for shift := 32; shift < 32+homeBits; shift += width {
-		digits := uint64(1)<<min(width, 32+homeBits-shift) - 1
-		clear(counts[:])
-		for _, e := range entries {
-			counts[e>>shift&digits]++
-		}
+	for p := range passes {
+		c := &counts[p]
 		sum := 0
-		for d, c := range counts[:digits+1] {
-			counts[d] = sum
-			sum += c
+		for d, k := range c[:digits+1] {
+			c[d] = sum
+			sum += k
 		}
 		for _, e := range entries {
-			d := e >> shift & digits
-			tmp[counts[d]] = e
-			counts[d]++
+			d := home(e>>32, size) >> (p * width) & digits
+			tmp[c[d]] = e
+			c[d]++
 		}
 		entries, tmp = tmp, entries
 	}
@@ -837,6 +866,19 @@ func (s *Striped[K]) KeyBytesLocked() int {
 	n := 0
 	for i := range s.allocs {
 		n += s.allocs[i].pages.live
+	}
+	return n
+}
+
+// IndexBytes returns the bytes the stripes' indexes hold, 8 per slot, each
+// stripe read under its lock.
+func (s *Striped[K]) IndexBytes() int {
+	n := 0
+	for i := range s.stripes {
+		ms := &s.stripes[i]
+		ms.mu.Lock()
+		n += 8 * len(ms.slots)
+		ms.mu.Unlock()
 	}
 	return n
 }

@@ -12,13 +12,18 @@ import (
 // runStripedOps exercised, so a test can insist the seed corpus reaches
 // them.
 type stripedOpsCoverage struct {
-	growths     int // a stripe's slot array grew
-	wrapDeletes int // a deletion's probe run continued past the last slot
-	evictions   int // an evicting Acquire took an idle key's id
-	midDrops    int // an idle id left its list from before the last position
-	loads       int // a Load mapped keys on an empty stripe
-	compactions int // a range's pages were compacted
+	growths        int // a stripe's slot array grew
+	oddGrowths     int // ... from a size that is not a power of two
+	wrapDeletes    int // a deletion's probe run continued past the last slot
+	oddWrapDeletes int // ... in a slot array whose size is not a power of two
+	evictions      int // an evicting Acquire took an idle key's id
+	midDrops       int // an idle id left its list from before the last position
+	loads          int // a Load mapped keys on an empty stripe
+	compactions    int // a range's pages were compacted
 }
+
+// powerOfTwo reports whether n is a power of two.
+func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // fixedHash stands in for the mapper's seeded maphash in runStripedOps:
 // FNV-1a over the key's length and its first 32 bytes, then splitmix64's
@@ -104,21 +109,26 @@ func churnStriped(t *testing.T, s *Striped[string], model map[string]int, ops []
 	}
 	keySpace := 2*capacity + 1
 
-	// wrapsOnDelete reports whether deleting key's slot shifts a probe run
-	// that continues past the end of the slot array.
-	wrapsOnDelete := func(key string) bool {
+	// noteWrapDelete counts, in cov, a deletion of key's slot that shifts a
+	// probe run continuing past the end of the slot array.
+	noteWrapDelete := func(key string) {
 		h := s.Hash(key)
 		ms := &s.stripes[s.StripeOfHash(h)]
 		slot, _ := s.find(ms, key, h)
 		if slot < 0 {
-			return false
+			return
 		}
 		for j := slot + 1; j < len(ms.slots); j++ {
 			if ms.slots[j] == 0 {
-				return false
+				return
 			}
 		}
-		return ms.slots[0] != 0
+		if ms.slots[0] != 0 {
+			cov.wrapDeletes++
+			if !powerOfTwo(len(ms.slots)) {
+				cov.oddWrapDeletes++
+			}
+		}
 	}
 	// dropsMidList reports whether unmarking or releasing key takes an id
 	// off its idle list from before the list's last position.
@@ -185,8 +195,8 @@ func churnStriped(t *testing.T, s *Striped[string], model map[string]int, ops []
 			}
 		case 2: // Release, which drops an idle mark
 			want, mapped := model[key]
-			if mapped && wrapsOnDelete(key) {
-				cov.wrapDeletes++
+			if mapped {
+				noteWrapDelete(key)
 			}
 			if dropsMidList(key) {
 				cov.midDrops++
@@ -210,9 +220,7 @@ func churnStriped(t *testing.T, s *Striped[string], model map[string]int, ops []
 				break
 			}
 			ms := &s.stripes[si]
-			if wrapsOnDelete(string(s.keyBytes(int(ms.idle[len(ms.idle)-1])))) {
-				cov.wrapDeletes++
-			}
+			noteWrapDelete(string(s.keyBytes(int(ms.idle[len(ms.idle)-1]))))
 			var id int
 			var isNew bool
 			err := s.BatchFunc(si, func(txn StripeTxn[string]) error {
@@ -243,9 +251,7 @@ func churnStriped(t *testing.T, s *Striped[string], model map[string]int, ops []
 					t.Fatalf("acquire %.20q: isNew=%v with model mapped=%v", key, isNew, mapped)
 				}
 				if isNew {
-					if wrapsOnDelete(key) {
-						cov.wrapDeletes++
-					}
+					noteWrapDelete(key)
 					txn.Rollback(key, h, id)
 				}
 				return nil
@@ -317,6 +323,9 @@ func churnStriped(t *testing.T, s *Striped[string], model map[string]int, ops []
 		for j := range s.stripes {
 			if len(s.stripes[j].slots) > before[j] && before[j] > 0 {
 				cov.growths++
+				if !powerOfTwo(before[j]) {
+					cov.oddGrowths++
+				}
 			}
 		}
 		cov.compactions += compactions(s) - compacted
@@ -381,13 +390,12 @@ func checkStriped(t *testing.T, s *Striped[string], model map[string]int, idle [
 			t.Fatalf("stripe %d: idle list holds %d ids, model marks %d keys idle", si, len(ms.idle), want)
 		}
 		used := 0
-		mask := len(ms.slots) - 1
 		for j, e := range ms.slots {
 			if e == 0 {
 				continue
 			}
 			used++
-			for k := int(e>>32) & mask; k != j; k = (k + 1) & mask {
+			for k := home(e>>32, len(ms.slots)); k != j; k = next(k, len(ms.slots)) {
 				if ms.slots[k] == 0 {
 					t.Fatalf("stripe %d: slot %d unreachable, empty slot %d in its probe run", si, j, k)
 				}
@@ -472,17 +480,20 @@ func FuzzStripedOps(f *testing.F) {
 }
 
 // TestStripedOpsSeedCoverage: the seed corpus FuzzStripedOps runs under go
-// test must reach index growth, deletions whose probe run wraps past the end
-// of the slot array, evictions, idle ids leaving their list from the
+// test must reach index growth, from a size that is not a power of two
+// too, deletions whose probe run wraps past the end of the slot array, in
+// such a slot array too, evictions, idle ids leaving their list from the
 // middle, loads of an empty stripe and page compactions, the paths a small
-// random test could miss. The corpus runs twice and must reach exactly the same counts both
-// times: a run depends on its input alone.
+// random test could miss. The corpus runs twice and must reach exactly the
+// same counts both times: a run depends on its input alone.
 func TestStripedOpsSeedCoverage(t *testing.T) {
 	corpus := func() (total stripedOpsCoverage) {
 		for _, seed := range stripedOpsSeeds() {
 			cov := runStripedOps(t, seed)
 			total.growths += cov.growths
+			total.oddGrowths += cov.oddGrowths
 			total.wrapDeletes += cov.wrapDeletes
+			total.oddWrapDeletes += cov.oddWrapDeletes
 			total.evictions += cov.evictions
 			total.midDrops += cov.midDrops
 			total.loads += cov.loads
@@ -491,7 +502,8 @@ func TestStripedOpsSeedCoverage(t *testing.T) {
 		return total
 	}
 	total := corpus()
-	if total.growths == 0 || total.wrapDeletes == 0 || total.evictions == 0 || total.midDrops == 0 || total.loads == 0 || total.compactions == 0 {
+	if total.growths == 0 || total.oddGrowths == 0 || total.wrapDeletes == 0 || total.oddWrapDeletes == 0 ||
+		total.evictions == 0 || total.midDrops == 0 || total.loads == 0 || total.compactions == 0 {
 		t.Fatalf("seed corpus reached %+v, want every count > 0", total)
 	}
 	if again := corpus(); again != total {

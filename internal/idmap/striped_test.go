@@ -309,3 +309,37 @@ func TestStripedFingerprintCollision(t *testing.T) {
 		t.Fatalf("DenseID(%q) after releasing its collider = (%d, %v), want %d", b, got, err, idB)
 	}
 }
+
+// TestStripedIndexFollowsKeys: a stripe's index holds the slots its keys
+// need within 3/4 load, not the next power of two. Load sizes it to
+// max(8, ⌈4n/3⌉) slots for its n keys; Acquire then grows it each time a
+// key would pass 3/4 load, to half again its slots, or to ⌈4n/3⌉ for the n
+// keys it then holds if that is larger.
+func TestStripedIndexFollowsKeys(t *testing.T) {
+	fit := func(n int) int { return (4*n + 2) / 3 } // ⌈4n/3⌉
+	for _, n := range []int{1, 6, 7, 1000, 50_000} {
+		s := MustNewStriped[string](4*n+64, 1)
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = ik(i)
+		}
+		if _, err := loadStriped(s, keys, false); err != nil {
+			t.Fatal(err)
+		}
+		ms := &s.stripes[0]
+		if got, want := len(ms.slots), max(8, fit(n)); got != want {
+			t.Fatalf("%d keys loaded: %d slots, want %d", n, got, want)
+		}
+		for held, growths := n+1, 0; growths < 2; held++ {
+			size := len(ms.slots)
+			s.MustAcquire(t, ik(held-1))
+			switch got, past := len(ms.slots), held*4 > size*3; {
+			case got == size && !past:
+			case got == max(size*3/2, fit(held)) && past:
+				growths++
+			default:
+				t.Fatalf("%d keys loaded: holding %d keys took %d slots to %d", n, held, size, got)
+			}
+		}
+	}
+}

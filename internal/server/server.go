@@ -66,10 +66,11 @@ type Config struct {
 	// front it costs 8 bytes per 4096 slots for the id map's chunk
 	// pointers. The dense profile's rank arrays cost 12 bytes per
 	// materialised id: each shard materialises the ids its keys use, low
-	// ids first, and grows geometrically. Each tracked object then costs 23
-	// to 33 bytes in the id map (an index slot at 3/8 to 3/4 load plus a
-	// 12-byte key-table entry, allocated 4096 ids at a time), plus its key's
-	// bytes in a pointer-free page, plus 4 bytes while its count is zero.
+	// ids first, and grows geometrically. Each tracked object then costs
+	// about 23 to 28 bytes in the id map (10.7 bytes of index after a
+	// restore, 10.7 to 16 once it has grown, plus a 12-byte key-table entry,
+	// allocated 4096 ids at a time), plus its key's bytes in a pointer-free
+	// page, plus 4 bytes while its count is zero.
 	Capacity int
 	// Shards sets how many independently locked profile shards (and id-mapper
 	// stripes, kept aligned with them) the dense-id space is split across.

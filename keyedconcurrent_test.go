@@ -715,6 +715,45 @@ func TestIdleSetAllocation(t *testing.T) {
 	}
 }
 
+// TestKeyedIndexFollowsKeys pins that a restored keyed profile's id-map
+// index holds the slots its keys need, not the next power of two: 100k
+// keys at capacity 1<<20 on two shards, restored from a checkpoint, keep
+// the stripes' summed index within 8 bytes for each of ⌈4n/3⌉ slots plus
+// 16 for rounding, about 1.07 MB, where power-of-two tables take 2 MiB.
+func TestKeyedIndexFollowsKeys(t *testing.T) {
+	const capacity, n = 1 << 20, 100_000
+	dir := filepath.Join(t.TempDir(), "wal")
+	durable := sprofile.MustBuildKeyed[string](capacity, sprofile.WithSharding(2), sprofile.WithWAL(dir))
+	batch := make([]sprofile.KeyedTuple[string], n)
+	for i := range batch {
+		batch[i] = sprofile.KeyedTuple[string]{Key: fmt.Sprintf("key-%d", i), Action: sprofile.ActionAdd}
+	}
+	if _, err := durable.ApplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored := sprofile.MustBuildKeyed[string](capacity, sprofile.WithSharding(2), sprofile.WithWAL(dir))
+	defer restored.Close()
+	if got := restored.Recovery().SnapshotObjects; got != n {
+		t.Fatalf("restored %d snapshot keys, want %d", got, n)
+	}
+	if got, limit := restored.IndexBytes(), 8*((4*n+2)/3+16); got > limit {
+		t.Errorf("the stripes' indexes hold %d bytes for %d restored keys, want at most %d", got, n, limit)
+	}
+	res, err := restored.QueryKeys(sprofile.KeyedQuery[string]{Count: []string{"key-0", fmt.Sprintf("key-%d", n-1)}, Summary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counts[0].Frequency != 1 || res.Counts[1].Frequency != 1 || res.Summary.Active != n {
+		t.Fatalf("counts %v, summary %+v", res.Counts, *res.Summary)
+	}
+}
+
 // TestKeyedDenseFollowsKeys pins that a keyed profile's dense shards hold
 // memory for the ids in use, not for the capacity: 1,000 keys at capacity
 // 1<<20 on two shards, built by adds and then restored from a checkpoint,
